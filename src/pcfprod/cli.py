@@ -11,9 +11,11 @@ Two commands:
 
 Grid specs are ``lo:hi:count`` (inclusive, linear), ``log:lo:hi:count``
 (log-spaced), or a single number.  Output is deterministic: identical
-invocations produce byte-identical reports.  ``PCF_MAX_THREADS`` caps
-the number of worker threads used for grid evaluation (default 1);
-records are always emitted in grid order regardless.
+invocations produce byte-identical reports.  A point outside an
+identity's validity domain is emitted as a skipped record whose note is
+the library's ``DomainError`` message; a route that raises
+``ConvergenceError`` gives a failed record with the error message as
+its note.
 """
 
 from __future__ import annotations
@@ -21,15 +23,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 
 from . import glasser, green, hyperbolic, mehler, specfun
 from .errors import ConvergenceError, DomainError
-from .report import IDENTITY_IDS, VerificationRecord, make_record, skipped_record
+from .report import VerificationRecord, error_record, make_record
 
 _EXIT_DOMAIN = 2
 _EXIT_CONVERGENCE = 3
@@ -206,11 +206,14 @@ def _clamp_quad_tol(tol: float) -> float:
     return min(max(tol, 1e-14), 1e-2)
 
 
-def _check_eq3(p):
-    return None if abs(p["u"]) <= 0.9 else "|u| > 0.9"
+# EQ3 stays short of the series' own |u| <= 0.95 limit, where the series
+# error creeps toward the tolerance
+_EQ3_U_LIMIT = 0.9
 
 
 def _verify_eq3(p, tol):
+    if not abs(p["u"]) <= _EQ3_U_LIMIT:
+        raise DomainError(f"EQ3 is verified for |u| <= {_EQ3_U_LIMIT}, got u={p['u']}")
     point = mehler.MehlerPoint(p["X"], p["Y"], p["u"])
     series = mehler.mehler_kernel_series(point, tol * 0.1)
     # kernel values can be exponentially small while series terms are O(1);
@@ -219,33 +222,17 @@ def _verify_eq3(p, tol):
                        tol, series.terms_used, mode="mixed")
 
 
-def _check_eq10(p):
-    return None if p["x"] > p["y"] > 0 else "requires x > y > 0"
-
-
 def _verify_eq10(p, tol):
     q = glasser.ProductQuery(p["nu"], p["x"], p["y"])
     lhs = glasser.product_via_integral(q, _clamp_quad_tol(tol * 0.1))
     return make_record("EQ10", p, lhs.value, glasser.product_reference(q), tol, lhs.evaluations)
 
 
-def _check_eq11(p):
-    return None if p["a"] > p["b"] > 0 else "requires a > b > 0"
-
-
-def _check_eq12(p):
-    if not p["a"] + p["b"] > 0:
-        return "requires a + b > 0"
-    if p["a"] < abs(p["b"]) or p["b"] <= 0:
-        return "D arguments complex unless a >= |b| and b > 0"
-    return None
-
-
 def _verify_laplace(identity, sign):
     def run(p, tol):
         lp = glasser.LaplaceParams(p["nu"], p["a"], p["b"])
+        q = glasser.xy_from_params(lp)  # validates the domain before any quadrature
         lhs = glasser.laplace_I(lp, sign, _clamp_quad_tol(tol * 0.1))
-        q = glasser.xy_from_params(lp)
         y_arg = -q.y if sign == 1 else q.y
         rhs = (2.0 * math.exp(0.5 * p["a"]) * specfun.gamma(p["nu"])
                * specfun.pcf_d(-p["nu"], q.x) * specfun.pcf_d(-p["nu"], y_arg))
@@ -256,22 +243,12 @@ def _verify_laplace(identity, sign):
 def _verify_eq13(which):
     fn = hyperbolic.erfc_identity_13a if which == "a" else hyperbolic.erfc_identity_13b
     def run(p, tol):
-        rec = fn(hyperbolic.HyperbolicQuery(alpha=p["alpha"], phi=p["phi"]), tol)
-        return make_record(rec.identity_id, p, rec.lhs, rec.rhs, tol, rec.evaluations)
+        return fn(hyperbolic.HyperbolicQuery(alpha=p["alpha"], phi=p["phi"]), tol)
     return run
 
 
-def _check_eq14(p):
-    return None if p["phi"] >= 0.05 else "phi < 0.05 (K_{1/4} underflow guard)"
-
-
 def _verify_eq14(p, tol):
-    rec = hyperbolic.k_identity_14(hyperbolic.HyperbolicQuery(a=p["a"], phi=p["phi"]), tol)
-    return make_record("EQ14", p, rec.lhs, rec.rhs, tol, rec.evaluations)
-
-
-def _check_eq15(p):
-    return None if p["x"] > p["y"] else "requires x > y"
+    return hyperbolic.k_identity_14(hyperbolic.HyperbolicQuery(a=p["a"], phi=p["phi"]), tol)
 
 
 def _verify_eq15(p, tol):
@@ -282,18 +259,11 @@ def _verify_eq15(p, tol):
     return make_record("EQ15", p, lhs.value, rhs, tol, lhs.terms_used)
 
 
-def _check_eq8_eq9(p):
-    if not p["x"] > p["xprime"]:
-        return "closed form requires x > x'"
-    if p["lam"] >= 1.0:
-        return "closed form requires lambda < 1"
-    return None
-
-
 def _verify_eq8_eq9(p, tol):
     q = green.GreenQuery(p["lam"], p["x"], p["xprime"])
+    rhs = green.green_closed(q)  # validates the domain before the series starts
     lhs = green.green_spectral(q, tol * 0.5)
-    return make_record("EQ8_EQ9", p, lhs.value, green.green_closed(q), tol, lhs.terms_used)
+    return make_record("EQ8_EQ9", p, lhs.value, rhs, tol, lhs.terms_used)
 
 
 IDENTITIES = {
@@ -302,63 +272,54 @@ IDENTITIES = {
         "grid": {"X": [-2.0, 0.0, 1.5], "Y": [-1.0, 0.5, 2.0],
                  "u": [-0.8, -0.3, 0.0, 0.3, 0.8]},
         "tol": 1e-9,
-        "check": _check_eq3,
         "run": _verify_eq3,
     },
     "EQ10": {
         "params": ("nu", "x", "y"),
         "grid": {"nu": [0.5, 1.0, 2.5], "x": [1.5, 2.5], "y": [0.5, 1.0]},
         "tol": 1e-8,
-        "check": _check_eq10,
         "run": _verify_eq10,
     },
     "EQ11": {
         "params": ("nu", "a", "b"),
         "grid": {"nu": [0.5, 1.0, 2.0], "a": [1.5, 3.0], "b": [0.5, 1.0]},
         "tol": 1e-8,
-        "check": _check_eq11,
         "run": _verify_laplace("EQ11", 1),
     },
     "EQ12": {
         "params": ("nu", "a", "b"),
         "grid": {"nu": [0.5, 1.0, 2.0], "a": [1.5, 3.0], "b": [0.5, 1.0]},
         "tol": 1e-8,
-        "check": _check_eq12,
         "run": _verify_laplace("EQ12", -1),
     },
     "EQ13A": {
         "params": ("alpha", "phi"),
         "grid": {"alpha": [0.5, 1.0, 2.0], "phi": [0.5, 1.0, 2.0]},
         "tol": 1e-8,
-        "check": lambda p: None,
         "run": _verify_eq13("a"),
     },
     "EQ13B": {
         "params": ("alpha", "phi"),
         "grid": {"alpha": [0.5, 1.0, 2.0], "phi": [0.5, 1.0, 2.0]},
         "tol": 1e-8,
-        "check": lambda p: None,
         "run": _verify_eq13("b"),
     },
     "EQ14": {
         "params": ("a", "phi"),
         "grid": {"a": [0.5, 1.0, 2.0], "phi": [0.5, 1.0, 2.0]},
         "tol": 1e-7,
-        "check": _check_eq14,
         "run": _verify_eq14,
     },
     "EQ15": {
         "params": ("nu", "x", "y"),
         "grid": {"nu": [0.5, 1.0, 2.0], "x": [2.0, 3.0], "y": [0.5, 1.0]},
         "tol": 5e-7,
-        "check": _check_eq15,
         "run": _verify_eq15,
     },
     "EQ8_EQ9": {
         "params": ("lam", "x", "xprime"),
         "grid": {"lam": [-3.0, -1.0, 0.0, 0.5], "x": [1.0, 1.5], "xprime": [0.0, 0.5]},
         "tol": 1e-6,
-        "check": _check_eq8_eq9,
         "run": _verify_eq8_eq9,
     },
 }
@@ -367,23 +328,14 @@ IDENTITIES = {
 def _evaluate_identity(identity: str, grids: dict[str, list[float]], tol: float):
     cfg = IDENTITIES[identity]
     names = cfg["params"]
-    points = [dict(zip(names, combo))
-              for combo in itertools.product(*(grids[n] for n in names))]
-
-    def one(p: dict[str, float]) -> VerificationRecord:
-        reason = cfg["check"](p)
-        if reason is not None:
-            return skipped_record(identity, p, reason)
+    records = []
+    for combo in itertools.product(*(grids[n] for n in names)):
+        p = dict(zip(names, combo))
         try:
-            return cfg["run"](p, tol)
-        except DomainError as exc:
-            return skipped_record(identity, p, str(exc))
-
-    workers = max(1, int(os.environ.get("PCF_MAX_THREADS", "1")))
-    if workers > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, points))
-    return [one(p) for p in points]
+            records.append(cfg["run"](p, tol))
+        except (DomainError, ConvergenceError) as exc:
+            records.append(error_record(identity, p, exc))
+    return records
 
 
 def _emit_csv(records: list[VerificationRecord], names, out) -> None:
@@ -459,12 +411,13 @@ def verify_cmd(identity, tol, fmt, gridargs):
 
     Default grids are used for parameters without an explicit
     --name lo:hi:count range.  Points outside an identity's validity
-    domain are emitted as skipped records.
+    domain are emitted as skipped records noting the library's
+    DomainError; a route that fails to converge gives a failed record.
     """
     identity = identity.upper() if identity != "all" else identity
     if identity != "all" and identity not in IDENTITIES:
         raise click.UsageError(
-            f"unknown identity {identity!r}; choose from {', '.join(IDENTITY_IDS)} or 'all'")
+            f"unknown identity {identity!r}; choose from {', '.join(IDENTITIES)} or 'all'")
     chosen = list(IDENTITIES) if identity == "all" else [identity]
     raw = _parse_named_floats(gridargs)
 

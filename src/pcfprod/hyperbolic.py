@@ -4,7 +4,8 @@ closed forms of D_{-nu}.
 Each identity is verified through two fully independent routes: the
 left side by direct theta-quadrature (never touching erfc, K_{1/4} or
 pcf_d), the right side from the erfc / K_{1/4} closed forms (never
-touching the theta-quadrature).
+touching the theta-quadrature).  Each function returns the
+verification record, judged at the caller's ``tol``.
 
 * 13a:  int_0^inf sech(th) e^{-alpha^2 sinh(th) sinh(th+phi)} dth
           = (pi/2) e^{alpha^2 cosh(phi)} erfc(alpha sinh(phi/2)) erfc(alpha cosh(phi/2))
@@ -93,7 +94,7 @@ def erfc_identity_13a(q: HyperbolicQuery, tol: float = 1e-10) -> VerificationRec
         {"alpha": q.alpha, "phi": q.phi},
         lhs.value,
         rhs,
-        max(tol, 1e-8),
+        tol,
         lhs.evaluations,
     )
 
@@ -119,7 +120,7 @@ def erfc_identity_13b(q: HyperbolicQuery, tol: float = 1e-10) -> VerificationRec
         {"alpha": q.alpha, "phi": q.phi},
         lhs.value,
         rhs,
-        max(tol, 1e-8),
+        tol,
         lhs.evaluations,
     )
 
@@ -151,6 +152,6 @@ def k_identity_14(q: HyperbolicQuery, tol: float = 1e-9) -> VerificationRecord:
         {"a": q.a, "phi": q.phi},
         lhs_value,
         rhs,
-        max(tol, 1e-7),
+        tol,
         inner.evaluations + outer.evaluations,
     )

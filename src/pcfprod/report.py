@@ -2,19 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-IDENTITY_IDS = (
-    "EQ3",
-    "EQ10",
-    "EQ11",
-    "EQ12",
-    "EQ13A",
-    "EQ13B",
-    "EQ14",
-    "EQ15",
-    "EQ8_EQ9",
-)
+from .errors import DomainError
 
 _REL_FLOOR = 1e-300
 _ABS_SWITCH = 1e-280
@@ -28,7 +18,8 @@ class VerificationRecord:
     error for ordinary magnitudes, absolute error when the right side is
     essentially zero (|rhs| < 1e-280).  ``skipped`` marks grid points
     outside the identity's validity domain; such records carry no
-    numbers and never count as failures.
+    numbers and never count as failures.  A failed record without
+    numbers marks a route that raised ``ConvergenceError``.
     """
 
     identity_id: str
@@ -65,8 +56,6 @@ def make_record(
     against tol*(1 + max|side|), for identities whose series route loses
     all relative accuracy to cancellation when the value is tiny.
     """
-    if identity_id not in IDENTITY_IDS:
-        raise ValueError(f"unknown identity id {identity_id!r}")
     abs_err = abs(lhs - rhs)
     rel_err = abs_err / max(abs(lhs), abs(rhs), _REL_FLOOR)
     if mode == "mixed":
@@ -80,8 +69,13 @@ def make_record(
     )
 
 
-def skipped_record(identity_id: str, params: dict[str, float], note: str) -> VerificationRecord:
+def error_record(identity_id: str, params: dict[str, float], exc: Exception) -> VerificationRecord:
+    """A record without numbers for a point whose evaluation raised ``exc``.
+
+    A ``DomainError`` makes it a skip, any other error a failure; the
+    note is the exception message.
+    """
     return VerificationRecord(
         identity_id, dict(params), float("nan"), float("nan"), float("nan"),
-        float("nan"), False, 0, skipped=True, note=note,
+        float("nan"), False, 0, skipped=isinstance(exc, DomainError), note=str(exc),
     )

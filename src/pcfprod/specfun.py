@@ -116,7 +116,7 @@ def pcf_d(nu_order: float, z: float, tol: float = 1e-12) -> float:
     nonnegative integers up to 20.  Anything else raises
     :class:`DomainError` -- there is no silent fallback.
     """
-    if abs(nu_order) > _ORDER_LIMIT:
+    if not abs(nu_order) <= _ORDER_LIMIT:
         raise DomainError(f"order {nu_order} outside supported range [-20, 20]")
     if nu_order < 0.0:
         return _pcf_d_negative_order(-nu_order, z, tol)

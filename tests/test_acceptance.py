@@ -182,4 +182,4 @@ def test_criterion_9_cli_verification_deterministic():
            f"exit {a.exit_code}, reruns byte-identical: {a.output == b.output}, {summary}")
     assert a.exit_code == 0
     assert a.output == b.output
-    assert "fail=0" in summary
+    assert summary == "# summary: pass=136 fail=0 skip=0"

@@ -56,6 +56,11 @@ class TestEval:
         assert r.exit_code == 2
         assert "domain error" in r.output
 
+    def test_nan_order_is_domain_error(self, runner):
+        r = runner.invoke(main, ["eval", "pcf_d", "--nu", "nan", "--z", "1"])
+        assert r.exit_code == 2
+        assert "domain error" in r.output
+
 
 class TestVerify:
     def test_single_point_sum_rule(self, runner):
@@ -66,11 +71,29 @@ class TestVerify:
         assert lines[0].endswith("true")
         assert "pass=1 fail=0 skip=0" in r.output
 
-    def test_out_of_domain_point_is_skipped(self, runner):
-        r = runner.invoke(main, ["verify", "EQ10", "--nu", "1", "--x", "1", "--y", "2"])
+    # one point per domain rule the library enforces for `verify`
+    @pytest.mark.parametrize("args", [
+        "EQ3 --X 1 --Y 0.5 --u 0.95",
+        "EQ10 --nu 1 --x 1 --y 2",
+        "EQ11 --nu 1 --a 1 --b 2",
+        "EQ12 --nu 1 --a 1.5 --b -0.5",
+        "EQ14 --a 1 --phi 0.01",
+        "EQ15 --nu 1 --x 1 --y 2",
+        "EQ8_EQ9 --lam 0.5 --x 0 --xprime 0",
+        "EQ8_EQ9 --lam 1.5 --x 1 --xprime 0",
+    ], ids=lambda a: a.replace(" --", "-").replace(" ", "="))
+    def test_out_of_domain_point_is_skipped(self, runner, args):
+        r = runner.invoke(main, ["verify", *args.split()])
         assert r.exit_code == 0
         assert "skipped" in r.output
         assert "skip=1" in r.output
+
+    def test_convergence_error_is_a_failed_record(self, runner):
+        r = runner.invoke(main, ["verify", "EQ15", "--nu", "1", "--x", "2", "--y", "1.9"])
+        assert r.exit_code == 1
+        rows = [l for l in r.output.splitlines() if l.startswith("EQ15")]
+        assert len(rows) == 1 and rows[0].endswith("false")
+        assert "pass=0 fail=1 skip=0" in r.output
 
     def test_identity_name_case_insensitive(self, runner):
         r = runner.invoke(main, ["verify", "eq13a", "--alpha", "1", "--phi", "1"])

@@ -94,6 +94,20 @@ class TestKIdentity:
             k_identity_14(HyperbolicQuery(a=1.0, phi=0.01))
 
 
+class TestCallerTolerance:
+    # (4, 3) has rel_err ~8e-12: it must fail at 1e-12, with no floor
+    @pytest.mark.parametrize("fn, q", [
+        (erfc_identity_13a, HyperbolicQuery(alpha=1.0, phi=1.0)),
+        (erfc_identity_13b, HyperbolicQuery(alpha=1.0, phi=1.0)),
+        (erfc_identity_13b, HyperbolicQuery(alpha=4.0, phi=3.0)),
+        (k_identity_14, HyperbolicQuery(a=1.0, phi=1.0)),
+    ])
+    def test_record_judged_at_caller_tol(self, fn, q):
+        tol = 1e-12
+        rec = fn(q, tol)
+        assert rec.passed == (rec.rel_err <= tol), rec
+
+
 class TestQueryValidation:
     @pytest.mark.parametrize("kwargs", [
         {"alpha": 0.0}, {"alpha": -1.0}, {"a": 0.0}, {"phi": 0.0}, {"phi": -0.5},

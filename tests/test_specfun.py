@@ -138,3 +138,5 @@ class TestPcfD:
             pcf_d(21.0, 1.0)
         with pytest.raises(DomainError):
             pcf_d(-20.5, 1.0)
+        with pytest.raises(DomainError):
+            pcf_d(math.nan, 1.0)
