@@ -15,7 +15,8 @@ invocations produce byte-identical reports.  A point outside an
 identity's validity domain is emitted as a skipped record whose note is
 the library's ``DomainError`` message; a route that raises
 ``ConvergenceError`` gives a failed record with the error message as
-its note.
+its note.  CSV output writes the notes of skipped and failed records to
+stderr; ``eval`` reports a tolerance it clamped as ``# tol_effective``.
 """
 
 from __future__ import annotations
@@ -79,22 +80,33 @@ def _eval_mehler_kernel_series(params, tol):
     return r.value, {"terms_used": r.terms_used, "tail_bound": r.tail_bound}
 
 
+def _series_meta(r, tol, used):
+    """Series metadata; ``tol_effective`` reports a clamped tolerance."""
+    meta = {"terms_used": r.terms_used, "tail_bound": r.tail_bound}
+    if used != tol:
+        meta["tol_effective"] = used
+    return meta
+
+
 def _eval_series_for_I(params, tol):
     nu, X, Y = _q(params, "nu", "X", "Y")
-    r = mehler.series_for_I(nu, X, Y, max(tol, 1e-9))
-    return r.value, {"terms_used": r.terms_used, "tail_bound": r.tail_bound}
+    used = max(tol, 1e-9)
+    r = mehler.series_for_I(nu, X, Y, used)
+    return r.value, _series_meta(r, tol, used)
 
 
 def _eval_sum_rule_lhs(params, tol):
     nu, x, y = _q(params, "nu", "x", "y")
-    r = mehler.sum_rule_lhs(mehler.SumRuleQuery(nu, x, y), max(tol, 5e-8))
-    return r.value, {"terms_used": r.terms_used, "tail_bound": r.tail_bound}
+    used = max(tol, 5e-8)
+    r = mehler.sum_rule_lhs(mehler.SumRuleQuery(nu, x, y), used)
+    return r.value, _series_meta(r, tol, used)
 
 
 def _eval_green_spectral(params, tol):
     lam, x, xprime = _q(params, "lam", "x", "xprime")
-    r = green.green_spectral(green.GreenQuery(lam, x, xprime), max(tol, 1e-8))
-    return r.value, {"terms_used": r.terms_used, "tail_bound": r.tail_bound}
+    used = max(tol, 1e-8)
+    r = green.green_spectral(green.GreenQuery(lam, x, xprime), used)
+    return r.value, _series_meta(r, tol, used)
 
 
 def _eval_green_closed(params, tol):
@@ -348,6 +360,16 @@ def _emit_csv(records: list[VerificationRecord], names, out) -> None:
         out.write(",".join(row) + "\n")
 
 
+def _emit_notes(records: list[VerificationRecord], names) -> None:
+    """One ``# ID name=value ...: note`` line on stderr per skipped or
+    failed record, so CSV output keeps the reason; stdout is untouched."""
+    for r in records:
+        if r.status != "pass":
+            point = " ".join(f"{n}={r.params[n]!r}" for n in names)
+            click.echo(f"# {r.identity_id} {point}: {r.note or 'error above tolerance'}",
+                       err=True)
+
+
 def _record_json(r: VerificationRecord) -> dict:
     return {
         "identity_id": r.identity_id,
@@ -413,6 +435,8 @@ def verify_cmd(identity, tol, fmt, gridargs):
     --name lo:hi:count range.  Points outside an identity's validity
     domain are emitted as skipped records noting the library's
     DomainError; a route that fails to converge gives a failed record.
+    With CSV output the reason for each skipped or failed record goes
+    to stderr as a '# ID name=value ...: note' line.
     """
     identity = identity.upper() if identity != "all" else identity
     if identity != "all" and identity not in IDENTITIES:
@@ -443,6 +467,7 @@ def verify_cmd(identity, tol, fmt, gridargs):
     if fmt == "csv":
         for ident, names, records in blocks:
             _emit_csv(records, names, sys.stdout)
+            _emit_notes(records, names)
         click.echo(f"# summary: pass={n_pass} fail={n_fail} skip={n_skip}")
     else:
         doc = {

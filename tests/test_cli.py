@@ -41,6 +41,15 @@ class TestEval:
                                  "--nu", "1", "--x", "2", "--y", "1"])
         assert any(line.startswith("# evaluations = ") for line in r.output.splitlines())
 
+    def test_clamped_tolerance_is_reported(self, runner):
+        args = ["eval", "series_for_I", "--nu", "1", "--X", "1", "--Y", "0.2"]
+        r = runner.invoke(main, [*args, "--tol", "1e-12"])
+        assert r.exit_code == 0
+        assert "# tol_effective = 1e-09" in r.output.splitlines()
+        r = runner.invoke(main, [*args, "--tol", "1e-6"])
+        assert r.exit_code == 0
+        assert "tol_effective" not in r.output
+
     def test_unknown_target(self, runner):
         r = runner.invoke(main, ["eval", "nope", "--x", "1"])
         assert r.exit_code != 0
@@ -91,9 +100,32 @@ class TestVerify:
     def test_convergence_error_is_a_failed_record(self, runner):
         r = runner.invoke(main, ["verify", "EQ15", "--nu", "1", "--x", "2", "--y", "1.9"])
         assert r.exit_code == 1
-        rows = [l for l in r.output.splitlines() if l.startswith("EQ15")]
+        rows = [l for l in r.stdout.splitlines() if l.startswith("EQ15")]
         assert len(rows) == 1 and rows[0].endswith("false")
-        assert "pass=0 fail=1 skip=0" in r.output
+        assert "pass=0 fail=1 skip=0" in r.stdout
+        # the note lists the change at every window level, not just the last
+        (note,) = r.stderr.splitlines()
+        assert "stalled at 524288 terms" in note
+        for terms in (8192, 16384, 32768, 65536, 131072, 262144, 524288):
+            assert f"{terms} terms " in note
+
+    def test_csv_reason_goes_to_stderr(self, runner):
+        r = runner.invoke(main, ["verify", "EQ15", "--nu", "1", "--x", "1:2:2", "--y", "1.9"])
+        assert r.exit_code == 1
+        assert r.stdout.splitlines() == [
+            "identity_id,nu,x,y,lhs,rhs,abs_err,rel_err,passed",
+            "EQ15,1.0,1.0,1.9,nan,nan,nan,nan,skipped",
+            "EQ15,1.0,2.0,1.9,nan,nan,nan,nan,false",
+            "# summary: pass=0 fail=1 skip=1",
+        ]
+        notes = r.stderr.splitlines()
+        assert len(notes) == 2
+        assert notes[0] == "# EQ15 nu=1.0 x=1.0 y=1.9: sum rule requires x > y, got x=1.0, y=1.9"
+        assert notes[1].startswith("# EQ15 nu=1.0 x=2.0 y=1.9: bilinear Hermite sum stalled")
+        r = runner.invoke(main, ["verify", "EQ10", "--nu", "1", "--x", "2", "--y", "1",
+                                 "--tol", "1e-16"])
+        assert r.exit_code == 1
+        assert r.stderr == "# EQ10 nu=1.0 x=2.0 y=1.0: error above tolerance\n"
 
     def test_identity_name_case_insensitive(self, runner):
         r = runner.invoke(main, ["verify", "eq13a", "--alpha", "1", "--phi", "1"])
