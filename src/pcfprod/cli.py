@@ -15,8 +15,11 @@ invocations produce byte-identical reports.  A point outside an
 identity's validity domain is emitted as a skipped record whose note is
 the library's ``DomainError`` message; a route that raises
 ``ConvergenceError`` gives a failed record with the error message as
-its note.  CSV output writes the notes of skipped and failed records to
-stderr; ``eval`` reports a tolerance it clamped as ``# tol_effective``.
+its note.  EQ10, EQ11 and EQ12 run their quadrature at a tenth of the
+tolerance, clamped to the engines' range [1e-14, 1e-2]; a record whose
+quadrature tolerance was clamped says so in its note.  CSV output
+writes the notes of skipped, failed and noted records to stderr;
+``eval`` reports a tolerance it clamped as ``# tol_effective``.
 """
 
 from __future__ import annotations
@@ -218,6 +221,14 @@ def _clamp_quad_tol(tol: float) -> float:
     return min(max(tol, 1e-14), 1e-2)
 
 
+def _quad_tol(tol: float) -> tuple[float, str]:
+    """Quadrature tolerance for a record judged at ``tol``, with the note
+    reporting that it was clamped to the engines' range ("" if not)."""
+    wanted = tol * 0.1
+    used = _clamp_quad_tol(wanted)
+    return used, "" if used == wanted else f"quadrature tol clamped to {used!r}"
+
+
 # EQ3 stays short of the series' own |u| <= 0.95 limit, where the series
 # error creeps toward the tolerance
 _EQ3_U_LIMIT = 0.9
@@ -236,19 +247,22 @@ def _verify_eq3(p, tol):
 
 def _verify_eq10(p, tol):
     q = glasser.ProductQuery(p["nu"], p["x"], p["y"])
-    lhs = glasser.product_via_integral(q, _clamp_quad_tol(tol * 0.1))
-    return make_record("EQ10", p, lhs.value, glasser.product_reference(q), tol, lhs.evaluations)
+    quad_tol, note = _quad_tol(tol)
+    lhs = glasser.product_via_integral(q, quad_tol)
+    return make_record("EQ10", p, lhs.value, glasser.product_reference(q), tol, lhs.evaluations,
+                       note=note)
 
 
 def _verify_laplace(identity, sign):
     def run(p, tol):
         lp = glasser.LaplaceParams(p["nu"], p["a"], p["b"])
         q = glasser.xy_from_params(lp)  # validates the domain before any quadrature
-        lhs = glasser.laplace_I(lp, sign, _clamp_quad_tol(tol * 0.1))
+        quad_tol, note = _quad_tol(tol)
+        lhs = glasser.laplace_I(lp, sign, quad_tol)
         y_arg = -q.y if sign == 1 else q.y
         rhs = (2.0 * math.exp(0.5 * p["a"]) * specfun.gamma(p["nu"])
                * specfun.pcf_d(-p["nu"], q.x) * specfun.pcf_d(-p["nu"], y_arg))
-        return make_record(identity, p, lhs.value, rhs, tol, lhs.evaluations)
+        return make_record(identity, p, lhs.value, rhs, tol, lhs.evaluations, note=note)
     return run
 
 
@@ -362,12 +376,17 @@ def _emit_csv(records: list[VerificationRecord], names, out) -> None:
 
 def _emit_notes(records: list[VerificationRecord], names) -> None:
     """One ``# ID name=value ...: note`` line on stderr per skipped or
-    failed record, so CSV output keeps the reason; stdout is untouched."""
+    failed record and per record with a note, so CSV output keeps the
+    reason and any clamped tolerance; stdout is untouched."""
     for r in records:
-        if r.status != "pass":
+        notes = [r.note] if r.note else []
+        # a failed record with numbers missed its tolerance; one without
+        # numbers carries the route's error as its note
+        if r.status == "fail" and (not notes or not math.isnan(r.abs_err)):
+            notes.insert(0, "error above tolerance")
+        if notes:
             point = " ".join(f"{n}={r.params[n]!r}" for n in names)
-            click.echo(f"# {r.identity_id} {point}: {r.note or 'error above tolerance'}",
-                       err=True)
+            click.echo(f"# {r.identity_id} {point}: {'; '.join(notes)}", err=True)
 
 
 def _record_json(r: VerificationRecord) -> dict:
@@ -435,8 +454,9 @@ def verify_cmd(identity, tol, fmt, gridargs):
     --name lo:hi:count range.  Points outside an identity's validity
     domain are emitted as skipped records noting the library's
     DomainError; a route that fails to converge gives a failed record.
-    With CSV output the reason for each skipped or failed record goes
-    to stderr as a '# ID name=value ...: note' line.
+    With CSV output the reason for each skipped or failed record, and a
+    clamped quadrature tolerance, goes to stderr as a
+    '# ID name=value ...: note' line.
     """
     identity = identity.upper() if identity != "all" else identity
     if identity != "all" and identity not in IDENTITIES:

@@ -26,8 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import solve_ivp
-
 from .errors import ConvergenceError, DomainError
 from .hermsum import bilinear_hermite_sum
 from .specfun import SeriesResult, gamma, pcf_d
@@ -44,6 +42,18 @@ _SPECTRAL_POLE_GUARD = 1e-6
 _ORACLE_POLE_GUARD = 0.1
 _SHOOT_FROM = 8.0  # e^{-x^2/2} ~ 1e-14 there, below identity tolerances
 _ORACLE_RANGE = 6.0
+
+
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on first use.
+
+    Only :func:`green_ode_oracle` integrates ODEs, and importing
+    ``scipy.integrate`` costs about half a second, so importing this
+    module (and the CLI) does not pay for it up front.
+    """
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -126,16 +126,16 @@ def scaled_hermite_products(
     return products.T.reshape(-1)[:count]
 
 
-def _window(count: int, ncut: int) -> np.ndarray:
-    """Smooth descent from 1 at n <= ncut to 0 at n >= 2*ncut."""
-    n = np.arange(count, dtype=np.float64)
-    z = np.clip((n - ncut) / float(ncut), 0.0, 1.0)
-    w = np.zeros(count)
-    w[z <= 0.0] = 1.0
-    mid = (z > 0.0) & (z < 1.0)
-    zm = z[mid]
+def _descent(ncut: int) -> np.ndarray:
+    """Window weights at n = ncut .. 2*ncut-1, falling smoothly from 1 to 0.
+
+    The window is 1 at n <= ncut and 0 at n >= 2*ncut.
+    """
+    z = np.arange(ncut, dtype=np.float64) / float(ncut)
+    w = np.ones(ncut)
+    zm = z[1:]
     # logistic bump in 1/z - 1/(1-z); C-infinity at both edges
-    w[mid] = 1.0 / (1.0 + np.exp(np.clip(1.0 / (1.0 - zm) - 1.0 / zm, -700, 700)))
+    w[1:] = 1.0 / (1.0 + np.exp(np.clip(1.0 / (1.0 - zm) - 1.0 / zm, -700, 700)))
     return w
 
 
@@ -159,15 +159,24 @@ def bilinear_hermite_sum(
 
     ncut = min(n_start, n_cap)
     state = RecurrenceState()
-    terms = np.empty(0)
+    # terms below `start` all have window weight 1 and are summed into
+    # `head`; `tail` holds the terms from `start` on
+    head = 0.0
+    start = 0
+    tail = np.empty(0)
     prev = None
     diff = np.inf
     changes = []
     while True:
-        new = scaled_hermite_products(X, Y, 2 * ncut - terms.size, state)
-        denom = np.arange(terms.size, 2 * ncut, dtype=np.float64) + shift
-        terms = np.concatenate((terms, new / denom))
-        value = float(np.sum(terms * _window(terms.size, ncut)))
+        end = state.n
+        new = scaled_hermite_products(X, Y, 2 * ncut - end, state)
+        new /= np.arange(end, 2 * ncut, dtype=np.float64) + shift
+        below = max(ncut - end, 0)  # only the first level's new terms reach below ncut
+        head += float(np.sum(tail[:ncut - start])) + float(np.sum(new[:below]))
+        rest = tail[ncut - start:]  # left over only when the cap stopped a doubling
+        tail = np.concatenate((rest, new[below:])) if rest.size else new[below:]
+        start = ncut
+        value = head + float(np.sum(tail * _descent(ncut)))
         if prev is not None:
             diff = abs(value - prev)
             if diff <= tol * max(abs(value), _TINY):

@@ -9,9 +9,21 @@ Two engines, both deterministic for fixed inputs:
   as exact distances from the nearer endpoint, so integrable endpoint
   singularities are resolved down to the floating-point limit.
 
-The error estimate reported is the difference between the last two
-refinement levels; the returned value comes from the finer level, whose
-true error is in practice far smaller than the estimate.
+Both run on one trapezoid-refinement driver (Takahasi & Mori 1974;
+Bailey, Jeyabalan & Li, Exp. Math. 2005).  Level 0 sums the nodes k*h
+at the starting step h; each later level halves h, walks only the new
+odd multiples of it and adds their sum to the total carried from the
+coarser levels, so every abscissa is evaluated exactly once.  A walk
+outward from the center stops after more than ``_CONSEC_DEAD``
+consecutive terms that are negligible against the partial sum of the
+current level's own new nodes (never against the carried total, which
+would stop a walk before it reaches a peak far from the center).
+
+The step is halved until two successive levels agree to ``tol``
+relative.  The error estimate reported is the difference between the
+last two levels; the returned value comes from the finer level, whose
+true error is in practice far smaller than the estimate.  A
+:class:`ConvergenceError` lists the change at every level.
 """
 
 from __future__ import annotations
@@ -77,6 +89,64 @@ def _check_tol(tol: float) -> None:
         raise DomainError(f"tol must lie in [1e-14, 1e-2], got {tol}")
 
 
+def _refine(
+    center: float,
+    walks: tuple[Callable[[float], float | None], ...],
+    h: float,
+    scale: float,
+    tol: float,
+    max_level: int,
+    calls: Callable[[], int],
+    what: str,
+) -> QuadratureResult:
+    """Nested trapezoid refinement of a double-exponential sum.
+
+    ``center`` is the weighted term at t = 0.  Each walk maps a node
+    t = k*h > 0 to its weighted term, or to None past the representable
+    range, which ends the walk.  The integral at step h is
+    scale * h * (sum of all terms).  ``calls`` counts the integrand
+    evaluations so far; ``what`` names the integral in the error.
+    """
+    total = 0.0
+    prev = None
+    diff = math.inf
+    changes = []
+    for level in range(max_level):
+        # level 0 takes every k; later levels only the odd k, new at this h
+        new, dk = (center, 1) if level == 0 else (0.0, 2)
+        for walk in walks:
+            k = 1
+            dead = 0
+            while k < _MAX_STEPS_PER_SIDE:
+                t = k * h
+                term = walk(t)
+                if term is None:
+                    break
+                new += term
+                if abs(term) <= _TERM_CUTOFF * max(abs(new), _TINY):
+                    dead += 1
+                    if dead > _CONSEC_DEAD and t >= _MIN_TRUNC_T:
+                        break
+                else:
+                    dead = 0
+                k += dk
+        total += new
+        value = total * h * scale
+        if prev is not None:
+            diff = abs(value - prev)
+            if diff <= tol * max(abs(value), _TINY):
+                return QuadratureResult(value, diff, calls())
+            changes.append(f"h={h!r} {diff:.3e}")
+        prev = value
+        h *= 0.5
+    raise ConvergenceError(
+        f"{what} did not reach tol={tol} (best estimate {prev!r}, last "
+        f"refinement change {diff:.3e}); changes between successive levels: "
+        f"{', '.join(changes) or 'none'}",
+        partial=QuadratureResult(prev, diff, calls()),
+    )
+
+
 def integrate_semi_infinite(
     f: Callable[[float], float],
     spec: IntegrandSpec,
@@ -93,54 +163,29 @@ def integrate_semi_infinite(
     """
     _check_tol(tol)
     scale = 1.0 / min(max(spec.decay_rate, 1e-4), 1e4)
+    calls = 0
 
-    def transformed(s: float) -> float:
-        es = math.exp(-s)
-        arg = s - es
-        if arg > 690.0:
-            return 0.0
-        t = scale * math.exp(arg)
-        if t == 0.0:
-            return 0.0
-        v = f(t)
-        if math.isnan(v):
-            raise ConvergenceError(f"integrand returned NaN at t={t!r}")
-        return v * t * (1.0 + es)
+    def side(sgn: float):
+        def walk(k_h: float) -> float | None:
+            nonlocal calls
+            s = sgn * k_h
+            es = math.exp(-s)
+            arg = s - es
+            if arg > 690.0:
+                return None
+            t = scale * math.exp(arg)
+            if t == 0.0:
+                return None
+            calls += 1
+            v = f(t)
+            if math.isnan(v):
+                raise ConvergenceError(f"integrand returned NaN at t={t!r}")
+            return v * t * (1.0 + es)
+        return walk
 
-    evaluations = 0
-    h = 0.5
-    prev = None
-    diff = math.inf
-    for _ in range(max_level):
-        total = transformed(0.0)
-        evaluations += 1
-        for sgn in (1.0, -1.0):
-            k = 1
-            dead = 0
-            while k < _MAX_STEPS_PER_SIDE:
-                term = transformed(sgn * k * h)
-                evaluations += 1
-                total += term
-                if abs(term) <= _TERM_CUTOFF * max(abs(total), _TINY):
-                    dead += 1
-                    if dead > _CONSEC_DEAD and k * h >= _MIN_TRUNC_T:
-                        break
-                else:
-                    dead = 0
-                k += 1
-        value = total * h
-        if prev is not None:
-            diff = abs(value - prev)
-            if diff <= tol * max(abs(value), _TINY):
-                return QuadratureResult(value, diff, evaluations)
-        prev = value
-        h *= 0.5
-    best = QuadratureResult(prev, diff, evaluations)
-    raise ConvergenceError(
-        f"semi-infinite quadrature did not reach tol={tol} "
-        f"(best estimate {prev!r}, last refinement change {diff:.3e})",
-        partial=best,
-    )
+    right = side(1.0)
+    return _refine(right(0.0), (right, side(-1.0)), 0.5, 1.0, tol, max_level,
+                   lambda: calls, "semi-infinite quadrature")
 
 
 def integrate_finite(
@@ -166,67 +211,37 @@ def integrate_finite(
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     piov2 = 0.5 * math.pi
-
-    def node_pair(u: float):
-        # u = (pi/2)*sinh(kh); distance from endpoint = half*(1 - tanh u)
-        if u > 350.0:
-            return 0.0, 0.0
-        d = half * 2.0 / (1.0 + math.exp(2.0 * u))
-        sech = 2.0 * math.exp(-u) / (1.0 + math.exp(-2.0 * u))
-        return d, sech * sech
+    calls = 0
 
     def eval_at(x: float) -> float:
+        nonlocal calls
+        calls += 1
         v = f(x)
         if math.isnan(v):
             raise ConvergenceError(f"integrand returned NaN at x={x!r}")
         return v
 
-    evaluations = 0
-    h = 1.0
-    prev = None
-    diff = math.inf
-    for _ in range(max_level):
-        total = eval_at(mid) * piov2  # k = 0 node, sech^2(0) = 1
-        evaluations += 1
-        k = 1
-        dead = 0
-        while k < _MAX_STEPS_PER_SIDE:
-            t = k * h
-            u = piov2 * math.sinh(t)
-            d, sech2 = node_pair(u)
-            if d == 0.0:
-                break
-            w = piov2 * math.cosh(t) * sech2
-            # nodes that round onto an endpoint cannot be represented;
-            # their true contribution is below double resolution
-            term = 0.0
-            xh = hi - d
-            if xh < hi:
-                term += eval_at(xh)
-                evaluations += 1
-            xl = lo + d
-            if xl > lo:
-                term += eval_at(xl)
-                evaluations += 1
-            term *= w
-            total += term
-            if abs(term) <= _TERM_CUTOFF * max(abs(total), _TINY):
-                dead += 1
-                if dead > _CONSEC_DEAD and t >= _MIN_TRUNC_T:
-                    break
-            else:
-                dead = 0
-            k += 1
-        value = total * h * half
-        if prev is not None:
-            diff = abs(value - prev)
-            if diff <= tol * max(abs(value), _TINY):
-                return QuadratureResult(value, diff, evaluations)
-        prev = value
-        h *= 0.5
-    best = QuadratureResult(prev, diff, evaluations)
-    raise ConvergenceError(
-        f"tanh-sinh quadrature did not reach tol={tol} on [{lo}, {hi}] "
-        f"(best estimate {prev!r}, last refinement change {diff:.3e})",
-        partial=best,
-    )
+    def walk(k_h: float) -> float | None:
+        # both nodes at distance half*(1 - tanh u), u = (pi/2)*sinh(kh),
+        # from the endpoints, weighted by (pi/2)*cosh(kh)*sech^2(u)
+        u = piov2 * math.sinh(k_h)
+        if u > 350.0:
+            return None
+        d = half * 2.0 / (1.0 + math.exp(2.0 * u))
+        if d == 0.0:
+            return None
+        sech = 2.0 * math.exp(-u) / (1.0 + math.exp(-2.0 * u))
+        # nodes that round onto an endpoint cannot be represented;
+        # their true contribution is below double resolution
+        term = 0.0
+        xh = hi - d
+        if xh < hi:
+            term += eval_at(xh)
+        xl = lo + d
+        if xl > lo:
+            term += eval_at(xl)
+        return term * (piov2 * math.cosh(k_h) * (sech * sech))
+
+    # k = 0 node, sech^2(0) = 1
+    return _refine(eval_at(mid) * piov2, (walk,), 1.0, half, tol, max_level,
+                   lambda: calls, f"tanh-sinh quadrature on [{lo}, {hi}]")

@@ -48,6 +48,7 @@ def make_record(
     tol: float,
     evaluations: int,
     mode: str = "relative",
+    note: str = "",
 ) -> VerificationRecord:
     """Build a record; ``passed`` applies ``tol`` per the identity's contract.
 
@@ -55,6 +56,7 @@ def make_record(
     right side is essentially zero).  ``mode="mixed"`` compares abs_err
     against tol*(1 + max|side|), for identities whose series route loses
     all relative accuracy to cancellation when the value is tiny.
+    ``note`` reports anything the caller changed for this record.
     """
     abs_err = abs(lhs - rhs)
     rel_err = abs_err / max(abs(lhs), abs(rhs), _REL_FLOOR)
@@ -65,7 +67,7 @@ def make_record(
     else:
         passed = rel_err <= tol
     return VerificationRecord(
-        identity_id, dict(params), lhs, rhs, abs_err, rel_err, passed, evaluations
+        identity_id, dict(params), lhs, rhs, abs_err, rel_err, passed, evaluations, note=note
     )
 
 

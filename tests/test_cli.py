@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import pcfprod
 from pcfprod.cli import main
 
 
@@ -16,6 +20,19 @@ def runner():
 
 def first_value(output):
     return float(output.splitlines()[0])
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # only the ODE oracle needs scipy.integrate, which takes about half
+    # a second to import; the CLI must not pay for it at startup
+    src = os.path.dirname(os.path.dirname(pcfprod.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = ("import sys, pcfprod.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout == "[]\n"
 
 
 class TestEval:
@@ -122,10 +139,40 @@ class TestVerify:
         assert len(notes) == 2
         assert notes[0] == "# EQ15 nu=1.0 x=1.0 y=1.9: sum rule requires x > y, got x=1.0, y=1.9"
         assert notes[1].startswith("# EQ15 nu=1.0 x=2.0 y=1.9: bilinear Hermite sum stalled")
+        # a deterministic miss: about 14x over its tolerance
+        r = runner.invoke(main, ["verify", "EQ10", "--nu", "0.9985", "--x", "26.145",
+                                 "--y", "26.0815", "--tol", "1e-12"])
+        assert r.exit_code == 1
+        assert r.stderr == "# EQ10 nu=0.9985 x=26.145 y=26.0815: error above tolerance\n"
         r = runner.invoke(main, ["verify", "EQ10", "--nu", "1", "--x", "2", "--y", "1",
                                  "--tol", "1e-16"])
+        assert r.stderr == "# EQ10 nu=1.0 x=2.0 y=1.0: quadrature tol clamped to 1e-14\n"
+
+    @pytest.mark.parametrize("identity,args", [
+        ("EQ10", ["--nu", "1", "--x", "2", "--y", "1"]),
+        ("EQ11", ["--nu", "1", "--a", "2", "--b", "1"]),
+        ("EQ12", ["--nu", "1", "--a", "2", "--b", "1"]),
+    ])
+    def test_quadrature_tol_clamp_is_noted(self, runner, identity, args):
+        notes = {}
+        for tol, fmt in (("1e-16", "json"), ("0.5", "json"), ("1e-8", "json"),
+                         ("1e-16", "csv")):
+            r = runner.invoke(main, ["verify", identity, *args, "--tol", tol, "--format", fmt])
+            if fmt == "json":
+                notes[tol] = json.loads(r.stdout)["records"][0]["note"]
+            else:
+                assert r.stderr.endswith(" quadrature tol clamped to 1e-14\n")
+        assert notes == {"1e-16": "quadrature tol clamped to 1e-14",
+                         "0.5": "quadrature tol clamped to 0.01",
+                         "1e-8": ""}
+
+    def test_clamped_failure_keeps_its_reason(self, runner):
+        # rel_err about 3.7e-14, from the direct product at large x and y
+        r = runner.invoke(main, ["verify", "EQ10", "--nu", "1", "--x", "15", "--y", "14",
+                                 "--tol", "1e-15"])
         assert r.exit_code == 1
-        assert r.stderr == "# EQ10 nu=1.0 x=2.0 y=1.0: error above tolerance\n"
+        assert r.stderr == ("# EQ10 nu=1.0 x=15.0 y=14.0: error above tolerance; "
+                            "quadrature tol clamped to 1e-14\n")
 
     def test_identity_name_case_insensitive(self, runner):
         r = runner.invoke(main, ["verify", "eq13a", "--alpha", "1", "--phi", "1"])

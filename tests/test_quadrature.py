@@ -1,7 +1,10 @@
 """Quadrature engines: closed-form integrals, frame invariance, determinism."""
 
 import math
+import re
+from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from pcfprod import (
     IntegrandSpec,
     integrate_finite,
     integrate_semi_infinite,
+    pcf_d,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -179,3 +183,117 @@ class TestValidation:
 
         r = integrate_finite(bump, 0.0, 40.0, 1e-8)
         assert r.value == pytest.approx(0.1 * SQRT_PI, rel=1e-8)
+
+
+class TestNestedRefinement:
+    """Each level adds only the new odd nodes, so no abscissa is
+    evaluated twice, and ``evaluations`` counts the integrand calls."""
+
+    @staticmethod
+    def _recorded(f):
+        seen = []
+
+        def g(x):
+            seen.append(x)
+            return f(x)
+        return g, seen
+
+    @pytest.mark.parametrize("run", [
+        lambda g: integrate_semi_infinite(g, IntegrandSpec(0.3, 2.0), 1e-12),
+        lambda g: integrate_semi_infinite(g, IntegrandSpec(0.0, 0.0), 1e-9),
+        lambda g: integrate_finite(g, 0.0, 3.0, 1e-12),
+    ])
+    def test_every_abscissa_once(self, run):
+        g, seen = self._recorded(lambda t: abs(t)**0.3 * math.exp(-2.0 * abs(t)))
+        r = run(g)
+        assert r.evaluations == len(seen) == len(set(seen))
+
+    @pytest.mark.parametrize("f,lo,hi", [
+        (lambda t: abs(t)**0.3 * math.exp(-2.0 * abs(t)), -4.0, 4.0),
+        (lambda x: 1.0 if x < 0.3 else 0.0, 0.0, 1.0),
+    ])
+    def test_repeats_only_where_nodes_round_together(self, f, lo, hi):
+        # tanh-sinh nodes within a few ulps of an endpoint lie at distinct
+        # distances that round to the same float; no other x repeats
+        g, seen = self._recorded(f)
+        try:
+            r = integrate_finite(g, lo, hi, 1e-12)
+        except ConvergenceError as exc:
+            r = exc.partial
+        assert r.evaluations == len(seen)
+        ulp = math.ulp(max(abs(lo), abs(hi)))
+        repeated = {x for x, n in Counter(seen).items() if n > 1}
+        assert all(min(x - lo, hi - x) <= 32 * ulp for x in repeated)
+
+    @pytest.mark.parametrize("engine,first_h", [
+        (lambda tol, level: integrate_semi_infinite(
+            lambda t: math.exp(-t) * math.cos(40.0 * t), IntegrandSpec(0.0, 1.0), tol, level),
+         0.5),
+        (lambda tol, level: integrate_finite(
+            lambda x: math.cos(200.0 * x), 0.0, 1.0, tol, level),
+         1.0),
+    ])
+    def test_convergence_error_lists_every_level(self, engine, first_h):
+        with pytest.raises(ConvergenceError) as exc:
+            engine(1e-12, 4)
+        levels = re.findall(r"h=(\S+) (\S+?)(?:,|$)", str(exc.value).split("levels: ")[1])
+        assert [float(h) for h, _ in levels] == [first_h / 2, first_h / 4, first_h / 8]
+        assert float(levels[-1][1]) == pytest.approx(exc.value.partial.error_estimate, rel=1e-3)
+        with pytest.raises(ConvergenceError) as exc:
+            engine(1e-12, 1)
+        assert str(exc.value).endswith("changes between successive levels: none")
+
+    @pytest.mark.parametrize("order,z", [(-20.0, -30.0), (-20.0, 30.5)])
+    def test_peak_far_from_center(self, order, z):
+        # the integrand of D_{-20}(-30) peaks near t = 30, far from the
+        # center of the node walk: truncation must not stop short of it
+        with mpmath.workdps(30):
+            exact = mpmath.pcfd(order, z)
+        assert pcf_d(order, z) == pytest.approx(float(exact), rel=1e-12)
+
+
+class TestErrorEstimateBoundsTrueError:
+    """``error_estimate`` against 30-digit mpmath values.  The estimate is
+    a difference of two levels, so rounding in the sums themselves (a
+    few ulps of the value) comes on top of it."""
+
+    TOLS = (1e-6, 1e-8, 1e-10, 1e-12)
+
+    @staticmethod
+    def _assert_bound(r, exact):
+        exact = float(exact)
+        assert abs(r.value - exact) <= r.error_estimate + 8 * 2.0**-52 * abs(exact)
+
+    @pytest.mark.parametrize("f,spec,exact", [
+        (lambda t: t**-0.8 * math.exp(-t), IntegrandSpec(-0.8, 1.0), mpmath.gamma(0.2)),
+        (lambda t: (1.0 + t)**-1.5, IntegrandSpec(0.0, 0.0), 2),
+        (lambda t: t**-0.5 / (1.0 + t)**2, IntegrandSpec(-0.5, 0.0), mpmath.pi / 2),
+        (lambda t: t**0.2 * math.exp(-t * t), IntegrandSpec(0.2, 1.0), mpmath.gamma(0.6) / 2),
+    ])
+    def test_semi_infinite(self, f, spec, exact):
+        with mpmath.workdps(30):
+            exact = mpmath.mpf(exact)
+        for tol in self.TOLS:
+            self._assert_bound(integrate_semi_infinite(f, spec, tol), exact)
+
+    @pytest.mark.parametrize("f,lo,hi,exact", [
+        (lambda x: x**-0.5 * math.cos(x), 0.0, 1.0,
+         lambda: mpmath.quad(lambda x: x**-0.5 * mpmath.cos(x), [0, 1])),
+        (lambda x: math.log(x) * math.exp(x), 0.0, 2.0,
+         lambda: mpmath.quad(lambda x: mpmath.log(x) * mpmath.exp(x), [0, 2])),
+        (lambda x: x**-0.9 * math.exp(-x), 0.0, 5.0, lambda: mpmath.gammainc(0.1, 0, 5)),
+    ])
+    def test_finite_singular_lower_endpoint(self, f, lo, hi, exact):
+        with mpmath.workdps(30):
+            exact = exact()
+        for tol in self.TOLS:
+            self._assert_bound(integrate_finite(f, lo, hi, tol), exact)
+
+    def test_finite_singular_at_both_endpoints(self):
+        # nodes near hi are hi - d rounded to the floats around hi, which
+        # limits the accuracy to about 2e-10 here; the loose tolerance
+        # keeps the estimate above that floor
+        with mpmath.workdps(30):
+            exact = mpmath.beta(0.7, 0.6)
+        r = integrate_finite(lambda x: x**-0.3 * (1.0 - x)**-0.4, 0.0, 1.0, 1e-6)
+        self._assert_bound(r, exact)
