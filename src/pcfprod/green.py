@@ -12,7 +12,9 @@ Three independent evaluations of the Green function:
   (1/(2 sqrt(pi))) Gamma((1-lambda)/2) D_{(lambda-1)/2}(x sqrt2) D_{(lambda-1)/2}(-x' sqrt2)
   for x > x';
 * :func:`green_ode_oracle` -- direct numerical construction from two
-  shooting solutions joined through their Wronskian.
+  shooting solutions joined through their Wronskian, integrated by the
+  in-module Taylor-series shooter :func:`solve_ivp` (plain Python
+  floats; no ODE library is needed).
 
 Sign convention: applying L term-by-term to the spectral sum produces
 -delta(x - x'), not +delta.  The Wronskian construction therefore
@@ -43,17 +45,74 @@ _ORACLE_POLE_GUARD = 0.1
 _SHOOT_FROM = 8.0  # e^{-x^2/2} ~ 1e-14 there, below identity tolerances
 _ORACLE_RANGE = 6.0
 
+# Taylor shooter: fixed order, step-size safety factor, and a cap on the
+# steps of one shoot (a whole oracle call, 16 units of t, takes 31-56)
+_TAYLOR_ORDER = 24
+_STEP_SAFETY = 0.7
+_MAX_STEPS = 1000
+# 1/((k+2)(k+1)), the divisor of the coefficient recurrence
+_RECUR = tuple(1.0 / ((k + 2) * (k + 1)) for k in range(_TAYLOR_ORDER - 1))
 
-def solve_ivp(*args, **kwargs):
-    """``scipy.integrate.solve_ivp``, imported on first use.
 
-    Only :func:`green_ode_oracle` integrates ODEs, and importing
-    ``scipy.integrate`` costs about half a second, so importing this
-    module (and the CLI) does not pay for it up front.
+def solve_ivp(lam: float, t0: float, t1: float, y: float, yp: float,
+              rtol: float) -> tuple[float, float]:
+    """Integrate y'' = (t^2 - lambda) y from t0 to t1; return (y(t1), y'(t1)).
+
+    A fixed-order Taylor method (Corliss & Chang 1982; Jorba & Zou 2005).
+    About the current point t0 the solution is sum_k c_k h^k with
+    c_0 = y, c_1 = y' and, since t^2 - lambda = a + b h + h^2 with
+    a = t0^2 - lambda, b = 2 t0,
+
+        (k+2)(k+1) c_{k+2} = a c_k + b c_{k-1} + c_{k-2}.
+
+    Each step is sized from the last four coefficients so that the dropped
+    terms stay below ``rtol`` times the state max(|y|, |y'|), shrunk by a
+    safety factor; the last step is clipped to land exactly on t1, and y
+    and y' there come from Horner evaluation.  Four, not two: at t0 = 0
+    with lambda = 0 the recurrence links only every fourth coefficient,
+    so when y or y' is zero there two neighbouring ones vanish while the
+    dropped terms do not.  A shoot that needs more than ``_MAX_STEPS``
+    steps, or whose state stops being finite, raises
+    :class:`ConvergenceError` naming the interval, the t reached and the
+    step count.
     """
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
-
-    return scipy_solve_ivp(*args, **kwargs)
+    n = _TAYLOR_ORDER
+    recur = _RECUR
+    t, steps = t0, 0
+    while t != t1:
+        if steps >= _MAX_STEPS:
+            raise ConvergenceError(
+                f"Taylor shoot from t={t0} to t={t1} stopped at t={t} "
+                f"after {steps} steps: step cap reached")
+        a = t * t - lam
+        b = 2.0 * t
+        c = [y, yp, 0.5 * a * y, (a * yp + b * y) / 6.0]
+        for k in range(2, n - 1):
+            c.append((a * c[k] + b * c[k - 1] + c[k - 2]) * recur[k])
+        bound = rtol * max(abs(y), abs(yp))
+        h = math.inf
+        for k in range(n - 3, n + 1):
+            if c[k]:
+                h = min(h, (bound / abs(c[k])) ** (1.0 / k))
+        h *= _STEP_SAFETY
+        if h < abs(t1 - t):
+            h = math.copysign(h, t1 - t)
+            t_next = t + h
+        else:
+            h = t1 - t
+            t_next = t1
+        y, yp = c[n], n * c[n]
+        for k in range(n - 1, 0, -1):
+            y = y * h + c[k]
+            yp = yp * h + k * c[k]
+        y = y * h + c[0]
+        t = t_next
+        steps += 1
+        if not (math.isfinite(y) and math.isfinite(yp)):
+            raise ConvergenceError(
+                f"Taylor shoot from t={t0} to t={t1} stopped at t={t} "
+                f"after {steps} steps: state is not finite (y={y}, y'={yp})")
+    return y, yp
 
 
 @dataclass(frozen=True)
@@ -121,7 +180,8 @@ def green_ode_oracle(q: GreenQuery, rtol: float = 1e-11) -> float:
     y'/y = +-sqrt(L^2 - lambda).  Any admixture of the wrong solution in
     the starting data decays by ~ e^{-2 int sqrt(x^2-lambda)} on the way
     in, which is < 1e-12 by |x| = 6; the construction is scale-invariant
-    so the arbitrary starting amplitude drops out.
+    so the arbitrary starting amplitude drops out.  ``rtol`` is the local
+    relative error allowed per step of :func:`solve_ivp`.
     """
     if max(abs(q.x), abs(q.xprime)) > _ORACLE_RANGE:
         raise DomainError(f"oracle supports |x|, |x'| <= {_ORACLE_RANGE}")
@@ -134,20 +194,11 @@ def green_ode_oracle(q: GreenQuery, rtol: float = 1e-11) -> float:
     L = _SHOOT_FROM
     xlo, xhi = min(q.x, q.xprime), max(q.x, q.xprime)
 
-    def rhs(t, y):
-        return [y[1], (t * t - lam) * y[0]]
-
-    def shoot(t0, t1, y0):
-        sol = solve_ivp(rhs, [t0, t1], y0, method="DOP853", rtol=rtol, atol=1e-14)
-        if not sol.success:
-            raise ConvergenceError(f"shooting integration failed: {sol.message}")
-        return sol.y[0, -1], sol.y[1, -1]
-
     slope = math.sqrt(L * L - lam)
-    u, up = shoot(-L, xlo, [1.0, slope])          # decays toward -inf
-    v_hi, vp_hi = shoot(L, xhi, [1.0, -slope])    # decays toward +inf
+    u, up = solve_ivp(lam, -L, xlo, 1.0, slope, rtol)       # decays toward -inf
+    v_hi, vp_hi = solve_ivp(lam, L, xhi, 1.0, -slope, rtol)  # decays toward +inf
     if xhi > xlo:
-        v, vp = shoot(xhi, xlo, [v_hi, vp_hi])
+        v, vp = solve_ivp(lam, xhi, xlo, v_hi, vp_hi, rtol)
     else:
         v, vp = v_hi, vp_hi
     wronskian = u * vp - up * v

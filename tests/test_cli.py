@@ -35,6 +35,22 @@ def test_import_leaves_scipy_integrate_unloaded():
     assert out.stdout == "[]\n"
 
 
+def test_runs_without_scipy(runner):
+    # scipy is only a test dependency: with every scipy import made to
+    # fail, the ODE oracle still runs and prints the in-process value
+    args = ["eval", "green_ode", "--lam", "0", "--x", "1", "--xprime", "0"]
+    src = os.path.dirname(os.path.dirname(pcfprod.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = ("import sys; sys.modules['scipy'] = None; "
+            f"from pcfprod.cli import main; main({args!r})")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    r = runner.invoke(main, args)
+    assert r.exit_code == 0
+    assert out.stdout.splitlines()[0] == r.output.splitlines()[0]
+
+
 class TestEval:
     def test_pcf_d_closed_point(self, runner):
         r = runner.invoke(main, ["eval", "pcf_d", "--nu", "-1", "--z", "0"])

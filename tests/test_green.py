@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import pytest
 
 from pcfprod import (
@@ -11,6 +12,7 @@ from pcfprod import (
     ProductQuery,
     eigenfunction,
     gamma,
+    green,
     green_closed,
     green_ode_oracle,
     green_spectral,
@@ -24,6 +26,22 @@ GREEN_0_1_0 = 0.2770674596149373465
 BATTERY = [(lam, x, xp)
            for lam in (-3.0, -1.0, 0.0, 0.5)
            for x, xp in ((1.0, 0.0), (2.0, -1.0), (1.5, 0.5))]
+
+# oracle edge points: the ends of its range, lambda just below the
+# eigenvalue guard near the left end, a deep negative lambda, x = x'
+ORACLE_EDGES = [(-4.0, 6.0, 0.0), (-4.0, 6.0, -6.0), (0.85, -5.4, -5.5),
+                (0.85, 0.0, -5.5), (0.85, 6.0, -6.0), (-30.0, 1.0, 0.0),
+                (-30.0, 6.0, -6.0), (0.0, 1.0, 1.0), (0.5, -6.0, -6.0)]
+
+
+def green_closed_mp(lam, x, xp):
+    """Titchmarsh closed form at 30 digits, x >= x'."""
+    with mp.workdps(30):
+        lam, x, xp = mp.mpf(lam), mp.mpf(x), mp.mpf(xp)
+        nu = (lam - 1) / 2
+        rt2 = mp.sqrt(2)
+        return (mp.gamma((1 - lam) / 2) / (2 * mp.sqrt(mp.pi))
+                * mp.pcfd(nu, x * rt2) * mp.pcfd(nu, -xp * rt2))
 
 
 class TestEigenfunction:
@@ -75,6 +93,70 @@ class TestThreeWayAgreement:
         a = green_spectral(GreenQuery(-1.0, 1.2, 0.4), 1e-7).value
         b = green_spectral(GreenQuery(-1.0, 0.4, 1.2), 1e-7).value
         assert a == pytest.approx(b, rel=1e-12)
+
+
+class TestShooter:
+    @pytest.mark.parametrize("lam,x,xp", BATTERY + ORACLE_EDGES)
+    def test_against_30_digit_closed_form(self, lam, x, xp):
+        ode = green_ode_oracle(GreenQuery(lam, x, xp))
+        ref = green_closed_mp(lam, x, xp)
+        assert abs((ode - ref) / ref) < 1e-10
+
+    @pytest.mark.parametrize("lam,t0,t1,y,yp", [
+        (0.0, -8.0, 1.0, 1.0, 8.0),
+        (-3.0, 8.0, -1.0, 1.0, -math.sqrt(67.0)),
+        (0.85, 6.0, -5.5, 1e-3, -0.02),
+        (-30.0, -8.0, 6.0, 1.0, math.sqrt(94.0)),
+    ])
+    def test_against_scipy_dop853(self, lam, t0, t1, y, yp):
+        integrate = pytest.importorskip("scipy.integrate")
+        sol = integrate.solve_ivp(lambda t, s: [s[1], (t * t - lam) * s[0]], [t0, t1],
+                                  [y, yp], method="DOP853", rtol=1e-12, atol=1e-300)
+        assert sol.success
+        got = green.solve_ivp(lam, t0, t1, y, yp, 1e-11)
+        assert got[0] == pytest.approx(sol.y[0, -1], rel=1e-9)
+        assert got[1] == pytest.approx(sol.y[1, -1], rel=1e-9)
+
+    def test_deterministic(self):
+        q = GreenQuery(-1.3, 2.2, -0.7)
+        assert green_ode_oracle(q) == green_ode_oracle(q)
+
+    @pytest.mark.parametrize("x,xp,shoots", [(1.0, 0.0, 3), (0.0, 1.0, 3), (0.4, 0.4, 2)])
+    def test_shoots_per_call(self, monkeypatch, x, xp, shoots):
+        calls = []
+        inner = green.solve_ivp
+
+        def counting(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(green, "solve_ivp", counting)
+        green_ode_oracle(GreenQuery(0.0, x, xp))
+        assert len(calls) == shoots
+
+    def test_step_cap_is_a_convergence_error(self, monkeypatch):
+        monkeypatch.setattr(green, "_MAX_STEPS", 3)
+        with pytest.raises(ConvergenceError) as exc:
+            green_ode_oracle(GreenQuery(0.0, 1.0, 0.0))
+        msg = str(exc.value)
+        assert "from t=-8.0 to t=0.0" in msg
+        assert "after 3 steps" in msg and "step cap" in msg
+        reached = float(msg.split("stopped at t=")[1].split()[0])
+        assert -8.0 < reached < 0.0
+
+    def test_non_finite_state_is_a_convergence_error(self):
+        with pytest.raises(ConvergenceError, match=r"from t=0\.0 to t=1\.0 stopped at t=\S+ "
+                                                    r"after \d+ steps: state is not finite"):
+            green.solve_ivp(0.0, 0.0, 1.0, 1e308, 1e308, 1e-11)
+
+    def test_step_rule_when_coefficients_vanish_in_pairs(self):
+        # at t = 0 with lambda = 0 and y = 0 only c_1, c_5, c_9, ... are
+        # nonzero, so c_23 = c_24 = 0 although the dropped terms are not
+        with mp.workdps(30):
+            ref = mp.odefun(lambda t, s: [s[1], t * t * s[0]], 0, [mp.mpf(0), mp.mpf(1)])(3)
+        y, yp = green.solve_ivp(0.0, 0.0, 3.0, 0.0, 1.0, 1e-11)
+        assert y == pytest.approx(float(ref[0]), rel=1e-12)
+        assert yp == pytest.approx(float(ref[1]), rel=1e-12)
 
 
 class TestStructure:
