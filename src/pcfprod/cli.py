@@ -15,7 +15,8 @@ invocations produce byte-identical reports.  A point outside an
 identity's validity domain is emitted as a skipped record whose note is
 the library's ``DomainError`` message; a route that raises
 ``ConvergenceError`` gives a failed record with the error message as
-its note.  EQ10, EQ11 and EQ12 run their quadrature at a tenth of the
+its note and, for a Hermite-series route, the partial sum as its lhs.
+EQ10, EQ11 and EQ12 run their quadrature at a tenth of the
 tolerance, clamped to the engines' range [1e-14, 1e-2]; a record whose
 quadrature tolerance was clamped says so in its note.  CSV output
 writes the notes of skipped, failed and noted records to stderr;
@@ -83,6 +84,11 @@ def _eval_mehler_kernel_series(params, tol):
     return r.value, {"terms_used": r.terms_used, "tail_bound": r.tail_bound}
 
 
+# The Hermite-series routes pass tol/2 to hermsum, whose tail bounds are
+# checked against mpmath down to 1e-10 (tests/test_hermsum.py)
+_SERIES_TOL_FLOOR = 1e-9
+
+
 def _series_meta(r, tol, used):
     """Series metadata; ``tol_effective`` reports a clamped tolerance."""
     meta = {"terms_used": r.terms_used, "tail_bound": r.tail_bound}
@@ -93,21 +99,21 @@ def _series_meta(r, tol, used):
 
 def _eval_series_for_I(params, tol):
     nu, X, Y = _q(params, "nu", "X", "Y")
-    used = max(tol, 1e-9)
+    used = max(tol, _SERIES_TOL_FLOOR)
     r = mehler.series_for_I(nu, X, Y, used)
     return r.value, _series_meta(r, tol, used)
 
 
 def _eval_sum_rule_lhs(params, tol):
     nu, x, y = _q(params, "nu", "x", "y")
-    used = max(tol, 5e-8)
+    used = max(tol, _SERIES_TOL_FLOOR)
     r = mehler.sum_rule_lhs(mehler.SumRuleQuery(nu, x, y), used)
     return r.value, _series_meta(r, tol, used)
 
 
 def _eval_green_spectral(params, tol):
     lam, x, xprime = _q(params, "lam", "x", "xprime")
-    used = max(tol, 1e-8)
+    used = max(tol, _SERIES_TOL_FLOOR)
     r = green.green_spectral(green.GreenQuery(lam, x, xprime), used)
     return r.value, _series_meta(r, tol, used)
 

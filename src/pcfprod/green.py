@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
-from .hermsum import bilinear_hermite_sum
+from .hermsum import bilinear_series
 from .specfun import SeriesResult, gamma, pcf_d
 
 __all__ = [
@@ -145,14 +145,19 @@ def eigenfunction(n: int, x: float) -> float:
 
 
 def green_spectral(q: GreenQuery, tol: float = 5e-7) -> SeriesResult:
-    """The eigenfunction expansion, windowed summation."""
+    """The eigenfunction expansion, summed with Abel weights.
+
+    Valid for any x, x'; the terms needed grow like 1/(x-x')^2.  At
+    x = x', and where x - x' is too small to reach ``tol`` within 2^19
+    terms, it raises :class:`ConvergenceError` after that one capped
+    pass, with the partial sum and its tail bound attached.
+    """
     if _eigen_distance(q.lam) < _SPECTRAL_POLE_GUARD:
         raise DomainError(f"lambda={q.lam} within {_SPECTRAL_POLE_GUARD} of an eigenvalue")
     # 2n+1-lambda = 2(n + s) with s = (1-lambda)/2
     s = 0.5 * (1.0 - q.lam)
-    inner = bilinear_hermite_sum(q.x, q.xprime, s, 0.5 * tol)
     pref = math.exp(-0.5 * (q.x * q.x + q.xprime * q.xprime)) / (2.0 * math.sqrt(math.pi))
-    return SeriesResult(pref * inner.value, inner.terms_used, pref * inner.tail_bound)
+    return bilinear_series(pref, q.x, q.xprime, s, 0.5 * tol)
 
 
 def green_closed(q: GreenQuery) -> float:

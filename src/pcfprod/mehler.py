@@ -9,7 +9,8 @@ Three series live here:
   valid for x > y.
 
 The last two have algebraically decaying oscillatory terms and are summed
-with the windowed engine from :mod:`pcfprod.hermsum`.
+with Abel weights u^n by :mod:`pcfprod.hermsum`, whose error the closed
+kernel bounds.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .hermsum import bilinear_hermite_sum, scaled_hermite_products
+from .hermsum import bilinear_series, scaled_hermite_products
 from .specfun import SeriesResult
 
 __all__ = [
@@ -121,14 +122,14 @@ def series_for_I(nu: float, X: float, Y: float, tol: float = 1e-8) -> SeriesResu
     """The u-integrated Mehler series 2*sum_n H_n(X)H_n(Y)/(2^n n!(2nu+n)).
 
     Equals the Laplace-transform integral with a = X^2+Y^2, b = 2XY.
-    Convergence degrades as X -> Y (the oscillatory damping of the
-    windowed summation weakens), mirroring the a -> b boundary of the
-    integral form.
+    The terms needed grow like 1/(X-Y)^2 as X -> Y, mirroring the
+    a -> b boundary of the integral form.  At X = Y, and where X-Y is too
+    small to reach ``tol`` within 2^19 terms (below about 0.035 at tol
+    1e-9), it raises :class:`ConvergenceError` with the capped partial sum.
     """
     if not nu > 0.0:
         raise DomainError(f"series_for_I requires nu > 0, got {nu}")
-    inner = bilinear_hermite_sum(X, Y, 2.0 * nu, 0.5 * tol)
-    return SeriesResult(2.0 * inner.value, inner.terms_used, 2.0 * inner.tail_bound)
+    return bilinear_series(2.0, X, Y, 2.0 * nu, 0.5 * tol)
 
 
 def sum_rule_lhs(q: SumRuleQuery, tol: float = 5e-7) -> SeriesResult:
@@ -139,8 +140,7 @@ def sum_rule_lhs(q: SumRuleQuery, tol: float = 5e-7) -> SeriesResult:
     """
     pref = math.exp(-0.25 * (q.x * q.x + q.y * q.y))
     rt2 = math.sqrt(2.0)
-    inner = bilinear_hermite_sum(q.x / rt2, q.y / rt2, q.nu, 0.5 * tol)
-    return SeriesResult(pref * inner.value, inner.terms_used, pref * inner.tail_bound)
+    return bilinear_series(pref, q.x / rt2, q.y / rt2, q.nu, 0.5 * tol)
 
 
 def sum_rule_term_decay_exponent(

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
+from .specfun import SeriesResult
 
 _REL_FLOOR = 1e-300
 _ABS_SWITCH = 1e-280
@@ -18,8 +19,9 @@ class VerificationRecord:
     error for ordinary magnitudes, absolute error when the right side is
     essentially zero (|rhs| < 1e-280).  ``skipped`` marks grid points
     outside the identity's validity domain; such records carry no
-    numbers and never count as failures.  A failed record without
-    numbers marks a route that raised ``ConvergenceError``.
+    numbers and never count as failures.  A failed record with a NaN
+    right side marks a route that raised ``ConvergenceError``; its left
+    side is the partial sum when that route is a series, else NaN.
     """
 
     identity_id: str
@@ -72,12 +74,18 @@ def make_record(
 
 
 def error_record(identity_id: str, params: dict[str, float], exc: Exception) -> VerificationRecord:
-    """A record without numbers for a point whose evaluation raised ``exc``.
+    """A record for a point whose evaluation raised ``exc``.
 
     A ``DomainError`` makes it a skip, any other error a failure; the
-    note is the exception message.
+    note is the exception message.  A series route's partial result
+    gives the left side and, as its term count, the cost.  A quadrature
+    partial is not used: it need not be the whole left side (EQ10
+    scales its integral, EQ14 adds two).
     """
+    partial = getattr(exc, "partial", None)
+    lhs, cost = ((partial.value, partial.terms_used) if isinstance(partial, SeriesResult)
+                 else (float("nan"), 0))
     return VerificationRecord(
-        identity_id, dict(params), float("nan"), float("nan"), float("nan"),
-        float("nan"), False, 0, skipped=isinstance(exc, DomainError), note=str(exc),
+        identity_id, dict(params), lhs, float("nan"), float("nan"),
+        float("nan"), False, cost, skipped=isinstance(exc, DomainError), note=str(exc),
     )

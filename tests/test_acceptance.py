@@ -96,7 +96,7 @@ def test_criterion_4_series_vs_quadrature():
         ref = pp.integrate_semi_infinite(f, pp.IntegrandSpec(nu - 1.0, a - b), 1e-11).value
         worst = max(worst, abs(s - ref) / abs(ref))
     ok = worst <= 1e-8
-    report(4, "windowed series vs direct quadrature", ok,
+    report(4, "Abel-weighted series vs direct quadrature", ok,
            f"30 random sets, worst rel err {worst:.2e}")
     assert ok
 

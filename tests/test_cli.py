@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import pcfprod
+from pcfprod import ConvergenceError, SumRuleQuery, sum_rule_lhs
 from pcfprod.cli import main
 
 
@@ -75,13 +77,17 @@ class TestEval:
         assert any(line.startswith("# evaluations = ") for line in r.output.splitlines())
 
     def test_clamped_tolerance_is_reported(self, runner):
-        args = ["eval", "series_for_I", "--nu", "1", "--X", "1", "--Y", "0.2"]
-        r = runner.invoke(main, [*args, "--tol", "1e-12"])
-        assert r.exit_code == 0
-        assert "# tol_effective = 1e-09" in r.output.splitlines()
-        r = runner.invoke(main, [*args, "--tol", "1e-6"])
-        assert r.exit_code == 0
-        assert "tol_effective" not in r.output
+        # one floor, 1e-9, for every Hermite-series target
+        for args in (["series_for_I", "--nu", "1", "--X", "1", "--Y", "0.2"],
+                     ["sum_rule_lhs", "--nu", "1", "--x", "2", "--y", "1"],
+                     ["green_spectral", "--lam", "0", "--x", "1", "--xprime", "0"]):
+            r = runner.invoke(main, ["eval", *args, "--tol", "1e-12"])
+            assert r.exit_code == 0
+            assert "# tol_effective = 1e-09" in r.output.splitlines()
+            for tol in ("1e-9", "1e-6"):
+                r = runner.invoke(main, ["eval", *args, "--tol", tol])
+                assert r.exit_code == 0
+                assert "tol_effective" not in r.output
 
     def test_unknown_target(self, runner):
         r = runner.invoke(main, ["eval", "nope", "--x", "1"])
@@ -130,31 +136,51 @@ class TestVerify:
         assert "skipped" in r.output
         assert "skip=1" in r.output
 
-    def test_convergence_error_is_a_failed_record(self, runner):
+    def test_near_diagonal_sum_rule_passes(self, runner):
+        # x - y = 0.1 (X - Y = 0.07) used to stall at 524,288 terms
         r = runner.invoke(main, ["verify", "EQ15", "--nu", "1", "--x", "2", "--y", "1.9"])
+        assert r.exit_code == 0
+        assert "pass=1 fail=0 skip=0" in r.stdout
+
+    def test_convergence_error_is_a_failed_record(self, runner):
+        # x - y = 0.01 needs more Abel-weighted terms than the 2^19 cap
+        args = ["verify", "EQ15", "--nu", "1", "--x", "2", "--y", "1.99"]
+        r = runner.invoke(main, args)
         assert r.exit_code == 1
         rows = [l for l in r.stdout.splitlines() if l.startswith("EQ15")]
-        assert len(rows) == 1 and rows[0].endswith("false")
+        assert len(rows) == 1 and rows[0].endswith(",nan,nan,nan,false")
         assert "pass=0 fail=1 skip=0" in r.stdout
-        # the note lists the change at every window level, not just the last
+        # the note lists every candidate weight up to the cap, not just the last
         (note,) = r.stderr.splitlines()
-        assert "stalled at 524288 terms" in note
-        for terms in (8192, 16384, 32768, 65536, 131072, 262144, 524288):
-            assert f"{terms} terms " in note
+        assert "bilinear Hermite sum missed tol=1.25e-07 at " in note
+        listed = [float(c) for c in re.findall(r"1-u=([^,\s]+) tail ", note)]
+        assert len(listed) >= 25
+        assert listed == pytest.approx([0.5 * 2.0 ** (-0.5 * k) for k in range(len(listed))],
+                                       rel=1e-3)
+        # the record keeps the partial sum as lhs and its term count as cost
+        with pytest.raises(ConvergenceError) as info:
+            sum_rule_lhs(SumRuleQuery(1.0, 2.0, 1.99), 2.5e-7)
+        partial = info.value.partial
+        assert rows[0].split(",")[4] == repr(partial.value)
+        (rec,) = json.loads(runner.invoke(main, [*args, "--format", "json"]).stdout)["records"]
+        assert (rec["lhs"], rec["evaluations"]) == (partial.value, partial.terms_used)
+        assert 2 ** 18 < rec["evaluations"] <= 2 ** 19
 
     def test_csv_reason_goes_to_stderr(self, runner):
-        r = runner.invoke(main, ["verify", "EQ15", "--nu", "1", "--x", "1:2:2", "--y", "1.9"])
+        r = runner.invoke(main, ["verify", "EQ15", "--nu", "1", "--x", "1:2:2", "--y", "1.99"])
         assert r.exit_code == 1
+        with pytest.raises(ConvergenceError) as info:
+            sum_rule_lhs(SumRuleQuery(1.0, 2.0, 1.99), 2.5e-7)
         assert r.stdout.splitlines() == [
             "identity_id,nu,x,y,lhs,rhs,abs_err,rel_err,passed",
-            "EQ15,1.0,1.0,1.9,nan,nan,nan,nan,skipped",
-            "EQ15,1.0,2.0,1.9,nan,nan,nan,nan,false",
+            "EQ15,1.0,1.0,1.99,nan,nan,nan,nan,skipped",
+            f"EQ15,1.0,2.0,1.99,{info.value.partial.value!r},nan,nan,nan,false",
             "# summary: pass=0 fail=1 skip=1",
         ]
         notes = r.stderr.splitlines()
         assert len(notes) == 2
-        assert notes[0] == "# EQ15 nu=1.0 x=1.0 y=1.9: sum rule requires x > y, got x=1.0, y=1.9"
-        assert notes[1].startswith("# EQ15 nu=1.0 x=2.0 y=1.9: bilinear Hermite sum stalled")
+        assert notes[0] == "# EQ15 nu=1.0 x=1.0 y=1.99: sum rule requires x > y, got x=1.0, y=1.99"
+        assert notes[1].startswith("# EQ15 nu=1.0 x=2.0 y=1.99: bilinear Hermite sum missed tol")
         # a deterministic miss: about 14x over its tolerance
         r = runner.invoke(main, ["verify", "EQ10", "--nu", "0.9985", "--x", "26.145",
                                  "--y", "26.0815", "--tol", "1e-12"])

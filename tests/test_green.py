@@ -16,6 +16,7 @@ from pcfprod import (
     green_closed,
     green_ode_oracle,
     green_spectral,
+    hermsum,
     integrate_finite,
     product_via_integral,
 )
@@ -193,6 +194,21 @@ class TestStructure:
 
 
 class TestGuards:
+    def test_diagonal_spectral_sum_raises_after_one_capped_pass(self, monkeypatch):
+        # x = x' is valid, but there the tail integral of the Abel-weighted
+        # sum falls only like sqrt(1-u); one capped pass, then the error
+        calls = []
+        inner = hermsum.scaled_hermite_products
+        monkeypatch.setattr(hermsum, "scaled_hermite_products",
+                            lambda X, Y, count: calls.append(count) or inner(X, Y, count))
+        with pytest.raises(ConvergenceError, match=r"candidates: 1-u=0\.5 tail ") as info:
+            green_spectral(GreenQuery(0.0, 1.0, 1.0))
+        partial = info.value.partial
+        assert calls == [partial.terms_used]
+        assert partial.terms_used <= 2 ** 19
+        # the partial sum is in Green-function units, within its bound
+        assert abs(partial.value - float(green_closed_mp(0.0, 1.0, 1.0))) <= partial.tail_bound
+
     def test_spectral_pole_guard(self):
         with pytest.raises(DomainError):
             green_spectral(GreenQuery(3.0 + 1e-8, 1.0, 0.0))

@@ -1,4 +1,6 @@
-"""Blocked scaled-Hermite recurrence and the windowed bilinear summer."""
+"""Blocked scaled-Hermite recurrence and the Abel-weighted bilinear summer."""
+
+import re
 
 import mpmath as mp
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 
 from pcfprod import hermsum
 from pcfprod.errors import ConvergenceError
-from pcfprod.hermsum import RecurrenceState, bilinear_hermite_sum, scaled_hermite_products
+from pcfprod.hermsum import bilinear_hermite_sum, scaled_hermite_products
 
 POINTS = [(1.3, 0.4), (5.0, -4.9), (0.01, 3.0)]
 ORACLE_N = [3, 57, 700, 5000, 65537, 300001, 524287]
@@ -52,28 +54,14 @@ def test_products_match_mpmath(X, Y):
 
 
 @pytest.mark.parametrize("X,Y", POINTS)
-def test_resumed_products_match_one_shot(X, Y):
-    state = RecurrenceState()
-    parts = np.concatenate([scaled_hermite_products(X, Y, k, state)
-                            for k in (4096, 4096, 8192)])
-    whole = scaled_hermite_products(X, Y, 16384)
-    assert state.n == 16384
-    assert np.max(np.abs(parts - whole)) <= 4 * np.spacing(np.max(np.abs(whole)))
-
-
-@pytest.mark.parametrize("X,Y", POINTS)
 @pytest.mark.parametrize("count", [1, 2, 3, 5, 10, 4097, 4099])
 def test_edge_counts_end_at_the_requested_index(X, Y, count):
     # 3, 5, 10, 4097 and 4099 are not multiples of their block size
-    # (ceil(sqrt(count))); the state must sit at count, not at a block edge
-    state = RecurrenceState()
-    first = scaled_hermite_products(X, Y, count, state)
+    # (ceil(sqrt(count))); the array must end at n = count - 1, not at a
+    # block edge, and the next 7 products must follow on
+    first = scaled_hermite_products(X, Y, count)
     assert first.shape == (count,)
-    assert state.n == count
-    for x, pair in ((X, state.x), (Y, state.y)):
-        want = np.array([float(scaled_hermite(count - 1, x)), float(scaled_hermite(count, x))])
-        assert np.all(np.abs(np.array(pair) - want) <= 1e-13 * max(1.0, *np.abs(want)))
-    more = scaled_hermite_products(X, Y, 7, state)
+    more = scaled_hermite_products(X, Y, count + 7)[count:]
     ns = list(range(count - 3, count)) if count >= 3 else list(range(count))
     checked = np.concatenate([first[ns], more])
     want = oracle_products(X, Y, ns + list(range(count, count + 7)))
@@ -87,25 +75,91 @@ def test_small_counts_are_exact():
     assert p[0] == 1.0 and p[1] == pytest.approx(2.0 * 1.3 * 0.4, rel=1e-15)
 
 
-def test_converged_sum_computes_only_the_terms_it_uses(monkeypatch):
+def count_products(monkeypatch):
+    """Record the ``count`` of every scaled_hermite_products call."""
     counts = []
     inner = hermsum.scaled_hermite_products
 
-    def counting(X, Y, count, state=None):
+    def counting(X, Y, count):
         counts.append(count)
-        return inner(X, Y, count, state)
+        return inner(X, Y, count)
 
     monkeypatch.setattr(hermsum, "scaled_hermite_products", counting)
+    return counts
+
+
+def test_converged_sum_computes_only_the_terms_it_uses(monkeypatch):
+    counts = count_products(monkeypatch)
     r = bilinear_hermite_sum(1.0, 0.2, 2.0, 1e-9)
-    assert len(counts) >= 3
-    assert sum(counts) == r.terms_used
+    assert counts == [r.terms_used]
 
 
-def test_convergence_error_lists_every_window_level():
+def test_convergence_error_lists_every_candidate_weight(monkeypatch):
+    # at X = Y the tail integral falls only like sqrt(1-u): every weight
+    # up to the 2^19-product cap is tried against it, in one capped pass
+    counts = count_products(monkeypatch)
+    tol = 1.25e-7
     with pytest.raises(ConvergenceError) as info:
-        bilinear_hermite_sum(2.0 / np.sqrt(2.0), 1.9 / np.sqrt(2.0), 1.0, 1.25e-7)
-    msg = str(info.value)
-    levels = [8192 * 2 ** k for k in range(7)]
-    for terms in levels:
-        assert f"{terms} terms " in msg
-    assert info.value.partial.terms_used == levels[-1]
+        bilinear_hermite_sum(1.0, 1.0, 0.5, tol)
+    listed = re.findall(r"1-u=([^,\s]+) tail ([^,\s]+)", str(info.value))
+    assert len(listed) >= 25
+    assert [float(c) for c, _ in listed] == pytest.approx(
+        [0.5 * 2.0 ** (-0.5 * k) for k in range(len(listed))], rel=1e-3)
+    tails = [float(t) for _, t in listed]
+    assert all(a > b > tol for a, b in zip(tails, tails[1:]))
+    partial = info.value.partial
+    assert counts == [partial.terms_used]
+    assert 2 ** 18 < partial.terms_used <= 2 ** 19
+    assert partial.tail_bound >= tails[-1] > tol * abs(partial.value)
+
+
+def sum_rule_oracle(X, Y, s):
+    """B(X, Y, s) for X > Y through the sum rule, at 30 digits:
+    e^{(X^2+Y^2)/2} Gamma(s) D_{-s}(sqrt2 X) D_{-s}(-sqrt2 Y)."""
+    with mp.workdps(30):
+        X, Y, rt2 = mp.mpf(X), mp.mpf(Y), mp.sqrt(2)
+        return float(mp.exp((X * X + Y * Y) / 2) * mp.gamma(s)
+                     * mp.pcfd(-s, rt2 * X) * mp.pcfd(-s, -rt2 * Y))
+
+
+def sweep_points(count, seed):
+    """X - Y log-uniform in [0.05, 4], Y uniform in [-1.5, 1.5], s
+    log-uniform in [0.25, 20], tol log-uniform in [1e-10, 1e-6]."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        d, s, tol = np.exp(rng.uniform(np.log([0.05, 0.25, 1e-10]), np.log([4.0, 20.0, 1e-6])))
+        y = rng.uniform(-1.5, 1.5)
+        yield float(y + d), float(y), float(s), float(tol)
+
+
+# float(reference) may sit half an ulp from the 30-digit value
+ROUNDING_ALLOWANCE = 2 * np.finfo(float).eps
+
+
+def test_tail_bound_holds_against_mpmath_sweep():
+    raised = 0
+    for X, Y, s, tol in sweep_points(80, 2026):
+        ref = sum_rule_oracle(X, Y, s)
+        try:
+            r = bilinear_hermite_sum(X, Y, s, tol)
+        except ConvergenceError as exc:
+            # only where the sum's own rounding, not the choice of u,
+            # exceeds the tolerance
+            raised += 1
+            r = exc.partial
+            rounding = float(re.search(r"rounding (\S+)", str(exc)).group(1))
+            assert rounding > 0.5 * tol * abs(r.value), (X, Y, s, tol)
+        else:
+            assert abs(r.value - ref) <= tol * abs(ref), (X, Y, s, tol)
+        assert abs(r.value - ref) <= r.tail_bound + ROUNDING_ALLOWANCE * abs(ref), (X, Y, s, tol)
+    assert raised <= 4
+
+
+@pytest.mark.parametrize("s", [-0.5, -1.3, -2.5, -3.9995])
+def test_negative_shift_against_mpmath(s):
+    # the sum rule continues analytically to s < 0 between the poles
+    for X, Y, tol in ((1.0, 0.2, 1e-8), (0.9, -0.6, 1e-10), (2.0, 1.5, 1e-9)):
+        ref = sum_rule_oracle(X, Y, s)
+        r = bilinear_hermite_sum(X, Y, s, tol)
+        assert abs(r.value - ref) <= tol * abs(ref)
+        assert abs(r.value - ref) <= r.tail_bound + ROUNDING_ALLOWANCE * abs(ref)
