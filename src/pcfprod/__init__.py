@@ -13,6 +13,7 @@ from .glasser import (
     xy_from_params,
 )
 from .green import GreenQuery, eigenfunction, green_closed, green_ode_oracle, green_spectral
+from .hermsum import SeriesResult
 from .hyperbolic import HyperbolicQuery, erfc_identity_13a, erfc_identity_13b, k_identity_14
 from .mehler import (
     MehlerPoint,
@@ -24,6 +25,6 @@ from .mehler import (
 )
 from .quadrature import IntegrandSpec, QuadratureResult, integrate_finite, integrate_semi_infinite
 from .report import VerificationRecord
-from .specfun import SeriesResult, bessel_k_quarter, erfc, gamma, hermite, pcf_d
+from .specfun import bessel_k_quarter, erfc, gamma, hermite, pcf_d
 
 __version__ = "0.1.0"

@@ -128,11 +128,6 @@ def _eval_green_ode(params, tol):
     return green.green_ode_oracle(green.GreenQuery(lam, x, xprime)), {}
 
 
-def _eval_eigenfunction(params, tol):
-    n, x = _q(params, "n", "x")
-    return green.eigenfunction(int(n), x), {}
-
-
 def _eval_hyperbolic_lhs(which):
     def run(params, tol):
         if which == "14":
@@ -158,7 +153,7 @@ EVAL_TARGETS = {
     "gamma": _eval_scalar(specfun.gamma, "nu"),
     "erfc": _eval_scalar(specfun.erfc, "x"),
     "bessel_k_quarter": _eval_scalar(specfun.bessel_k_quarter, "z"),
-    "hermite": lambda p, tol: (specfun.hermite(int(_q(p, "n")[0]), _q(p, "x")[0]), {}),
+    "hermite": _eval_scalar(specfun.hermite, "n", "x"),
     "product_integral": _eval_product_integral,
     "product_reference": _eval_product_reference,
     "laplace_I": _eval_laplace_I,
@@ -169,7 +164,7 @@ EVAL_TARGETS = {
     "green_spectral": _eval_green_spectral,
     "green_closed": _eval_green_closed,
     "green_ode": _eval_green_ode,
-    "eigenfunction": _eval_eigenfunction,
+    "eigenfunction": _eval_scalar(green.eigenfunction, "n", "x"),
     "hyperbolic_lhs_13a": _eval_hyperbolic_lhs("13a"),
     "hyperbolic_lhs_13b": _eval_hyperbolic_lhs("13b"),
     "hyperbolic_lhs_14": _eval_hyperbolic_lhs("14"),

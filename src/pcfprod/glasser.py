@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .quadrature import IntegrandSpec, QuadratureResult, integrate_semi_infinite
 from .specfun import gamma, pcf_d
 
@@ -155,6 +155,10 @@ def product_via_integral(
     b = q.x * q.y
     decay = 0.5 * (q.x - q.y) ** 2
     spec = IntegrandSpec(endpoint_exponent=0.5 * q.nu - 1.0, decay_rate=decay)
-    raw = integrate_semi_infinite(_laplace_integrand(q.nu, a, b, 1.0), spec, tol)
     pref = math.exp(-0.5 * a) / (2.0 * gamma(q.nu))
-    return QuadratureResult(pref * raw.value, pref * raw.error_estimate, raw.evaluations)
+    try:
+        return integrate_semi_infinite(_laplace_integrand(q.nu, a, b, 1.0), spec, tol).scaled(pref)
+    except ConvergenceError as exc:  # a partial result is the product too, not the integral
+        if exc.partial is not None:
+            exc.partial = exc.partial.scaled(pref)
+        raise

@@ -29,8 +29,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
-from .hermsum import bilinear_series
-from .specfun import SeriesResult, gamma, pcf_d
+from .hermsum import SeriesResult, bilinear_series, scaled_hermite
+from .specfun import gamma, pcf_d
 
 __all__ = [
     "GreenQuery",
@@ -132,16 +132,9 @@ def _eigen_distance(lam: float) -> float:
 
 
 def eigenfunction(n: int, x: float) -> float:
-    """Normalized oscillator eigenfunction y_n(x), log-scaled recurrence."""
-    if n < 0 or n != int(n):
-        raise DomainError(f"eigenfunction index must be a nonnegative integer, got {n}")
-    h0 = 1.0
-    if n >= 1:
-        h1 = x * math.sqrt(2.0)
-        for k in range(1, n):
-            h0, h1 = h1, x * math.sqrt(2.0 / (k + 1)) * h1 - math.sqrt(k / (k + 1.0)) * h0
-        h0 = h1
-    return math.pi ** -0.25 * math.exp(-0.5 * x * x) * h0
+    """Normalized oscillator eigenfunction pi^{-1/4} e^{-x^2/2} h_n(x), not log-scaled:
+    the two factors leave floating range for |x| beyond about 37."""
+    return math.pi ** -0.25 * math.exp(-0.5 * x * x) * scaled_hermite(n, x)
 
 
 def green_spectral(q: GreenQuery, tol: float = 5e-7) -> SeriesResult:

@@ -1,10 +1,15 @@
-"""Abel-weighted summation engine for bilinear Hermite series.
+"""Scaled Hermite polynomials and the Abel-weighted bilinear Hermite summer.
 
-Everything here works with the orthonormally scaled polynomials
+This module owns the orthonormally scaled polynomials
 h_n(x) = H_n(x)/sqrt(2^n n!), which stay in floating range for any n
 (the raw H_n overflow near n ~ 300) and obey
 
     h_{n+1}(x) = x*sqrt(2/(n+1))*h_n(x) - sqrt(n/(n+1))*h_{n-1}(x).
+
+No other module runs this recurrence: :func:`scaled_hermite` gives one
+h_n(x) by a scalar loop, cheaper than a numpy call for single-index
+callers, and :func:`scaled_hermite_products` the products h_n(X) h_n(Y)
+of a whole index range, for the series.
 
 The series B(X, Y, s) = sum_{n>=0} h_n(X) h_n(Y)/(n+s) has terms that
 decay only like n^{-3/2}.  Mehler's kernel K(v) = sum_n h_n(X) h_n(Y) v^n
@@ -49,13 +54,14 @@ where it grows and an oscillatory one beyond its turning point
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .specfun import SeriesResult
 
-__all__ = ["scaled_hermite_products", "bilinear_hermite_sum", "bilinear_series"]
+__all__ = ["SeriesResult", "scaled_hermite", "scaled_hermite_products",
+           "bilinear_hermite_sum", "bilinear_series"]
 
 _MAX_PRODUCTS = 524_288  # 2^19
 # candidate weights 1 - u = 2^{-1-k/2}, each needing about sqrt(2) times the terms of the
@@ -68,6 +74,30 @@ _GL_T, _GL_W = 0.5 * _GL_T, _GL_V[0] ** 2
 _LOG_CRAMER_SQ = 2.0 * math.log(1.086435)  # |h_n(X) h_n(Y)| <= e^this e^{(X^2+Y^2)/2}
 _EPS = 2.0 ** -52
 _TINY = 1e-300
+
+
+@dataclass(frozen=True)
+class SeriesResult:
+    """A truncated series' value; ``tail_bound`` bounds its absolute error
+    (of truncation, and for :func:`bilinear_hermite_sum` of rounding too)."""
+
+    value: float
+    terms_used: int
+    tail_bound: float
+
+    def scaled(self, factor: float) -> SeriesResult:
+        """The result for ``factor`` (> 0) times every term."""
+        return SeriesResult(factor * self.value, self.terms_used, factor * self.tail_bound)
+
+
+def scaled_hermite(n: int, x: float) -> float:
+    """h_n(x) = H_n(x)/sqrt(2^n n!) for one degree n, by the scalar recurrence."""
+    if not n >= 0 or n % 1:
+        raise DomainError(f"Hermite degree must be a nonnegative integer, got {n}")
+    prev, h = 0.0, 1.0
+    for k in range(int(n)):
+        prev, h = h, x * math.sqrt(2.0 / (k + 1)) * h - math.sqrt(k / (k + 1.0)) * prev
+    return h
 
 
 def _chain(ends: list[list[float]]) -> list[list[float]]:
@@ -184,9 +214,7 @@ def bilinear_series(factor: float, X: float, Y: float, shift: float, tol: float)
     """``factor`` (> 0) times :func:`bilinear_hermite_sum`; a
     :class:`ConvergenceError`'s partial result is scaled alike."""
     try:
-        r = bilinear_hermite_sum(X, Y, shift, tol)
+        return bilinear_hermite_sum(X, Y, shift, tol).scaled(factor)
     except ConvergenceError as exc:
-        p = exc.partial
-        raise ConvergenceError(str(exc), partial=SeriesResult(
-            factor * p.value, p.terms_used, factor * p.tail_bound)) from exc
-    return SeriesResult(factor * r.value, r.terms_used, factor * r.tail_bound)
+        exc.partial = exc.partial.scaled(factor)
+        raise

@@ -2,7 +2,8 @@
 
 Three series live here:
 
-* the Mehler kernel itself, with its closed exponential form as oracle;
+* the Mehler kernel itself, summed to a Cramer bound on its geometric
+  tail, with its closed exponential form as oracle;
 * the Laplace-transform value I(nu, X, Y) = 2*sum H_n(X)H_n(Y)/(2^n n! (2nu+n)),
   obtained from the kernel by a term-by-term u-integration;
 * the product sum rule sum_n D_n(x)D_n(y)/(n!(n+nu)) = Gamma(nu) D_{-nu}(x) D_{-nu}(-y),
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .hermsum import bilinear_series, scaled_hermite_products
-from .specfun import SeriesResult
+from .hermsum import (_LOG_CRAMER_SQ, _MAX_PRODUCTS, SeriesResult, bilinear_series,
+                      scaled_hermite_products)
 
 __all__ = [
     "MehlerPoint",
@@ -35,7 +36,6 @@ __all__ = [
 ]
 
 _SERIES_U_LIMIT = 0.95
-_KERNEL_MAX_TERMS = 5000
 
 
 @dataclass(frozen=True)
@@ -70,52 +70,45 @@ class SumRuleQuery:
 
 
 def mehler_kernel_closed(p: MehlerPoint) -> float:
-    """exp[(2XYu - (X^2+Y^2)u^2) / (1-u^2)]."""
+    """exp[(2XYu - (X^2+Y^2)u^2) / (1-u^2)]; :class:`DomainError` if it overflows."""
     one_minus = (1.0 - p.u) * (1.0 + p.u)
     expo = (2.0 * p.X * p.Y * p.u - (p.X * p.X + p.Y * p.Y) * p.u * p.u) / one_minus
-    return math.exp(expo)
+    try:
+        return math.exp(expo)
+    except OverflowError:
+        raise DomainError(f"Mehler kernel overflows at X={p.X}, Y={p.Y}, u={p.u}") from None
 
 
 def mehler_kernel_series(p: MehlerPoint, tol: float = 1e-12) -> SeriesResult:
-    """sqrt(1-u^2) * sum_n H_n(X)H_n(Y) u^n / (2^n n!), summed directly.
+    """sqrt(1-u^2) * sum_n h_n(X) h_n(Y) u^n, with h_n = H_n/sqrt(2^n n!).
 
-    Convergence is geometric in |u|; the practical domain is
-    |u| <= 0.95.  The tail bound uses the running amplitude of the
-    scaled bilinear terms against the geometric envelope u^n/(1-u).
+    The practical domain is |u| <= 0.95.  By Cramer's inequality
+    |h_n(X) h_n(Y)| <= 1.0865^2 e^{(X^2+Y^2)/2}, the terms from n = N on add
+    at most that times sqrt(1-u^2)|u|^N/(1-|u|): ``tail_bound``, for the
+    least N that holds it below ``tol``, is fixed first, then the sum is one
+    :func:`scaled_hermite_products` call dotted with the powers u^n.  If N
+    exceeds the cap of 2^19 products, or the sum is not finite (the terms
+    overflow as X^2 + Y^2 nears 1400), it raises :class:`ConvergenceError`.
     """
     if abs(p.u) > _SERIES_U_LIMIT:
-        raise DomainError(
-            f"series form needs |u| <= {_SERIES_U_LIMIT} in double precision, got {p.u}"
-        )
+        raise DomainError(f"series form needs |u| <= {_SERIES_U_LIMIT} in double precision, "
+                          f"got {p.u}")
+    if not tol > 0.0:
+        raise DomainError(f"Mehler series needs tol > 0, got {tol}")
     root = math.sqrt((1.0 - p.u) * (1.0 + p.u))
-    absu = abs(p.u)
-
-    h0x, h0y = 1.0, 1.0
-    total = 1.0  # n = 0 term
-    if p.u == 0.0:
-        return SeriesResult(root * total, 1, 0.0)
-    h1x = p.X * math.sqrt(2.0)
-    h1y = p.Y * math.sqrt(2.0)
-    upow = p.u
-    total += h1x * h1y * upow
-    amp = max(1.0, abs(h1x * h1y))
-    for n in range(1, _KERNEL_MAX_TERMS):
-        c1 = math.sqrt(2.0 / (n + 1))
-        c2 = math.sqrt(n / (n + 1.0))
-        h2x = p.X * c1 * h1x - c2 * h0x
-        h2y = p.Y * c1 * h1y - c2 * h0y
-        upow *= p.u
-        total += h2x * h2y * upow
-        amp = max(abs(h2x * h2y), 0.9 * amp)  # slowly forgetting running envelope
-        tail = amp * absu ** (n + 2) / (1.0 - absu)
-        if tail < tol * (1.0 + abs(total)):
-            return SeriesResult(root * total, n + 2, root * tail)
-        h0x, h1x = h1x, h2x
-        h0y, h1y = h1y, h2y
-    raise ConvergenceError(
-        f"Mehler series did not converge within {_KERNEL_MAX_TERMS} terms at u={p.u}",
-        partial=SeriesResult(root * total, _KERNEL_MAX_TERMS, math.nan),
-    )
+    log_amp = 0.5 * (p.X * p.X + p.Y * p.Y) + _LOG_CRAMER_SQ + math.log(root / (1.0 - abs(p.u)))
+    log_u = math.log(abs(p.u)) if p.u else -math.inf
+    need = (log_amp - math.log(tol)) / -log_u
+    # min(cap, nan) is the cap: non-finite or huge X, Y take the capped pass and raise
+    count = math.ceil(max(1.0, min(_MAX_PRODUCTS, need)))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum raises below
+        total = root * float(scaled_hermite_products(p.X, p.Y, count) @ p.u ** np.arange(count))
+    log_tail = log_amp + count * log_u
+    result = SeriesResult(total, count, math.exp(log_tail) if log_tail < 709.0 else math.inf)
+    if not need <= count or not math.isfinite(total):
+        raise ConvergenceError(f"Mehler series at X={p.X}, Y={p.Y}, u={p.u}, tol={tol}: the sum "
+                               f"of {count} of {need:.0f} needed terms is {total}", partial=result)
+    return result
 
 
 def series_for_I(nu: float, X: float, Y: float, tol: float = 1e-8) -> SeriesResult:
@@ -156,13 +149,7 @@ def sum_rule_term_decay_exponent(
     prods = scaled_hermite_products(q.x / rt2, q.y / rt2, n_hi)
     n = np.arange(n_hi, dtype=np.float64)
     t = np.abs(prods / (n + q.nu))
-    edges = np.unique(np.geomspace(n_lo, n_hi - 1, bins + 1).astype(int))
-    centers, peaks = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        block = t[a:b]
-        if block.size == 0:
-            continue
-        peaks.append(block.max())
-        centers.append(math.sqrt(a * b))
-    slope = np.polyfit(np.log(centers), np.log(peaks), 1)[0]
+    edges = np.unique(np.geomspace(n_lo, n_hi - 1, bins + 1).astype(int))  # no empty bin
+    peaks = [t[a:b].max() for a, b in zip(edges[:-1], edges[1:])]
+    slope = np.polyfit(np.log(np.sqrt(edges[:-1] * edges[1:])), np.log(peaks), 1)[0]
     return -float(slope)

@@ -60,6 +60,11 @@ class QuadratureResult:
     error_estimate: float
     evaluations: int
 
+    def scaled(self, factor: float) -> QuadratureResult:
+        """The result for ``factor`` (> 0) times the integrand."""
+        return QuadratureResult(factor * self.value, factor * self.error_estimate,
+                                self.evaluations)
+
 
 @dataclass(frozen=True)
 class IntegrandSpec:

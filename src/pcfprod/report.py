@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .specfun import SeriesResult
+from .hermsum import SeriesResult
 
 _REL_FLOOR = 1e-300
 _ABS_SWITCH = 1e-280
@@ -79,8 +79,8 @@ def error_record(identity_id: str, params: dict[str, float], exc: Exception) -> 
     A ``DomainError`` makes it a skip, any other error a failure; the
     note is the exception message.  A series route's partial result
     gives the left side and, as its term count, the cost.  A quadrature
-    partial is not used: it need not be the whole left side (EQ10
-    scales its integral, EQ14 adds two).
+    partial is not used: it need not be the whole left side (EQ14 adds
+    two integrals).
     """
     partial = getattr(exc, "partial", None)
     lhs, cost = ((partial.value, partial.terms_used) if isinstance(partial, SeriesResult)

@@ -16,13 +16,12 @@ Other orders are rejected explicitly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
+from .hermsum import scaled_hermite
 from .quadrature import IntegrandSpec, integrate_semi_infinite
 
 __all__ = [
-    "SeriesResult",
     "hermite",
     "gamma",
     "erfc",
@@ -34,34 +33,22 @@ _ORDER_LIMIT = 20.0
 _INT_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class SeriesResult:
-    """Value of a truncated series with convergence metadata.
-
-    ``tail_bound`` is an estimated absolute bound on the truncation
-    error of ``value``.
-    """
-
-    value: float
-    terms_used: int
-    tail_bound: float
-
-
 def hermite(n: int, x: float) -> float:
-    """Physicists' Hermite polynomial H_n(x) by the three-term recurrence.
+    """Physicists' Hermite polynomial H_n(x) = sqrt(2^n n!) h_n(x), with h_n
+    from :func:`pcfprod.hermsum.scaled_hermite` and the norm rounded once.
 
-    For extreme n*x the recurrence overflows to signed infinity, which
-    is returned as-is (never wrapped or silently replaced); callers that
-    need large n must use the scaled recurrence in :mod:`pcfprod.hermsum`.
+    Where H_n(x) overflows a double the result is signed infinity; it is
+    never nan for |x| < 37, where h_n(x) <= 1.0865 e^{x^2/2} is finite.
     """
-    if n < 0 or n != int(n):
-        raise DomainError(f"Hermite degree must be a nonnegative integer, got {n}")
-    if n == 0:
-        return 1.0
-    hm, hc = 1.0, 2.0 * x
-    for k in range(1, n):
-        hm, hc = hc, 2.0 * x * hc - 2.0 * k * hm
-    return hc
+    frac, expo = math.frexp(scaled_hermite(n, x))  # checks the degree
+    # the top 212 or 213 bits of 2^n n! (an even shift): isqrt leaves 106 exact bits of
+    # the norm; from n = 512 on any nonzero h_n overflows, so n need go no further
+    norm_sq = math.factorial(min(int(n), 512)) << (min(int(n), 512) + 212)
+    shift = (norm_sq.bit_length() - 212) & ~1
+    try:
+        return math.ldexp(float(math.isqrt(norm_sq >> shift)) * frac, expo + shift // 2 - 106)
+    except OverflowError:
+        return math.copysign(math.inf, frac)
 
 
 def gamma(nu: float) -> float:

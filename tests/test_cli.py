@@ -104,6 +104,25 @@ class TestEval:
         assert r.exit_code == 2
         assert "domain error" in r.output
 
+    def test_hermite_overflow_prints_inf(self, runner):
+        r = runner.invoke(main, ["eval", "hermite", "--n", "400", "--x", "0"])
+        assert r.exit_code == 0
+        assert r.output == "inf\n"
+
+    @pytest.mark.parametrize("target,codes", [("mehler_kernel", (2,)),
+                                              ("mehler_kernel_series", (2, 3))])
+    def test_mehler_overflow_exits_cleanly(self, runner, target, codes):
+        r = runner.invoke(main, ["eval", target, "--X", "30", "--Y", "30", "--u", "0.9"])
+        assert r.exit_code in codes, r.output
+
+    @pytest.mark.parametrize("target", ["hermite", "eigenfunction"])
+    @pytest.mark.parametrize("n", ["2.5", "nan", "-1"])
+    def test_non_integer_degree_is_domain_error(self, runner, target, n):
+        # the degree is checked, not truncated: --n 2.5 is not H_2
+        r = runner.invoke(main, ["eval", target, "--n", n, "--x", "1"])
+        assert r.exit_code == 2
+        assert "domain error" in r.output
+
     def test_nan_order_is_domain_error(self, runner):
         r = runner.invoke(main, ["eval", "pcf_d", "--nu", "nan", "--z", "1"])
         assert r.exit_code == 2
@@ -274,3 +293,13 @@ class TestExploreEqualArgs:
         assert r.exit_code == 0
         assert "relative discrepancy" in r.output
         assert "finding:" in r.output
+
+    def test_unconverged_integral_is_reported_as_the_product(self, runner):
+        # at tol 1e-10 the quadrature raises; its partial must carry the
+        # product's prefactor, not be the bare Laplace integral
+        r = runner.invoke(main, ["explore-equal-args", "--nu", "1", "--x", "2",
+                                 "--tol", "1e-10"])
+        assert r.exit_code == 0
+        rel = float(re.search(r"relative discrepancy:\s+(\S+)", r.output).group(1))
+        assert rel <= 1e-4
+        assert "finding: the integral converges" in r.output

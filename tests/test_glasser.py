@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcfprod import glasser
 from pcfprod import (
+    ConvergenceError,
     DomainError,
     LaplaceParams,
     ProductQuery,
+    QuadratureResult,
     gamma,
     laplace_I,
     params_from_xy,
@@ -131,6 +134,18 @@ class TestProductViaIntegral:
         assert math.isfinite(r.value)
         with pytest.raises(DomainError):
             product_via_integral(ProductQuery(1.0, 2.0, -2.0), 1e-6, allow_equal_args=True)
+
+    def test_convergence_error_partial_is_scaled(self, monkeypatch):
+        # the partial result is the product, value and error estimate
+        # times the same prefactor e^{-a/2}/(2 Gamma(nu)) as a converged value
+        def stalls(f, spec, tol):
+            raise ConvergenceError("stalled", partial=QuadratureResult(2.0, 0.5, 7))
+
+        monkeypatch.setattr(glasser, "integrate_semi_infinite", stalls)
+        with pytest.raises(ConvergenceError) as info:
+            product_via_integral(ProductQuery(1.5, 2.0, 2.0), 1e-10, allow_equal_args=True)
+        pref = math.exp(-2.0) / (2.0 * gamma(1.5))
+        assert info.value.partial == QuadratureResult(2.0 * pref, 0.5 * pref, 7)
 
 
 class TestLaplaceForms:

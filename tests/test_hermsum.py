@@ -54,6 +54,17 @@ def test_products_match_mpmath(X, Y):
 
 
 @pytest.mark.parametrize("X,Y", POINTS)
+def test_scalar_helper_matches_products_and_mpmath(X, Y):
+    # the single-index loop and the blocked array are the same h_n
+    ns = [0, 1, 2, 57, 700]
+    prods = scaled_hermite_products(X, Y, ns[-1] + 1)
+    scale = np.max(np.abs(prods))
+    got = np.array([hermsum.scaled_hermite(n, X) * hermsum.scaled_hermite(n, Y) for n in ns])
+    assert np.all(np.abs(got - prods[ns]) <= 16 * np.finfo(float).eps * scale)
+    assert np.all(np.abs(got - oracle_products(X, Y, ns)) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("X,Y", POINTS)
 @pytest.mark.parametrize("count", [1, 2, 3, 5, 10, 4097, 4099])
 def test_edge_counts_end_at_the_requested_index(X, Y, count):
     # 3, 5, 10, 4097 and 4099 are not multiples of their block size

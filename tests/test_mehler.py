@@ -2,12 +2,14 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcfprod import (
+    ConvergenceError,
     DomainError,
     IntegrandSpec,
     MehlerPoint,
@@ -26,6 +28,14 @@ from pcfprod.hermsum import bilinear_hermite_sum, scaled_hermite_products
 from pcfprod.mehler import sum_rule_term_decay_exponent
 
 PROD_1_2_1 = 0.4197646649478962796
+EPS = np.finfo(float).eps
+
+
+def kernel_oracle(X, Y, u):
+    """The closed Mehler kernel at 30 digits."""
+    with mp.workdps(30):
+        X, Y, u = mp.mpf(X), mp.mpf(Y), mp.mpf(u)
+        return mp.exp((2 * X * Y * u - (X * X + Y * Y) * u * u) / (1 - u * u))
 
 
 class TestKernelClosed:
@@ -76,6 +86,38 @@ class TestKernelSeries:
     def test_practical_domain_bound(self):
         with pytest.raises(DomainError):
             mehler_kernel_series(MehlerPoint(1.0, 1.0, 0.96))
+
+    def test_tail_bound_holds_against_mpmath_sweep(self):
+        # the first point is a regression case: a running-envelope tail
+        # estimate gave 1.06e-6 there, below the true error of 2.9e-6
+        rng = np.random.default_rng(2718)
+        points = [(-1.3, -2.92, 0.0157, 5e-7)] + [
+            (rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(-0.95, 0.95),
+             10 ** rng.uniform(-12, -6)) for _ in range(600)]
+        for X, Y, u, tol in points:
+            r = mehler_kernel_series(MehlerPoint(X, Y, u), tol)
+            ref = kernel_oracle(X, Y, u)
+            err, scale = float(abs(r.value - ref)), 1.0 + abs(float(ref))
+            assert err <= r.tail_bound + 64 * EPS * scale, (X, Y, u, tol)
+            assert err <= tol * scale, (X, Y, u, tol)
+
+    def test_overflow_raises_library_errors(self):
+        p = MehlerPoint(30.0, 30.0, 0.9)
+        with pytest.raises(DomainError):
+            mehler_kernel_closed(p)
+        with pytest.raises((DomainError, ConvergenceError)):
+            mehler_kernel_series(p)
+
+    @pytest.mark.parametrize("X", [300.0, 1e200, math.nan])
+    def test_count_beyond_cap_raises_with_partial(self, X):
+        # 1e200 and nan make the count itself inf or nan
+        with pytest.raises(ConvergenceError) as info:
+            mehler_kernel_series(MehlerPoint(X, 300.0, 0.95))
+        assert info.value.partial.terms_used == 2 ** 19
+
+    def test_nonpositive_tol_rejected(self):
+        with pytest.raises(DomainError):
+            mehler_kernel_series(MehlerPoint(1.0, 0.5, 0.5), 0.0)
 
 
 class TestSeriesForI:
