@@ -15,3 +15,9 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message, partial=None):
         super().__init__(message)
         self.partial = partial
+
+    def scaled(self, factor):
+        """The error for ``factor`` (> 0) times the quantity: the partial
+        result scaled alike, the message kept."""
+        partial = None if self.partial is None else self.partial.scaled(factor)
+        return ConvergenceError(str(self), partial)

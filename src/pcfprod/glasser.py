@@ -158,7 +158,5 @@ def product_via_integral(
     pref = math.exp(-0.5 * a) / (2.0 * gamma(q.nu))
     try:
         return integrate_semi_infinite(_laplace_integrand(q.nu, a, b, 1.0), spec, tol).scaled(pref)
-    except ConvergenceError as exc:  # a partial result is the product too, not the integral
-        if exc.partial is not None:
-            exc.partial = exc.partial.scaled(pref)
-        raise
+    except ConvergenceError as exc:  # the partial and the message give the product too
+        raise exc.scaled(pref) from None

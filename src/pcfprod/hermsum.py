@@ -216,5 +216,4 @@ def bilinear_series(factor: float, X: float, Y: float, shift: float, tol: float)
     try:
         return bilinear_hermite_sum(X, Y, shift, tol).scaled(factor)
     except ConvergenceError as exc:
-        exc.partial = exc.partial.scaled(factor)
-        raise
+        raise exc.scaled(factor) from None

@@ -1,6 +1,7 @@
 """Product representation, Laplace forms, and the (x, y) <-> (a, b) maps."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from pcfprod import (
     product_via_integral,
     xy_from_params,
 )
+from pcfprod.quadrature import RefinementError
 
 # frozen with an independent 30-digit oracle before the library was built
 PROD_1_2_1 = 0.4197646649478962796
@@ -146,6 +148,23 @@ class TestProductViaIntegral:
             product_via_integral(ProductQuery(1.5, 2.0, 2.0), 1e-10, allow_equal_args=True)
         pref = math.exp(-2.0) / (2.0 * gamma(1.5))
         assert info.value.partial == QuadratureResult(2.0 * pref, 0.5 * pref, 7)
+
+        # a refinement error's message quotes the same product as its partial
+        # result, and lists every level's change scaled alike
+        def refinement_stalls(f, spec, tol):
+            raise RefinementError("semi-infinite quadrature", tol, [(0.25, 1.5), (0.125, 0.5)],
+                                  QuadratureResult(2.0, 0.5, 7))
+
+        monkeypatch.setattr(glasser, "integrate_semi_infinite", refinement_stalls)
+        with pytest.raises(ConvergenceError) as info:
+            product_via_integral(ProductQuery(1.5, 2.0, 2.0), 1e-10, allow_equal_args=True)
+        msg, partial = str(info.value), info.value.partial
+        assert partial == QuadratureResult(2.0 * pref, 0.5 * pref, 7)
+        assert float(re.search(r"best estimate (\S+?),", msg).group(1)) == partial.value
+        levels = re.findall(r"h=(\S+) (\S+?)(?:,|$)", msg.split("levels: ")[1])
+        assert [float(h) for h, _ in levels] == [0.25, 0.125]
+        assert [float(d) for _, d in levels] == pytest.approx([1.5 * pref, 0.5 * pref], rel=1e-3)
+        assert float(levels[-1][1]) == pytest.approx(partial.error_estimate, rel=1e-3)
 
 
 class TestLaplaceForms:

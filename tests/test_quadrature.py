@@ -2,6 +2,8 @@
 
 import math
 import re
+import sys
+import threading
 from collections import Counter
 
 import mpmath
@@ -15,7 +17,9 @@ from pcfprod import (
     integrate_finite,
     integrate_semi_infinite,
     pcf_d,
+    quadrature,
 )
+from pcfprod.quadrature import RefinementError
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -297,3 +301,161 @@ class TestErrorEstimateBoundsTrueError:
             exact = mpmath.beta(0.7, 0.6)
         r = integrate_finite(lambda x: x**-0.3 * (1.0 - x)**-0.4, 0.0, 1.0, 1e-6)
         self._assert_bound(r, exact)
+
+
+class TestPinnedPanel:
+    """Values, error estimates and evaluation counts of both engines, bit
+    for bit, on a fixed panel: endpoint singularities, the algebraic-tail
+    fallback, the decay-rate scale at both clamps, symmetric and offset
+    windows and three ``max_level``-limited failures.  A change to the
+    order of the floating-point operations in a table row or a walk
+    shows here."""
+
+    SEMI = {
+        "gamma_half": (lambda t: t**-0.5 * math.exp(-t), IntegrandSpec(-0.5, 1.0)),
+        "algebraic_tail": (lambda t: (1.0 + t)**-1.5, IntegrandSpec(0.0, 0.0)),
+        # decay rates outside [1e-4, 1e4] use the scale of the nearer clamp
+        "scale_clamp_low": (lambda t: math.exp(-1e-5 * t), IntegrandSpec(0.0, 1e-5)),
+        "scale_clamp_high": (lambda t: math.exp(-1e5 * t), IntegrandSpec(0.0, 1e5)),
+        "semi_max_level_4": (lambda t: math.exp(-t) * math.cos(40.0 * t), IntegrandSpec(0.0, 1.0)),
+    }
+    FINITE = {
+        "inv_sqrt_cos": (lambda x: x**-0.5 * math.cos(x), 0.0, 1.0),
+        "gaussian_window": (lambda x: math.exp(-x * x), -4.0, 4.0),
+        "finite_max_level_4": (lambda x: math.cos(200.0 * x), 0.0, 1.0),
+        # widths that are not powers of two expose the rounding of every
+        # operation on the half-width
+        "inv_sqrt_cos_wide": (lambda x: x**-0.5 * math.cos(x), 0.0, 3.7),
+        "gaussian_offset": (lambda x: math.exp(-x * x), -1.3, 2.9),
+        "oscillating_max_level_4": (lambda x: math.cos(200.0 * x), -0.3, 2.2),
+    }
+    # (case, tol, outcome, value.hex(), error_estimate.hex(), evaluations)
+    PANEL = [
+        ("gamma_half", 1e-06, "ok", "0x1.c5bf891b4ef6bp+0", "0x1.f80ba50000000p-27", 64),
+        ("algebraic_tail", 1e-06, "ok", "0x1.fffffffffffeep+0", "0x1.393006b000000p-23", 1524),
+        ("scale_clamp_low", 1e-06, "ok", "0x1.86a0000000000p+16", "0x1.699a214000000p-10", 73),
+        ("scale_clamp_high", 1e-06, "ok", "0x1.4f8b588e368f2p-17", "0x1.7058000000000p-56", 100),
+        ("inv_sqrt_cos", 1e-06, "ok", "0x1.cf1dcd0871260p+0", "0x1.9450000000000p-38", 74),
+        ("gaussian_window", 1e-06, "ok", "0x1.c5bf88a5f14afp+0", "0x0.0p+0", 205),
+        ("gamma_half", 1e-10, "ok", "0x1.c5bf891b4ef6ap+0", "0x1.0000000000000p-52", 116),
+        ("algebraic_tail", 1e-10, "ok", "0x1.fffffffffffffp+0", "0x1.1000000000000p-48", 2956),
+        ("scale_clamp_low", 1e-10, "ok", "0x1.86a0000000000p+16", "0x0.0p+0", 135),
+        ("scale_clamp_high", 1e-10, "ok", "0x1.4f8b588e368f2p-17", "0x1.7058000000000p-56", 100),
+        ("inv_sqrt_cos", 1e-10, "ok", "0x1.cf1dcd0871260p+0", "0x1.9450000000000p-38", 74),
+        ("gaussian_window", 1e-10, "ok", "0x1.c5bf88a5f14afp+0", "0x0.0p+0", 205),
+        ("gamma_half", 1e-14, "ok", "0x1.c5bf891b4ef6ap+0", "0x1.0000000000000p-52", 116),
+        ("algebraic_tail", 1e-14, "ok", "0x1.fffffffffffffp+0", "0x1.1000000000000p-48", 2956),
+        ("scale_clamp_low", 1e-14, "ok", "0x1.86a0000000000p+16", "0x0.0p+0", 135),
+        ("scale_clamp_high", 1e-14, "ok", "0x1.4f8b588e368f2p-17", "0x0.0p+0", 167),
+        ("inv_sqrt_cos", 1e-14, "ok", "0x1.cf1dcd087125ep+0", "0x1.0000000000000p-51", 143),
+        ("gaussian_window", 1e-14, "ok", "0x1.c5bf88a5f14afp+0", "0x0.0p+0", 205),
+        ("semi_max_level_4", 1e-12, "raises", "0x1.2ce84fdf5cc9ep-4", "0x1.22a13b61fbe08p-6", 201),
+        ("finite_max_level_4", 1e-12, "raises", "0x1.e69dd13d59903p-4", "0x1.3b195f9dce089p-2", 74),
+        ("inv_sqrt_cos_wide", 1e-06, "ok", "0x1.09e92e758ac0cp+0", "0x1.f5f0f68000000p-26", 74),
+        ("gaussian_offset", 1e-06, "ok", "0x1.b6c4586b18200p+0", "0x1.572a000000000p-37", 102),
+        ("inv_sqrt_cos_wide", 1e-10, "ok", "0x1.09e92e758ac0dp+0", "0x1.0000000000000p-52", 143),
+        ("gaussian_offset", 1e-10, "ok", "0x1.b6c4586b18200p+0", "0x1.572a000000000p-37", 102),
+        ("inv_sqrt_cos_wide", 1e-14, "ok", "0x1.09e92e758ac0dp+0", "0x1.0000000000000p-52", 143),
+        ("gaussian_offset", 1e-14, "ok", "0x1.b6c4586b181ffp+0", "0x1.0000000000000p-52", 204),
+        ("oscillating_max_level_4", 1e-12, "raises", "0x1.4e900c658b530p-5", "0x1.4719993345fe4p-4", 51),
+    ]
+
+    def _run(self, case, tol):
+        max_level = 4 if case.endswith("max_level_4") else None
+        levels = {} if max_level is None else {"max_level": max_level}
+        if case in self.SEMI:
+            f, spec = self.SEMI[case]
+            return integrate_semi_infinite(f, spec, tol, **levels)
+        f, lo, hi = self.FINITE[case]
+        return integrate_finite(f, lo, hi, tol, **levels)
+
+    @pytest.mark.parametrize("case,tol,outcome,value,error,evaluations", PANEL,
+                             ids=[f"{p[0]}-{p[1]:g}" for p in PANEL])
+    def test_pinned(self, case, tol, outcome, value, error, evaluations):
+        if outcome == "ok":
+            r = self._run(case, tol)
+        else:
+            with pytest.raises(RefinementError) as exc:
+                self._run(case, tol)
+            r = exc.value.partial
+            # the message quotes the partial result it carries
+            best = re.search(r"best estimate (\S+?),", str(exc.value)).group(1)
+            assert float(best) == r.value
+        assert (r.value.hex(), r.error_estimate.hex(), r.evaluations) == (value, error, evaluations)
+
+
+class TestNodeTables:
+    """The per-level node tables grow only as far as the walks go, and
+    growth by nested or concurrent walks leaves every row in place."""
+
+    TABLES = (quadrature._EXP_SINH_RIGHT, quadrature._EXP_SINH_LEFT, quadrature._TANH_SINH)
+
+    @staticmethod
+    def _level_rows(table):
+        return [[row for chunk in chunks for row in chunk] for chunks in table._levels]
+
+    @pytest.fixture
+    def empty_tables(self, monkeypatch):
+        for table in self.TABLES:
+            monkeypatch.setattr(table, "_levels", [])
+
+    def test_rows_bounded_by_nodes_walked(self, empty_tables):
+        right, left = self.TABLES[:2]
+        r = integrate_semi_infinite(lambda t: (1.0 + t)**-1.5, IntegrandSpec(0.0, 0.0), 1e-10,
+                                    max_level=13)
+        levels = self._level_rows(right)
+        rows = sum(map(len, levels + self._level_rows(left)))
+        # every built row but the last chunk of each level and side was walked
+        assert rows <= r.evaluations + 2 * len(levels) * quadrature._CHUNK
+        assert rows <= 2 * r.evaluations
+        # the right side could run to s = 690: far more rows than were built
+        for level, built in enumerate(levels):
+            h = right.step * 0.5**level
+            assert len(built) < 0.25 * 690.0 / (h if level == 0 else 2.0 * h)
+        # the same call again builds nothing
+        again = integrate_semi_infinite(lambda t: (1.0 + t)**-1.5, IntegrandSpec(0.0, 0.0),
+                                        1e-10, max_level=13)
+        assert again == r
+        assert sum(map(len, self._level_rows(right) + self._level_rows(left))) == rows
+
+    def test_nested_integrals_share_a_growing_table(self, empty_tables):
+        # the inner integral grows the table the outer walk is reading;
+        # int_0^inf e^{-t} int_0^inf e^{-s(1+t)} ds dt = e E_1(1)
+        def outer(t):
+            return math.exp(-t) * integrate_semi_infinite(
+                lambda s: math.exp(-s * (1.0 + t)), IntegrandSpec(0.0, 1.0 + t), 1e-12).value
+
+        cold = integrate_semi_infinite(outer, IntegrandSpec(0.0, 1.0), 1e-10)
+        warm = integrate_semi_infinite(outer, IntegrandSpec(0.0, 1.0), 1e-10)
+        assert cold == warm
+        with mpmath.workdps(30):
+            exact = float(mpmath.e * mpmath.e1(1))
+        assert cold.value == pytest.approx(exact, rel=1e-10)
+
+    def test_concurrent_growth(self, empty_tables):
+        # threads that grow the same levels at once must neither lose nor
+        # repeat a chunk: row i of a level sits at k*h, k = 1 + i*dk
+        def runs():
+            return [integrate_semi_infinite(lambda t: t**-0.5 * math.exp(-t),
+                                            IntegrandSpec(-0.5, 1.0), 1e-12),
+                    integrate_semi_infinite(lambda t: (1.0 + t)**-1.5, IntegrandSpec(0.0, 0.0),
+                                            1e-10),
+                    integrate_finite(lambda x: x**-0.5 * math.cos(x), 0.0, 3.7, 1e-12)]
+
+        results = []
+        threads = [threading.Thread(target=lambda: results.append(runs())) for _ in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert results == [runs()] * len(threads)
+        for table in self.TABLES:
+            for level, rows in enumerate(self._level_rows(table)):
+                h, dk = table.step * 0.5**level, 1 if level == 0 else 2
+                assert [row[0] for row in rows] == [(1 + i * dk) * h for i in range(len(rows))]
