@@ -29,6 +29,7 @@ import itertools
 import json
 import math
 import sys
+from dataclasses import fields, is_dataclass
 
 import click
 
@@ -44,131 +45,61 @@ _EXIT_CONVERGENCE = 3
 # eval
 # --------------------------------------------------------------------------
 
-def _q(params, *names):
-    missing = [n for n in names if n not in params]
-    if missing:
-        raise click.UsageError(f"missing parameter(s): {', '.join('--' + m for m in missing)}")
-    return [params[n] for n in names]
-
-
-def _eval_pcf_d(params, tol):
-    nu, z = _q(params, "nu", "z")
-    return specfun.pcf_d(nu, z, tol), {}
-
-
-def _eval_product_integral(params, tol):
-    nu, x, y = _q(params, "nu", "x", "y")
-    r = glasser.product_via_integral(glasser.ProductQuery(nu, x, y), tol)
-    return r.value, {"error_estimate": r.error_estimate, "evaluations": r.evaluations}
-
-
-def _eval_product_reference(params, tol):
-    nu, x, y = _q(params, "nu", "x", "y")
-    return glasser.product_reference(glasser.ProductQuery(nu, x, y)), {}
-
-
-def _eval_laplace_I(params, tol):
-    nu, a, b, sign = _q(params, "nu", "a", "b", "sign")
-    r = glasser.laplace_I(glasser.LaplaceParams(nu, a, b), int(sign), tol)
-    return r.value, {"error_estimate": r.error_estimate, "evaluations": r.evaluations}
-
-
-def _eval_mehler_kernel(params, tol):
-    X, Y, u = _q(params, "X", "Y", "u")
-    return mehler.mehler_kernel_closed(mehler.MehlerPoint(X, Y, u)), {}
-
-
-def _eval_mehler_kernel_series(params, tol):
-    X, Y, u = _q(params, "X", "Y", "u")
-    r = mehler.mehler_kernel_series(mehler.MehlerPoint(X, Y, u), tol)
-    return r.value, {"terms_used": r.terms_used, "tail_bound": r.tail_bound}
-
+# target -> (parameter names, route called with their values and the tolerance).
+# A route looks its function up on the module at call time, so a patched
+# module attribute sees every call.
+EVAL_TARGETS = {
+    "pcf_d": (("nu", "z"), lambda nu, z, tol: specfun.pcf_d(nu, z, tol)),
+    "gamma": (("nu",), lambda nu, tol: specfun.gamma(nu)),
+    "erfc": (("x",), lambda x, tol: specfun.erfc(x)),
+    "bessel_k_quarter": (("z",), lambda z, tol: specfun.bessel_k_quarter(z)),
+    "hermite": (("n", "x"), lambda n, x, tol: specfun.hermite(n, x)),
+    "product_integral": (("nu", "x", "y"), lambda nu, x, y, tol:
+                         glasser.product_via_integral(glasser.ProductQuery(nu, x, y), tol)),
+    "product_reference": (("nu", "x", "y"), lambda nu, x, y, tol:
+                          glasser.product_reference(glasser.ProductQuery(nu, x, y))),
+    "laplace_I": (("nu", "a", "b", "sign"), lambda nu, a, b, sign, tol:
+                  glasser.laplace_I(glasser.LaplaceParams(nu, a, b), int(sign), tol)),
+    "mehler_kernel": (("X", "Y", "u"), lambda X, Y, u, tol:
+                      mehler.mehler_kernel_closed(mehler.MehlerPoint(X, Y, u))),
+    "mehler_kernel_series": (("X", "Y", "u"), lambda X, Y, u, tol:
+                             mehler.mehler_kernel_series(mehler.MehlerPoint(X, Y, u), tol)),
+    "series_for_I": (("nu", "X", "Y"), lambda nu, X, Y, tol: mehler.series_for_I(nu, X, Y, tol)),
+    "sum_rule_lhs": (("nu", "x", "y"), lambda nu, x, y, tol:
+                     mehler.sum_rule_lhs(mehler.SumRuleQuery(nu, x, y), tol)),
+    "green_spectral": (("lam", "x", "xprime"), lambda lam, x, xprime, tol:
+                       green.green_spectral(green.GreenQuery(lam, x, xprime), tol)),
+    "green_closed": (("lam", "x", "xprime"), lambda lam, x, xprime, tol:
+                     green.green_closed(green.GreenQuery(lam, x, xprime))),
+    "green_ode": (("lam", "x", "xprime"), lambda lam, x, xprime, tol:
+                  green.green_ode_oracle(green.GreenQuery(lam, x, xprime))),
+    "eigenfunction": (("n", "x"), lambda n, x, tol: green.eigenfunction(n, x)),
+    "hyperbolic_lhs_13a": (("alpha", "phi"), lambda alpha, phi, tol: hyperbolic.erfc_identity_13a(
+        hyperbolic.HyperbolicQuery(alpha=alpha, phi=phi), tol)),
+    "hyperbolic_lhs_13b": (("alpha", "phi"), lambda alpha, phi, tol: hyperbolic.erfc_identity_13b(
+        hyperbolic.HyperbolicQuery(alpha=alpha, phi=phi), tol)),
+    "hyperbolic_lhs_14": (("a", "phi"), lambda a, phi, tol: hyperbolic.k_identity_14(
+        hyperbolic.HyperbolicQuery(a=a, phi=phi), tol)),
+}
 
 # The Hermite-series routes pass tol/2 to hermsum, whose tail bounds are
 # checked against mpmath down to 1e-10 (tests/test_hermsum.py)
 _SERIES_TOL_FLOOR = 1e-9
+_SERIES_TARGETS = ("series_for_I", "sum_rule_lhs", "green_spectral")
 
 
-def _series_meta(r, tol, used):
-    """Series metadata; ``tol_effective`` reports a clamped tolerance."""
-    meta = {"terms_used": r.terms_used, "tail_bound": r.tail_bound}
-    if used != tol:
-        meta["tol_effective"] = used
-    return meta
-
-
-def _eval_series_for_I(params, tol):
-    nu, X, Y = _q(params, "nu", "X", "Y")
-    used = max(tol, _SERIES_TOL_FLOOR)
-    r = mehler.series_for_I(nu, X, Y, used)
-    return r.value, _series_meta(r, tol, used)
-
-
-def _eval_sum_rule_lhs(params, tol):
-    nu, x, y = _q(params, "nu", "x", "y")
-    used = max(tol, _SERIES_TOL_FLOOR)
-    r = mehler.sum_rule_lhs(mehler.SumRuleQuery(nu, x, y), used)
-    return r.value, _series_meta(r, tol, used)
-
-
-def _eval_green_spectral(params, tol):
-    lam, x, xprime = _q(params, "lam", "x", "xprime")
-    used = max(tol, _SERIES_TOL_FLOOR)
-    r = green.green_spectral(green.GreenQuery(lam, x, xprime), used)
-    return r.value, _series_meta(r, tol, used)
-
-
-def _eval_green_closed(params, tol):
-    lam, x, xprime = _q(params, "lam", "x", "xprime")
-    return green.green_closed(green.GreenQuery(lam, x, xprime)), {}
-
-
-def _eval_green_ode(params, tol):
-    lam, x, xprime = _q(params, "lam", "x", "xprime")
-    return green.green_ode_oracle(green.GreenQuery(lam, x, xprime)), {}
-
-
-def _eval_hyperbolic_lhs(which):
-    def run(params, tol):
-        if which == "14":
-            a, phi = _q(params, "a", "phi")
-            rec = hyperbolic.k_identity_14(hyperbolic.HyperbolicQuery(a=a, phi=phi), tol)
-        else:
-            alpha, phi = _q(params, "alpha", "phi")
-            q = hyperbolic.HyperbolicQuery(alpha=alpha, phi=phi)
-            rec = (hyperbolic.erfc_identity_13a if which == "13a"
-                   else hyperbolic.erfc_identity_13b)(q, tol)
-        return rec.lhs, {"evaluations": rec.evaluations}
-    return run
-
-
-def _eval_scalar(fn, *names):
-    def run(params, tol):
-        return fn(*_q(params, *names)), {}
-    return run
-
-
-EVAL_TARGETS = {
-    "pcf_d": _eval_pcf_d,
-    "gamma": _eval_scalar(specfun.gamma, "nu"),
-    "erfc": _eval_scalar(specfun.erfc, "x"),
-    "bessel_k_quarter": _eval_scalar(specfun.bessel_k_quarter, "z"),
-    "hermite": _eval_scalar(specfun.hermite, "n", "x"),
-    "product_integral": _eval_product_integral,
-    "product_reference": _eval_product_reference,
-    "laplace_I": _eval_laplace_I,
-    "mehler_kernel": _eval_mehler_kernel,
-    "mehler_kernel_series": _eval_mehler_kernel_series,
-    "series_for_I": _eval_series_for_I,
-    "sum_rule_lhs": _eval_sum_rule_lhs,
-    "green_spectral": _eval_green_spectral,
-    "green_closed": _eval_green_closed,
-    "green_ode": _eval_green_ode,
-    "eigenfunction": _eval_scalar(green.eigenfunction, "n", "x"),
-    "hyperbolic_lhs_13a": _eval_hyperbolic_lhs("13a"),
-    "hyperbolic_lhs_13b": _eval_hyperbolic_lhs("13b"),
-    "hyperbolic_lhs_14": _eval_hyperbolic_lhs("14"),
-}
+def _echo_result(result) -> None:
+    """Print a route's result: a number as is; a result dataclass as its
+    value, then each other field as a '# name = value' line in declaration
+    order; a verification record as its lhs and its evaluations."""
+    if not is_dataclass(result):
+        click.echo(repr(result))
+        return
+    names = (("lhs", "evaluations") if isinstance(result, VerificationRecord)
+             else [f.name for f in fields(result)])
+    click.echo(repr(getattr(result, names[0])))
+    for name in names[1:]:
+        click.echo(f"# {name} = {getattr(result, name)!r}")
 
 
 def _parse_named_floats(raw: tuple[str, ...]) -> dict[str, str]:
@@ -428,17 +359,22 @@ def eval_cmd(target, tol, params):
         point = {k: float(v) for k, v in raw.items()}
     except ValueError as exc:
         raise click.UsageError(f"invalid parameter value: {exc}")
+    names, route = EVAL_TARGETS[target]
+    missing = [n for n in names if n not in point]
+    if missing:
+        raise click.UsageError(f"missing parameter(s): {', '.join('--' + m for m in missing)}")
+    used = max(tol, _SERIES_TOL_FLOOR) if target in _SERIES_TARGETS else tol
     try:
-        value, meta = EVAL_TARGETS[target](point, tol)
+        result = route(*(point[n] for n in names), used)
     except DomainError as exc:
         click.echo(f"domain error: {exc}", err=True)
         sys.exit(_EXIT_DOMAIN)
     except ConvergenceError as exc:
         click.echo(f"convergence error: {exc}", err=True)
         sys.exit(_EXIT_CONVERGENCE)
-    click.echo(repr(value))
-    for key, val in meta.items():
-        click.echo(f"# {key} = {val!r}")
+    _echo_result(result)
+    if used != tol:
+        click.echo(f"# tol_effective = {used!r}")
 
 
 @main.command("verify", context_settings={"ignore_unknown_options": True})

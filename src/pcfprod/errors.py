@@ -9,15 +9,11 @@ class ConvergenceError(RuntimeError):
     """An iterative evaluation failed to reach the requested tolerance.
 
     The best partial result, when one exists, is attached as ``partial``
-    (a QuadratureResult or SeriesResult).
+    (a QuadratureResult or SeriesResult).  The partial and the numbers in
+    the message are in the units of the quantity the caller asked for:
+    the engine that raises applies the caller's prefactor to both.
     """
 
     def __init__(self, message, partial=None):
         super().__init__(message)
         self.partial = partial
-
-    def scaled(self, factor):
-        """The error for ``factor`` (> 0) times the quantity: the partial
-        result scaled alike, the message kept."""
-        partial = None if self.partial is None else self.partial.scaled(factor)
-        return ConvergenceError(str(self), partial)

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .quadrature import IntegrandSpec, QuadratureResult, integrate_semi_infinite
 from .specfun import gamma, pcf_d
 
@@ -156,7 +156,4 @@ def product_via_integral(
     decay = 0.5 * (q.x - q.y) ** 2
     spec = IntegrandSpec(endpoint_exponent=0.5 * q.nu - 1.0, decay_rate=decay)
     pref = math.exp(-0.5 * a) / (2.0 * gamma(q.nu))
-    try:
-        return integrate_semi_infinite(_laplace_integrand(q.nu, a, b, 1.0), spec, tol).scaled(pref)
-    except ConvergenceError as exc:  # the partial and the message give the product too
-        raise exc.scaled(pref) from None
+    return integrate_semi_infinite(_laplace_integrand(q.nu, a, b, 1.0), spec, tol, factor=pref)

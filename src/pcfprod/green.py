@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
-from .hermsum import SeriesResult, bilinear_series, scaled_hermite
+from .hermsum import SeriesResult, bilinear_hermite_sum, scaled_hermite
 from .specfun import gamma, pcf_d
 
 __all__ = [
@@ -150,7 +150,7 @@ def green_spectral(q: GreenQuery, tol: float = 5e-7) -> SeriesResult:
     # 2n+1-lambda = 2(n + s) with s = (1-lambda)/2
     s = 0.5 * (1.0 - q.lam)
     pref = math.exp(-0.5 * (q.x * q.x + q.xprime * q.xprime)) / (2.0 * math.sqrt(math.pi))
-    return bilinear_series(pref, q.x, q.xprime, s, 0.5 * tol)
+    return bilinear_hermite_sum(q.x, q.xprime, s, 0.5 * tol, factor=pref)
 
 
 def green_closed(q: GreenQuery) -> float:

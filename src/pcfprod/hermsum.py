@@ -37,6 +37,9 @@ series-vs-quadrature check) still tests two independent routes, with
 no ``pcf_d`` or quadrature inside.  At X = Y the error integral falls
 only like sqrt(1-u): no u within the cap of 2^19 products reaches a
 useful tol, and the sum raises :class:`ConvergenceError` after one pass.
+Callers want a prefactor times B, given as ``factor``: it multiplies the
+value, ``tail_bound`` and an error's partial and numbers, never u, the
+term count or the stopping test.
 
 The recurrence is run blocked rather than term by term (the classical
 splitting of a linear recurrence, Kogge & Stone 1973).  The ``count``
@@ -61,7 +64,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 
 __all__ = ["SeriesResult", "scaled_hermite", "scaled_hermite_products",
-           "bilinear_hermite_sum", "bilinear_series"]
+           "bilinear_hermite_sum"]
 
 _MAX_PRODUCTS = 524_288  # 2^19
 # candidate weights 1 - u = 2^{-1-k/2}, each needing about sqrt(2) times the terms of the
@@ -84,10 +87,6 @@ class SeriesResult:
     value: float
     terms_used: int
     tail_bound: float
-
-    def scaled(self, factor: float) -> SeriesResult:
-        """The result for ``factor`` (> 0) times every term."""
-        return SeriesResult(factor * self.value, self.terms_used, factor * self.tail_bound)
 
 
 def scaled_hermite(n: int, x: float) -> float:
@@ -160,14 +159,16 @@ def _tails(X: float, Y: float, shift: float) -> np.ndarray:
     return np.cumsum((f @ _GL_W * width)[::-1])[::-1]
 
 
-def bilinear_hermite_sum(X: float, Y: float, shift: float, tol: float) -> SeriesResult:
-    """Evaluate sum_{n>=0} h_n(X)h_n(Y)/(n+shift) to relative ``tol``.
+def bilinear_hermite_sum(X: float, Y: float, shift: float, tol: float,
+                         factor: float = 1.0) -> SeriesResult:
+    """``factor`` (> 0) times sum_{n>=0} h_n(X)h_n(Y)/(n+shift), to relative ``tol``.
 
     ``shift`` must not be zero or a negative integer (series poles).
-    Returns the Abel-weighted sum B_u of ``terms_used`` products, with
-    ``tail_bound`` bounding its error.  When that bound exceeds
-    tol*|B_u|, raises :class:`ConvergenceError` with that partial result;
-    the message lists each candidate u with its closed-form tail.
+    Returns ``factor`` times the Abel-weighted sum B_u of ``terms_used``
+    products, with ``tail_bound`` bounding its error.  When the bound
+    exceeds tol*|B_u|, raises :class:`ConvergenceError` with that partial
+    result, its message in the same units, listing each candidate u with
+    its closed-form tail.
     """
     if shift == round(shift) and shift <= 0.0:
         raise DomainError(f"shift {shift} sits on a pole of the series")
@@ -201,19 +202,12 @@ def bilinear_hermite_sum(X: float, Y: float, shift: float, tol: float) -> Series
     rounding = math.sqrt(count) * _EPS * float(np.sum(np.abs(weighted)))
     bound = float(tails[k] + dropped + rounding)
     if bound <= tol * abs(value):
-        return SeriesResult(value, count, bound)
+        return SeriesResult(factor * value, count, factor * bound)
+    tails *= factor
     tried = ", ".join(f"1-u={_LADDER[j]:.4g} tail {tails[j]:.2e}" for j in range(k + 1))
     raise ConvergenceError(
         f"bilinear Hermite sum missed tol={tol} at {count} terms (X={X}, Y={Y}, shift={shift}): "
-        f"bound {bound:.3e} = tail {tails[k]:.3e} + dropped {dropped:.3e} "
-        f"+ rounding {rounding:.3e} > tol*|value| {tol * abs(value):.3e}; candidates: {tried}",
-        partial=SeriesResult(value, count, bound))
-
-
-def bilinear_series(factor: float, X: float, Y: float, shift: float, tol: float) -> SeriesResult:
-    """``factor`` (> 0) times :func:`bilinear_hermite_sum`; a
-    :class:`ConvergenceError`'s partial result is scaled alike."""
-    try:
-        return bilinear_hermite_sum(X, Y, shift, tol).scaled(factor)
-    except ConvergenceError as exc:
-        raise exc.scaled(factor) from None
+        f"bound {factor * bound:.3e} = tail {tails[k]:.3e} + dropped {factor * dropped:.3e} "
+        f"+ rounding {factor * rounding:.3e} > tol*|value| {tol * abs(factor * value):.3e}; "
+        f"candidates: {tried}",
+        partial=SeriesResult(factor * value, count, factor * bound))

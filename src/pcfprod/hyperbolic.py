@@ -5,7 +5,8 @@ Each identity is verified through two fully independent routes: the
 left side by direct theta-quadrature (never touching erfc, K_{1/4} or
 pcf_d), the right side from the erfc / K_{1/4} closed forms (never
 touching the theta-quadrature).  Each function returns the
-verification record, judged at the caller's ``tol``.
+verification record, judged at the caller's ``tol``.  A point where the
+right side's exponential overflows (13a, 13b) raises :class:`DomainError`.
 
 * 13a:  int_0^inf sech(th) e^{-alpha^2 sinh(th) sinh(th+phi)} dth
           = (pi/2) e^{alpha^2 cosh(phi)} erfc(alpha sinh(phi/2)) erfc(alpha cosh(phi/2))
@@ -75,20 +76,28 @@ def _damped_exp(expo: float) -> float:
     return math.exp(expo) if expo > -_EXP_CUTOFF else 0.0
 
 
+def _closed_form_exp(expo: float, q: HyperbolicQuery) -> float:
+    """e^expo in a closed-form right side; :class:`DomainError` if it overflows."""
+    try:
+        return math.exp(expo)
+    except OverflowError:
+        raise DomainError(f"closed form overflows at alpha={q.alpha}, phi={q.phi}") from None
+
+
 def erfc_identity_13a(q: HyperbolicQuery, tol: float = 1e-10) -> VerificationRecord:
     a2 = q.alpha * q.alpha
+    rhs = (
+        0.5 * math.pi
+        * _closed_form_exp(a2 * math.cosh(q.phi), q)
+        * erfc(q.alpha * math.sinh(0.5 * q.phi))
+        * erfc(q.alpha * math.cosh(0.5 * q.phi))
+    )
     cut = _theta_star_sinh(q.alpha, q.phi)
 
     def lhs_integrand(th: float) -> float:
         return _damped_exp(-a2 * math.sinh(th) * math.sinh(th + q.phi)) / math.cosh(th)
 
     lhs = integrate_finite(lhs_integrand, 0.0, cut, min(tol, 1e-10))
-    rhs = (
-        0.5 * math.pi
-        * math.exp(a2 * math.cosh(q.phi))
-        * erfc(q.alpha * math.sinh(0.5 * q.phi))
-        * erfc(q.alpha * math.cosh(0.5 * q.phi))
-    )
     return make_record(
         "EQ13A",
         {"alpha": q.alpha, "phi": q.phi},
@@ -101,20 +110,20 @@ def erfc_identity_13a(q: HyperbolicQuery, tol: float = 1e-10) -> VerificationRec
 
 def erfc_identity_13b(q: HyperbolicQuery, tol: float = 1e-10) -> VerificationRecord:
     a2 = q.alpha * q.alpha
+    ch, sh = math.cosh(0.5 * q.phi), math.sinh(0.5 * q.phi)
+    rhs = (
+        math.sqrt(math.pi) / (2.0 * q.alpha)
+        * (
+            _closed_form_exp(a2 * ch * ch, q) * ch * erfc(q.alpha * ch)
+            - _closed_form_exp(a2 * sh * sh, q) * sh * erfc(q.alpha * sh)
+        )
+    )
     cut = _theta_star_sinh(q.alpha, q.phi)
 
     def lhs_integrand(th: float) -> float:
         return math.sinh(th) * _damped_exp(-a2 * math.sinh(th) * math.sinh(th + q.phi))
 
     lhs = integrate_finite(lhs_integrand, 0.0, cut, min(tol, 1e-10))
-    ch, sh = math.cosh(0.5 * q.phi), math.sinh(0.5 * q.phi)
-    rhs = (
-        math.sqrt(math.pi) / (2.0 * q.alpha)
-        * (
-            math.exp(a2 * ch * ch) * ch * erfc(q.alpha * ch)
-            - math.exp(a2 * sh * sh) * sh * erfc(q.alpha * sh)
-        )
-    )
     return make_record(
         "EQ13B",
         {"alpha": q.alpha, "phi": q.phi},

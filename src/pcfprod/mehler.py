@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .hermsum import (_LOG_CRAMER_SQ, _MAX_PRODUCTS, SeriesResult, bilinear_series,
+from .hermsum import (_LOG_CRAMER_SQ, _MAX_PRODUCTS, SeriesResult, bilinear_hermite_sum,
                       scaled_hermite_products)
 
 __all__ = [
@@ -40,13 +40,15 @@ _SERIES_U_LIMIT = 0.95
 
 @dataclass(frozen=True)
 class MehlerPoint:
-    """Arguments (X, Y, u) of the Mehler kernel; requires |u| < 1."""
+    """Arguments (X, Y, u) of the Mehler kernel; requires finite X, Y and |u| < 1."""
 
     X: float
     Y: float
     u: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.X) and math.isfinite(self.Y)):
+            raise DomainError(f"Mehler kernel requires finite X, Y, got X={self.X}, Y={self.Y}")
         if not abs(self.u) < 1.0:
             raise DomainError(f"Mehler kernel requires |u| < 1, got u={self.u}")
 
@@ -99,7 +101,7 @@ def mehler_kernel_series(p: MehlerPoint, tol: float = 1e-12) -> SeriesResult:
     log_amp = 0.5 * (p.X * p.X + p.Y * p.Y) + _LOG_CRAMER_SQ + math.log(root / (1.0 - abs(p.u)))
     log_u = math.log(abs(p.u)) if p.u else -math.inf
     need = (log_amp - math.log(tol)) / -log_u
-    # min(cap, nan) is the cap: non-finite or huge X, Y take the capped pass and raise
+    # min(cap, nan) is the cap: a huge X or Y takes the capped pass and raises
     count = math.ceil(max(1.0, min(_MAX_PRODUCTS, need)))
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum raises below
         total = root * float(scaled_hermite_products(p.X, p.Y, count) @ p.u ** np.arange(count))
@@ -122,7 +124,7 @@ def series_for_I(nu: float, X: float, Y: float, tol: float = 1e-8) -> SeriesResu
     """
     if not nu > 0.0:
         raise DomainError(f"series_for_I requires nu > 0, got {nu}")
-    return bilinear_series(2.0, X, Y, 2.0 * nu, 0.5 * tol)
+    return bilinear_hermite_sum(X, Y, 2.0 * nu, 0.5 * tol, factor=2.0)
 
 
 def sum_rule_lhs(q: SumRuleQuery, tol: float = 5e-7) -> SeriesResult:
@@ -133,7 +135,7 @@ def sum_rule_lhs(q: SumRuleQuery, tol: float = 5e-7) -> SeriesResult:
     """
     pref = math.exp(-0.25 * (q.x * q.x + q.y * q.y))
     rt2 = math.sqrt(2.0)
-    return bilinear_series(pref, q.x / rt2, q.y / rt2, q.nu, 0.5 * tol)
+    return bilinear_hermite_sum(q.x / rt2, q.y / rt2, q.nu, 0.5 * tol, factor=pref)
 
 
 def sum_rule_term_decay_exponent(

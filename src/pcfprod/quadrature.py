@@ -35,8 +35,9 @@ The step is halved until two successive levels agree to ``tol``
 relative.  The error estimate reported is the difference between the
 last two levels; the returned value comes from the finer level, whose
 true error is in practice far smaller than the estimate.  A
-:class:`RefinementError` (a :class:`ConvergenceError`) lists the change
-at every level.
+:class:`ConvergenceError` lists the change at every level.  A caller's
+prefactor, ``factor``, multiplies the result and every number of the
+error, never the stopping test.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ __all__ = [
     "IntegrandSpec",
     "integrate_semi_infinite",
     "integrate_finite",
-    "RefinementError",
 ]
 
 _TINY = 1e-300
@@ -79,11 +79,6 @@ class QuadratureResult:
     value: float
     error_estimate: float
     evaluations: int
-
-    def scaled(self, factor: float) -> QuadratureResult:
-        """The result for ``factor`` (> 0) times the integrand."""
-        return QuadratureResult(factor * self.value, factor * self.error_estimate,
-                                self.evaluations)
 
 
 @dataclass(frozen=True)
@@ -201,32 +196,6 @@ _EXP_SINH_LEFT = _NodeTable(0.5, _exp_sinh_row(-1.0))
 _TANH_SINH = _NodeTable(1.0, _tanh_sinh_row)
 
 
-class RefinementError(ConvergenceError):
-    """The :class:`ConvergenceError` of a refinement that missed ``tol``.
-
-    Its message quotes the partial result and lists ``changes``, the
-    (h, change) pair of every level after the first.
-    """
-
-    def __init__(self, what: str, tol: float, changes: list[tuple[float, float]],
-                 partial: QuadratureResult):
-        self.what, self.tol, self.changes = what, tol, changes
-        levels = ", ".join(f"h={h!r} {d:.3e}" for h, d in changes) or "none"
-        super().__init__(
-            f"{what} did not reach tol={tol} (best estimate {partial.value!r}, last "
-            f"refinement change {partial.error_estimate:.3e}); changes between "
-            f"successive levels: {levels}",
-            partial=partial,
-        )
-
-    def scaled(self, factor: float) -> RefinementError:
-        """The error for ``factor`` (> 0) times the integrand: the
-        partial result, the message and every level's change scaled."""
-        return RefinementError(f"{factor!r} times {self.what}", self.tol,
-                               [(h, factor * d) for h, d in self.changes],
-                               self.partial.scaled(factor))
-
-
 def _refine(
     center: float,
     walks: tuple[tuple[_NodeTable, Callable[[float, float], float | None]], ...],
@@ -235,6 +204,7 @@ def _refine(
     max_level: int,
     calls: Callable[[], int],
     what: str,
+    factor: float,
 ) -> QuadratureResult:
     """Nested trapezoid refinement of a double-exponential sum.
 
@@ -244,12 +214,13 @@ def _refine(
     represented, which ends the walk.  The integral at step h is
     scale * h * (sum of all terms), with h halved from the tables' step.
     ``calls`` counts the integrand evaluations so far; ``what`` names the
-    integral in the error.
+    integral in the error, whose numbers, like the result, are ``factor``
+    times the integral's.
     """
     h = walks[0][0].step
     cut, neg_cut, floor = _TERM_CUTOFF, -_TERM_CUTOFF, _DEAD_FLOOR
     total = 0.0
-    prev = None
+    prev = math.nan
     diff = math.inf
     changes = []
     for level in range(max_level):
@@ -275,14 +246,18 @@ def _refine(
                     dead = 0
         total += new
         value = total * h * scale
-        if prev is not None:
+        if level:
             diff = abs(value - prev)
             if diff <= tol * max(abs(value), _TINY):
-                return QuadratureResult(value, diff, calls())
+                return QuadratureResult(factor * value, factor * diff, calls())
             changes.append((h, diff))
         prev = value
         h *= 0.5
-    raise RefinementError(what, tol, changes, QuadratureResult(prev, diff, calls()))
+    levels = ", ".join(f"h={h!r} {factor * d:.3e}" for h, d in changes) or "none"
+    raise ConvergenceError(
+        f"{what} did not reach tol={tol} (best estimate {factor * prev!r}, last refinement "
+        f"change {factor * diff:.3e}); changes between successive levels: {levels}",
+        partial=QuadratureResult(factor * prev, factor * diff, calls()))
 
 
 def integrate_semi_infinite(
@@ -290,14 +265,16 @@ def integrate_semi_infinite(
     spec: IntegrandSpec,
     tol: float = 1e-10,
     max_level: int = 13,
+    factor: float = 1.0,
 ) -> QuadratureResult:
-    """Integrate ``f`` over (0, inf).
+    """``factor`` (> 0) times the integral of ``f`` over (0, inf).
 
     The substitution t = c*exp(s - exp(-s)) with c ~ 1/decay_rate turns
     both the origin singularity and the exponential tail into
     double-exponentially decaying contributions of the trapezoid sum in
     s.  The step is halved until two successive levels agree to ``tol``
-    relative.
+    relative; the result, or an error's partial and numbers, are then
+    multiplied by ``factor``.
     """
     _check_tol(tol)
     scale = 1.0 / min(max(spec.decay_rate, 1e-4), 1e4)
@@ -316,7 +293,7 @@ def integrate_semi_infinite(
 
     _, u0, g0 = _exp_sinh_row(1.0)(0.0)
     return _refine(walk(u0, g0), ((_EXP_SINH_RIGHT, walk), (_EXP_SINH_LEFT, walk)),
-                   1.0, tol, max_level, lambda: calls, "semi-infinite quadrature")
+                   1.0, tol, max_level, lambda: calls, "semi-infinite quadrature", factor)
 
 
 def integrate_finite(
@@ -370,4 +347,4 @@ def integrate_finite(
 
     # k = 0 node, sech^2(0) = 1
     return _refine(eval_at(mid) * _PIOV2, ((_TANH_SINH, walk),), half, tol, max_level,
-                   lambda: calls, f"tanh-sinh quadrature on [{lo}, {hi}]")
+                   lambda: calls, f"tanh-sinh quadrature on [{lo}, {hi}]", 1.0)

@@ -92,8 +92,8 @@ def _pcf_d_negative_order(nu: float, z: float, tol: float) -> float:
         return t ** (nu - 1.0) * math.exp(expo)
 
     spec = IntegrandSpec(endpoint_exponent=nu - 1.0, decay_rate=1.0 + max(z, 0.0))
-    integral = integrate_semi_infinite(integrand, spec, tol).value
-    return math.exp(-0.25 * z * z) / math.gamma(nu) * integral
+    factor = math.exp(-0.25 * z * z) / math.gamma(nu)
+    return integrate_semi_infinite(integrand, spec, tol, factor=factor).value
 
 
 def pcf_d(nu_order: float, z: float, tol: float = 1e-12) -> float:

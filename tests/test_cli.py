@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import pcfprod
-from pcfprod import ConvergenceError, SumRuleQuery, sum_rule_lhs
+from pcfprod import ConvergenceError, SeriesResult, SumRuleQuery, sum_rule_lhs
 from pcfprod.cli import main
 
 
@@ -89,6 +89,17 @@ class TestEval:
                 assert r.exit_code == 0
                 assert "tol_effective" not in r.output
 
+    def test_route_is_looked_up_at_call_time(self, runner, monkeypatch):
+        # a patched module attribute, as the benchmark's tracer installs,
+        # sees the call; the result prints its value, then its other fields
+        monkeypatch.setattr("pcfprod.mehler.sum_rule_lhs",
+                            lambda q, tol: SeriesResult(q.nu, 3, tol))
+        r = runner.invoke(main, ["eval", "sum_rule_lhs", "--nu", "1.5", "--x", "2", "--y", "1",
+                                 "--tol", "1e-12"])
+        assert r.exit_code == 0
+        assert r.output.splitlines() == ["1.5", "# terms_used = 3", "# tail_bound = 1e-09",
+                                         "# tol_effective = 1e-09"]
+
     def test_unknown_target(self, runner):
         r = runner.invoke(main, ["eval", "nope", "--x", "1"])
         assert r.exit_code != 0
@@ -144,6 +155,8 @@ class TestVerify:
         "EQ10 --nu 1 --x 1 --y 2",
         "EQ11 --nu 1 --a 1 --b 2",
         "EQ12 --nu 1 --a 1.5 --b -0.5",
+        "EQ13A --alpha 10 --phi 3",
+        "EQ13B --alpha 15 --phi 3",
         "EQ14 --a 1 --phi 0.01",
         "EQ15 --nu 1 --x 1 --y 2",
         "EQ8_EQ9 --lam 0.5 --x 0 --xprime 0",

@@ -23,7 +23,6 @@ from pcfprod import (
     product_via_integral,
     xy_from_params,
 )
-from pcfprod.quadrature import RefinementError
 
 # frozen with an independent 30-digit oracle before the library was built
 PROD_1_2_1 = 0.4197646649478962796
@@ -138,33 +137,37 @@ class TestProductViaIntegral:
             product_via_integral(ProductQuery(1.0, 2.0, -2.0), 1e-6, allow_equal_args=True)
 
     def test_convergence_error_partial_is_scaled(self, monkeypatch):
-        # the partial result is the product, value and error estimate
-        # times the same prefactor e^{-a/2}/(2 Gamma(nu)) as a converged value
-        def stalls(f, spec, tol):
-            raise ConvergenceError("stalled", partial=QuadratureResult(2.0, 0.5, 7))
+        # the real engine, stopped after two levels, gets the prefactor
+        # e^{-a/2}/(2 Gamma(nu)) as its factor: the partial result and the
+        # message are the product's, as a converged value would be
+        engine = glasser.integrate_semi_infinite
+        seen = []
 
-        monkeypatch.setattr(glasser, "integrate_semi_infinite", stalls)
+        def two_levels(f, spec, tol, factor=1.0):
+            with pytest.raises(ConvergenceError) as bare:
+                engine(f, spec, tol, max_level=2)
+            seen.append((factor, bare.value))
+            return engine(f, spec, tol, max_level=2, factor=factor)
+
+        monkeypatch.setattr(glasser, "integrate_semi_infinite", two_levels)
         with pytest.raises(ConvergenceError) as info:
             product_via_integral(ProductQuery(1.5, 2.0, 2.0), 1e-10, allow_equal_args=True)
-        pref = math.exp(-2.0) / (2.0 * gamma(1.5))
-        assert info.value.partial == QuadratureResult(2.0 * pref, 0.5 * pref, 7)
-
-        # a refinement error's message quotes the same product as its partial
-        # result, and lists every level's change scaled alike
-        def refinement_stalls(f, spec, tol):
-            raise RefinementError("semi-infinite quadrature", tol, [(0.25, 1.5), (0.125, 0.5)],
-                                  QuadratureResult(2.0, 0.5, 7))
-
-        monkeypatch.setattr(glasser, "integrate_semi_infinite", refinement_stalls)
-        with pytest.raises(ConvergenceError) as info:
-            product_via_integral(ProductQuery(1.5, 2.0, 2.0), 1e-10, allow_equal_args=True)
-        msg, partial = str(info.value), info.value.partial
-        assert partial == QuadratureResult(2.0 * pref, 0.5 * pref, 7)
+        ((factor, bare),) = seen
+        assert factor == math.exp(-2.0) / (2.0 * gamma(1.5))
+        msg, partial, unscaled = str(info.value), info.value.partial, bare.partial
+        assert partial == QuadratureResult(factor * unscaled.value,
+                                           factor * unscaled.error_estimate, unscaled.evaluations)
         assert float(re.search(r"best estimate (\S+?),", msg).group(1)) == partial.value
-        levels = re.findall(r"h=(\S+) (\S+?)(?:,|$)", msg.split("levels: ")[1])
-        assert [float(h) for h, _ in levels] == [0.25, 0.125]
-        assert [float(d) for _, d in levels] == pytest.approx([1.5 * pref, 0.5 * pref], rel=1e-3)
-        assert float(levels[-1][1]) == pytest.approx(partial.error_estimate, rel=1e-3)
+
+        def level_changes(text):
+            return [(float(h), float(d))
+                    for h, d in re.findall(r"h=(\S+) (\S+?)(?:,|$)", text.split("levels: ")[1])]
+
+        levels, bare_levels = level_changes(msg), level_changes(str(bare))
+        assert [h for h, _ in levels] == [h for h, _ in bare_levels] and levels
+        assert [d for _, d in levels] == pytest.approx([factor * d for _, d in bare_levels],
+                                                       rel=1e-3)
+        assert levels[-1][1] == pytest.approx(partial.error_estimate, rel=1e-3)
 
 
 class TestLaplaceForms:

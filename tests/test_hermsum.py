@@ -8,7 +8,7 @@ import pytest
 
 from pcfprod import hermsum
 from pcfprod.errors import ConvergenceError
-from pcfprod.hermsum import bilinear_hermite_sum, scaled_hermite_products
+from pcfprod.hermsum import SeriesResult, bilinear_hermite_sum, scaled_hermite_products
 
 POINTS = [(1.3, 0.4), (5.0, -4.9), (0.01, 3.0)]
 ORACLE_N = [3, 57, 700, 5000, 65537, 300001, 524287]
@@ -103,6 +103,21 @@ def test_converged_sum_computes_only_the_terms_it_uses(monkeypatch):
     counts = count_products(monkeypatch)
     r = bilinear_hermite_sum(1.0, 0.2, 2.0, 1e-9)
     assert counts == [r.terms_used]
+
+
+@pytest.mark.parametrize("X,Y", [(1.0, 0.2), (1.0, 1.0)])
+def test_factor_scales_the_result_only(X, Y):
+    # value and bound, of a result or of an error's partial, are the
+    # factor times the bare sum's, bit for bit; the weight, the term count
+    # and the stopping test do not depend on it (X = Y raises)
+    def run(**factor):
+        try:
+            return bilinear_hermite_sum(X, Y, 0.5, 1e-9, **factor)
+        except ConvergenceError as exc:
+            return exc.partial
+
+    bare, scaled = run(), run(factor=0.37)
+    assert scaled == SeriesResult(0.37 * bare.value, bare.terms_used, 0.37 * bare.tail_bound)
 
 
 def test_convergence_error_lists_every_candidate_weight(monkeypatch):

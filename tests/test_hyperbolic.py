@@ -115,3 +115,11 @@ class TestQueryValidation:
     def test_positivity(self, kwargs):
         with pytest.raises(DomainError):
             HyperbolicQuery(**kwargs)
+
+    @pytest.mark.parametrize("fn,alpha", [(erfc_identity_13a, 10.0), (erfc_identity_13a, 30.0),
+                                          (erfc_identity_13b, 15.0)])
+    def test_closed_form_overflow_is_out_of_domain(self, fn, alpha):
+        # e^{alpha^2 cosh(phi)} (13a) and e^{alpha^2 cosh^2(phi/2)} (13b) leave
+        # double range at phi = 3
+        with pytest.raises(DomainError, match="closed form overflows"):
+            fn(HyperbolicQuery(alpha=alpha, phi=3.0))

@@ -108,12 +108,19 @@ class TestKernelSeries:
         with pytest.raises((DomainError, ConvergenceError)):
             mehler_kernel_series(p)
 
-    @pytest.mark.parametrize("X", [300.0, 1e200, math.nan])
+    @pytest.mark.parametrize("X", [300.0, 1e200])
     def test_count_beyond_cap_raises_with_partial(self, X):
-        # 1e200 and nan make the count itself inf or nan
+        # 1e200 makes the count itself inf
         with pytest.raises(ConvergenceError) as info:
             mehler_kernel_series(MehlerPoint(X, 300.0, 0.95))
         assert info.value.partial.terms_used == 2 ** 19
+
+    @pytest.mark.parametrize("X,Y", [(math.nan, 300.0), (0.0, math.nan), (math.inf, 0.0),
+                                     (0.0, -math.inf)])
+    def test_non_finite_point_rejected(self, X, Y):
+        # rejected at the point, before any capped pass of 2^19 products
+        with pytest.raises(DomainError):
+            MehlerPoint(X, Y, 0.95)
 
     def test_nonpositive_tol_rejected(self):
         with pytest.raises(DomainError):
@@ -191,6 +198,15 @@ class TestSumRule:
     def test_term_decay_exponent(self, nu, x, y):
         p = sum_rule_term_decay_exponent(SumRuleQuery(nu, x, y))
         assert 1.3 <= p <= 1.7
+
+    def test_convergence_error_quotes_its_partial(self):
+        # x - y = 0.01 misses tol within 2^19 terms; the message's numbers
+        # are the sum rule's, e^{-(x^2+y^2)/4} times the bare Hermite sum's
+        with pytest.raises(ConvergenceError) as info:
+            sum_rule_lhs(SumRuleQuery(1.0, 2.0, 1.99), 1e-9)
+        partial = info.value.partial
+        assert f"bound {partial.tail_bound:.3e} = tail " in str(info.value)
+        assert f"tol*|value| {5e-10 * abs(partial.value):.3e};" in str(info.value)
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -19,7 +19,6 @@ from pcfprod import (
     pcf_d,
     quadrature,
 )
-from pcfprod.quadrature import RefinementError
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -375,7 +374,7 @@ class TestPinnedPanel:
         if outcome == "ok":
             r = self._run(case, tol)
         else:
-            with pytest.raises(RefinementError) as exc:
+            with pytest.raises(ConvergenceError) as exc:
                 self._run(case, tol)
             r = exc.value.partial
             # the message quotes the partial result it carries
