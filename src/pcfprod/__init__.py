@@ -14,7 +14,15 @@ from .glasser import (
 )
 from .green import GreenQuery, eigenfunction, green_closed, green_ode_oracle, green_spectral
 from .hermsum import SeriesResult
-from .hyperbolic import HyperbolicQuery, erfc_identity_13a, erfc_identity_13b, k_identity_14
+from .hyperbolic import (
+    HyperbolicQuery,
+    erfc_identity_13a,
+    erfc_identity_13b,
+    k_identity_14,
+    lhs_13a,
+    lhs_13b,
+    lhs_14,
+)
 from .mehler import (
     MehlerPoint,
     SumRuleQuery,
@@ -23,8 +31,8 @@ from .mehler import (
     series_for_I,
     sum_rule_lhs,
 )
-from .quadrature import IntegrandSpec, QuadratureResult, integrate_finite, integrate_semi_infinite
+from .quadrature import QuadratureResult, integrate_finite, integrate_semi_infinite
 from .report import VerificationRecord
-from .specfun import bessel_k_quarter, erfc, gamma, hermite, pcf_d
+from .specfun import bessel_k_quarter, gamma, hermite, pcf_d
 
 __version__ = "0.1.0"

@@ -16,11 +16,13 @@ identity's validity domain is emitted as a skipped record whose note is
 the library's ``DomainError`` message; a route that raises
 ``ConvergenceError`` gives a failed record with the error message as
 its note and, for a Hermite-series route, the partial sum as its lhs.
-EQ10, EQ11 and EQ12 run their quadrature at a tenth of the
-tolerance, clamped to the engines' range [1e-14, 1e-2]; a record whose
-quadrature tolerance was clamped says so in its note.  CSV output
-writes the notes of skipped, failed and noted records to stderr;
-``eval`` reports a tolerance it clamped as ``# tol_effective``.
+EQ10, EQ11 and EQ12 run their quadrature at a tenth of the tolerance,
+EQ13A, EQ13B and EQ14 at min(tol, 1e-10), clamped to the engines'
+range [1e-14, 1e-2]; a record whose quadrature tolerance was clamped
+says so in its note.  CSV output writes the notes of skipped, failed
+and noted records to stderr; JSON output writes a number that is nan
+or infinite, such as the sides of a skipped record, as null.  ``eval``
+reports a tolerance it clamped as ``# tol_effective``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import fields, is_dataclass
 
 import click
 
-from . import glasser, green, hyperbolic, mehler, specfun
+from . import glasser, green, hyperbolic, mehler, quadrature, specfun
 from .errors import ConvergenceError, DomainError
 from .report import VerificationRecord, error_record, make_record
 
@@ -51,7 +53,7 @@ _EXIT_CONVERGENCE = 3
 EVAL_TARGETS = {
     "pcf_d": (("nu", "z"), lambda nu, z, tol: specfun.pcf_d(nu, z, tol)),
     "gamma": (("nu",), lambda nu, tol: specfun.gamma(nu)),
-    "erfc": (("x",), lambda x, tol: specfun.erfc(x)),
+    "erfc": (("x",), lambda x, tol: math.erfc(x)),
     "bessel_k_quarter": (("z",), lambda z, tol: specfun.bessel_k_quarter(z)),
     "hermite": (("n", "x"), lambda n, x, tol: specfun.hermite(n, x)),
     "product_integral": (("nu", "x", "y"), lambda nu, x, y, tol:
@@ -74,12 +76,13 @@ EVAL_TARGETS = {
     "green_ode": (("lam", "x", "xprime"), lambda lam, x, xprime, tol:
                   green.green_ode_oracle(green.GreenQuery(lam, x, xprime))),
     "eigenfunction": (("n", "x"), lambda n, x, tol: green.eigenfunction(n, x)),
-    "hyperbolic_lhs_13a": (("alpha", "phi"), lambda alpha, phi, tol: hyperbolic.erfc_identity_13a(
-        hyperbolic.HyperbolicQuery(alpha=alpha, phi=phi), tol)),
-    "hyperbolic_lhs_13b": (("alpha", "phi"), lambda alpha, phi, tol: hyperbolic.erfc_identity_13b(
-        hyperbolic.HyperbolicQuery(alpha=alpha, phi=phi), tol)),
-    "hyperbolic_lhs_14": (("a", "phi"), lambda a, phi, tol: hyperbolic.k_identity_14(
-        hyperbolic.HyperbolicQuery(a=a, phi=phi), tol)),
+    # the left sides run at min(tol, 1e-10), as in their identities
+    "hyperbolic_lhs_13a": (("alpha", "phi"), lambda alpha, phi, tol: hyperbolic.lhs_13a(
+        hyperbolic.HyperbolicQuery(alpha=alpha, phi=phi), min(tol, 1e-10))),
+    "hyperbolic_lhs_13b": (("alpha", "phi"), lambda alpha, phi, tol: hyperbolic.lhs_13b(
+        hyperbolic.HyperbolicQuery(alpha=alpha, phi=phi), min(tol, 1e-10))),
+    "hyperbolic_lhs_14": (("a", "phi"), lambda a, phi, tol: hyperbolic.lhs_14(
+        hyperbolic.HyperbolicQuery(a=a, phi=phi), min(tol, 1e-10))),
 }
 
 # The Hermite-series routes pass tol/2 to hermsum, whose tail bounds are
@@ -91,12 +94,11 @@ _SERIES_TARGETS = ("series_for_I", "sum_rule_lhs", "green_spectral")
 def _echo_result(result) -> None:
     """Print a route's result: a number as is; a result dataclass as its
     value, then each other field as a '# name = value' line in declaration
-    order; a verification record as its lhs and its evaluations."""
+    order."""
     if not is_dataclass(result):
         click.echo(repr(result))
         return
-    names = (("lhs", "evaluations") if isinstance(result, VerificationRecord)
-             else [f.name for f in fields(result)])
+    names = [f.name for f in fields(result)]
     click.echo(repr(getattr(result, names[0])))
     for name in names[1:]:
         click.echo(f"# {name} = {getattr(result, name)!r}")
@@ -149,18 +151,6 @@ def _parse_gridspec(name: str, spec: str) -> list[float]:
     return [lo + step * i for i in range(count)]
 
 
-def _clamp_quad_tol(tol: float) -> float:
-    return min(max(tol, 1e-14), 1e-2)
-
-
-def _quad_tol(tol: float) -> tuple[float, str]:
-    """Quadrature tolerance for a record judged at ``tol``, with the note
-    reporting that it was clamped to the engines' range ("" if not)."""
-    wanted = tol * 0.1
-    used = _clamp_quad_tol(wanted)
-    return used, "" if used == wanted else f"quadrature tol clamped to {used!r}"
-
-
 # EQ3 stays short of the series' own |u| <= 0.95 limit, where the series
 # error creeps toward the tolerance
 _EQ3_U_LIMIT = 0.9
@@ -179,7 +169,7 @@ def _verify_eq3(p, tol):
 
 def _verify_eq10(p, tol):
     q = glasser.ProductQuery(p["nu"], p["x"], p["y"])
-    quad_tol, note = _quad_tol(tol)
+    quad_tol, note = quadrature.clamp_tol(tol * 0.1)
     lhs = glasser.product_via_integral(q, quad_tol)
     return make_record("EQ10", p, lhs.value, glasser.product_reference(q), tol, lhs.evaluations,
                        note=note)
@@ -189,7 +179,7 @@ def _verify_laplace(identity, sign):
     def run(p, tol):
         lp = glasser.LaplaceParams(p["nu"], p["a"], p["b"])
         q = glasser.xy_from_params(lp)  # validates the domain before any quadrature
-        quad_tol, note = _quad_tol(tol)
+        quad_tol, note = quadrature.clamp_tol(tol * 0.1)
         lhs = glasser.laplace_I(lp, sign, quad_tol)
         y_arg = -q.y if sign == 1 else q.y
         rhs = (2.0 * math.exp(0.5 * p["a"]) * specfun.gamma(p["nu"])
@@ -321,14 +311,19 @@ def _emit_notes(records: list[VerificationRecord], names) -> None:
             click.echo(f"# {r.identity_id} {point}: {'; '.join(notes)}", err=True)
 
 
+def _json_number(v: float) -> float | None:
+    """``v``, or None (JSON null) where it is nan or infinite: JSON has no such numbers."""
+    return v if math.isfinite(v) else None
+
+
 def _record_json(r: VerificationRecord) -> dict:
     return {
         "identity_id": r.identity_id,
-        "params": r.params,
-        "lhs": r.lhs,
-        "rhs": r.rhs,
-        "abs_err": r.abs_err,
-        "rel_err": r.rel_err,
+        "params": {name: _json_number(v) for name, v in r.params.items()},
+        "lhs": _json_number(r.lhs),
+        "rhs": _json_number(r.rhs),
+        "abs_err": _json_number(r.abs_err),
+        "rel_err": _json_number(r.rel_err),
         "status": r.status,
         "evaluations": r.evaluations,
         "note": r.note,
@@ -431,7 +426,7 @@ def verify_cmd(identity, tol, fmt, gridargs):
             "summary": {"pass": n_pass, "fail": n_fail, "skip": n_skip},
             "records": [_record_json(r) for r in all_records],
         }
-        click.echo(json.dumps(doc, indent=2))
+        click.echo(json.dumps(doc, indent=2, allow_nan=False))
     sys.exit(0 if n_fail == 0 else 1)
 
 
@@ -451,7 +446,7 @@ def explore_cmd(nu, x, tol):
     q = glasser.ProductQuery(nu, x, x)
     ref = glasser.product_reference(q)
     try:
-        got = glasser.product_via_integral(q, _clamp_quad_tol(tol), allow_equal_args=True)
+        got = glasser.product_via_integral(q, quadrature.clamp_tol(tol)[0], allow_equal_args=True)
     except ConvergenceError as exc:
         if exc.partial is None:
             click.echo(f"convergence error: {exc}", err=True)

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .quadrature import IntegrandSpec, QuadratureResult, integrate_semi_infinite
+from .quadrature import QuadratureResult, integrate_semi_infinite
 from .specfun import gamma, pcf_d
 
 __all__ = [
@@ -133,8 +133,7 @@ def laplace_I(p: LaplaceParams, sign: int, tol: float = 1e-10) -> QuadratureResu
     if sign == -1 and not p.a + p.b > 0.0:
         raise DomainError(f"sign=-1 requires a + b > 0, got a={p.a}, b={p.b}")
     decay = p.a - sign * p.b
-    spec = IntegrandSpec(endpoint_exponent=0.5 * p.nu - 1.0, decay_rate=decay)
-    return integrate_semi_infinite(_laplace_integrand(p.nu, p.a, p.b, float(sign)), spec, tol)
+    return integrate_semi_infinite(_laplace_integrand(p.nu, p.a, p.b, float(sign)), decay, tol)
 
 
 def product_via_integral(
@@ -154,6 +153,5 @@ def product_via_integral(
     a = 0.5 * (q.x * q.x + q.y * q.y)
     b = q.x * q.y
     decay = 0.5 * (q.x - q.y) ** 2
-    spec = IntegrandSpec(endpoint_exponent=0.5 * q.nu - 1.0, decay_rate=decay)
     pref = math.exp(-0.5 * a) / (2.0 * gamma(q.nu))
-    return integrate_semi_infinite(_laplace_integrand(q.nu, a, b, 1.0), spec, tol, factor=pref)
+    return integrate_semi_infinite(_laplace_integrand(q.nu, a, b, 1.0), decay, tol, factor=pref)

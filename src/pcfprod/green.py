@@ -16,6 +16,9 @@ Three independent evaluations of the Green function:
   in-module Taylor-series shooter :func:`solve_ivp` (plain Python
   floats; no ODE library is needed).
 
+All three take a :class:`GreenQuery`, which rejects a non-finite lambda,
+x or x' with :class:`DomainError`.
+
 Sign convention: applying L term-by-term to the spectral sum produces
 -delta(x - x'), not +delta.  The Wronskian construction therefore
 carries an explicit minus sign (G = -u(x<) v(x>)/W with
@@ -44,6 +47,7 @@ _SPECTRAL_POLE_GUARD = 1e-6
 _ORACLE_POLE_GUARD = 0.1
 _SHOOT_FROM = 8.0  # e^{-x^2/2} ~ 1e-14 there, below identity tolerances
 _ORACLE_RANGE = 6.0
+_ORACLE_RTOL = 1e-11  # local relative error allowed per step of solve_ivp
 
 # Taylor shooter: fixed order, step-size safety factor, and a cap on the
 # steps of one shoot (a whole oracle call, 16 units of t, takes 31-56)
@@ -117,11 +121,16 @@ def solve_ivp(lam: float, t0: float, t1: float, y: float, yp: float,
 
 @dataclass(frozen=True)
 class GreenQuery:
-    """Spectral parameter and the two space points (lambda, x, x')."""
+    """Spectral parameter and the two space points (lambda, x, x'), all finite."""
 
     lam: float
     x: float
     xprime: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.lam) and math.isfinite(self.x) and math.isfinite(self.xprime)):
+            raise DomainError(f"Green function needs finite lambda, x, x', got "
+                              f"lambda={self.lam}, x={self.x}, x'={self.xprime}")
 
 
 def _eigen_distance(lam: float) -> float:
@@ -170,7 +179,7 @@ def green_closed(q: GreenQuery) -> float:
     )
 
 
-def green_ode_oracle(q: GreenQuery, rtol: float = 1e-11) -> float:
+def green_ode_oracle(q: GreenQuery) -> float:
     """Wronskian construction from two shooting solutions.
 
     Integrates the left-decaying solution from -L and the right-decaying
@@ -178,8 +187,7 @@ def green_ode_oracle(q: GreenQuery, rtol: float = 1e-11) -> float:
     y'/y = +-sqrt(L^2 - lambda).  Any admixture of the wrong solution in
     the starting data decays by ~ e^{-2 int sqrt(x^2-lambda)} on the way
     in, which is < 1e-12 by |x| = 6; the construction is scale-invariant
-    so the arbitrary starting amplitude drops out.  ``rtol`` is the local
-    relative error allowed per step of :func:`solve_ivp`.
+    so the arbitrary starting amplitude drops out.
     """
     if max(abs(q.x), abs(q.xprime)) > _ORACLE_RANGE:
         raise DomainError(f"oracle supports |x|, |x'| <= {_ORACLE_RANGE}")
@@ -193,10 +201,10 @@ def green_ode_oracle(q: GreenQuery, rtol: float = 1e-11) -> float:
     xlo, xhi = min(q.x, q.xprime), max(q.x, q.xprime)
 
     slope = math.sqrt(L * L - lam)
-    u, up = solve_ivp(lam, -L, xlo, 1.0, slope, rtol)       # decays toward -inf
-    v_hi, vp_hi = solve_ivp(lam, L, xhi, 1.0, -slope, rtol)  # decays toward +inf
+    u, up = solve_ivp(lam, -L, xlo, 1.0, slope, _ORACLE_RTOL)       # decays toward -inf
+    v_hi, vp_hi = solve_ivp(lam, L, xhi, 1.0, -slope, _ORACLE_RTOL)  # decays toward +inf
     if xhi > xlo:
-        v, vp = solve_ivp(lam, xhi, xlo, v_hi, vp_hi, rtol)
+        v, vp = solve_ivp(lam, xhi, xlo, v_hi, vp_hi, _ORACLE_RTOL)
     else:
         v, vp = v_hi, vp_hi
     wronskian = u * vp - up * v

@@ -163,13 +163,17 @@ def bilinear_hermite_sum(X: float, Y: float, shift: float, tol: float,
                          factor: float = 1.0) -> SeriesResult:
     """``factor`` (> 0) times sum_{n>=0} h_n(X)h_n(Y)/(n+shift), to relative ``tol``.
 
-    ``shift`` must not be zero or a negative integer (series poles).
+    X, Y and ``shift`` must be finite and ``tol`` positive, and ``shift``
+    must not be zero or a negative integer (series poles).
     Returns ``factor`` times the Abel-weighted sum B_u of ``terms_used``
     products, with ``tail_bound`` bounding its error.  When the bound
     exceeds tol*|B_u|, raises :class:`ConvergenceError` with that partial
     result, its message in the same units, listing each candidate u with
     its closed-form tail.
     """
+    if not (math.isfinite(X) and math.isfinite(Y) and math.isfinite(shift) and tol > 0.0):
+        raise DomainError(f"bilinear Hermite sum needs finite X, Y and shift and tol > 0, "
+                          f"got X={X}, Y={Y}, shift={shift}, tol={tol}")
     if shift == round(shift) and shift <= 0.0:
         raise DomainError(f"shift {shift} sits on a pole of the series")
 

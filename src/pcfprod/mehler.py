@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 _SERIES_U_LIMIT = 0.95
+_DECAY_FIT = (100, 20000, 20)  # n_lo, n_hi and the log-spaced bins between them
 
 
 @dataclass(frozen=True)
@@ -138,15 +139,14 @@ def sum_rule_lhs(q: SumRuleQuery, tol: float = 5e-7) -> SeriesResult:
     return bilinear_hermite_sum(q.x / rt2, q.y / rt2, q.nu, 0.5 * tol, factor=pref)
 
 
-def sum_rule_term_decay_exponent(
-    q: SumRuleQuery, n_lo: int = 100, n_hi: int = 20000, bins: int = 20
-) -> float:
+def sum_rule_term_decay_exponent(q: SumRuleQuery) -> float:
     """Empirical decay exponent p of the term envelope |t_n| ~ n^{-p}.
 
     Fits a log-log line through the per-bin maxima of the absolute
-    sum-rule terms (binned logarithmically over [n_lo, n_hi]), which
+    sum-rule terms (binned logarithmically over n in [100, 20000]), which
     tracks the envelope rather than the oscillating terms themselves.
     """
+    n_lo, n_hi, bins = _DECAY_FIT
     rt2 = math.sqrt(2.0)
     prods = scaled_hermite_products(q.x / rt2, q.y / rt2, n_hi)
     n = np.arange(n_hi, dtype=np.float64)

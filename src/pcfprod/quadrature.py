@@ -4,7 +4,8 @@ Two engines, both deterministic for fixed inputs:
 
 * :func:`integrate_semi_infinite` -- trapezoid rule after the exp-sinh
   substitution t = c*exp(s - exp(-s)), which absorbs power-law endpoint
-  singularities t^p (p > -1) at the origin and follows exponential tails.
+  singularities t^p (p > -1) at the origin and follows exponential tails
+  at the caller's ``decay_rate``, the one fact it needs of the integrand.
 * :func:`integrate_finite` -- classic tanh-sinh rule with nodes generated
   as exact distances from the nearer endpoint, so integrable endpoint
   singularities are resolved down to the floating-point limit.
@@ -32,12 +33,13 @@ of the process, so a call that walks a million nodes leaves about
 160 MB of table behind.
 
 The step is halved until two successive levels agree to ``tol``
-relative.  The error estimate reported is the difference between the
-last two levels; the returned value comes from the finer level, whose
-true error is in practice far smaller than the estimate.  A
-:class:`ConvergenceError` lists the change at every level.  A caller's
-prefactor, ``factor``, multiplies the result and every number of the
-error, never the stopping test.
+relative, within 13 levels (semi-infinite) or 12 (finite).  The error
+estimate reported is the difference between the last two levels; the
+returned value comes from the finer level, whose true error is in
+practice far smaller than the estimate.  A :class:`ConvergenceError`
+lists the change at every level.  A caller's prefactor, ``factor``,
+multiplies the result and every number of the error, never the
+stopping test.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .errors import ConvergenceError, DomainError
 
 __all__ = [
     "QuadratureResult",
-    "IntegrandSpec",
+    "clamp_tol",
     "integrate_semi_infinite",
     "integrate_finite",
 ]
@@ -69,6 +71,8 @@ _CONSEC_DEAD = 10
 _MIN_TRUNC_T = 3.0
 _MAX_STEPS_PER_SIDE = 2_000_000
 _CHUNK = 16
+_TOL_MIN, _TOL_MAX = 1e-14, 1e-2  # the tolerances the engines accept
+_SEMI_INFINITE_LEVELS, _FINITE_LEVELS = 13, 12  # refinement levels at most
 _PIOV2 = 0.5 * math.pi
 
 
@@ -81,32 +85,16 @@ class QuadratureResult:
     evaluations: int
 
 
-@dataclass(frozen=True)
-class IntegrandSpec:
-    """Endpoint and tail behavior of a semi-infinite integrand.
-
-    ``endpoint_exponent`` is the power p in the t^p behavior at the
-    origin (must exceed -1 for integrability).  ``decay_rate`` is the
-    coefficient of the asymptotic exponential decay; 0 selects the
-    algebraic-tail fallback (tails like t^{-3/2}), which converges more
-    slowly but remains integrable.
-    """
-
-    endpoint_exponent: float
-    decay_rate: float
-
-    def __post_init__(self):
-        if not self.endpoint_exponent > -1.0:
-            raise DomainError(
-                f"endpoint exponent must exceed -1, got {self.endpoint_exponent}"
-            )
-        if self.decay_rate < 0.0:
-            raise DomainError(f"decay rate must be >= 0, got {self.decay_rate}")
-
-
 def _check_tol(tol: float) -> None:
-    if not 1e-14 <= tol <= 1e-2:
+    if not _TOL_MIN <= tol <= _TOL_MAX:
         raise DomainError(f"tol must lie in [1e-14, 1e-2], got {tol}")
+
+
+def clamp_tol(tol: float) -> tuple[float, str]:
+    """``tol`` moved into the engines' range [1e-14, 1e-2], with a note
+    saying so ("" where it was already inside)."""
+    used = min(max(tol, _TOL_MIN), _TOL_MAX)
+    return used, "" if used == tol else f"quadrature tol clamped to {used!r}"
 
 
 class _NodeTable:
@@ -201,7 +189,7 @@ def _refine(
     walks: tuple[tuple[_NodeTable, Callable[[float, float], float | None]], ...],
     scale: float,
     tol: float,
-    max_level: int,
+    levels: int,
     calls: Callable[[], int],
     what: str,
     factor: float,
@@ -223,7 +211,7 @@ def _refine(
     prev = math.nan
     diff = math.inf
     changes = []
-    for level in range(max_level):
+    for level in range(levels):
         # level 0 takes every k; later levels only the odd k, new at this h
         new = center if level == 0 else 0.0
         for table, walk in walks:
@@ -262,9 +250,8 @@ def _refine(
 
 def integrate_semi_infinite(
     f: Callable[[float], float],
-    spec: IntegrandSpec,
+    decay_rate: float,
     tol: float = 1e-10,
-    max_level: int = 13,
     factor: float = 1.0,
 ) -> QuadratureResult:
     """``factor`` (> 0) times the integral of ``f`` over (0, inf).
@@ -272,12 +259,15 @@ def integrate_semi_infinite(
     The substitution t = c*exp(s - exp(-s)) with c ~ 1/decay_rate turns
     both the origin singularity and the exponential tail into
     double-exponentially decaying contributions of the trapezoid sum in
-    s.  The step is halved until two successive levels agree to ``tol``
-    relative; the result, or an error's partial and numbers, are then
-    multiplied by ``factor``.
+    s; ``decay_rate`` 0 selects the algebraic tail (like t^{-3/2}), which
+    converges more slowly but remains integrable.  The step is halved
+    until two successive levels agree to ``tol`` relative; the result, or
+    an error's partial and numbers, are then multiplied by ``factor``.
     """
     _check_tol(tol)
-    scale = 1.0 / min(max(spec.decay_rate, 1e-4), 1e4)
+    if not decay_rate >= 0.0:
+        raise DomainError(f"decay rate must be >= 0, got {decay_rate}")
+    scale = 1.0 / min(max(decay_rate, 1e-4), 1e4)
     calls = 0
 
     def walk(u: float, g: float) -> float | None:
@@ -292,8 +282,8 @@ def integrate_semi_infinite(
         return v * t * g
 
     _, u0, g0 = _exp_sinh_row(1.0)(0.0)
-    return _refine(walk(u0, g0), ((_EXP_SINH_RIGHT, walk), (_EXP_SINH_LEFT, walk)),
-                   1.0, tol, max_level, lambda: calls, "semi-infinite quadrature", factor)
+    return _refine(walk(u0, g0), ((_EXP_SINH_RIGHT, walk), (_EXP_SINH_LEFT, walk)), 1.0, tol,
+                   _SEMI_INFINITE_LEVELS, lambda: calls, "semi-infinite quadrature", factor)
 
 
 def integrate_finite(
@@ -301,7 +291,6 @@ def integrate_finite(
     lo: float,
     hi: float,
     tol: float = 1e-10,
-    max_level: int = 12,
 ) -> QuadratureResult:
     """Integrate ``f`` over [lo, hi] with the tanh-sinh rule.
 
@@ -346,5 +335,5 @@ def integrate_finite(
         return term * w
 
     # k = 0 node, sech^2(0) = 1
-    return _refine(eval_at(mid) * _PIOV2, ((_TANH_SINH, walk),), half, tol, max_level,
+    return _refine(eval_at(mid) * _PIOV2, ((_TANH_SINH, walk),), half, tol, _FINITE_LEVELS,
                    lambda: calls, f"tanh-sinh quadrature on [{lo}, {hi}]", 1.0)

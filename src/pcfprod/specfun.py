@@ -1,4 +1,4 @@
-"""Scalar special functions: Gamma, erfc, Hermite, K_{1/4}, and the
+"""Scalar special functions: Gamma, Hermite, K_{1/4}, and the
 parabolic cylinder function D of real order.
 
 D is evaluated through two genuinely independent routes so the rest of
@@ -19,18 +19,18 @@ import math
 
 from .errors import DomainError
 from .hermsum import scaled_hermite
-from .quadrature import IntegrandSpec, integrate_semi_infinite
+from .quadrature import integrate_semi_infinite
 
 __all__ = [
     "hermite",
     "gamma",
-    "erfc",
     "bessel_k_quarter",
     "pcf_d",
 ]
 
 _ORDER_LIMIT = 20.0
 _INT_EPS = 1e-12
+_K_QUARTER_TOL = 1e-12
 
 
 def hermite(n: int, x: float) -> float:
@@ -58,12 +58,7 @@ def gamma(nu: float) -> float:
     return math.gamma(nu)
 
 
-def erfc(x: float) -> float:
-    """Complementary error function."""
-    return math.erfc(x)
-
-
-def bessel_k_quarter(z: float, tol: float = 1e-12) -> float:
+def bessel_k_quarter(z: float) -> float:
     """Modified Bessel function K_{1/4}(z) for z > 0.
 
     Uses K_nu(z) = int_0^inf exp(-z cosh t) cosh(nu t) dt.
@@ -79,8 +74,7 @@ def bessel_k_quarter(z: float, tol: float = 1e-12) -> float:
             return 0.0
         return math.exp(-e) * math.cosh(0.25 * t)
 
-    spec = IntegrandSpec(endpoint_exponent=0.0, decay_rate=1.0)
-    return integrate_semi_infinite(integrand, spec, tol).value
+    return integrate_semi_infinite(integrand, 1.0, _K_QUARTER_TOL).value
 
 
 def _pcf_d_negative_order(nu: float, z: float, tol: float) -> float:
@@ -91,9 +85,8 @@ def _pcf_d_negative_order(nu: float, z: float, tol: float) -> float:
             return 0.0
         return t ** (nu - 1.0) * math.exp(expo)
 
-    spec = IntegrandSpec(endpoint_exponent=nu - 1.0, decay_rate=1.0 + max(z, 0.0))
     factor = math.exp(-0.25 * z * z) / math.gamma(nu)
-    return integrate_semi_infinite(integrand, spec, tol, factor=factor).value
+    return integrate_semi_infinite(integrand, 1.0 + max(z, 0.0), tol, factor=factor).value
 
 
 def pcf_d(nu_order: float, z: float, tol: float = 1e-12) -> float:

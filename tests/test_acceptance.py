@@ -93,7 +93,7 @@ def test_criterion_4_series_vs_quadrature():
                 return 0.0
             return t**(nu - 1.0) * (1.0 + t)**(-nu - 0.5) * math.exp(expo)
 
-        ref = pp.integrate_semi_infinite(f, pp.IntegrandSpec(nu - 1.0, a - b), 1e-11).value
+        ref = pp.integrate_semi_infinite(f, a - b, 1e-11).value
         worst = max(worst, abs(s - ref) / abs(ref))
     ok = worst <= 1e-8
     report(4, "Abel-weighted series vs direct quadrature", ok,

@@ -24,6 +24,13 @@ def first_value(output):
     return float(output.splitlines()[0])
 
 
+def strict_json(text):
+    """Parse ``text`` as RFC 8259 JSON, which has no NaN or Infinity."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
 def test_import_leaves_scipy_integrate_unloaded():
     # only the ODE oracle needs scipy.integrate, which takes about half
     # a second to import; the CLI must not pay for it at startup
@@ -115,6 +122,12 @@ class TestEval:
         assert r.exit_code == 2
         assert "domain error" in r.output
 
+    def test_erfc_route(self, runner):
+        # the route calls math.erfc; the value was frozen with a 30-digit oracle
+        r = runner.invoke(main, ["eval", "erfc", "--x", "1"])
+        assert r.exit_code == 0
+        assert first_value(r.output) == pytest.approx(0.1572992070502851307, rel=1e-14)
+
     def test_hermite_overflow_prints_inf(self, runner):
         r = runner.invoke(main, ["eval", "hermite", "--n", "400", "--x", "0"])
         assert r.exit_code == 0
@@ -139,6 +152,34 @@ class TestEval:
         assert r.exit_code == 2
         assert "domain error" in r.output
 
+    @pytest.mark.parametrize("args", [
+        "series_for_I --nu 1 --X 2 --Y 1 --tol nan",
+        "series_for_I --nu 1 --X inf --Y 0",
+        "sum_rule_lhs --nu 1 --x inf --y 0",
+        "green_spectral --lam nan --x 1 --xprime 0",
+        "green_ode --lam nan --x 1 --xprime 0",
+        # max(1, nan) is 1: this one used to print G at x = x'
+        "green_ode --lam 0 --x 1 --xprime nan",
+    ], ids=lambda a: a.replace(" --", "-").replace(" ", "="))
+    def test_non_finite_input_is_domain_error(self, runner, args):
+        r = runner.invoke(main, ["eval", *args.split()])
+        assert r.exit_code == 2, r.output
+        assert r.output.startswith("domain error: ")
+
+    def test_hyperbolic_left_sides(self, runner):
+        # the theta integral alone: its error estimate, and no right side,
+        # so a point where e^{alpha^2 cosh(phi)} overflows still has one
+        for args in (["hyperbolic_lhs_13a", "--alpha", "1", "--phi", "1"],
+                     ["hyperbolic_lhs_13b", "--alpha", "1", "--phi", "1"],
+                     ["hyperbolic_lhs_14", "--a", "1", "--phi", "1"],
+                     ["hyperbolic_lhs_13a", "--alpha", "30", "--phi", "3"]):
+            r = runner.invoke(main, ["eval", *args])
+            assert r.exit_code == 0, r.output
+            value, error, evaluations = r.output.splitlines()
+            assert float(value) > 0.0
+            assert error.startswith("# error_estimate = ")
+            assert evaluations.startswith("# evaluations = ")
+
 
 class TestVerify:
     def test_single_point_sum_rule(self, runner):
@@ -161,6 +202,10 @@ class TestVerify:
         "EQ15 --nu 1 --x 1 --y 2",
         "EQ8_EQ9 --lam 0.5 --x 0 --xprime 0",
         "EQ8_EQ9 --lam 1.5 --x 1 --xprime 0",
+        # non-finite input is outside every domain
+        "EQ15 --nu 1 --x inf --y 0",
+        "EQ15 --nu 1 --x 2 --y 1 --tol nan",
+        "EQ8_EQ9 --lam 0 --x inf --xprime 0",
     ], ids=lambda a: a.replace(" --", "-").replace(" ", "="))
     def test_out_of_domain_point_is_skipped(self, runner, args):
         r = runner.invoke(main, ["verify", *args.split()])
@@ -194,8 +239,9 @@ class TestVerify:
             sum_rule_lhs(SumRuleQuery(1.0, 2.0, 1.99), 2.5e-7)
         partial = info.value.partial
         assert rows[0].split(",")[4] == repr(partial.value)
-        (rec,) = json.loads(runner.invoke(main, [*args, "--format", "json"]).stdout)["records"]
+        (rec,) = strict_json(runner.invoke(main, [*args, "--format", "json"]).stdout)["records"]
         assert (rec["lhs"], rec["evaluations"]) == (partial.value, partial.terms_used)
+        assert rec["rhs"] is rec["abs_err"] is rec["rel_err"] is None
         assert 2 ** 18 < rec["evaluations"] <= 2 ** 19
 
     def test_csv_reason_goes_to_stderr(self, runner):
@@ -222,10 +268,17 @@ class TestVerify:
                                  "--tol", "1e-16"])
         assert r.stderr == "# EQ10 nu=1.0 x=2.0 y=1.0: quadrature tol clamped to 1e-14\n"
 
+    # tol 0.5 takes EQ10-EQ12, integrated at tol/10, above the engines'
+    # range, but not the hyperbolic identities, integrated at min(tol, 1e-10)
+    NOTE_AT_HALF = dict.fromkeys(("EQ10", "EQ11", "EQ12"), "quadrature tol clamped to 0.01")
+
     @pytest.mark.parametrize("identity,args", [
         ("EQ10", ["--nu", "1", "--x", "2", "--y", "1"]),
         ("EQ11", ["--nu", "1", "--a", "2", "--b", "1"]),
         ("EQ12", ["--nu", "1", "--a", "2", "--b", "1"]),
+        ("EQ13A", ["--alpha", "1", "--phi", "1"]),
+        ("EQ13B", ["--alpha", "1", "--phi", "1"]),
+        ("EQ14", ["--a", "1", "--phi", "1"]),
     ])
     def test_quadrature_tol_clamp_is_noted(self, runner, identity, args):
         notes = {}
@@ -233,12 +286,13 @@ class TestVerify:
                          ("1e-16", "csv")):
             r = runner.invoke(main, ["verify", identity, *args, "--tol", tol, "--format", fmt])
             if fmt == "json":
-                notes[tol] = json.loads(r.stdout)["records"][0]["note"]
+                (rec,) = strict_json(r.stdout)["records"]
+                assert rec["status"] != "skip"
+                notes[tol] = rec["note"]
             else:
                 assert r.stderr.endswith(" quadrature tol clamped to 1e-14\n")
         assert notes == {"1e-16": "quadrature tol clamped to 1e-14",
-                         "0.5": "quadrature tol clamped to 0.01",
-                         "1e-8": ""}
+                         "0.5": self.NOTE_AT_HALF.get(identity, ""), "1e-8": ""}
 
     def test_clamped_failure_keeps_its_reason(self, runner):
         # rel_err about 3.7e-14, from the direct product at large x and y
@@ -277,6 +331,18 @@ class TestVerify:
         r = runner.invoke(main, ["verify", "EQ99"])
         assert r.exit_code != 0
         assert "unknown identity" in r.output
+
+    def test_json_has_no_nan(self, runner):
+        # a skipped record has no numbers: JSON null, not the NaN literal
+        r = runner.invoke(main, ["verify", "EQ10", "--nu", "1", "--x", "1", "--y", "2",
+                                 "--format", "json"])
+        assert r.exit_code == 0
+        (rec,) = strict_json(r.stdout)["records"]
+        assert rec["status"] == "skip"
+        assert [rec[k] for k in ("lhs", "rhs", "abs_err", "rel_err")] == [None] * 4
+        r = runner.invoke(main, ["verify", "EQ15", "--nu", "1", "--x", "inf", "--y", "0",
+                                 "--format", "json"])
+        assert strict_json(r.stdout)["records"][0]["params"] == {"nu": 1.0, "x": None, "y": 0.0}
 
     def test_json_format(self, runner):
         r = runner.invoke(main, ["verify", "EQ13B", "--format", "json",

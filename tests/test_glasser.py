@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcfprod import glasser
+from pcfprod import glasser, quadrature
 from pcfprod import (
     ConvergenceError,
     DomainError,
@@ -143,12 +143,13 @@ class TestProductViaIntegral:
         engine = glasser.integrate_semi_infinite
         seen = []
 
-        def two_levels(f, spec, tol, factor=1.0):
+        def two_levels(f, decay_rate, tol, factor=1.0):
             with pytest.raises(ConvergenceError) as bare:
-                engine(f, spec, tol, max_level=2)
+                engine(f, decay_rate, tol)
             seen.append((factor, bare.value))
-            return engine(f, spec, tol, max_level=2, factor=factor)
+            return engine(f, decay_rate, tol, factor=factor)
 
+        monkeypatch.setattr(quadrature, "_SEMI_INFINITE_LEVELS", 2)
         monkeypatch.setattr(glasser, "integrate_semi_infinite", two_levels)
         with pytest.raises(ConvergenceError) as info:
             product_via_integral(ProductQuery(1.5, 2.0, 2.0), 1e-10, allow_equal_args=True)

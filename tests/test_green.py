@@ -209,6 +209,13 @@ class TestGuards:
         # the partial sum is in Green-function units, within its bound
         assert abs(partial.value - float(green_closed_mp(0.0, 1.0, 1.0))) <= partial.tail_bound
 
+    @pytest.mark.parametrize("lam,x,xprime", [(math.nan, 1.0, 0.0), (0.0, math.inf, 0.0),
+                                              (0.0, 1.0, math.nan)])
+    def test_non_finite_query_is_rejected(self, lam, x, xprime):
+        # max(1, nan) is 1, so a nan x' passed the oracle's range guard
+        with pytest.raises(DomainError, match="needs finite lambda, x, x'"):
+            GreenQuery(lam, x, xprime)
+
     def test_spectral_pole_guard(self):
         with pytest.raises(DomainError):
             green_spectral(GreenQuery(3.0 + 1e-8, 1.0, 0.0))

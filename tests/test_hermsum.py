@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pcfprod import hermsum
-from pcfprod.errors import ConvergenceError
+from pcfprod.errors import ConvergenceError, DomainError
 from pcfprod.hermsum import SeriesResult, bilinear_hermite_sum, scaled_hermite_products
 
 POINTS = [(1.3, 0.4), (5.0, -4.9), (0.01, 3.0)]
@@ -43,6 +43,16 @@ def test_products_match_sequential_recurrence(X, Y, count):
     got = scaled_hermite_products(X, Y, count)
     scale = np.max(np.abs(want))
     assert np.max(np.abs(got - want)) <= 16 * np.finfo(float).eps * scale
+
+
+@pytest.mark.parametrize("X,Y,shift,tol", [
+    (np.inf, 0.0, 1.0, 1e-9), (2.0, np.nan, 1.0, 1e-9), (2.0, 1.0, np.inf, 1e-9),
+    (2.0, 1.0, 1.0, np.nan), (2.0, 1.0, 1.0, 0.0),
+])
+def test_invalid_input_is_a_domain_error(X, Y, shift, tol):
+    # not a ValueError from the term count, nor a sum at a nan tolerance
+    with pytest.raises(DomainError, match="bilinear Hermite sum needs finite"):
+        bilinear_hermite_sum(X, Y, shift, tol)
 
 
 @pytest.mark.parametrize("X,Y", POINTS)

@@ -11,8 +11,12 @@ from pcfprod import (
     LaplaceParams,
     erfc_identity_13a,
     erfc_identity_13b,
+    hyperbolic,
     k_identity_14,
     laplace_I,
+    lhs_13a,
+    lhs_13b,
+    lhs_14,
 )
 
 # frozen with an independent 30-digit oracle before the library was built
@@ -106,6 +110,43 @@ class TestCallerTolerance:
         tol = 1e-12
         rec = fn(q, tol)
         assert rec.passed == (rec.rel_err <= tol), rec
+
+
+class TestLeftSides:
+    """The theta quadratures on their own: the records' left sides, bit
+    for bit, with no right side computed."""
+
+    @pytest.mark.parametrize("lhs,identity,q", [
+        (lhs_13a, erfc_identity_13a, HyperbolicQuery(alpha=1.0, phi=1.0)),
+        (lhs_13b, erfc_identity_13b, HyperbolicQuery(alpha=4.0, phi=3.0)),
+        (lhs_14, k_identity_14, HyperbolicQuery(a=1.0, phi=1.0)),
+    ])
+    def test_record_left_side(self, lhs, identity, q):
+        r, rec = lhs(q, 1e-10), identity(q, 1e-8)
+        assert (r.value, r.evaluations) == (rec.lhs, rec.evaluations)
+        assert 0.0 <= r.error_estimate <= 1e-10 * r.value
+
+    def test_14_adds_its_two_panels(self, monkeypatch):
+        panels = []
+        inner = hyperbolic.integrate_finite
+
+        def spy(f, lo, hi, tol):
+            panels.append(inner(f, lo, hi, tol))
+            return panels[-1]
+
+        monkeypatch.setattr(hyperbolic, "integrate_finite", spy)
+        monkeypatch.setattr(hyperbolic, "bessel_k_quarter", None)  # the right side is not run
+        r = lhs_14(HyperbolicQuery(a=2.0, phi=0.5), 1e-10)
+        a, b = panels
+        assert (r.value, r.error_estimate, r.evaluations) == (
+            a.value + b.value, a.error_estimate + b.error_estimate, a.evaluations + b.evaluations)
+
+    def test_finite_where_the_closed_form_overflows(self):
+        q = HyperbolicQuery(alpha=30.0, phi=3.0)
+        with pytest.raises(DomainError, match="closed form overflows"):
+            erfc_identity_13a(q)
+        r = lhs_13a(q)
+        assert 0.0 < r.value < 1e-3
 
 
 class TestQueryValidation:

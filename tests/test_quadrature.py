@@ -13,7 +13,6 @@ import pytest
 from pcfprod import (
     ConvergenceError,
     DomainError,
-    IntegrandSpec,
     integrate_finite,
     integrate_semi_infinite,
     pcf_d,
@@ -23,28 +22,34 @@ from pcfprod import (
 SQRT_PI = math.sqrt(math.pi)
 
 
+def _set_levels(monkeypatch, levels):
+    """Stop both engines after ``levels`` refinement levels."""
+    monkeypatch.setattr(quadrature, "_SEMI_INFINITE_LEVELS", levels)
+    monkeypatch.setattr(quadrature, "_FINITE_LEVELS", levels)
+
+
 class TestSemiInfinite:
     def test_exponential(self):
         r = integrate_semi_infinite(lambda t: math.exp(-t),
-                                    IntegrandSpec(0.0, 1.0), 1e-10)
+                                    1.0, 1e-10)
         assert r.value == pytest.approx(1.0, rel=1e-12)
         assert r.error_estimate >= 0.0
         assert r.evaluations > 0
 
     def test_gamma_half_singular_endpoint(self):
         r = integrate_semi_infinite(lambda t: t**-0.5 * math.exp(-t),
-                                    IntegrandSpec(-0.5, 1.0), 1e-12)
+                                    1.0, 1e-12)
         assert r.value == pytest.approx(SQRT_PI, rel=1e-12)
 
     def test_gaussian(self):
         r = integrate_semi_infinite(lambda t: math.exp(-t * t),
-                                    IntegrandSpec(0.0, 1.0), 1e-12)
+                                    1.0, 1e-12)
         assert r.value == pytest.approx(0.5 * SQRT_PI, rel=1e-12)
 
     def test_algebraic_tail_fallback(self):
         # decay_rate 0 selects the slow-tail transform; t^{-3/2} tail
         r = integrate_semi_infinite(lambda t: (1.0 + t)**-1.5,
-                                    IntegrandSpec(0.0, 0.0), 1e-8)
+                                    0.0, 1e-8)
         assert r.value == pytest.approx(2.0, rel=1e-7)
 
 
@@ -78,7 +83,7 @@ class TestFrameInvariance:
             if expo < -745.0:
                 return 0.0
             return t**(nu - 1.0) * (1.0 + t)**(-nu - 0.5) * math.exp(expo)
-        return integrate_semi_infinite(f, IntegrandSpec(nu - 1.0, a - b), tol).value
+        return integrate_semi_infinite(f, a - b, tol).value
 
     @staticmethod
     def _finite(nu, a, b, tol, exponent=-0.5):
@@ -118,10 +123,10 @@ class TestConvergenceBehavior:
     def test_tightening_tol_never_hurts(self):
         batteries = [
             (lambda tol: integrate_semi_infinite(
-                lambda t: t**-0.5 * math.exp(-t), IntegrandSpec(-0.5, 1.0), tol).value,
+                lambda t: t**-0.5 * math.exp(-t), 1.0, tol).value,
              SQRT_PI),
             (lambda tol: integrate_semi_infinite(
-                lambda t: math.exp(-t * t), IntegrandSpec(0.0, 1.0), tol).value,
+                lambda t: math.exp(-t * t), 1.0, tol).value,
              0.5 * SQRT_PI),
             (lambda tol: integrate_finite(
                 lambda x: math.exp(-x * x), -4.0, 4.0, tol).value,
@@ -137,8 +142,8 @@ class TestConvergenceBehavior:
     def test_determinism(self):
         def f(t):
             return t**0.3 * math.exp(-2.0 * t)
-        a = integrate_semi_infinite(f, IntegrandSpec(0.3, 2.0), 1e-11)
-        b = integrate_semi_infinite(f, IntegrandSpec(0.3, 2.0), 1e-11)
+        a = integrate_semi_infinite(f, 2.0, 1e-11)
+        b = integrate_semi_infinite(f, 2.0, 1e-11)
         assert a == b
 
 
@@ -146,15 +151,15 @@ class TestValidation:
     def test_tol_bounds(self):
         for bad in (1e-15, 0.5, 0.0, -1e-6):
             with pytest.raises(DomainError):
-                integrate_semi_infinite(lambda t: math.exp(-t), IntegrandSpec(0.0, 1.0), bad)
+                integrate_semi_infinite(lambda t: math.exp(-t), 1.0, bad)
             with pytest.raises(DomainError):
                 integrate_finite(lambda x: 1.0, 0.0, 1.0, bad)
 
     def test_spec_invariants(self):
-        with pytest.raises(DomainError):
-            IntegrandSpec(-1.0, 1.0)
-        with pytest.raises(DomainError):
-            IntegrandSpec(0.0, -1.0)
+        # the decay rate is all the engine is told of the integrand
+        for bad in (-1.0, float("nan")):
+            with pytest.raises(DomainError, match="decay rate must be >= 0"):
+                integrate_semi_infinite(lambda t: math.exp(-t), bad, 1e-8)
 
     def test_interval_ordering(self):
         with pytest.raises(DomainError):
@@ -164,7 +169,7 @@ class TestValidation:
 
     def test_nan_integrand_propagates(self):
         with pytest.raises(ConvergenceError):
-            integrate_semi_infinite(lambda t: float("nan"), IntegrandSpec(0.0, 1.0), 1e-8)
+            integrate_semi_infinite(lambda t: float("nan"), 1.0, 1e-8)
         with pytest.raises(ConvergenceError):
             integrate_finite(lambda x: float("nan"), 0.0, 1.0, 1e-8)
 
@@ -202,8 +207,8 @@ class TestNestedRefinement:
         return g, seen
 
     @pytest.mark.parametrize("run", [
-        lambda g: integrate_semi_infinite(g, IntegrandSpec(0.3, 2.0), 1e-12),
-        lambda g: integrate_semi_infinite(g, IntegrandSpec(0.0, 0.0), 1e-9),
+        lambda g: integrate_semi_infinite(g, 2.0, 1e-12),
+        lambda g: integrate_semi_infinite(g, 0.0, 1e-9),
         lambda g: integrate_finite(g, 0.0, 3.0, 1e-12),
     ])
     def test_every_abscissa_once(self, run):
@@ -229,21 +234,21 @@ class TestNestedRefinement:
         assert all(min(x - lo, hi - x) <= 32 * ulp for x in repeated)
 
     @pytest.mark.parametrize("engine,first_h", [
-        (lambda tol, level: integrate_semi_infinite(
-            lambda t: math.exp(-t) * math.cos(40.0 * t), IntegrandSpec(0.0, 1.0), tol, level),
+        (lambda tol: integrate_semi_infinite(
+            lambda t: math.exp(-t) * math.cos(40.0 * t), 1.0, tol),
          0.5),
-        (lambda tol, level: integrate_finite(
-            lambda x: math.cos(200.0 * x), 0.0, 1.0, tol, level),
-         1.0),
+        (lambda tol: integrate_finite(lambda x: math.cos(200.0 * x), 0.0, 1.0, tol), 1.0),
     ])
-    def test_convergence_error_lists_every_level(self, engine, first_h):
+    def test_convergence_error_lists_every_level(self, engine, first_h, monkeypatch):
+        _set_levels(monkeypatch, 4)
         with pytest.raises(ConvergenceError) as exc:
-            engine(1e-12, 4)
+            engine(1e-12)
         levels = re.findall(r"h=(\S+) (\S+?)(?:,|$)", str(exc.value).split("levels: ")[1])
         assert [float(h) for h, _ in levels] == [first_h / 2, first_h / 4, first_h / 8]
         assert float(levels[-1][1]) == pytest.approx(exc.value.partial.error_estimate, rel=1e-3)
+        _set_levels(monkeypatch, 1)
         with pytest.raises(ConvergenceError) as exc:
-            engine(1e-12, 1)
+            engine(1e-12)
         assert str(exc.value).endswith("changes between successive levels: none")
 
     @pytest.mark.parametrize("order,z", [(-20.0, -30.0), (-20.0, 30.5)])
@@ -267,17 +272,18 @@ class TestErrorEstimateBoundsTrueError:
         exact = float(exact)
         assert abs(r.value - exact) <= r.error_estimate + 8 * 2.0**-52 * abs(exact)
 
+    # spec: what the engine is told of the integrand, as keyword arguments
     @pytest.mark.parametrize("f,spec,exact", [
-        (lambda t: t**-0.8 * math.exp(-t), IntegrandSpec(-0.8, 1.0), mpmath.gamma(0.2)),
-        (lambda t: (1.0 + t)**-1.5, IntegrandSpec(0.0, 0.0), 2),
-        (lambda t: t**-0.5 / (1.0 + t)**2, IntegrandSpec(-0.5, 0.0), mpmath.pi / 2),
-        (lambda t: t**0.2 * math.exp(-t * t), IntegrandSpec(0.2, 1.0), mpmath.gamma(0.6) / 2),
+        (lambda t: t**-0.8 * math.exp(-t), {"decay_rate": 1.0}, mpmath.gamma(0.2)),
+        (lambda t: (1.0 + t)**-1.5, {"decay_rate": 0.0}, 2),
+        (lambda t: t**-0.5 / (1.0 + t)**2, {"decay_rate": 0.0}, mpmath.pi / 2),
+        (lambda t: t**0.2 * math.exp(-t * t), {"decay_rate": 1.0}, mpmath.gamma(0.6) / 2),
     ])
     def test_semi_infinite(self, f, spec, exact):
         with mpmath.workdps(30):
             exact = mpmath.mpf(exact)
         for tol in self.TOLS:
-            self._assert_bound(integrate_semi_infinite(f, spec, tol), exact)
+            self._assert_bound(integrate_semi_infinite(f, tol=tol, **spec), exact)
 
     @pytest.mark.parametrize("f,lo,hi,exact", [
         (lambda x: x**-0.5 * math.cos(x), 0.0, 1.0,
@@ -306,17 +312,18 @@ class TestPinnedPanel:
     """Values, error estimates and evaluation counts of both engines, bit
     for bit, on a fixed panel: endpoint singularities, the algebraic-tail
     fallback, the decay-rate scale at both clamps, symmetric and offset
-    windows and three ``max_level``-limited failures.  A change to the
+    windows and three failures with the engines stopped after four levels
+    (the ``*_max_level_4`` cases).  A change to the
     order of the floating-point operations in a table row or a walk
     shows here."""
 
     SEMI = {
-        "gamma_half": (lambda t: t**-0.5 * math.exp(-t), IntegrandSpec(-0.5, 1.0)),
-        "algebraic_tail": (lambda t: (1.0 + t)**-1.5, IntegrandSpec(0.0, 0.0)),
+        "gamma_half": (lambda t: t**-0.5 * math.exp(-t), 1.0),
+        "algebraic_tail": (lambda t: (1.0 + t)**-1.5, 0.0),
         # decay rates outside [1e-4, 1e4] use the scale of the nearer clamp
-        "scale_clamp_low": (lambda t: math.exp(-1e-5 * t), IntegrandSpec(0.0, 1e-5)),
-        "scale_clamp_high": (lambda t: math.exp(-1e5 * t), IntegrandSpec(0.0, 1e5)),
-        "semi_max_level_4": (lambda t: math.exp(-t) * math.cos(40.0 * t), IntegrandSpec(0.0, 1.0)),
+        "scale_clamp_low": (lambda t: math.exp(-1e-5 * t), 1e-5),
+        "scale_clamp_high": (lambda t: math.exp(-1e5 * t), 1e5),
+        "semi_max_level_4": (lambda t: math.exp(-t) * math.cos(40.0 * t), 1.0),
     }
     FINITE = {
         "inv_sqrt_cos": (lambda x: x**-0.5 * math.cos(x), 0.0, 1.0),
@@ -360,17 +367,17 @@ class TestPinnedPanel:
     ]
 
     def _run(self, case, tol):
-        max_level = 4 if case.endswith("max_level_4") else None
-        levels = {} if max_level is None else {"max_level": max_level}
         if case in self.SEMI:
-            f, spec = self.SEMI[case]
-            return integrate_semi_infinite(f, spec, tol, **levels)
+            f, decay_rate = self.SEMI[case]
+            return integrate_semi_infinite(f, decay_rate, tol)
         f, lo, hi = self.FINITE[case]
-        return integrate_finite(f, lo, hi, tol, **levels)
+        return integrate_finite(f, lo, hi, tol)
 
     @pytest.mark.parametrize("case,tol,outcome,value,error,evaluations", PANEL,
                              ids=[f"{p[0]}-{p[1]:g}" for p in PANEL])
-    def test_pinned(self, case, tol, outcome, value, error, evaluations):
+    def test_pinned(self, case, tol, outcome, value, error, evaluations, monkeypatch):
+        if case.endswith("max_level_4"):
+            _set_levels(monkeypatch, 4)
         if outcome == "ok":
             r = self._run(case, tol)
         else:
@@ -400,8 +407,7 @@ class TestNodeTables:
 
     def test_rows_bounded_by_nodes_walked(self, empty_tables):
         right, left = self.TABLES[:2]
-        r = integrate_semi_infinite(lambda t: (1.0 + t)**-1.5, IntegrandSpec(0.0, 0.0), 1e-10,
-                                    max_level=13)
+        r = integrate_semi_infinite(lambda t: (1.0 + t)**-1.5, 0.0, 1e-10)
         levels = self._level_rows(right)
         rows = sum(map(len, levels + self._level_rows(left)))
         # every built row but the last chunk of each level and side was walked
@@ -412,8 +418,7 @@ class TestNodeTables:
             h = right.step * 0.5**level
             assert len(built) < 0.25 * 690.0 / (h if level == 0 else 2.0 * h)
         # the same call again builds nothing
-        again = integrate_semi_infinite(lambda t: (1.0 + t)**-1.5, IntegrandSpec(0.0, 0.0),
-                                        1e-10, max_level=13)
+        again = integrate_semi_infinite(lambda t: (1.0 + t)**-1.5, 0.0, 1e-10)
         assert again == r
         assert sum(map(len, self._level_rows(right) + self._level_rows(left))) == rows
 
@@ -422,10 +427,10 @@ class TestNodeTables:
         # int_0^inf e^{-t} int_0^inf e^{-s(1+t)} ds dt = e E_1(1)
         def outer(t):
             return math.exp(-t) * integrate_semi_infinite(
-                lambda s: math.exp(-s * (1.0 + t)), IntegrandSpec(0.0, 1.0 + t), 1e-12).value
+                lambda s: math.exp(-s * (1.0 + t)), 1.0 + t, 1e-12).value
 
-        cold = integrate_semi_infinite(outer, IntegrandSpec(0.0, 1.0), 1e-10)
-        warm = integrate_semi_infinite(outer, IntegrandSpec(0.0, 1.0), 1e-10)
+        cold = integrate_semi_infinite(outer, 1.0, 1e-10)
+        warm = integrate_semi_infinite(outer, 1.0, 1e-10)
         assert cold == warm
         with mpmath.workdps(30):
             exact = float(mpmath.e * mpmath.e1(1))
@@ -436,8 +441,8 @@ class TestNodeTables:
         # repeat a chunk: row i of a level sits at k*h, k = 1 + i*dk
         def runs():
             return [integrate_semi_infinite(lambda t: t**-0.5 * math.exp(-t),
-                                            IntegrandSpec(-0.5, 1.0), 1e-12),
-                    integrate_semi_infinite(lambda t: (1.0 + t)**-1.5, IntegrandSpec(0.0, 0.0),
+                                            1.0, 1e-12),
+                    integrate_semi_infinite(lambda t: (1.0 + t)**-1.5, 0.0,
                                             1e-10),
                     integrate_finite(lambda x: x**-0.5 * math.cos(x), 0.0, 3.7, 1e-12)]
 
