@@ -61,7 +61,7 @@ EVAL_TARGETS = {
     "product_reference": (("nu", "x", "y"), lambda nu, x, y, tol:
                           glasser.product_reference(glasser.ProductQuery(nu, x, y))),
     "laplace_I": (("nu", "a", "b", "sign"), lambda nu, a, b, sign, tol:
-                  glasser.laplace_I(glasser.LaplaceParams(nu, a, b), int(sign), tol)),
+                  glasser.laplace_I(glasser.LaplaceParams(nu, a, b), sign, tol)),
     "mehler_kernel": (("X", "Y", "u"), lambda X, Y, u, tol:
                       mehler.mehler_kernel_closed(mehler.MehlerPoint(X, Y, u))),
     "mehler_kernel_series": (("X", "Y", "u"), lambda X, Y, u, tol:

@@ -57,6 +57,8 @@ class ProductQuery:
     def __post_init__(self):
         if not self.nu > 0.0:
             raise DomainError(f"order nu must be positive, got {self.nu}")
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+            raise DomainError(f"x and y must be finite, got x={self.x}, y={self.y}")
 
 
 @dataclass(frozen=True)
@@ -70,6 +72,8 @@ class LaplaceParams:
     def __post_init__(self):
         if not self.nu > 0.0:
             raise DomainError(f"order nu must be positive, got {self.nu}")
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise DomainError(f"a and b must be finite, got a={self.a}, b={self.b}")
 
 
 def params_from_xy(q: ProductQuery) -> LaplaceParams:

@@ -9,7 +9,8 @@ h_n(x) = H_n(x)/sqrt(2^n n!), which stay in floating range for any n
 No other module runs this recurrence: :func:`scaled_hermite` gives one
 h_n(x) by a scalar loop, cheaper than a numpy call for single-index
 callers, and :func:`scaled_hermite_products` the products h_n(X) h_n(Y)
-of a whole index range, for the series.
+of a whole index range, for the series.  numpy is imported on the first
+series call, so a caller of :func:`scaled_hermite` alone never loads it.
 
 The series B(X, Y, s) = sum_{n>=0} h_n(X) h_n(Y)/(n+s) has terms that
 decay only like n^{-3/2}.  Mehler's kernel K(v) = sum_n h_n(X) h_n(Y) v^n
@@ -56,27 +57,37 @@ where it grows and an oscillatory one beyond its turning point
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConvergenceError, DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["SeriesResult", "scaled_hermite", "scaled_hermite_products",
            "bilinear_hermite_sum"]
 
 _MAX_PRODUCTS = 524_288  # 2^19
-# candidate weights 1 - u = 2^{-1-k/2}, each needing about sqrt(2) times the terms of the
-# last; at tol 1e-6 and below the 34th needs more than the cap
-_LADDER = 0.5 * 2.0 ** (-0.5 * np.arange(34))
-# 12-point Gauss-Legendre rule on [-1/2, 1/2] from its Jacobi matrix (Golub & Welsch 1969)
-_GL_T, _GL_V = np.linalg.eigh(
-    np.diag([k / math.sqrt(4.0 * k * k - 1.0) for k in range(1, 12)], 1), UPLO="U")
-_GL_T, _GL_W = 0.5 * _GL_T, _GL_V[0] ** 2
 _LOG_CRAMER_SQ = 2.0 * math.log(1.086435)  # |h_n(X) h_n(Y)| <= e^this e^{(X^2+Y^2)/2}
 _EPS = 2.0 ** -52
 _TINY = 1e-300
+
+
+@functools.cache
+def _rules() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ladder of weights 1 - u and the Gauss-Legendre nodes and weights
+    of :func:`_tails`, built on the first series call."""
+    import numpy as np
+    # candidate weights 1 - u = 2^{-1-k/2}, each needing about sqrt(2) times the terms of
+    # the last; at tol 1e-6 and below the 34th needs more than the cap
+    ladder = 0.5 * 2.0 ** (-0.5 * np.arange(34))
+    # 12-point Gauss-Legendre rule on [-1/2, 1/2] from its Jacobi matrix (Golub & Welsch 1969)
+    t, v = np.linalg.eigh(
+        np.diag([k / math.sqrt(4.0 * k * k - 1.0) for k in range(1, 12)], 1), UPLO="U")
+    return ladder, 0.5 * t, v[0] ** 2
 
 
 @dataclass(frozen=True)
@@ -93,6 +104,8 @@ def scaled_hermite(n: int, x: float) -> float:
     """h_n(x) = H_n(x)/sqrt(2^n n!) for one degree n, by the scalar recurrence."""
     if not n >= 0 or n % 1:
         raise DomainError(f"Hermite degree must be a nonnegative integer, got {n}")
+    if not math.isfinite(x):
+        raise DomainError(f"Hermite argument must be finite, got x={x}")
     prev, h = 0.0, 1.0
     for k in range(int(n)):
         prev, h = h, x * math.sqrt(2.0 / (k + 1)) * h - math.sqrt(k / (k + 1.0)) * prev
@@ -116,6 +129,7 @@ def _chain(ends: list[list[float]]) -> list[list[float]]:
 
 def scaled_hermite_products(X: float, Y: float, count: int) -> np.ndarray:
     """Array of h_n(X)*h_n(Y) for n = 0 .. count-1."""
+    import numpy as np
     size = math.isqrt(count - 1) + 1  # ceil(sqrt(count))
     blocks = -(-count // size)
     # coefficients of the step from offset j to j + 1, laid out (offset, block)
@@ -150,13 +164,15 @@ def _tails(X: float, Y: float, shift: float) -> np.ndarray:
     points and from the last to 0; the exponent of K is written in w,
     free of the cancellation of the v form near v = 1.
     """
-    edges = np.append(np.sqrt(_LADDER), 0.0)
+    import numpy as np
+    ladder, gl_t, gl_w = _rules()
+    edges = np.append(np.sqrt(ladder), 0.0)
     width = edges[:-1] - edges[1:]
-    w = 0.5 * (edges[:-1] + edges[1:])[:, None] + width[:, None] * _GL_T
+    w = 0.5 * (edges[:-1] + edges[1:])[:, None] + width[:, None] * gl_t
     v = 1.0 - w * w
     expo = -v * ((X - Y) ** 2 - (X * X + Y * Y) * w * w) / (w * w * (2.0 - w * w))
     f = 2.0 * np.exp((shift - 1.0) * np.log(v) + expo) / np.sqrt(2.0 - w * w)
-    return np.cumsum((f @ _GL_W * width)[::-1])[::-1]
+    return np.cumsum((f @ gl_w * width)[::-1])[::-1]
 
 
 def bilinear_hermite_sum(X: float, Y: float, shift: float, tol: float,
@@ -177,6 +193,8 @@ def bilinear_hermite_sum(X: float, Y: float, shift: float, tol: float,
     if shift == round(shift) and shift <= 0.0:
         raise DomainError(f"shift {shift} sits on a pole of the series")
 
+    import numpy as np
+    ladder = _rules()[0]
     tails = _tails(X, Y, shift)
     if shift > 0.0:
         # v^{s-1} K(v) > 0, and on [0, 1/2] K >= min(K(0), K(1/2)) as its
@@ -191,7 +209,7 @@ def bilinear_hermite_sum(X: float, Y: float, shift: float, tol: float,
     # least N+s = x holding that below target/8 solves x ln(1/u) + ln x = drop,
     # and x -> (drop - ln x)/ln(1/u) maps a point above it below, then just above
     log_amp = 0.5 * (X * X + Y * Y) + _LOG_CRAMER_SQ
-    drop, rate = log_amp - np.log(target / 8.0 * _LADDER), -np.log1p(-_LADDER)
+    drop, rate = log_amp - np.log(target / 8.0 * ladder), -np.log1p(-ladder)
     x = np.maximum((drop - np.log(np.maximum(drop, 1.0) / rate)) / rate, 1.0)
     counts = np.maximum(np.ceil((drop - np.log(x)) / rate - shift), math.floor(-shift) + 2)
     # the first candidate whose tail is below target/4, or the last within the cap
@@ -202,13 +220,13 @@ def bilinear_hermite_sum(X: float, Y: float, shift: float, tol: float,
     exponent = np.arange(count, dtype=np.float64) + shift
     weighted = scaled_hermite_products(X, Y, count) / exponent * np.exp(exponent * log_u)
     value = float(np.sum(weighted))
-    dropped = math.exp(log_amp + (count + shift) * log_u) / ((count + shift) * _LADDER[k])
+    dropped = math.exp(log_amp + (count + shift) * log_u) / ((count + shift) * ladder[k])
     rounding = math.sqrt(count) * _EPS * float(np.sum(np.abs(weighted)))
     bound = float(tails[k] + dropped + rounding)
     if bound <= tol * abs(value):
         return SeriesResult(factor * value, count, factor * bound)
     tails *= factor
-    tried = ", ".join(f"1-u={_LADDER[j]:.4g} tail {tails[j]:.2e}" for j in range(k + 1))
+    tried = ", ".join(f"1-u={ladder[j]:.4g} tail {tails[j]:.2e}" for j in range(k + 1))
     raise ConvergenceError(
         f"bilinear Hermite sum missed tol={tol} at {count} terms (X={X}, Y={Y}, shift={shift}): "
         f"bound {factor * bound:.3e} = tail {tails[k]:.3e} + dropped {factor * dropped:.3e} "

@@ -64,6 +64,9 @@ class HyperbolicQuery:
             raise DomainError(f"a must be positive, got {self.a}")
         if not self.phi > 0.0:
             raise DomainError(f"phi must be positive, got {self.phi}")
+        if not (math.isfinite(self.alpha) and math.isfinite(self.a) and math.isfinite(self.phi)):
+            raise DomainError(f"alpha, a and phi must be finite, got alpha={self.alpha}, "
+                              f"a={self.a}, phi={self.phi}")
 
 
 def _theta_star(expo: Callable[[float], float]) -> float:

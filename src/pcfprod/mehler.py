@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConvergenceError, DomainError
 from .hermsum import (_LOG_CRAMER_SQ, _MAX_PRODUCTS, SeriesResult, bilinear_hermite_sum,
                       scaled_hermite_products)
@@ -104,6 +102,7 @@ def mehler_kernel_series(p: MehlerPoint, tol: float = 1e-12) -> SeriesResult:
     need = (log_amp - math.log(tol)) / -log_u
     # min(cap, nan) is the cap: a huge X or Y takes the capped pass and raises
     count = math.ceil(max(1.0, min(_MAX_PRODUCTS, need)))
+    import numpy as np
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum raises below
         total = root * float(scaled_hermite_products(p.X, p.Y, count) @ p.u ** np.arange(count))
     log_tail = log_amp + count * log_u
@@ -146,6 +145,7 @@ def sum_rule_term_decay_exponent(q: SumRuleQuery) -> float:
     sum-rule terms (binned logarithmically over n in [100, 20000]), which
     tracks the envelope rather than the oscillating terms themselves.
     """
+    import numpy as np
     n_lo, n_hi, bins = _DECAY_FIT
     rt2 = math.sqrt(2.0)
     prods = scaled_hermite_products(q.x / rt2, q.y / rt2, n_hi)

@@ -93,11 +93,13 @@ def pcf_d(nu_order: float, z: float, tol: float = 1e-12) -> float:
     """Parabolic cylinder function D_order(z) for real order.
 
     Supported orders: any negative real order in [-20, 0), and
-    nonnegative integers up to 20.  Anything else raises
+    nonnegative integers up to 20, at any finite z.  Anything else raises
     :class:`DomainError` -- there is no silent fallback.
     """
     if not abs(nu_order) <= _ORDER_LIMIT:
         raise DomainError(f"order {nu_order} outside supported range [-20, 20]")
+    if not math.isfinite(z):
+        raise DomainError(f"pcf_d needs a finite argument z, got z={z}")
     if nu_order < 0.0:
         return _pcf_d_negative_order(-nu_order, z, tol)
     n = round(nu_order)

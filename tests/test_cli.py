@@ -31,17 +31,29 @@ def strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
-def test_import_leaves_scipy_integrate_unloaded():
-    # only the ODE oracle needs scipy.integrate, which takes about half
-    # a second to import; the CLI must not pay for it at startup
+@pytest.mark.parametrize("prefix, loaded_by_series", [("scipy.integrate", False),
+                                                      ("numpy", True)])
+def test_import_leaves_module_unloaded(runner, prefix, loaded_by_series):
+    # only the ODE oracle needs scipy.integrate, which takes about half a
+    # second to import, and only a Hermite series needs numpy, which takes
+    # more than the rest of a launch: neither `import pcfprod.cli` nor a
+    # scalar `eval` may pay for them; a series loads numpy on its first call
     src = os.path.dirname(os.path.dirname(pcfprod.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    code = ("import sys, pcfprod.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))")
+    scalar = ["eval", "pcf_d", "--nu", "-1", "--z", "0"]
+    series = ["eval", "series_for_I", "--nu", "1", "--X", "2", "--Y", "1"]
+    probe = (f"print(any((m + '.').startswith({prefix + '.'!r}) for m in sys.modules), "
+             f"file=sys.stderr)")
+    code = "\n".join(["import sys", "from pcfprod.cli import main", probe,
+                      f"main({scalar!r}, standalone_mode=False)", probe,
+                      f"main({series!r}, standalone_mode=False)", probe])
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
-    assert out.stdout == "[]\n"
+    assert out.stderr == f"False\nFalse\n{loaded_by_series}\n"
+    scalar_line, series_line = out.stdout.splitlines()[:2]
+    assert scalar_line == runner.invoke(main, scalar).output.splitlines()[0]
+    assert series_line == runner.invoke(main, series).output.splitlines()[0]
 
 
 def test_runs_without_scipy(runner):
@@ -160,11 +172,25 @@ class TestEval:
         "green_ode --lam nan --x 1 --xprime 0",
         # max(1, nan) is 1: this one used to print G at x = x'
         "green_ode --lam 0 --x 1 --xprime nan",
+        # hermite and eigenfunction used to print nan, laplace_I 0.0, and
+        # product_integral exit 3 on a NaN integrand; pcf_d named the
+        # quadrature's decay rate rather than z
+        "hermite --n 2 --x nan",
+        "eigenfunction --n 2 --x nan",
+        "laplace_I --nu 1 --a inf --b 1 --sign 1",
+        "product_integral --nu 1 --x inf --y 1",
+        "pcf_d --nu -1 --z nan",
+        # a nan sign used to end in a ValueError traceback, and an infinite
+        # phi in a left side of 0.0
+        "laplace_I --nu 1 --a 2 --b 1 --sign nan",
+        "hyperbolic_lhs_14 --a 1 --phi inf",
     ], ids=lambda a: a.replace(" --", "-").replace(" ", "="))
     def test_non_finite_input_is_domain_error(self, runner, args):
         r = runner.invoke(main, ["eval", *args.split()])
         assert r.exit_code == 2, r.output
         assert r.output.startswith("domain error: ")
+        if args.startswith("pcf_d"):
+            assert "z=nan" in r.output
 
     def test_hyperbolic_left_sides(self, runner):
         # the theta integral alone: its error estimate, and no right side,
