@@ -1,6 +1,6 @@
 """Command-line front door.
 
-Two commands:
+Three commands:
 
 * ``pcfprod eval TARGET --name value ...`` evaluates one quantity at one
   point and prints the value plus convergence metadata.
@@ -8,6 +8,8 @@ Two commands:
   identity over a parameter grid, emitting one verification record per
   point as CSV or JSON plus a pass/fail/skip summary.  Exit status is 0
   iff no record failed.
+* ``pcfprod explore-equal-args`` compares the integral representation
+  with the direct product at x = y, outside its stated domain.
 
 Grid specs are ``lo:hi:count`` (inclusive, linear), ``log:lo:hi:count``
 (log-spaced), or a single number.  Output is deterministic: identical
@@ -23,19 +25,27 @@ says so in its note.  CSV output writes the notes of skipped, failed
 and noted records to stderr; JSON output writes a number that is nan
 or infinite, such as the sides of a skipped record, as null.  ``eval``
 reports a tolerance it clamped as ``# tol_effective``.
+
+The command line is parsed with :mod:`argparse`; a usage error prints the
+command's usage line and the message on stderr and exits with status 2,
+a ``DomainError`` from ``eval`` exits 2 and a ``ConvergenceError`` 3.  A
+launch imports only what its command runs: ``glasser``, ``green`` and
+``mehler`` are imported by the first route that reads them, so
+``eval pcf_d`` loads neither those modules nor numpy.
 """
 
 from __future__ import annotations
 
+import argparse
+import functools
+import importlib
+import inspect
 import itertools
-import json
 import math
 import sys
 from dataclasses import fields, is_dataclass
 
-import click
-
-from . import glasser, green, hyperbolic, mehler, quadrature, specfun
+from . import hyperbolic, quadrature, specfun
 from .errors import ConvergenceError, DomainError
 from .report import VerificationRecord, error_record, make_record
 
@@ -43,9 +53,39 @@ _EXIT_DOMAIN = 2
 _EXIT_CONVERGENCE = 3
 
 
+class _OnFirstUse:
+    """Stands in for a library module among this module's globals until an
+    attribute is first read; that read imports the module and puts it in
+    the stand-in's place, so every later lookup is a plain module lookup."""
+
+    def __init__(self, name: str):
+        self._name = name
+
+    def __getattr__(self, attr: str):
+        module = importlib.import_module(f".{self._name}", __package__)
+        globals()[self._name] = module
+        return getattr(module, attr)
+
+
+# only some commands use these; `hyperbolic` is imported above because the
+# EQ13A/EQ13B records capture its functions when IDENTITIES is built
+glasser, green, mehler = _OnFirstUse("glasser"), _OnFirstUse("green"), _OnFirstUse("mehler")
+
+
+class UsageError(Exception):
+    """A malformed command line: reported under the command's usage line,
+    with exit status 2."""
+
+
 # --------------------------------------------------------------------------
 # eval
 # --------------------------------------------------------------------------
+
+def _erfc(x: float) -> float:
+    if not math.isfinite(x):
+        raise DomainError(f"erfc needs a finite argument x, got x={x}")
+    return math.erfc(x)
+
 
 # target -> (parameter names, route called with their values and the tolerance).
 # A route looks its function up on the module at call time, so a patched
@@ -53,7 +93,7 @@ _EXIT_CONVERGENCE = 3
 EVAL_TARGETS = {
     "pcf_d": (("nu", "z"), lambda nu, z, tol: specfun.pcf_d(nu, z, tol)),
     "gamma": (("nu",), lambda nu, tol: specfun.gamma(nu)),
-    "erfc": (("x",), lambda x, tol: math.erfc(x)),
+    "erfc": (("x",), lambda x, tol: _erfc(x)),
     "bessel_k_quarter": (("z",), lambda z, tol: specfun.bessel_k_quarter(z)),
     "hermite": (("n", "x"), lambda n, x, tol: specfun.hermite(n, x)),
     "product_integral": (("nu", "x", "y"), lambda nu, x, y, tol:
@@ -96,24 +136,24 @@ def _echo_result(result) -> None:
     value, then each other field as a '# name = value' line in declaration
     order."""
     if not is_dataclass(result):
-        click.echo(repr(result))
+        print(repr(result))
         return
     names = [f.name for f in fields(result)]
-    click.echo(repr(getattr(result, names[0])))
+    print(repr(getattr(result, names[0])))
     for name in names[1:]:
-        click.echo(f"# {name} = {getattr(result, name)!r}")
+        print(f"# {name} = {getattr(result, name)!r}")
 
 
-def _parse_named_floats(raw: tuple[str, ...]) -> dict[str, str]:
+def _parse_named_floats(raw: list[str]) -> dict[str, str]:
     """Parse trailing '--name value' pairs into a dict of raw strings."""
     out: dict[str, str] = {}
     i = 0
     while i < len(raw):
         tok = raw[i]
         if not tok.startswith("--"):
-            raise click.UsageError(f"expected --name, got {tok!r}")
+            raise UsageError(f"expected --name, got {tok!r}")
         if i + 1 >= len(raw):
-            raise click.UsageError(f"missing value for {tok}")
+            raise UsageError(f"missing value for {tok}")
         out[tok[2:]] = raw[i + 1]
         i += 2
     return out
@@ -137,14 +177,14 @@ def _parse_gridspec(name: str, spec: str) -> list[float]:
         if count < 1:
             raise ValueError
     except ValueError:
-        raise click.UsageError(
+        raise UsageError(
             f"malformed range spec for --{name}: {spec!r} (want lo:hi:count or log:lo:hi:count)"
         )
     if count == 1:
         return [lo]
     if log:
         if lo <= 0 or hi <= 0:
-            raise click.UsageError(f"log spacing needs positive bounds in --{name}={spec!r}")
+            raise UsageError(f"log spacing needs positive bounds in --{name}={spec!r}")
         ratio = (hi / lo) ** (1.0 / (count - 1))
         return [lo * ratio**i for i in range(count)]
     step = (hi - lo) / (count - 1)
@@ -308,7 +348,7 @@ def _emit_notes(records: list[VerificationRecord], names) -> None:
             notes.insert(0, "error above tolerance")
         if notes:
             point = " ".join(f"{n}={r.params[n]!r}" for n in names)
-            click.echo(f"# {r.identity_id} {point}: {'; '.join(notes)}", err=True)
+            print(f"# {r.identity_id} {point}: {'; '.join(notes)}", file=sys.stderr)
 
 
 def _json_number(v: float) -> float | None:
@@ -331,55 +371,49 @@ def _record_json(r: VerificationRecord) -> dict:
 
 
 # --------------------------------------------------------------------------
-# click wiring
+# commands: each takes the parsed options and the arguments left over
+# after them, and returns the exit status
 # --------------------------------------------------------------------------
 
-@click.group()
-def main():
-    """Parabolic-cylinder product representations and their verification."""
+def _float_option(name: str, raw: str) -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        raise UsageError(f"Invalid value for '--{name}': {raw!r} is not a valid float.") from None
 
 
-@main.command("eval", context_settings={"ignore_unknown_options": True})
-@click.argument("target")
-@click.option("--tol", type=float, default=1e-10, show_default=True,
-              help="Requested relative tolerance for iterative targets.")
-@click.argument("params", nargs=-1, type=click.UNPROCESSED)
-def eval_cmd(target, tol, params):
+def eval_cmd(args: argparse.Namespace, params: list[str]) -> int:
     """Evaluate TARGET at the point given by trailing --name value pairs."""
+    tol = _float_option("tol", args.tol)
+    target = args.target
     if target not in EVAL_TARGETS:
         known = ", ".join(sorted(EVAL_TARGETS))
-        raise click.UsageError(f"unknown target {target!r}; known targets: {known}")
+        raise UsageError(f"unknown target {target!r}; known targets: {known}")
     raw = _parse_named_floats(params)
     try:
         point = {k: float(v) for k, v in raw.items()}
     except ValueError as exc:
-        raise click.UsageError(f"invalid parameter value: {exc}")
+        raise UsageError(f"invalid parameter value: {exc}") from None
     names, route = EVAL_TARGETS[target]
     missing = [n for n in names if n not in point]
     if missing:
-        raise click.UsageError(f"missing parameter(s): {', '.join('--' + m for m in missing)}")
+        raise UsageError(f"missing parameter(s): {', '.join('--' + m for m in missing)}")
     used = max(tol, _SERIES_TOL_FLOOR) if target in _SERIES_TARGETS else tol
     try:
         result = route(*(point[n] for n in names), used)
     except DomainError as exc:
-        click.echo(f"domain error: {exc}", err=True)
-        sys.exit(_EXIT_DOMAIN)
+        print(f"domain error: {exc}", file=sys.stderr)
+        return _EXIT_DOMAIN
     except ConvergenceError as exc:
-        click.echo(f"convergence error: {exc}", err=True)
-        sys.exit(_EXIT_CONVERGENCE)
+        print(f"convergence error: {exc}", file=sys.stderr)
+        return _EXIT_CONVERGENCE
     _echo_result(result)
     if used != tol:
-        click.echo(f"# tol_effective = {used!r}")
+        print(f"# tol_effective = {used!r}")
+    return 0
 
 
-@main.command("verify", context_settings={"ignore_unknown_options": True})
-@click.argument("identity")
-@click.option("--tol", type=float, default=None,
-              help="Override the identity's default tolerance.")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
-              show_default=True)
-@click.argument("gridargs", nargs=-1, type=click.UNPROCESSED)
-def verify_cmd(identity, tol, fmt, gridargs):
+def verify_cmd(args: argparse.Namespace, gridargs: list[str]) -> int:
     """Verify IDENTITY (or 'all') over a parameter grid.
 
     Default grids are used for parameters without an explicit
@@ -390,9 +424,13 @@ def verify_cmd(identity, tol, fmt, gridargs):
     clamped quadrature tolerance, goes to stderr as a
     '# ID name=value ...: note' line.
     """
-    identity = identity.upper() if identity != "all" else identity
+    tol = None if args.tol is None else _float_option("tol", args.tol)
+    fmt = args.format
+    if fmt not in ("csv", "json"):
+        raise UsageError(f"Invalid value for '--format': {fmt!r} is not one of 'csv', 'json'.")
+    identity = args.identity.upper() if args.identity != "all" else "all"
     if identity != "all" and identity not in IDENTITIES:
-        raise click.UsageError(
+        raise UsageError(
             f"unknown identity {identity!r}; choose from {', '.join(IDENTITIES)} or 'all'")
     chosen = list(IDENTITIES) if identity == "all" else [identity]
     raw = _parse_named_floats(gridargs)
@@ -406,7 +444,7 @@ def verify_cmd(identity, tol, fmt, gridargs):
                            else list(cfg["grid"][name]))
         unknown = set(raw) - set(cfg["params"])
         if identity != "all" and unknown:
-            raise click.UsageError(
+            raise UsageError(
                 f"{ident} takes parameters {cfg['params']}, not {sorted(unknown)}")
         records = _evaluate_identity(ident, grids, tol if tol is not None else cfg["tol"])
         blocks.append((ident, cfg["params"], records))
@@ -420,21 +458,18 @@ def verify_cmd(identity, tol, fmt, gridargs):
         for ident, names, records in blocks:
             _emit_csv(records, names, sys.stdout)
             _emit_notes(records, names)
-        click.echo(f"# summary: pass={n_pass} fail={n_fail} skip={n_skip}")
+        print(f"# summary: pass={n_pass} fail={n_fail} skip={n_skip}")
     else:
+        import json
         doc = {
             "summary": {"pass": n_pass, "fail": n_fail, "skip": n_skip},
             "records": [_record_json(r) for r in all_records],
         }
-        click.echo(json.dumps(doc, indent=2, allow_nan=False))
-    sys.exit(0 if n_fail == 0 else 1)
+        print(json.dumps(doc, indent=2, allow_nan=False))
+    return 0 if n_fail == 0 else 1
 
 
-@main.command("explore-equal-args")
-@click.option("--nu", type=float, default=1.0, show_default=True)
-@click.option("--x", type=float, default=2.0, show_default=True)
-@click.option("--tol", type=float, default=1e-6, show_default=True)
-def explore_cmd(nu, x, tol):
+def explore_cmd(args: argparse.Namespace, extra: list[str]) -> int:
     """Probe the integral representation on its x = y boundary.
 
     The representation is stated for x > y only, and the discussion
@@ -443,25 +478,85 @@ def explore_cmd(nu, x, tol):
     the integral at x = y and reports how it compares with the direct
     product.
     """
+    if extra:
+        raise UsageError(f"unrecognized arguments: {' '.join(extra)}")
+    nu, x, tol = (_float_option(name, getattr(args, name)) for name in ("nu", "x", "tol"))
     q = glasser.ProductQuery(nu, x, x)
     ref = glasser.product_reference(q)
     try:
         got = glasser.product_via_integral(q, quadrature.clamp_tol(tol)[0], allow_equal_args=True)
     except ConvergenceError as exc:
         if exc.partial is None:
-            click.echo(f"convergence error: {exc}", err=True)
-            sys.exit(_EXIT_CONVERGENCE)
+            print(f"convergence error: {exc}", file=sys.stderr)
+            return _EXIT_CONVERGENCE
         got = exc.partial
     rel = abs(got.value - ref) / abs(ref)
-    click.echo(f"integral value at x = y = {x}: {got.value!r}")
-    click.echo(f"direct product:              {ref!r}")
-    click.echo(f"relative discrepancy:        {rel:.3e}")
-    click.echo(
+    print(f"integral value at x = y = {x}: {got.value!r}")
+    print(f"direct product:              {ref!r}")
+    print(f"relative discrepancy:        {rel:.3e}")
+    print(
         "finding: the integral converges at x = y and matches the product; "
         "no divergence is observed at the boundary."
         if rel <= 1e-4 else
         "finding: the integral and the product disagree at x = y."
     )
+    return 0
+
+
+# --------------------------------------------------------------------------
+# argparse wiring
+# --------------------------------------------------------------------------
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.  Option values stay
+    strings for _float_option, and the arguments after a command's options
+    are left to _parse_named_floats."""
+    top = argparse.ArgumentParser(
+        prog="pcfprod", allow_abbrev=False,
+        description="Parabolic-cylinder product representations and their verification.")
+    commands = top.add_subparsers(title="commands", metavar="COMMAND", required=True)
+
+    def command(name, run, usage):
+        doc = inspect.cleandoc(run.__doc__)
+        sub = commands.add_parser(name, help=doc.splitlines()[0], description=doc, usage=usage,
+                                  formatter_class=argparse.RawDescriptionHelpFormatter,
+                                  allow_abbrev=False)
+        sub.set_defaults(run=run, parser=sub)
+        return sub
+
+    sub = command("eval", eval_cmd, "%(prog)s [-h] [--tol TOL] TARGET --name value ...")
+    sub.add_argument("target", metavar="TARGET", help=", ".join(sorted(EVAL_TARGETS)))
+    sub.add_argument("--tol", default="1e-10",
+                     help="Requested relative tolerance for iterative targets "
+                          "(default: %(default)s).")
+    sub = command("verify", verify_cmd, "%(prog)s [-h] [--tol TOL] [--format {csv,json}] "
+                                        "IDENTITY [--name gridspec ...]")
+    sub.add_argument("identity", metavar="IDENTITY", help=f"{', '.join(IDENTITIES)} or all")
+    sub.add_argument("--tol", help="Override the identity's default tolerance.")
+    sub.add_argument("--format", default="csv", metavar="{csv,json}",
+                     help="(default: %(default)s)")
+    sub = command("explore-equal-args", explore_cmd, None)
+    for name, default in (("nu", "1.0"), ("x", "2.0"), ("tol", "1e-06")):
+        sub.add_argument(f"--{name}", default=default, help="(default: %(default)s)")
+    return top
+
+
+def main(argv: list[str] | None = None, standalone_mode: bool = True) -> int:
+    """Run one command line (``sys.argv[1:]`` by default).  With
+    ``standalone_mode``, as the console script runs it, exit with the
+    command's status; otherwise return it."""
+    try:
+        args, rest = _parser().parse_known_args(argv)
+        try:
+            code = args.run(args, rest)
+        except UsageError as exc:
+            args.parser.error(str(exc))  # the usage line, then the message; exits 2
+    except SystemExit as exc:  # --help, and every usage error, leave argparse this way
+        code = exc.code
+    if standalone_mode:
+        sys.exit(code)
+    return code
 
 
 if __name__ == "__main__":

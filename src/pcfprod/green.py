@@ -142,7 +142,8 @@ def _eigen_distance(lam: float) -> float:
 
 def eigenfunction(n: int, x: float) -> float:
     """Normalized oscillator eigenfunction pi^{-1/4} e^{-x^2/2} h_n(x), not log-scaled:
-    the two factors leave floating range for |x| beyond about 37."""
+    the two factors leave floating range for |x| beyond about 37.  The degree
+    is capped at 2^19: a larger n raises :class:`DomainError`."""
     return math.pi ** -0.25 * math.exp(-0.5 * x * x) * scaled_hermite(n, x)
 
 

@@ -101,9 +101,15 @@ class SeriesResult:
 
 
 def scaled_hermite(n: int, x: float) -> float:
-    """h_n(x) = H_n(x)/sqrt(2^n n!) for one degree n, by the scalar recurrence."""
+    """h_n(x) = H_n(x)/sqrt(2^n n!) for one degree n, by the scalar recurrence.
+
+    The loop runs n steps, so n is capped at 2^19, the series' own cap on
+    the products it computes; a larger degree raises :class:`DomainError`.
+    """
     if not n >= 0 or n % 1:
         raise DomainError(f"Hermite degree must be a nonnegative integer, got {n}")
+    if n > _MAX_PRODUCTS:
+        raise DomainError(f"Hermite degree must be at most 2^19 = {_MAX_PRODUCTS}, got {n}")
     if not math.isfinite(x):
         raise DomainError(f"Hermite argument must be finite, got x={x}")
     prev, h = 0.0, 1.0

@@ -39,6 +39,7 @@ def hermite(n: int, x: float) -> float:
 
     Where H_n(x) overflows a double the result is signed infinity; it is
     never nan for |x| < 37, where h_n(x) <= 1.0865 e^{x^2/2} is finite.
+    The degree is capped at 2^19: a larger n raises :class:`DomainError`.
     """
     frac, expo = math.frexp(scaled_hermite(n, x))  # checks the degree
     # the top 212 or 213 bits of 2^n n! (an even shift): isqrt leaves 106 exact bits of

@@ -10,10 +10,8 @@ import time
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import pcfprod as pp
-from pcfprod.cli import main as cli_main
 from pcfprod.mehler import sum_rule_term_decay_exponent
 
 
@@ -172,14 +170,13 @@ def test_criterion_8_equal_arguments_boundary():
     assert math.isfinite(got)
 
 
-def test_criterion_9_cli_verification_deterministic():
-    runner = CliRunner()
-    a = runner.invoke(cli_main, ["verify", "all"])
-    b = runner.invoke(cli_main, ["verify", "all"])
-    summary = next(l for l in a.output.splitlines() if l.startswith("# summary"))
-    ok = a.exit_code == 0 and b.exit_code == 0 and a.output == b.output
+def test_criterion_9_cli_verification_deterministic(run_cli):
+    a = run_cli(["verify", "all"])
+    b = run_cli(["verify", "all"])
+    summary = next(l for l in a.stdout.splitlines() if l.startswith("# summary"))
+    ok = a.exit_code == 0 and b.exit_code == 0 and a == b
     report(9, "CLI full verification sweep", ok,
-           f"exit {a.exit_code}, reruns byte-identical: {a.output == b.output}, {summary}")
+           f"exit {a.exit_code}, reruns byte-identical: {a == b}, {summary}")
     assert a.exit_code == 0
-    assert a.output == b.output
+    assert a == b
     assert summary == "# summary: pass=136 fail=0 skip=0"

@@ -8,16 +8,9 @@ import subprocess
 import sys
 
 import pytest
-from click.testing import CliRunner
 
 import pcfprod
 from pcfprod import ConvergenceError, SeriesResult, SumRuleQuery, sum_rule_lhs
-from pcfprod.cli import main
-
-
-@pytest.fixture()
-def runner():
-    return CliRunner()
 
 
 def first_value(output):
@@ -31,138 +24,213 @@ def strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
-@pytest.mark.parametrize("prefix, loaded_by_series", [("scipy.integrate", False),
-                                                      ("numpy", True)])
-def test_import_leaves_module_unloaded(runner, prefix, loaded_by_series):
-    # only the ODE oracle needs scipy.integrate, which takes about half a
-    # second to import, and only a Hermite series needs numpy, which takes
-    # more than the rest of a launch: neither `import pcfprod.cli` nor a
-    # scalar `eval` may pay for them; a series loads numpy on its first call
+def run_python(code):
+    """Run ``code`` in a fresh interpreter that imports pcfprod from this tree."""
     src = os.path.dirname(os.path.dirname(pcfprod.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("prefix, loaded_by_series", [("scipy.integrate", False),
+                                                      ("numpy", True),
+                                                      ("click", False),
+                                                      ("pcfprod.glasser", False),
+                                                      ("pcfprod.green", False),
+                                                      ("pcfprod.mehler", True)])
+def test_import_leaves_module_unloaded(run_cli, prefix, loaded_by_series):
+    # only the ODE oracle needs scipy.integrate, which takes about half a
+    # second to import, and only a Hermite series needs numpy, which takes
+    # more than the rest of a launch: neither `import pcfprod.cli` nor a
+    # scalar `eval` may pay for them; a series loads numpy on its first call.
+    # The command line is parsed without click, and a library module loads
+    # with the first route that uses it
     scalar = ["eval", "pcf_d", "--nu", "-1", "--z", "0"]
     series = ["eval", "series_for_I", "--nu", "1", "--X", "2", "--Y", "1"]
     probe = (f"print(any((m + '.').startswith({prefix + '.'!r}) for m in sys.modules), "
              f"file=sys.stderr)")
-    code = "\n".join(["import sys", "from pcfprod.cli import main", probe,
-                      f"main({scalar!r}, standalone_mode=False)", probe,
-                      f"main({series!r}, standalone_mode=False)", probe])
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True)
+    out = run_python("\n".join(["import sys", "from pcfprod.cli import main", probe,
+                                f"main({scalar!r}, standalone_mode=False)", probe,
+                                f"main({series!r}, standalone_mode=False)", probe]))
+    assert out.returncode == 0, out.stderr
     assert out.stderr == f"False\nFalse\n{loaded_by_series}\n"
     scalar_line, series_line = out.stdout.splitlines()[:2]
-    assert scalar_line == runner.invoke(main, scalar).output.splitlines()[0]
-    assert series_line == runner.invoke(main, series).output.splitlines()[0]
+    assert scalar_line == run_cli(scalar).stdout.splitlines()[0]
+    assert series_line == run_cli(series).stdout.splitlines()[0]
 
 
-def test_runs_without_scipy(runner):
+def test_runs_without_scipy(run_cli):
     # scipy is only a test dependency: with every scipy import made to
     # fail, the ODE oracle still runs and prints the in-process value
     args = ["eval", "green_ode", "--lam", "0", "--x", "1", "--xprime", "0"]
-    src = os.path.dirname(os.path.dirname(pcfprod.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    code = ("import sys; sys.modules['scipy'] = None; "
-            f"from pcfprod.cli import main; main({args!r})")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    out = run_python(f"import sys; sys.modules['scipy'] = None; "
+                     f"from pcfprod.cli import main; main({args!r})")
     assert out.returncode == 0, out.stderr
-    r = runner.invoke(main, args)
+    r = run_cli(args)
     assert r.exit_code == 0
-    assert out.stdout.splitlines()[0] == r.output.splitlines()[0]
+    assert out.stdout.splitlines()[0] == r.stdout.splitlines()[0]
+
+
+@pytest.mark.parametrize("args", [
+    ["eval", "pcf_d", "--nu", "-1", "--z", "0"],
+    ["verify", "EQ15", "--nu", "1", "--x", "1:2:2", "--y", "0.5", "--format", "json"],
+    ["eval", "nope"],
+], ids=lambda a: "-".join(a[:2]))
+def test_runs_without_click(run_cli, args):
+    # numpy is the only runtime dependency: with every click import made to
+    # fail, a command prints what it prints in process, with the same status
+    out = run_python(f"import sys; sys.modules['click'] = None; "
+                     f"from pcfprod.cli import main; main({args!r})")
+    assert (out.returncode, out.stdout, out.stderr) == tuple(run_cli(args))
+
+
+@pytest.mark.parametrize("command", [[], ["eval"], ["verify"], ["explore-equal-args"]],
+                         ids=lambda c: "-".join(c) or "top")
+def test_help(run_cli, command):
+    r = run_cli([*command, "--help"])
+    assert r.exit_code == 0
+    assert r.stdout.startswith(f"usage: {' '.join(['pcfprod', *command])} ")
+    assert r.stderr == ""
+
+
+# each message as click wrote it, after argparse's usage line and "pcfprod <command>: error: "
+USAGE_ERRORS = [
+    ("eval nope --x 1", "unknown target 'nope'; known targets: bessel_k_quarter, "
+                        "eigenfunction, erfc, gamma, green_closed, green_ode, green_spectral, "
+                        "hermite, hyperbolic_lhs_13a, hyperbolic_lhs_13b, hyperbolic_lhs_14, "
+                        "laplace_I, mehler_kernel, mehler_kernel_series, pcf_d, "
+                        "product_integral, product_reference, series_for_I, sum_rule_lhs"),
+    ("eval pcf_d --nu -1", "missing parameter(s): --z"),
+    ("eval pcf_d --nu -1 --z", "missing value for --z"),
+    ("eval pcf_d --nu -1 z 0", "expected --name, got 'z'"),
+    ("eval pcf_d --nu abc --z 0", "invalid parameter value: could not convert string to "
+                                  "float: 'abc'"),
+    ("eval pcf_d --nu -1 --z 0 --tol abc", "Invalid value for '--tol': 'abc' is not a valid "
+                                           "float."),
+    ("verify EQ99", "unknown identity 'EQ99'; choose from EQ3, EQ10, EQ11, EQ12, EQ13A, "
+                    "EQ13B, EQ14, EQ15, EQ8_EQ9 or 'all'"),
+    ("verify EQ13A --alpha 1:2 --phi 1", "malformed range spec for --alpha: '1:2' "
+                                         "(want lo:hi:count or log:lo:hi:count)"),
+    ("verify EQ13A --alpha log:-1:2:3", "log spacing needs positive bounds in "
+                                        "--alpha='log:-1:2:3'"),
+    ("verify EQ13A --beta 1", "EQ13A takes parameters ('alpha', 'phi'), not ['beta']"),
+    ("verify EQ13A --format xml", "Invalid value for '--format': 'xml' is not one of "
+                                  "'csv', 'json'."),
+    ("explore-equal-args --nu abc", "Invalid value for '--nu': 'abc' is not a valid float."),
+]
+
+
+@pytest.mark.parametrize("args, message", USAGE_ERRORS,
+                         ids=[a.replace(" --", "-").replace(" ", "=") for a, _ in USAGE_ERRORS])
+def test_usage_error(run_cli, args, message):
+    r = run_cli(args.split())
+    assert r.exit_code == 2
+    assert r.stdout == ""
+    usage, error = r.stderr.splitlines()
+    command = args.split()[0]
+    assert usage.startswith(f"usage: pcfprod {command} ")
+    assert error == f"pcfprod {command}: error: {message}"
 
 
 class TestEval:
-    def test_pcf_d_closed_point(self, runner):
-        r = runner.invoke(main, ["eval", "pcf_d", "--nu", "-1", "--z", "0"])
+    def test_pcf_d_closed_point(self, run_cli):
+        r = run_cli(["eval", "pcf_d", "--nu", "-1", "--z", "0"])
         assert r.exit_code == 0
-        assert first_value(r.output) == pytest.approx(math.sqrt(math.pi / 2), rel=1e-10)
+        assert first_value(r.stdout) == pytest.approx(math.sqrt(math.pi / 2), rel=1e-10)
 
-    def test_mehler_kernel_trivial(self, runner):
-        r = runner.invoke(main, ["eval", "mehler_kernel", "--X", "1", "--Y", "0.5", "--u", "0"])
+    def test_mehler_kernel_trivial(self, run_cli):
+        r = run_cli(["eval", "mehler_kernel", "--X", "1", "--Y", "0.5", "--u", "0"])
         assert r.exit_code == 0
-        assert first_value(r.output) == 1.0
+        assert first_value(r.stdout) == 1.0
 
-    def test_integral_matches_reference(self, runner):
+    def test_integral_matches_reference(self, run_cli):
         args = ["--nu", "1", "--x", "2", "--y", "1"]
-        a = runner.invoke(main, ["eval", "product_integral", *args])
-        b = runner.invoke(main, ["eval", "product_reference", *args])
+        a = run_cli(["eval", "product_integral", *args])
+        b = run_cli(["eval", "product_reference", *args])
         assert a.exit_code == 0 and b.exit_code == 0
-        assert first_value(a.output) == pytest.approx(first_value(b.output), rel=1e-8)
+        assert first_value(a.stdout) == pytest.approx(first_value(b.stdout), rel=1e-8)
 
-    def test_metadata_lines(self, runner):
-        r = runner.invoke(main, ["eval", "product_integral",
+    def test_metadata_lines(self, run_cli):
+        r = run_cli(["eval", "product_integral",
                                  "--nu", "1", "--x", "2", "--y", "1"])
-        assert any(line.startswith("# evaluations = ") for line in r.output.splitlines())
+        assert any(line.startswith("# evaluations = ") for line in r.stdout.splitlines())
 
-    def test_clamped_tolerance_is_reported(self, runner):
+    def test_clamped_tolerance_is_reported(self, run_cli):
         # one floor, 1e-9, for every Hermite-series target
         for args in (["series_for_I", "--nu", "1", "--X", "1", "--Y", "0.2"],
                      ["sum_rule_lhs", "--nu", "1", "--x", "2", "--y", "1"],
                      ["green_spectral", "--lam", "0", "--x", "1", "--xprime", "0"]):
-            r = runner.invoke(main, ["eval", *args, "--tol", "1e-12"])
+            r = run_cli(["eval", *args, "--tol", "1e-12"])
             assert r.exit_code == 0
-            assert "# tol_effective = 1e-09" in r.output.splitlines()
+            assert "# tol_effective = 1e-09" in r.stdout.splitlines()
             for tol in ("1e-9", "1e-6"):
-                r = runner.invoke(main, ["eval", *args, "--tol", tol])
+                r = run_cli(["eval", *args, "--tol", tol])
                 assert r.exit_code == 0
-                assert "tol_effective" not in r.output
+                assert "tol_effective" not in r.stdout
 
-    def test_route_is_looked_up_at_call_time(self, runner, monkeypatch):
+    def test_route_is_looked_up_at_call_time(self, run_cli, monkeypatch):
         # a patched module attribute, as the benchmark's tracer installs,
         # sees the call; the result prints its value, then its other fields
         monkeypatch.setattr("pcfprod.mehler.sum_rule_lhs",
                             lambda q, tol: SeriesResult(q.nu, 3, tol))
-        r = runner.invoke(main, ["eval", "sum_rule_lhs", "--nu", "1.5", "--x", "2", "--y", "1",
+        r = run_cli(["eval", "sum_rule_lhs", "--nu", "1.5", "--x", "2", "--y", "1",
                                  "--tol", "1e-12"])
         assert r.exit_code == 0
-        assert r.output.splitlines() == ["1.5", "# terms_used = 3", "# tail_bound = 1e-09",
+        assert r.stdout.splitlines() == ["1.5", "# terms_used = 3", "# tail_bound = 1e-09",
                                          "# tol_effective = 1e-09"]
 
-    def test_unknown_target(self, runner):
-        r = runner.invoke(main, ["eval", "nope", "--x", "1"])
+    def test_unknown_target(self, run_cli):
+        r = run_cli(["eval", "nope", "--x", "1"])
         assert r.exit_code != 0
-        assert "unknown target" in r.output
+        assert "unknown target" in r.stderr
 
-    def test_missing_parameter(self, runner):
-        r = runner.invoke(main, ["eval", "pcf_d", "--nu", "-1"])
+    def test_missing_parameter(self, run_cli):
+        r = run_cli(["eval", "pcf_d", "--nu", "-1"])
         assert r.exit_code != 0
-        assert "--z" in r.output
+        assert "--z" in r.stderr
 
-    def test_domain_error_exit_code(self, runner):
-        r = runner.invoke(main, ["eval", "pcf_d", "--nu", "0.5", "--z", "1"])
+    def test_domain_error_exit_code(self, run_cli):
+        r = run_cli(["eval", "pcf_d", "--nu", "0.5", "--z", "1"])
         assert r.exit_code == 2
-        assert "domain error" in r.output
+        assert "domain error" in r.stderr
 
-    def test_erfc_route(self, runner):
+    def test_erfc_route(self, run_cli):
         # the route calls math.erfc; the value was frozen with a 30-digit oracle
-        r = runner.invoke(main, ["eval", "erfc", "--x", "1"])
+        r = run_cli(["eval", "erfc", "--x", "1"])
         assert r.exit_code == 0
-        assert first_value(r.output) == pytest.approx(0.1572992070502851307, rel=1e-14)
+        assert first_value(r.stdout) == pytest.approx(0.1572992070502851307, rel=1e-14)
 
-    def test_hermite_overflow_prints_inf(self, runner):
-        r = runner.invoke(main, ["eval", "hermite", "--n", "400", "--x", "0"])
+    def test_hermite_overflow_prints_inf(self, run_cli):
+        r = run_cli(["eval", "hermite", "--n", "400", "--x", "0"])
         assert r.exit_code == 0
-        assert r.output == "inf\n"
+        assert r.stdout == "inf\n"
 
     @pytest.mark.parametrize("target,codes", [("mehler_kernel", (2,)),
                                               ("mehler_kernel_series", (2, 3))])
-    def test_mehler_overflow_exits_cleanly(self, runner, target, codes):
-        r = runner.invoke(main, ["eval", target, "--X", "30", "--Y", "30", "--u", "0.9"])
-        assert r.exit_code in codes, r.output
+    def test_mehler_overflow_exits_cleanly(self, run_cli, target, codes):
+        r = run_cli(["eval", target, "--X", "30", "--Y", "30", "--u", "0.9"])
+        assert r.exit_code in codes, r.stderr
 
     @pytest.mark.parametrize("target", ["hermite", "eigenfunction"])
     @pytest.mark.parametrize("n", ["2.5", "nan", "-1"])
-    def test_non_integer_degree_is_domain_error(self, runner, target, n):
+    def test_non_integer_degree_is_domain_error(self, run_cli, target, n):
         # the degree is checked, not truncated: --n 2.5 is not H_2
-        r = runner.invoke(main, ["eval", target, "--n", n, "--x", "1"])
+        r = run_cli(["eval", target, "--n", n, "--x", "1"])
         assert r.exit_code == 2
-        assert "domain error" in r.output
+        assert "domain error" in r.stderr
 
-    def test_nan_order_is_domain_error(self, runner):
-        r = runner.invoke(main, ["eval", "pcf_d", "--nu", "nan", "--z", "1"])
+    @pytest.mark.parametrize("target", ["hermite", "eigenfunction"])
+    @pytest.mark.parametrize("n", ["524289", "1e9"])
+    def test_degree_above_cap_is_domain_error(self, run_cli, target, n):
+        # the recurrence runs n steps: 1e9 of them used to take minutes
+        r = run_cli(["eval", target, "--n", n, "--x", "0"])
         assert r.exit_code == 2
-        assert "domain error" in r.output
+        assert r.stderr.startswith("domain error: Hermite degree must be at most 2^19")
+
+    def test_nan_order_is_domain_error(self, run_cli):
+        r = run_cli(["eval", "pcf_d", "--nu", "nan", "--z", "1"])
+        assert r.exit_code == 2
+        assert "domain error" in r.stderr
 
     @pytest.mark.parametrize("args", [
         "series_for_I --nu 1 --X 2 --Y 1 --tol nan",
@@ -184,37 +252,39 @@ class TestEval:
         # phi in a left side of 0.0
         "laplace_I --nu 1 --a 2 --b 1 --sign nan",
         "hyperbolic_lhs_14 --a 1 --phi inf",
+        # math.erfc(nan) is nan, which this route used to print
+        "erfc --x nan",
     ], ids=lambda a: a.replace(" --", "-").replace(" ", "="))
-    def test_non_finite_input_is_domain_error(self, runner, args):
-        r = runner.invoke(main, ["eval", *args.split()])
-        assert r.exit_code == 2, r.output
-        assert r.output.startswith("domain error: ")
+    def test_non_finite_input_is_domain_error(self, run_cli, args):
+        r = run_cli(["eval", *args.split()])
+        assert r.exit_code == 2, r.stderr
+        assert r.stderr.startswith("domain error: ")
         if args.startswith("pcf_d"):
-            assert "z=nan" in r.output
+            assert "z=nan" in r.stderr
 
-    def test_hyperbolic_left_sides(self, runner):
+    def test_hyperbolic_left_sides(self, run_cli):
         # the theta integral alone: its error estimate, and no right side,
         # so a point where e^{alpha^2 cosh(phi)} overflows still has one
         for args in (["hyperbolic_lhs_13a", "--alpha", "1", "--phi", "1"],
                      ["hyperbolic_lhs_13b", "--alpha", "1", "--phi", "1"],
                      ["hyperbolic_lhs_14", "--a", "1", "--phi", "1"],
                      ["hyperbolic_lhs_13a", "--alpha", "30", "--phi", "3"]):
-            r = runner.invoke(main, ["eval", *args])
-            assert r.exit_code == 0, r.output
-            value, error, evaluations = r.output.splitlines()
+            r = run_cli(["eval", *args])
+            assert r.exit_code == 0, r.stderr
+            value, error, evaluations = r.stdout.splitlines()
             assert float(value) > 0.0
             assert error.startswith("# error_estimate = ")
             assert evaluations.startswith("# evaluations = ")
 
 
 class TestVerify:
-    def test_single_point_sum_rule(self, runner):
-        r = runner.invoke(main, ["verify", "EQ15", "--nu", "1", "--x", "2", "--y", "1"])
+    def test_single_point_sum_rule(self, run_cli):
+        r = run_cli(["verify", "EQ15", "--nu", "1", "--x", "2", "--y", "1"])
         assert r.exit_code == 0
-        lines = [l for l in r.output.splitlines() if l.startswith("EQ15")]
+        lines = [l for l in r.stdout.splitlines() if l.startswith("EQ15")]
         assert len(lines) == 1
         assert lines[0].endswith("true")
-        assert "pass=1 fail=0 skip=0" in r.output
+        assert "pass=1 fail=0 skip=0" in r.stdout
 
     # one point per domain rule the library enforces for `verify`
     @pytest.mark.parametrize("args", [
@@ -233,22 +303,22 @@ class TestVerify:
         "EQ15 --nu 1 --x 2 --y 1 --tol nan",
         "EQ8_EQ9 --lam 0 --x inf --xprime 0",
     ], ids=lambda a: a.replace(" --", "-").replace(" ", "="))
-    def test_out_of_domain_point_is_skipped(self, runner, args):
-        r = runner.invoke(main, ["verify", *args.split()])
+    def test_out_of_domain_point_is_skipped(self, run_cli, args):
+        r = run_cli(["verify", *args.split()])
         assert r.exit_code == 0
-        assert "skipped" in r.output
-        assert "skip=1" in r.output
+        assert "skipped" in r.stdout
+        assert "skip=1" in r.stdout
 
-    def test_near_diagonal_sum_rule_passes(self, runner):
+    def test_near_diagonal_sum_rule_passes(self, run_cli):
         # x - y = 0.1 (X - Y = 0.07) used to stall at 524,288 terms
-        r = runner.invoke(main, ["verify", "EQ15", "--nu", "1", "--x", "2", "--y", "1.9"])
+        r = run_cli(["verify", "EQ15", "--nu", "1", "--x", "2", "--y", "1.9"])
         assert r.exit_code == 0
         assert "pass=1 fail=0 skip=0" in r.stdout
 
-    def test_convergence_error_is_a_failed_record(self, runner):
+    def test_convergence_error_is_a_failed_record(self, run_cli):
         # x - y = 0.01 needs more Abel-weighted terms than the 2^19 cap
         args = ["verify", "EQ15", "--nu", "1", "--x", "2", "--y", "1.99"]
-        r = runner.invoke(main, args)
+        r = run_cli(args)
         assert r.exit_code == 1
         rows = [l for l in r.stdout.splitlines() if l.startswith("EQ15")]
         assert len(rows) == 1 and rows[0].endswith(",nan,nan,nan,false")
@@ -265,13 +335,13 @@ class TestVerify:
             sum_rule_lhs(SumRuleQuery(1.0, 2.0, 1.99), 2.5e-7)
         partial = info.value.partial
         assert rows[0].split(",")[4] == repr(partial.value)
-        (rec,) = strict_json(runner.invoke(main, [*args, "--format", "json"]).stdout)["records"]
+        (rec,) = strict_json(run_cli([*args, "--format", "json"]).stdout)["records"]
         assert (rec["lhs"], rec["evaluations"]) == (partial.value, partial.terms_used)
         assert rec["rhs"] is rec["abs_err"] is rec["rel_err"] is None
         assert 2 ** 18 < rec["evaluations"] <= 2 ** 19
 
-    def test_csv_reason_goes_to_stderr(self, runner):
-        r = runner.invoke(main, ["verify", "EQ15", "--nu", "1", "--x", "1:2:2", "--y", "1.99"])
+    def test_csv_reason_goes_to_stderr(self, run_cli):
+        r = run_cli(["verify", "EQ15", "--nu", "1", "--x", "1:2:2", "--y", "1.99"])
         assert r.exit_code == 1
         with pytest.raises(ConvergenceError) as info:
             sum_rule_lhs(SumRuleQuery(1.0, 2.0, 1.99), 2.5e-7)
@@ -286,11 +356,11 @@ class TestVerify:
         assert notes[0] == "# EQ15 nu=1.0 x=1.0 y=1.99: sum rule requires x > y, got x=1.0, y=1.99"
         assert notes[1].startswith("# EQ15 nu=1.0 x=2.0 y=1.99: bilinear Hermite sum missed tol")
         # a deterministic miss: about 14x over its tolerance
-        r = runner.invoke(main, ["verify", "EQ10", "--nu", "0.9985", "--x", "26.145",
+        r = run_cli(["verify", "EQ10", "--nu", "0.9985", "--x", "26.145",
                                  "--y", "26.0815", "--tol", "1e-12"])
         assert r.exit_code == 1
         assert r.stderr == "# EQ10 nu=0.9985 x=26.145 y=26.0815: error above tolerance\n"
-        r = runner.invoke(main, ["verify", "EQ10", "--nu", "1", "--x", "2", "--y", "1",
+        r = run_cli(["verify", "EQ10", "--nu", "1", "--x", "2", "--y", "1",
                                  "--tol", "1e-16"])
         assert r.stderr == "# EQ10 nu=1.0 x=2.0 y=1.0: quadrature tol clamped to 1e-14\n"
 
@@ -306,11 +376,11 @@ class TestVerify:
         ("EQ13B", ["--alpha", "1", "--phi", "1"]),
         ("EQ14", ["--a", "1", "--phi", "1"]),
     ])
-    def test_quadrature_tol_clamp_is_noted(self, runner, identity, args):
+    def test_quadrature_tol_clamp_is_noted(self, run_cli, identity, args):
         notes = {}
         for tol, fmt in (("1e-16", "json"), ("0.5", "json"), ("1e-8", "json"),
                          ("1e-16", "csv")):
-            r = runner.invoke(main, ["verify", identity, *args, "--tol", tol, "--format", fmt])
+            r = run_cli(["verify", identity, *args, "--tol", tol, "--format", fmt])
             if fmt == "json":
                 (rec,) = strict_json(r.stdout)["records"]
                 assert rec["status"] != "skip"
@@ -320,91 +390,91 @@ class TestVerify:
         assert notes == {"1e-16": "quadrature tol clamped to 1e-14",
                          "0.5": self.NOTE_AT_HALF.get(identity, ""), "1e-8": ""}
 
-    def test_clamped_failure_keeps_its_reason(self, runner):
+    def test_clamped_failure_keeps_its_reason(self, run_cli):
         # rel_err about 3.7e-14, from the direct product at large x and y
-        r = runner.invoke(main, ["verify", "EQ10", "--nu", "1", "--x", "15", "--y", "14",
+        r = run_cli(["verify", "EQ10", "--nu", "1", "--x", "15", "--y", "14",
                                  "--tol", "1e-15"])
         assert r.exit_code == 1
         assert r.stderr == ("# EQ10 nu=1.0 x=15.0 y=14.0: error above tolerance; "
                             "quadrature tol clamped to 1e-14\n")
 
-    def test_identity_name_case_insensitive(self, runner):
-        r = runner.invoke(main, ["verify", "eq13a", "--alpha", "1", "--phi", "1"])
+    def test_identity_name_case_insensitive(self, run_cli):
+        r = run_cli(["verify", "eq13a", "--alpha", "1", "--phi", "1"])
         assert r.exit_code == 0
-        assert "pass=1" in r.output
+        assert "pass=1" in r.stdout
 
-    def test_default_grid(self, runner):
-        r = runner.invoke(main, ["verify", "EQ13A"])
+    def test_default_grid(self, run_cli):
+        r = run_cli(["verify", "EQ13A"])
         assert r.exit_code == 0
-        assert "pass=9 fail=0 skip=0" in r.output
+        assert "pass=9 fail=0 skip=0" in r.stdout
 
-    def test_gridspec_expansion(self, runner):
-        r = runner.invoke(main, ["verify", "EQ13A", "--alpha", "0.5:2:4", "--phi", "1"])
+    def test_gridspec_expansion(self, run_cli):
+        r = run_cli(["verify", "EQ13A", "--alpha", "0.5:2:4", "--phi", "1"])
         assert r.exit_code == 0
-        assert "pass=4 fail=0 skip=0" in r.output
+        assert "pass=4 fail=0 skip=0" in r.stdout
 
-    def test_log_gridspec(self, runner):
-        r = runner.invoke(main, ["verify", "EQ13A", "--alpha", "log:0.5:2:3", "--phi", "1"])
+    def test_log_gridspec(self, run_cli):
+        r = run_cli(["verify", "EQ13A", "--alpha", "log:0.5:2:3", "--phi", "1"])
         assert r.exit_code == 0
-        assert "pass=3 fail=0 skip=0" in r.output
+        assert "pass=3 fail=0 skip=0" in r.stdout
 
-    def test_malformed_gridspec(self, runner):
-        r = runner.invoke(main, ["verify", "EQ13A", "--alpha", "1:2", "--phi", "1"])
+    def test_malformed_gridspec(self, run_cli):
+        r = run_cli(["verify", "EQ13A", "--alpha", "1:2", "--phi", "1"])
         assert r.exit_code != 0
-        assert "malformed range spec" in r.output
+        assert "malformed range spec" in r.stderr
 
-    def test_unknown_identity(self, runner):
-        r = runner.invoke(main, ["verify", "EQ99"])
+    def test_unknown_identity(self, run_cli):
+        r = run_cli(["verify", "EQ99"])
         assert r.exit_code != 0
-        assert "unknown identity" in r.output
+        assert "unknown identity" in r.stderr
 
-    def test_json_has_no_nan(self, runner):
+    def test_json_has_no_nan(self, run_cli):
         # a skipped record has no numbers: JSON null, not the NaN literal
-        r = runner.invoke(main, ["verify", "EQ10", "--nu", "1", "--x", "1", "--y", "2",
+        r = run_cli(["verify", "EQ10", "--nu", "1", "--x", "1", "--y", "2",
                                  "--format", "json"])
         assert r.exit_code == 0
         (rec,) = strict_json(r.stdout)["records"]
         assert rec["status"] == "skip"
         assert [rec[k] for k in ("lhs", "rhs", "abs_err", "rel_err")] == [None] * 4
-        r = runner.invoke(main, ["verify", "EQ15", "--nu", "1", "--x", "inf", "--y", "0",
+        r = run_cli(["verify", "EQ15", "--nu", "1", "--x", "inf", "--y", "0",
                                  "--format", "json"])
         assert strict_json(r.stdout)["records"][0]["params"] == {"nu": 1.0, "x": None, "y": 0.0}
 
-    def test_json_format(self, runner):
-        r = runner.invoke(main, ["verify", "EQ13B", "--format", "json",
+    def test_json_format(self, run_cli):
+        r = run_cli(["verify", "EQ13B", "--format", "json",
                                  "--alpha", "1", "--phi", "0.5:1.5:2"])
         assert r.exit_code == 0
-        doc = json.loads(r.output)
+        doc = json.loads(r.stdout)
         assert doc["summary"] == {"pass": 2, "fail": 0, "skip": 0}
         assert len(doc["records"]) == 2
         assert all(rec["status"] == "pass" for rec in doc["records"])
 
-    def test_csv_header(self, runner):
-        r = runner.invoke(main, ["verify", "EQ14", "--a", "1", "--phi", "1"])
-        assert r.output.splitlines()[0] == \
+    def test_csv_header(self, run_cli):
+        r = run_cli(["verify", "EQ14", "--a", "1", "--phi", "1"])
+        assert r.stdout.splitlines()[0] == \
             "identity_id,a,phi,lhs,rhs,abs_err,rel_err,passed"
 
-    def test_determinism(self, runner):
+    def test_determinism(self, run_cli):
         cmd = ["verify", "EQ3", "--u", "-0.5:0.5:3"]
-        a = runner.invoke(main, cmd)
-        b = runner.invoke(main, cmd)
+        a = run_cli(cmd)
+        b = run_cli(cmd)
         assert a.exit_code == 0
-        assert a.output == b.output
+        assert a == b
 
 
 class TestExploreEqualArgs:
-    def test_boundary_report(self, runner):
-        r = runner.invoke(main, ["explore-equal-args", "--nu", "1", "--x", "2"])
+    def test_boundary_report(self, run_cli):
+        r = run_cli(["explore-equal-args", "--nu", "1", "--x", "2"])
         assert r.exit_code == 0
-        assert "relative discrepancy" in r.output
-        assert "finding:" in r.output
+        assert "relative discrepancy" in r.stdout
+        assert "finding:" in r.stdout
 
-    def test_unconverged_integral_is_reported_as_the_product(self, runner):
+    def test_unconverged_integral_is_reported_as_the_product(self, run_cli):
         # at tol 1e-10 the quadrature raises; its partial must carry the
         # product's prefactor, not be the bare Laplace integral
-        r = runner.invoke(main, ["explore-equal-args", "--nu", "1", "--x", "2",
+        r = run_cli(["explore-equal-args", "--nu", "1", "--x", "2",
                                  "--tol", "1e-10"])
         assert r.exit_code == 0
-        rel = float(re.search(r"relative discrepancy:\s+(\S+)", r.output).group(1))
+        rel = float(re.search(r"relative discrepancy:\s+(\S+)", r.stdout).group(1))
         assert rel <= 1e-4
-        assert "finding: the integral converges" in r.output
+        assert "finding: the integral converges" in r.stdout

@@ -1,5 +1,6 @@
 """Blocked scaled-Hermite recurrence and the Abel-weighted bilinear summer."""
 
+import math
 import re
 
 import mpmath as mp
@@ -53,6 +54,13 @@ def test_invalid_input_is_a_domain_error(X, Y, shift, tol):
     # not a ValueError from the term count, nor a sum at a nan tolerance
     with pytest.raises(DomainError, match="bilinear Hermite sum needs finite"):
         bilinear_hermite_sum(X, Y, shift, tol)
+
+
+def test_scalar_degree_is_capped():
+    # the scalar loop stops at the series' own cap of 2^19 products
+    assert math.isfinite(hermsum.scaled_hermite(2 ** 19, 0.3))
+    with pytest.raises(DomainError, match=r"at most 2\^19 = 524288, got 524289"):
+        hermsum.scaled_hermite(2 ** 19 + 1, 0.3)
 
 
 @pytest.mark.parametrize("X,Y", POINTS)
