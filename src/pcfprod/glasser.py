@@ -102,9 +102,16 @@ def product_reference(q: ProductQuery) -> float:
     """D_{-nu}(x) * D_{-nu}(-y) via two independent pcf_d evaluations.
 
     This is the oracle side of every identity involving the product;
-    it is defined for all real x, y (no x > y restriction).
+    it is defined for all real x, y (no x > y restriction).  ``pcf_d``
+    sums series and a continued fraction and runs no quadrature, so it
+    shares no code with the integral side.  Where a factor or the product
+    overflows a double (large y, or x and -y both far below 0) it raises
+    :class:`DomainError`.
     """
-    return pcf_d(-q.nu, q.x) * pcf_d(-q.nu, -q.y)
+    value = pcf_d(-q.nu, q.x) * pcf_d(-q.nu, -q.y)
+    if value == math.inf:
+        raise DomainError(f"D_{{-{q.nu}}}({q.x}) D_{{-{q.nu}}}({-q.y}) overflows a double")
+    return value
 
 
 def _laplace_integrand(nu: float, a: float, b: float, sign: float):

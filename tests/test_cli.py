@@ -194,6 +194,25 @@ class TestEval:
         assert r.exit_code == 2
         assert "domain error" in r.stderr
 
+    def test_overflow_is_domain_error(self, run_cli):
+        # D_{-1}(-40) = 1.3e174 is finite; D_{-20}(-53) and Gamma(200) overflow a
+        # double, a DomainError and not an OverflowError traceback
+        r = run_cli(["eval", "pcf_d", "--nu", "-1", "--z", "-40"])
+        assert r.exit_code == 0
+        assert first_value(r.stdout) == pytest.approx(1.3088283559491562e174, rel=1e-14)
+        for args in (["pcf_d", "--nu", "-20", "--z", "-53"], ["gamma", "--nu", "200"]):
+            r = run_cli(["eval", *args])
+            assert r.exit_code == 2
+            assert r.stderr.startswith("domain error: ")
+            assert r.stderr.endswith("overflows a double\n")
+
+    def test_pcf_d_takes_no_tolerance(self, run_cli):
+        # no quadrature: --tol does not reach pcf_d, even outside the engines' range
+        outs = {run_cli(["eval", "pcf_d", "--nu", "-2.5", "--z", "1.3", "--tol", tol]).stdout
+                for tol in ("1e-3", "1e-10", "1e-16")}
+        assert len(outs) == 1
+        assert "#" not in outs.pop()
+
     def test_erfc_route(self, run_cli):
         # the route calls math.erfc; the value was frozen with a 30-digit oracle
         r = run_cli(["eval", "erfc", "--x", "1"])
@@ -340,6 +359,12 @@ class TestVerify:
         assert rec["rhs"] is rec["abs_err"] is rec["rel_err"] is None
         assert 2 ** 18 < rec["evaluations"] <= 2 ** 19
 
+    def test_gamma_overflow_is_a_skip(self, run_cli):
+        r = run_cli(["verify", "EQ15", "--nu", "200", "--x", "2", "--y", "1"])
+        assert r.exit_code == 0
+        assert r.stdout.splitlines()[-1] == "# summary: pass=0 fail=0 skip=1"
+        assert r.stderr == "# EQ15 nu=200.0 x=2.0 y=1.0: gamma(200.0) overflows a double\n"
+
     def test_csv_reason_goes_to_stderr(self, run_cli):
         r = run_cli(["verify", "EQ15", "--nu", "1", "--x", "1:2:2", "--y", "1.99"])
         assert r.exit_code == 1
@@ -360,9 +385,12 @@ class TestVerify:
                                  "--y", "26.0815", "--tol", "1e-12"])
         assert r.exit_code == 1
         assert r.stderr == "# EQ10 nu=0.9985 x=26.145 y=26.0815: error above tolerance\n"
+        # the two routes of EQ10 share no code and differ by several ulps: 1e-16
+        # is missed, and the note gives that reason and then the clamp
         r = run_cli(["verify", "EQ10", "--nu", "1", "--x", "2", "--y", "1",
                                  "--tol", "1e-16"])
-        assert r.stderr == "# EQ10 nu=1.0 x=2.0 y=1.0: quadrature tol clamped to 1e-14\n"
+        assert r.stderr == ("# EQ10 nu=1.0 x=2.0 y=1.0: error above tolerance; "
+                            "quadrature tol clamped to 1e-14\n")
 
     # tol 0.5 takes EQ10-EQ12, integrated at tol/10, above the engines'
     # range, but not the hyperbolic identities, integrated at min(tol, 1e-10)

@@ -104,6 +104,14 @@ class TestProductReference:
         assert product_reference(ProductQuery(2.5, 3.0, 0.4)) == \
             pytest.approx(PROD_2P5_3_0P4, rel=1e-10)
 
+    def test_overflow_is_a_domain_error(self):
+        # each factor is finite, D_{-1}(-40) = 1.3e174, but not their product
+        assert pcf_d(-1.0, -40.0) < 1e175
+        with pytest.raises(DomainError, match="overflows a double"):
+            product_reference(ProductQuery(1.0, -40.0, 40.0))
+        with pytest.raises(DomainError, match="overflows a double"):
+            product_reference(ProductQuery(20.0, 1.0, 53.0))
+
     def test_symmetric_at_origin(self):
         v = product_reference(ProductQuery(0.75, 0.0, 0.0))
         assert v == pytest.approx(pcf_d(-0.75, 0.0) ** 2, rel=1e-12)

@@ -15,7 +15,6 @@ from pcfprod import (
     DomainError,
     integrate_finite,
     integrate_semi_infinite,
-    pcf_d,
     quadrature,
 )
 
@@ -253,11 +252,20 @@ class TestNestedRefinement:
 
     @pytest.mark.parametrize("order,z", [(-20.0, -30.0), (-20.0, 30.5)])
     def test_peak_far_from_center(self, order, z):
-        # the integrand of D_{-20}(-30) peaks near t = 30, far from the
-        # center of the node walk: truncation must not stop short of it
+        # the defining integral of D_{-20}(-30), whose integrand peaks near
+        # t = 30, far from the center of the node walk: truncation must not
+        # stop short of it
+        nu = -order
+
+        def integrand(t):
+            expo = -z * t - 0.5 * t * t
+            return 0.0 if expo < -745.0 else t ** (nu - 1.0) * math.exp(expo)
+
+        factor = math.exp(-0.25 * z * z) / math.gamma(nu)
+        got = integrate_semi_infinite(integrand, 1.0 + max(z, 0.0), 1e-12, factor=factor)
         with mpmath.workdps(30):
             exact = mpmath.pcfd(order, z)
-        assert pcf_d(order, z) == pytest.approx(float(exact), rel=1e-12)
+        assert got.value == pytest.approx(float(exact), rel=1e-12)
 
 
 class TestErrorEstimateBoundsTrueError:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcfprod import DomainError, bessel_k_quarter, gamma, hermite, pcf_d
+from pcfprod import DomainError, bessel_k_quarter, gamma, hermite, pcf_d, quadrature, specfun
 
 # frozen with an independent 30-digit oracle before the library was built
 GAMMA_3_5 = 3.323350970447842551
@@ -17,6 +17,7 @@ K14_1 = 0.4307397744485855247
 K14_2_5 = 0.06301715899861951558
 D_M1_2 = 0.1550130765973308265
 D_MHALF_3 = 0.05875654772929415284
+EPS = 2.0**-52
 
 
 class TestHermite:
@@ -91,6 +92,13 @@ class TestGamma:
         with pytest.raises(DomainError):
             gamma(bad)
 
+    @pytest.mark.parametrize("nu", [172.0, 200.0, 1e300, math.inf])
+    def test_overflow_is_a_domain_error(self, nu):
+        # Gamma(171.6...) is the largest double; beyond it math.gamma raises OverflowError
+        assert gamma(171.0) < sys.float_info.max
+        with pytest.raises(DomainError):
+            gamma(nu)
+
 
 class TestBesselKQuarter:
     def test_frozen_values(self):
@@ -111,6 +119,21 @@ class TestBesselKQuarter:
         with pytest.raises(DomainError):
             bessel_k_quarter(0.0)
 
+    def test_matches_mpmath(self):
+        # K_{1/4}(z) = sqrt(pi/sqrt z) D_{-1/2}(2 sqrt z), with (2 sqrt z)^2
+        # taken as 4z, not rounded: the error stays flat in z
+        zs = np.concatenate([np.geomspace(1e-4, 300.0, 61), [2.25, 9.0, 22.0]])
+        with mp.workdps(30):
+            for z in map(float, zs):
+                ref = mp.besselk(0.25, z)
+                err = float(abs(bessel_k_quarter(z) - ref) / ref)
+                assert err <= 16 * EPS, (z, err)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -1.0])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(DomainError):
+            bessel_k_quarter(bad)
+
 
 class TestPcfD:
     def test_order_zero(self):
@@ -130,8 +153,13 @@ class TestPcfD:
 
     @pytest.mark.parametrize("z", [0.1, 0.5, 1.0, 2.0, 4.0, 6.0])
     def test_bessel_closed_form_order_minus_half(self, z):
+        # D_{-1/2}(z) = sqrt(z/(2 pi)) K_{1/4}(z^2/4); bessel_k_quarter is
+        # built on that identity, so each side is checked against mpmath
         closed = math.sqrt(z / (2 * math.pi)) * bessel_k_quarter(0.25 * z * z)
-        assert pcf_d(-0.5, z) == pytest.approx(closed, rel=1e-9)
+        with mp.workdps(30):
+            assert pcf_d(-0.5, z) == pytest.approx(float(mp.pcfd(-0.5, z)), rel=1e-14)
+            ref = mp.sqrt(z / (2 * mp.pi)) * mp.besselk(0.25, mp.mpf(z) ** 2 / 4)
+        assert closed == pytest.approx(float(ref), rel=1e-14)
 
     @pytest.mark.parametrize("n", range(9))
     def test_integer_order_oracle(self, n):
@@ -156,6 +184,54 @@ class TestPcfD:
         lhs = pcf_d(0.0, z)
         rhs = z * pcf_d(-1.0, z) + pcf_d(-2.0, z)
         assert lhs == pytest.approx(rhs, rel=1e-10)
+
+    def test_matches_mpmath_sweep(self):
+        # orders in [-20, -1e-9), |z| <= 53.5, dense near 0 and near 3, where
+        # the route changes; z^2/2 is D's condition number in z
+        nus = [1e-9, 1e-6, 1e-3, 0.03, 0.1, 0.5, 1.0, 1.7, 3.0, 6.5, 12.2209, 20.0]
+        zs = sorted({*np.linspace(-53.5, 53.5, 23), *np.linspace(-1.0, 1.0, 9),
+                     *np.linspace(2.5, 3.5, 9), 1e-12, -1e-12, 2.999999, 3.000001})
+        huge = mp.mpf(1e307)
+        with mp.workdps(40):
+            for nu in nus:
+                for z in map(float, zs):
+                    ref = mp.pcfd(-nu, z)
+                    if ref > huge:
+                        if ref > mp.mpf(sys.float_info.max):
+                            with pytest.raises(DomainError):
+                                pcf_d(-nu, z)
+                        continue
+                    got = pcf_d(-nu, z)
+                    assert math.isfinite(got), (nu, z)
+                    if ref < mp.mpf(sys.float_info.min):  # subnormal: absolute error
+                        assert abs(got - ref) <= 2.0**-1070, (nu, z)
+                        continue
+                    err = float(abs(got - ref) / ref)
+                    assert err <= 16 * EPS * max(1.0, z * z / 2), (nu, z, err)
+
+    @pytest.mark.parametrize("order,z", [(-1.0, -40.0), (-0.5, -53.0), (-15.0, -51.0)])
+    def test_large_finite_values(self, order, z):
+        with mp.workdps(30):
+            ref = float(mp.pcfd(order, z))
+        assert pcf_d(order, z) == pytest.approx(ref, rel=16 * EPS * z * z / 2)
+
+    @pytest.mark.parametrize("order,z", [(-20.0, -53.0), (-1.0, -54.0), (-1e-9, -80.5)])
+    def test_overflow_is_a_domain_error(self, order, z):
+        with pytest.raises(DomainError, match="overflows a double"):
+            pcf_d(order, z)
+
+    def test_runs_no_quadrature(self, monkeypatch):
+        def stub(*args, **kwargs):
+            raise AssertionError("quadrature called")
+
+        for module in (quadrature, specfun):
+            for name in ("integrate_semi_infinite", "integrate_finite"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, stub)
+        for z in (-30.0, -1.0, 0.0, 0.5, 2.9, 3.0, 10.0):
+            assert pcf_d(-2.5, z) > 0.0
+        for z in (1e-4, 1.0, 50.0):
+            assert bessel_k_quarter(z) > 0.0
 
     def test_unsupported_orders_rejected(self):
         with pytest.raises(DomainError):
