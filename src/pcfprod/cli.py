@@ -24,7 +24,9 @@ range [1e-14, 1e-2]; a record whose quadrature tolerance was clamped
 says so in its note.  CSV output writes the notes of skipped, failed
 and noted records to stderr; JSON output writes a number that is nan
 or infinite, such as the sides of a skipped record, as null.  ``eval``
-reports a tolerance it clamped as ``# tol_effective``.
+and ``explore-equal-args`` report a tolerance they clamped as
+``# tol_effective``, and ``explore-equal-args`` a quadrature that missed
+it.
 
 The command line is parsed with :mod:`argparse`; a usage error prints the
 command's usage line and the message on stderr and exits with status 2,
@@ -68,7 +70,7 @@ class _OnFirstUse:
 
 
 # only some commands use these; `hyperbolic` is imported above because the
-# EQ13A/EQ13B records capture its functions when IDENTITIES is built
+# EQ13A/EQ13B/EQ14 routes capture its functions when IDENTITIES is built
 glasser, green, mehler = _OnFirstUse("glasser"), _OnFirstUse("green"), _OnFirstUse("mehler")
 
 
@@ -228,15 +230,12 @@ def _verify_laplace(identity, sign):
     return run
 
 
-def _verify_eq13(which):
-    fn = hyperbolic.erfc_identity_13a if which == "a" else hyperbolic.erfc_identity_13b
+def _verify_hyperbolic(fn, size):
+    """The route of hyperbolic identity ``fn``, whose query takes ``size``
+    (alpha or a) and phi from the grid point."""
     def run(p, tol):
-        return fn(hyperbolic.HyperbolicQuery(alpha=p["alpha"], phi=p["phi"]), tol)
+        return fn(hyperbolic.HyperbolicQuery(phi=p["phi"], **{size: p[size]}), tol)
     return run
-
-
-def _verify_eq14(p, tol):
-    return hyperbolic.k_identity_14(hyperbolic.HyperbolicQuery(a=p["a"], phi=p["phi"]), tol)
 
 
 def _verify_eq15(p, tol):
@@ -256,56 +255,47 @@ def _verify_eq8_eq9(p, tol):
 
 IDENTITIES = {
     "EQ3": {
-        "params": ("X", "Y", "u"),
         "grid": {"X": [-2.0, 0.0, 1.5], "Y": [-1.0, 0.5, 2.0],
                  "u": [-0.8, -0.3, 0.0, 0.3, 0.8]},
         "tol": 1e-9,
         "run": _verify_eq3,
     },
     "EQ10": {
-        "params": ("nu", "x", "y"),
         "grid": {"nu": [0.5, 1.0, 2.5], "x": [1.5, 2.5], "y": [0.5, 1.0]},
         "tol": 1e-8,
         "run": _verify_eq10,
     },
     "EQ11": {
-        "params": ("nu", "a", "b"),
         "grid": {"nu": [0.5, 1.0, 2.0], "a": [1.5, 3.0], "b": [0.5, 1.0]},
         "tol": 1e-8,
         "run": _verify_laplace("EQ11", 1),
     },
     "EQ12": {
-        "params": ("nu", "a", "b"),
         "grid": {"nu": [0.5, 1.0, 2.0], "a": [1.5, 3.0], "b": [0.5, 1.0]},
         "tol": 1e-8,
         "run": _verify_laplace("EQ12", -1),
     },
     "EQ13A": {
-        "params": ("alpha", "phi"),
         "grid": {"alpha": [0.5, 1.0, 2.0], "phi": [0.5, 1.0, 2.0]},
         "tol": 1e-8,
-        "run": _verify_eq13("a"),
+        "run": _verify_hyperbolic(hyperbolic.erfc_identity_13a, "alpha"),
     },
     "EQ13B": {
-        "params": ("alpha", "phi"),
         "grid": {"alpha": [0.5, 1.0, 2.0], "phi": [0.5, 1.0, 2.0]},
         "tol": 1e-8,
-        "run": _verify_eq13("b"),
+        "run": _verify_hyperbolic(hyperbolic.erfc_identity_13b, "alpha"),
     },
     "EQ14": {
-        "params": ("a", "phi"),
         "grid": {"a": [0.5, 1.0, 2.0], "phi": [0.5, 1.0, 2.0]},
         "tol": 1e-7,
-        "run": _verify_eq14,
+        "run": _verify_hyperbolic(hyperbolic.k_identity_14, "a"),
     },
     "EQ15": {
-        "params": ("nu", "x", "y"),
         "grid": {"nu": [0.5, 1.0, 2.0], "x": [2.0, 3.0], "y": [0.5, 1.0]},
         "tol": 5e-7,
         "run": _verify_eq15,
     },
     "EQ8_EQ9": {
-        "params": ("lam", "x", "xprime"),
         "grid": {"lam": [-3.0, -1.0, 0.0, 0.5], "x": [1.0, 1.5], "xprime": [0.0, 0.5]},
         "tol": 1e-6,
         "run": _verify_eq8_eq9,
@@ -314,13 +304,12 @@ IDENTITIES = {
 
 
 def _evaluate_identity(identity: str, grids: dict[str, list[float]], tol: float):
-    cfg = IDENTITIES[identity]
-    names = cfg["params"]
+    run = IDENTITIES[identity]["run"]
     records = []
-    for combo in itertools.product(*(grids[n] for n in names)):
-        p = dict(zip(names, combo))
+    for combo in itertools.product(*grids.values()):
+        p = dict(zip(grids, combo))
         try:
-            records.append(cfg["run"](p, tol))
+            records.append(run(p, tol))
         except (DomainError, ConvergenceError) as exc:
             records.append(error_record(identity, p, exc))
     return records
@@ -438,16 +427,14 @@ def verify_cmd(args: argparse.Namespace, gridargs: list[str]) -> int:
     blocks = []
     for ident in chosen:
         cfg = IDENTITIES[ident]
-        grids = {}
-        for name in cfg["params"]:
-            grids[name] = (_parse_gridspec(name, raw[name]) if name in raw
-                           else list(cfg["grid"][name]))
-        unknown = set(raw) - set(cfg["params"])
+        names = tuple(cfg["grid"])
+        grids = {name: _parse_gridspec(name, raw[name]) if name in raw else list(default)
+                 for name, default in cfg["grid"].items()}
+        unknown = set(raw) - set(names)
         if identity != "all" and unknown:
-            raise UsageError(
-                f"{ident} takes parameters {cfg['params']}, not {sorted(unknown)}")
+            raise UsageError(f"{ident} takes parameters {names}, not {sorted(unknown)}")
         records = _evaluate_identity(ident, grids, tol if tol is not None else cfg["tol"])
-        blocks.append((ident, cfg["params"], records))
+        blocks.append((ident, names, records))
 
     all_records = [r for _, _, recs in blocks for r in recs]
     n_pass = sum(1 for r in all_records if r.status == "pass")
@@ -476,20 +463,24 @@ def explore_cmd(args: argparse.Namespace, extra: list[str]) -> int:
     around it asserts divergence at x = y; the integrand tail there is
     ~ t^{-3/2}, however, which is integrable.  This command evaluates
     the integral at x = y and reports how it compares with the direct
-    product.
+    product.  A tolerance it clamps to the quadrature's range is given as
+    '# tol_effective'; where the quadrature misses it, the best estimate
+    is compared and a '#' line says so.
     """
     if extra:
         raise UsageError(f"unrecognized arguments: {' '.join(extra)}")
     nu, x, tol = (_float_option(name, getattr(args, name)) for name in ("nu", "x", "tol"))
     q = glasser.ProductQuery(nu, x, x)
     ref = glasser.product_reference(q)
+    used = quadrature.clamp_tol(tol)[0]
+    missed = False
     try:
-        got = glasser.product_via_integral(q, quadrature.clamp_tol(tol)[0], allow_equal_args=True)
+        got = glasser.product_via_integral(q, used, allow_equal_args=True)
     except ConvergenceError as exc:
         if exc.partial is None:
             print(f"convergence error: {exc}", file=sys.stderr)
             return _EXIT_CONVERGENCE
-        got = exc.partial
+        got, missed = exc.partial, True
     rel = abs(got.value - ref) / abs(ref)
     print(f"integral value at x = y = {x}: {got.value!r}")
     print(f"direct product:              {ref!r}")
@@ -500,6 +491,11 @@ def explore_cmd(args: argparse.Namespace, extra: list[str]) -> int:
         if rel <= 1e-4 else
         "finding: the integral and the product disagree at x = y."
     )
+    if used != tol:
+        print(f"# tol_effective = {used!r}")
+    if missed:
+        print(f"# quadrature did not reach tol {used!r} (last refinement change "
+              f"{got.error_estimate:.3e}); its best estimate is shown")
     return 0
 
 

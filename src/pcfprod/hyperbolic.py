@@ -18,13 +18,25 @@ the record's note says when the clamp changed it.
 * 13b:  same exponential against sinh(th), with an erfc bracket on the right
 * 14:   int_0^inf (sinh th)^{-1/2} e^{-a cosh(th+phi)} dth
           = sqrt(a sinh(phi)/pi) K_{1/4}(a cosh^2(phi/2)) K_{1/4}(a sinh^2(phi/2))
+
+Each left side is one tanh-sinh quadrature over [0, cut], the cut being
+the theta where the exponent reaches 785, beyond which the integrand is
+below the smallest double.  For 13a and 13b the exponent is
+alpha^2 (cosh(2 th + phi) - cosh(phi))/2, so
+cut = (acosh(cosh(phi) + 2*785/alpha^2) - phi)/2; for 14,
+cut = acosh(785/a) - phi.  Where the cut is not positive (14 with
+a cosh(phi) >= 785, or 13 where it underflows) the integrand is 0 at
+every node and [0, 1] serves.  :class:`HyperbolicQuery` keeps the cuts,
+and cosh and sinh of phi and of theta + phi, finite.  14 needs no lower
+limit on phi beyond a sinh^2(phi/2) > 0: K_{1/4} of it stays accurate
+as phi -> 0.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable
 
 from .errors import DomainError
 from .quadrature import QuadratureResult, clamp_tol, integrate_finite
@@ -41,8 +53,8 @@ __all__ = [
     "k_identity_14",
 ]
 
-_EXP_CUTOFF = 745.0  # e^{-x} underflows to 0 below this
-_MIN_PHI_14 = 0.05   # K_{1/4} argument underflow guard
+_CUT_EXPONENT = 785.0  # e^{-785} is far below the smallest double, 4.9e-324
+_MAX_EXPONENT = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -50,7 +62,8 @@ class HyperbolicQuery:
     """Parameters of the hyperbolic identities.
 
     ``alpha`` feeds the two erfc identities, ``a`` the K_{1/4} identity;
-    ``phi`` is the hyperbolic shift shared by all three.
+    ``phi`` is the hyperbolic shift shared by all three.  alpha >= 1e-150,
+    a >= 1e-300 and phi <= 700 keep the theta integrals' cuts finite.
     """
 
     alpha: float = 1.0
@@ -58,74 +71,65 @@ class HyperbolicQuery:
     phi: float = 1.0
 
     def __post_init__(self):
-        if not self.alpha > 0.0:
-            raise DomainError(f"alpha must be positive, got {self.alpha}")
-        if not self.a > 0.0:
-            raise DomainError(f"a must be positive, got {self.a}")
-        if not self.phi > 0.0:
-            raise DomainError(f"phi must be positive, got {self.phi}")
-        if not (math.isfinite(self.alpha) and math.isfinite(self.a) and math.isfinite(self.phi)):
-            raise DomainError(f"alpha, a and phi must be finite, got alpha={self.alpha}, "
-                              f"a={self.a}, phi={self.phi}")
-
-
-def _theta_star(expo: Callable[[float], float]) -> float:
-    """Smallest theta in 1, 1.5, 1.5^2, ... with expo(theta) past the exp cutoff."""
-    th = 1.0
-    while expo(th) < _EXP_CUTOFF + 40.0:
-        th *= 1.5
-    return th
-
-
-def _damped_exp(expo: float) -> float:
-    return math.exp(expo) if expo > -_EXP_CUTOFF else 0.0
+        for name, value, low in (("alpha", self.alpha, 1e-150), ("a", self.a, 1e-300)):
+            if not low <= value < math.inf:
+                raise DomainError(f"{name} must be finite and at least {low}, got {value}")
+        if not 0.0 < self.phi <= 700.0:
+            raise DomainError(f"phi must lie in (0, 700], got {self.phi}")
 
 
 def _closed_form_exp(expo: float, q: HyperbolicQuery) -> float:
     """e^expo in a closed-form right side; :class:`DomainError` if it overflows."""
-    try:
-        return math.exp(expo)
-    except OverflowError:
-        raise DomainError(f"closed form overflows at alpha={q.alpha}, phi={q.phi}") from None
+    if not expo <= _MAX_EXPONENT:
+        raise DomainError(f"closed form overflows at alpha={q.alpha}, phi={q.phi}")
+    return math.exp(expo)
+
+
+def _theta_integral(integrand, cut: float, tol: float) -> QuadratureResult:
+    """``integrand`` over [0, cut], or over [0, 1] where the cut is not
+    positive and the integrand is 0 at every node."""
+    return integrate_finite(integrand, 0.0, cut if cut > 0.0 else 1.0, tol)
+
+
+def _cut_13(q: HyperbolicQuery) -> float:
+    """The theta where alpha^2 sinh(th) sinh(th+phi) = 785: 2 th =
+    acosh(cosh(phi) + d) - phi, d = 2*785/alpha^2, written as the log1p of
+    positive terms, so it does not cancel to 0 where d << cosh(phi)."""
+    d = 2.0 * _CUT_EXPONENT / (q.alpha * q.alpha)
+    c, s = math.cosh(q.phi), math.sinh(q.phi)
+    r = math.sqrt(c + d - 1.0) * math.sqrt(c + d + 1.0)  # sinh(2 th + phi)
+    return 0.5 * math.log1p(d * (1.0 + (2.0 * c + d) / (r + s)) * math.exp(-q.phi))
 
 
 def lhs_13a(q: HyperbolicQuery, tol: float = 1e-10) -> QuadratureResult:
-    """Left side of 13a by tanh-sinh quadrature at ``tol``, cut where the
-    integrand underflows."""
+    """Left side of 13a by tanh-sinh quadrature at ``tol``, over [0, cut]."""
     a2 = q.alpha * q.alpha
-    cut = _theta_star(lambda th: a2 * math.sinh(th) * math.sinh(th + q.phi))
 
     def integrand(th: float) -> float:
-        return _damped_exp(-a2 * math.sinh(th) * math.sinh(th + q.phi)) / math.cosh(th)
+        return math.exp(-a2 * math.sinh(th) * math.sinh(th + q.phi)) / math.cosh(th)
 
-    return integrate_finite(integrand, 0.0, cut, tol)
+    return _theta_integral(integrand, _cut_13(q), tol)
 
 
 def lhs_13b(q: HyperbolicQuery, tol: float = 1e-10) -> QuadratureResult:
     """Left side of 13b, as :func:`lhs_13a`."""
     a2 = q.alpha * q.alpha
-    cut = _theta_star(lambda th: a2 * math.sinh(th) * math.sinh(th + q.phi))
 
     def integrand(th: float) -> float:
-        return math.sinh(th) * _damped_exp(-a2 * math.sinh(th) * math.sinh(th + q.phi))
+        return math.sinh(th) * math.exp(-a2 * math.sinh(th) * math.sinh(th + q.phi))
 
-    return integrate_finite(integrand, 0.0, cut, tol)
+    return _theta_integral(integrand, _cut_13(q), tol)
 
 
 def lhs_14(q: HyperbolicQuery, tol: float = 1e-10) -> QuadratureResult:
-    """Left side of 14 by tanh-sinh quadrature at ``tol``: the
-    endpoint-singular panel [0, 1], then the smooth decaying remainder.
-    The value is their sum, and so are the estimate and the evaluations."""
-    cut = max(_theta_star(lambda th: q.a * math.cosh(th + q.phi)), 2.0)
+    """Left side of 14 by tanh-sinh quadrature at ``tol``, over
+    [0, acosh(785/a) - phi]; the rule's endpoint clustering takes the
+    (sinh th)^{-1/2} singularity at 0."""
 
     def integrand(th: float) -> float:
-        return _damped_exp(-q.a * math.cosh(th + q.phi)) / math.sqrt(math.sinh(th))
+        return math.exp(-q.a * math.cosh(th + q.phi)) / math.sqrt(math.sinh(th))
 
-    inner = integrate_finite(integrand, 0.0, 1.0, tol)
-    outer = integrate_finite(integrand, 1.0, cut, tol)
-    return QuadratureResult(inner.value + outer.value,
-                            inner.error_estimate + outer.error_estimate,
-                            inner.evaluations + outer.evaluations)
+    return _theta_integral(integrand, math.acosh(max(_CUT_EXPONENT / q.a, 1.0)) - q.phi, tol)
 
 
 def _record(identity: str, params: dict, lhs, q: HyperbolicQuery, rhs: float,
@@ -161,11 +165,6 @@ def erfc_identity_13b(q: HyperbolicQuery, tol: float = 1e-10) -> VerificationRec
 
 
 def k_identity_14(q: HyperbolicQuery, tol: float = 1e-9) -> VerificationRecord:
-    if q.phi < _MIN_PHI_14:
-        raise DomainError(
-            f"phi >= {_MIN_PHI_14} required: K_{{1/4}}(a sinh^2(phi/2)) is "
-            "numerically delicate as phi -> 0"
-        )
     ch, sh = math.cosh(0.5 * q.phi), math.sinh(0.5 * q.phi)
     rhs = (
         math.sqrt(q.a * math.sinh(q.phi) / math.pi)

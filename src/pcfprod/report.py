@@ -79,8 +79,7 @@ def error_record(identity_id: str, params: dict[str, float], exc: Exception) -> 
     A ``DomainError`` makes it a skip, any other error a failure; the
     note is the exception message.  A series route's partial result
     gives the left side and, as its term count, the cost.  A quadrature
-    partial is not used: it need not be the whole left side (EQ14 adds
-    two integrals).
+    partial is not used.
     """
     partial = getattr(exc, "partial", None)
     lhs, cost = ((partial.value, partial.terms_used) if isinstance(partial, SeriesResult)

@@ -10,7 +10,8 @@ import sys
 import pytest
 
 import pcfprod
-from pcfprod import ConvergenceError, SeriesResult, SumRuleQuery, sum_rule_lhs
+from pcfprod import (ConvergenceError, ProductQuery, SeriesResult, SumRuleQuery,
+                     product_via_integral, sum_rule_lhs)
 
 
 def first_value(output):
@@ -271,6 +272,11 @@ class TestEval:
         # phi in a left side of 0.0
         "laplace_I --nu 1 --a 2 --b 1 --sign nan",
         "hyperbolic_lhs_14 --a 1 --phi inf",
+        # finite, but past the hyperbolic range: these used to end in an
+        # OverflowError traceback (exit 1)
+        "hyperbolic_lhs_13a --alpha 1 --phi 800",
+        "hyperbolic_lhs_14 --a 1 --phi 800",
+        "hyperbolic_lhs_13a --alpha 1e-200 --phi 1",
         # math.erfc(nan) is nan, which this route used to print
         "erfc --x nan",
     ], ids=lambda a: a.replace(" --", "-").replace(" ", "="))
@@ -313,7 +319,12 @@ class TestVerify:
         "EQ12 --nu 1 --a 1.5 --b -0.5",
         "EQ13A --alpha 10 --phi 3",
         "EQ13B --alpha 15 --phi 3",
-        "EQ14 --a 1 --phi 0.01",
+        "EQ14 --a 1 --phi 800",
+        # phi past 700, alpha below 1e-150 and alpha^2 = inf used to end in
+        # a traceback or a nan right side
+        "EQ13A --alpha 1 --phi 800",
+        "EQ13B --alpha 1e-200 --phi 1",
+        "EQ13A --alpha 1e200 --phi 1",
         "EQ15 --nu 1 --x 1 --y 2",
         "EQ8_EQ9 --lam 0.5 --x 0 --xprime 0",
         "EQ8_EQ9 --lam 1.5 --x 1 --xprime 0",
@@ -327,6 +338,16 @@ class TestVerify:
         assert r.exit_code == 0
         assert "skipped" in r.stdout
         assert "skip=1" in r.stdout
+
+    @pytest.mark.parametrize("args", [
+        # phi < 0.05 used to be refused, and a = 1e-300 ended in a traceback
+        "EQ14 --a 1 --phi 0.01",
+        "EQ14 --a 1e-300 --phi 1",
+    ], ids=lambda a: a.replace(" --", "-").replace(" ", "="))
+    def test_hyperbolic_extremes_pass(self, run_cli, args):
+        r = run_cli(["verify", *args.split()])
+        assert r.exit_code == 0, r.stderr
+        assert r.stdout.splitlines()[-1] == "# summary: pass=1 fail=0 skip=0"
 
     def test_near_diagonal_sum_rule_passes(self, run_cli):
         # x - y = 0.1 (X - Y = 0.07) used to stall at 524,288 terms
@@ -506,3 +527,26 @@ class TestExploreEqualArgs:
         rel = float(re.search(r"relative discrepancy:\s+(\S+)", r.stdout).group(1))
         assert rel <= 1e-4
         assert "finding: the integral converges" in r.stdout
+
+    def test_clamped_and_missed_tolerance_are_reported(self, run_cli):
+        r = run_cli(["explore-equal-args", "--nu", "1", "--x", "2"])
+        assert not [line for line in r.stdout.splitlines() if line.startswith("#")]
+        # 1e-16 is below the quadrature's range, and 1e-14 beyond its reach here
+        r = run_cli(["explore-equal-args", "--tol", "1e-16"])
+        assert r.exit_code == 0
+        assert r.stdout.splitlines()[4:] == [
+            "# tol_effective = 1e-14",
+            f"# quadrature did not reach tol 1e-14 (last refinement change "
+            f"{_explore_partial(1e-14).error_estimate:.3e}); its best estimate is shown",
+        ]
+        r = run_cli(["explore-equal-args", "--tol", "1e-10"])
+        assert r.stdout.splitlines()[4:] == [
+            f"# quadrature did not reach tol 1e-10 (last refinement change "
+            f"{_explore_partial(1e-10).error_estimate:.3e}); its best estimate is shown",
+        ]
+
+
+def _explore_partial(tol):
+    with pytest.raises(ConvergenceError) as info:
+        product_via_integral(ProductQuery(1.0, 2.0, 2.0), tol, allow_equal_args=True)
+    return info.value.partial

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -26,6 +27,34 @@ LHS_14_1_1 = 0.2793553684694326448
 
 ALPHA_GRID = np.geomspace(0.3, 4.0, 5)
 PHI_GRID = np.geomspace(0.1, 3.0, 5)
+
+
+# mpmath values of the three closed forms, at 40 digits plus those that
+# e^{alpha^2 cosh(phi)} against the erfc and, in 13b, the bracket cancel
+def _digits(alpha, phi):
+    return 40 + int(math.log10(1.0 + alpha * alpha * math.cosh(phi)) + phi / 2.3)
+
+
+def _mp_13a(alpha, phi):
+    with mp.workdps(_digits(alpha, phi)):
+        al, ph = mp.mpf(alpha), mp.mpf(phi)
+        return float(mp.pi / 2 * mp.exp(al**2 * mp.cosh(ph))
+                     * mp.erfc(al * mp.sinh(ph / 2)) * mp.erfc(al * mp.cosh(ph / 2)))
+
+
+def _mp_13b(alpha, phi):
+    with mp.workdps(_digits(alpha, phi)):
+        al, ph = mp.mpf(alpha), mp.mpf(phi)
+        ch, sh = mp.cosh(ph / 2), mp.sinh(ph / 2)
+        return float(mp.sqrt(mp.pi) / (2 * al) * (mp.exp(al**2 * ch**2) * ch * mp.erfc(al * ch)
+                                                  - mp.exp(al**2 * sh**2) * sh * mp.erfc(al * sh)))
+
+
+def _mp_14(a, phi):
+    with mp.workdps(40):
+        a, ph = mp.mpf(a), mp.mpf(phi)
+        return float(mp.sqrt(a * mp.sinh(ph) / mp.pi) * mp.besselk(0.25, a * mp.cosh(ph / 2)**2)
+                     * mp.besselk(0.25, a * mp.sinh(ph / 2)**2))
 
 
 class TestErfcIdentities:
@@ -93,9 +122,16 @@ class TestKIdentity:
         vals = [k_identity_14(HyperbolicQuery(a=a, phi=1.0)).lhs for a in (1.0, 2.0, 4.0)]
         assert vals[0] > vals[1] > vals[2] > 0
 
-    def test_small_shift_guard(self):
-        with pytest.raises(DomainError):
-            k_identity_14(HyperbolicQuery(a=1.0, phi=0.01))
+    def test_small_shift_matches_mpmath(self):
+        # no lower limit on phi: K_{1/4}(a sinh^2(phi/2)) ~ phi^{-1/2} is
+        # accurate down to phi = 1e-8, and so is the theta quadrature
+        for a in (0.2, 1.0, 4.0, 20.0):
+            for phi in (0.04, 1e-3, 1e-6, 1e-8):
+                rec = k_identity_14(HyperbolicQuery(a=a, phi=phi), 1e-9)
+                assert rec.passed, (a, phi, rec.rel_err)
+                exact = _mp_14(a, phi)
+                assert abs(rec.lhs - exact) <= 1e-9 * exact, (a, phi)
+                assert abs(rec.rhs - exact) <= 1e-9 * exact, (a, phi)
 
 
 class TestCallerTolerance:
@@ -126,20 +162,54 @@ class TestLeftSides:
         assert (r.value, r.evaluations) == (rec.lhs, rec.evaluations)
         assert 0.0 <= r.error_estimate <= 1e-10 * r.value
 
-    def test_14_adds_its_two_panels(self, monkeypatch):
-        panels = []
+    def test_one_panel_to_the_cut(self, monkeypatch):
+        # each left side is one quadrature over [0, cut], and its exponent
+        # reaches 785 at the cut
+        calls = []
         inner = hyperbolic.integrate_finite
 
         def spy(f, lo, hi, tol):
-            panels.append(inner(f, lo, hi, tol))
-            return panels[-1]
+            calls.append((lo, hi, inner(f, lo, hi, tol)))
+            return calls[-1][2]
 
         monkeypatch.setattr(hyperbolic, "integrate_finite", spy)
         monkeypatch.setattr(hyperbolic, "bessel_k_quarter", None)  # the right side is not run
-        r = lhs_14(HyperbolicQuery(a=2.0, phi=0.5), 1e-10)
-        a, b = panels
-        assert (r.value, r.error_estimate, r.evaluations) == (
-            a.value + b.value, a.error_estimate + b.error_estimate, a.evaluations + b.evaluations)
+        exponents = {
+            lhs_13a: lambda q, th: q.alpha**2 * math.sinh(th) * math.sinh(th + q.phi),
+            lhs_13b: lambda q, th: q.alpha**2 * math.sinh(th) * math.sinh(th + q.phi),
+            lhs_14: lambda q, th: q.a * math.cosh(th + q.phi),
+        }
+        for lhs, exponent in exponents.items():
+            for x, phi in ((1e-3, 1e-8), (0.5, 0.5), (2.0, 3.0), (20.0, 0.01), (1.0, 40.0)):
+                q = HyperbolicQuery(alpha=x, a=x, phi=phi)
+                if lhs is lhs_14 and x * math.cosh(phi) >= 785.0:
+                    continue
+                calls.clear()
+                r = lhs(q, 1e-10)
+                ((lo, cut, result),) = calls
+                assert lo == 0.0 and cut > 0.0 and result == r
+                assert exponent(q, cut) == pytest.approx(785.0, rel=1e-12), (lhs, x, phi, cut)
+
+    def test_underflowing_exponent_integrates_to_zero(self):
+        # a cosh(phi) >= 785 (14), or a cut that underflows (13): the
+        # integrand is 0 at every node of [0, 1]
+        for r in (lhs_14(HyperbolicQuery(a=800.0, phi=0.5)),
+                  lhs_14(HyperbolicQuery(a=1.0, phi=20.0)),
+                  lhs_13a(HyperbolicQuery(alpha=1e200, phi=1.0)),
+                  lhs_13b(HyperbolicQuery(alpha=1e100, phi=700.0))):
+            assert (r.value, r.error_estimate) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("lhs,exact", [(lhs_13a, "_mp_13a"), (lhs_13b, "_mp_13b"),
+                                           (lhs_14, "_mp_14")])
+    def test_left_sides_match_mpmath(self, lhs, exact):
+        # a log grid over alpha or a in [1e-3, 20] and phi in [1e-8, 20]
+        exact = globals()[exact]
+        for x in np.geomspace(1e-3, 20.0, 7):
+            for phi in np.geomspace(1e-8, 20.0, 8):
+                q = HyperbolicQuery(alpha=x, a=x, phi=phi)
+                r = lhs(q, 1e-10)
+                ref = exact(x, phi)
+                assert abs(r.value - ref) <= 1e-10 * ref, (x, phi, r.value, ref)
 
     def test_finite_where_the_closed_form_overflows(self):
         q = HyperbolicQuery(alpha=30.0, phi=3.0)
@@ -157,10 +227,35 @@ class TestQueryValidation:
         with pytest.raises(DomainError):
             HyperbolicQuery(**kwargs)
 
+    @pytest.mark.parametrize("kwargs,limit", [
+        ({"alpha": 1e-151}, "alpha must be finite and at least 1e-150"),
+        ({"alpha": math.inf}, "alpha must be finite and at least 1e-150"),
+        ({"a": 1e-301}, "a must be finite and at least 1e-300"),
+        ({"phi": 700.5}, "phi must lie in (0, 700]"),
+        ({"phi": math.nan}, "phi must lie in (0, 700]"),
+    ])
+    def test_range_names_its_limit(self, kwargs, limit):
+        with pytest.raises(DomainError) as info:
+            HyperbolicQuery(**kwargs)
+        assert str(info.value).startswith(limit)
+
+    def test_range_ends_are_accepted(self):
+        # the cuts and every sinh and cosh stay finite at the ends
+        for q in (HyperbolicQuery(alpha=1e-150, a=1e-300, phi=700.0),
+                  HyperbolicQuery(alpha=1e-150, a=1e-300, phi=1.0)):
+            for lhs in (lhs_13a, lhs_13b, lhs_14):
+                r = lhs(q)
+                assert math.isfinite(r.value) and r.value >= 0.0
+        # K_{1/4} at a cosh^2(phi/2) = 1.3e-300 and a sinh^2(phi/2) = 2.7e-301
+        rec = k_identity_14(HyperbolicQuery(a=1e-300, phi=1.0), 1e-9)
+        assert rec.passed, rec
+
     @pytest.mark.parametrize("fn,alpha", [(erfc_identity_13a, 10.0), (erfc_identity_13a, 30.0),
-                                          (erfc_identity_13b, 15.0)])
+                                          (erfc_identity_13b, 15.0), (erfc_identity_13a, 1e200),
+                                          (erfc_identity_13b, 1e200)])
     def test_closed_form_overflow_is_out_of_domain(self, fn, alpha):
         # e^{alpha^2 cosh(phi)} (13a) and e^{alpha^2 cosh^2(phi/2)} (13b) leave
-        # double range at phi = 3
+        # double range at phi = 3; at alpha = 1e200 the exponent is inf, whose
+        # math.exp raises nothing, and the right side used to come out nan
         with pytest.raises(DomainError, match="closed form overflows"):
             fn(HyperbolicQuery(alpha=alpha, phi=3.0))
