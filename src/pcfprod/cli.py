@@ -17,7 +17,7 @@ invocations produce byte-identical reports.  A point outside an
 identity's validity domain is emitted as a skipped record whose note is
 the library's ``DomainError`` message; a route that raises
 ``ConvergenceError`` gives a failed record with the error message as
-its note and, for a Hermite-series route, the partial sum as its lhs.
+its note and the route's partial result as its lhs.
 EQ10, EQ11 and EQ12 run their quadrature at a tenth of the tolerance,
 EQ13A, EQ13B and EQ14 at min(tol, 1e-10), clamped to the engines'
 range [1e-14, 1e-2]; a record whose quadrature tolerance was clamped

@@ -16,21 +16,30 @@ at the starting step h; each later level halves h, walks only the new
 odd multiples of it and adds their sum to the total carried from the
 coarser levels, so every abscissa is evaluated exactly once.  A walk
 outward from the center stops after more than ``_CONSEC_DEAD``
-consecutive terms that are negligible against the partial sum of the
-current level's own new nodes (never against the carried total, which
-would stop a walk before it reaches a peak far from the center).
+consecutive dead terms, below 1e-20 of the partial sum of the current
+level's own new nodes (never of the carried total, which would stop a
+walk before it reaches a peak far from the center).  Past level 0 it
+stops sooner, at its first dead term beyond its reach, the largest k*h
+of a live term on a coarser level, if it has one; no walk stops before
+k*h = ``_MIN_TRUNC_T``.  Skipping a dead term cannot change the sum
+(it is below half an ulp of a partial sum above 1e-300); stopping at
+it can drop a later live term, a feature that first shows at a finer
+level between dead nodes of a coarser one past the reach, which the
+consecutive rule might still have come upon.  That changed no value
+on the measured workloads.
 
 Everything at a node that depends only on k*h comes from a per-level
 node table, one per engine side and filled once per process: rows
 (k*h, exp(s - e^{-s}), 1 + e^{-s}) for each exp-sinh side and
 (k*h, 1 + exp(2u), (pi/2)*cosh(k*h)*sech^2(u)) with u = (pi/2)*sinh(k*h)
 for tanh-sinh.  A walk then only scales the row to the caller's
-interval or decay rate, evaluates the integrand and weights it.  Tables
-grow lazily, a chunk of rows at a time, as far as some walk has gone
-and never to the representable range (the right exp-sinh side would
-run to s = 690).  A row takes about 160 bytes and is kept for the life
-of the process, so a call that walks a million nodes leaves about
-160 MB of table behind.
+interval or decay rate, evaluates the integrand and weights it, all in
+the refinement loop itself: a node costs no Python call but the
+integrand.  Tables grow lazily, a chunk of rows at a time, as far as
+some walk has gone and never to the representable range (the right
+exp-sinh side would run to s = 690).  A row takes about 160 bytes and
+is kept for the life of the process, so a call that walks a million
+nodes leaves about 160 MB of table behind.
 
 The step is halved until two successive levels agree to ``tol``
 relative, within 13 levels (semi-infinite) or 12 (finite).  The error
@@ -182,31 +191,42 @@ _GROW_LOCK = threading.Lock()
 _EXP_SINH_RIGHT = _NodeTable(0.5, _exp_sinh_row(1.0))
 _EXP_SINH_LEFT = _NodeTable(0.5, _exp_sinh_row(-1.0))
 _TANH_SINH = _NodeTable(1.0, _tanh_sinh_row)
+_, _U0, _G0 = _exp_sinh_row(1.0)(0.0)  # the exp-sinh row at the center, s = 0
 
 
-def _refine(
-    center: float,
-    walks: tuple[tuple[_NodeTable, Callable[[float, float], float | None]], ...],
-    scale: float,
-    tol: float,
-    levels: int,
-    calls: Callable[[], int],
-    what: str,
-    factor: float,
-) -> QuadratureResult:
-    """Nested trapezoid refinement of a double-exponential sum.
+def _refine(f: Callable[[float], float], scale: float, interval: tuple[float, float] | None,
+            tol: float, factor: float) -> QuadratureResult:
+    """Nested trapezoid refinement of a double-exponential sum of ``f``.
 
-    ``center`` is the weighted term at t = 0.  Each walk pairs a node
-    table with a function that maps the last two entries of a row to the
-    node's weighted term, or to None where the node cannot be
-    represented, which ends the walk.  The integral at step h is
-    scale * h * (sum of all terms), with h halved from the tables' step.
-    ``calls`` counts the integrand evaluations so far; ``what`` names the
-    integral in the error, whose numbers, like the result, are ``factor``
-    times the integral's.
+    Without ``interval`` the walks are the exp-sinh sides: the row
+    (k*h, u, g) is the node t = scale*u with the term f(t)*t*g, and the
+    integral at step h is h * (sum of all terms).  With ``interval`` =
+    (lo, hi), the tanh-sinh walk: the row (k*h, den, w) is the nodes hi - d
+    and lo + d, d = (scale*2)/den, with the term (f(hi - d) + f(lo + d))*w,
+    and the integral is h * scale * (sum of all terms), scale the
+    half-width.  Result and error are ``factor`` times the integral's.
     """
-    h = walks[0][0].step
+    pair = interval is not None
+    if pair:
+        lo, hi = interval
+        tables, levels = (_TANH_SINH,), _FINITE_LEVELS
+        what, name = f"tanh-sinh quadrature on [{lo}, {hi}]", "x"
+        width, unit, x = scale * 2.0, scale, 0.5 * (hi + lo)
+    else:
+        tables, levels = (_EXP_SINH_RIGHT, _EXP_SINH_LEFT), _SEMI_INFINITE_LEVELS
+        what, name = "semi-infinite quadrature", "t"
+        unit, x = 1.0, scale * _U0
+    v = f(x)
+    if v != v:
+        raise ConvergenceError(f"integrand returned NaN at {name}={x!r}")
+    # the k = 0 term; sech^2(0) = 1 in tanh-sinh
+    center = v * _PIOV2 if pair else v * x * _G0
+    calls = 1
     cut, neg_cut, floor = _TERM_CUTOFF, -_TERM_CUTOFF, _DEAD_FLOOR
+    # per walk, the largest k*h of a live term on any level so far; while it
+    # is 0 (none yet) only the consecutive rule stops the walk
+    reach = [0.0] * len(tables)
+    h = tables[0].step
     total = 0.0
     prev = math.nan
     diff = math.inf
@@ -214,12 +234,34 @@ def _refine(
     for level in range(levels):
         # level 0 takes every k; later levels only the odd k, new at this h
         new = center if level == 0 else 0.0
-        for table, walk in walks:
-            dead = 0
-            for t, a, b in table.rows(level):
-                term = walk(a, b)
-                if term is None:
-                    break
+        for i, table in enumerate(tables):
+            far = reach[i] or math.inf
+            dead, live = 0, 0.0
+            for t, a, w in table.rows(level):
+                if pair:
+                    d = width / a
+                    if d == 0.0:
+                        break
+                    xh = hi - d
+                    xl = lo + d
+                    # a node that rounds onto its endpoint cannot be represented;
+                    # its true contribution is below double resolution
+                    vh = f(xh) if xh < hi else 0.0
+                    vl = f(xl) if xl > lo else 0.0
+                    calls += (xh < hi) + (xl > lo)
+                    term = (vh + vl) * w
+                    if term != term and (vh != vh or vl != vl):
+                        x = xh if vh != vh else xl
+                        raise ConvergenceError(f"integrand returned NaN at {name}={x!r}")
+                else:
+                    x = scale * a
+                    if x == 0.0:
+                        break
+                    calls += 1
+                    v = f(x)
+                    if v != v:
+                        raise ConvergenceError(f"integrand returned NaN at {name}={x!r}")
+                    term = v * x * w
                 new += term
                 # abs(term) <= cut * max(abs(new), _TINY) without the builtins;
                 # a nan partial sum leaves lim nan, and no term dead, alike
@@ -228,16 +270,19 @@ def _refine(
                     lim = floor
                 if -lim <= term <= lim:
                     dead += 1
-                    if dead > _CONSEC_DEAD and t >= _MIN_TRUNC_T:
+                    if (dead > _CONSEC_DEAD or t > far) and t >= _MIN_TRUNC_T:
                         break
                 else:
                     dead = 0
+                    live = t
+            if live > reach[i]:
+                reach[i] = live
         total += new
-        value = total * h * scale
+        value = total * h * unit
         if level:
             diff = abs(value - prev)
             if diff <= tol * max(abs(value), _TINY):
-                return QuadratureResult(factor * value, factor * diff, calls())
+                return QuadratureResult(factor * value, factor * diff, calls)
             changes.append((h, diff))
         prev = value
         h *= 0.5
@@ -245,7 +290,7 @@ def _refine(
     raise ConvergenceError(
         f"{what} did not reach tol={tol} (best estimate {factor * prev!r}, last refinement "
         f"change {factor * diff:.3e}); changes between successive levels: {levels}",
-        partial=QuadratureResult(factor * prev, factor * diff, calls()))
+        partial=QuadratureResult(factor * prev, factor * diff, calls))
 
 
 def integrate_semi_infinite(
@@ -267,23 +312,7 @@ def integrate_semi_infinite(
     _check_tol(tol)
     if not decay_rate >= 0.0:
         raise DomainError(f"decay rate must be >= 0, got {decay_rate}")
-    scale = 1.0 / min(max(decay_rate, 1e-4), 1e4)
-    calls = 0
-
-    def walk(u: float, g: float) -> float | None:
-        nonlocal calls
-        t = scale * u
-        if t == 0.0:
-            return None
-        calls += 1
-        v = f(t)
-        if v != v:
-            raise ConvergenceError(f"integrand returned NaN at t={t!r}")
-        return v * t * g
-
-    _, u0, g0 = _exp_sinh_row(1.0)(0.0)
-    return _refine(walk(u0, g0), ((_EXP_SINH_RIGHT, walk), (_EXP_SINH_LEFT, walk)), 1.0, tol,
-                   _SEMI_INFINITE_LEVELS, lambda: calls, "semi-infinite quadrature", factor)
+    return _refine(f, 1.0 / min(max(decay_rate, 1e-4), 1e4), None, tol, factor)
 
 
 def integrate_finite(
@@ -304,36 +333,4 @@ def integrate_finite(
     _check_tol(tol)
     if not lo < hi:
         raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
-
-    half = 0.5 * (hi - lo)
-    width = half * 2.0
-    mid = 0.5 * (hi + lo)
-    calls = 0
-
-    def eval_at(x: float) -> float:
-        nonlocal calls
-        calls += 1
-        v = f(x)
-        if v != v:
-            raise ConvergenceError(f"integrand returned NaN at x={x!r}")
-        return v
-
-    def walk(den: float, w: float) -> float | None:
-        # both nodes at distance half*(1 - tanh u) from the endpoints
-        d = width / den
-        if d == 0.0:
-            return None
-        # nodes that round onto an endpoint cannot be represented;
-        # their true contribution is below double resolution
-        term = 0.0
-        xh = hi - d
-        if xh < hi:
-            term += eval_at(xh)
-        xl = lo + d
-        if xl > lo:
-            term += eval_at(xl)
-        return term * w
-
-    # k = 0 node, sech^2(0) = 1
-    return _refine(eval_at(mid) * _PIOV2, ((_TANH_SINH, walk),), half, tol, _FINITE_LEVELS,
-                   lambda: calls, f"tanh-sinh quadrature on [{lo}, {hi}]", 1.0)
+    return _refine(f, 0.5 * (hi - lo), (lo, hi), tol, 1.0)

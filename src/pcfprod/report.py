@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .hermsum import SeriesResult
 
 _REL_FLOOR = 1e-300
 _ABS_SWITCH = 1e-280
@@ -21,7 +20,7 @@ class VerificationRecord:
     outside the identity's validity domain; such records carry no
     numbers and never count as failures.  A failed record with a NaN
     right side marks a route that raised ``ConvergenceError``; its left
-    side is the partial sum when that route is a series, else NaN.
+    side is the route's partial result, NaN where it has none.
     """
 
     identity_id: str
@@ -77,13 +76,13 @@ def error_record(identity_id: str, params: dict[str, float], exc: Exception) -> 
     """A record for a point whose evaluation raised ``exc``.
 
     A ``DomainError`` makes it a skip, any other error a failure; the
-    note is the exception message.  A series route's partial result
-    gives the left side and, as its term count, the cost.  A quadrature
-    partial is not used.
+    note is the exception message.  A route's partial result, a whole
+    left side, gives the record's left side and, as its term count or
+    evaluations, the cost.
     """
     partial = getattr(exc, "partial", None)
-    lhs, cost = ((partial.value, partial.terms_used) if isinstance(partial, SeriesResult)
-                 else (float("nan"), 0))
+    lhs = getattr(partial, "value", float("nan"))
+    cost = getattr(partial, "evaluations", getattr(partial, "terms_used", 0))
     return VerificationRecord(
         identity_id, dict(params), lhs, float("nan"), float("nan"),
         float("nan"), False, cost, skipped=isinstance(exc, DomainError), note=str(exc),

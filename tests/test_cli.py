@@ -10,8 +10,9 @@ import sys
 import pytest
 
 import pcfprod
-from pcfprod import (ConvergenceError, ProductQuery, SeriesResult, SumRuleQuery,
-                     product_via_integral, sum_rule_lhs)
+from pcfprod import (ConvergenceError, HyperbolicQuery, LaplaceParams, ProductQuery,
+                     SeriesResult, SumRuleQuery, laplace_I, lhs_14, product_via_integral,
+                     quadrature, sum_rule_lhs)
 
 
 def first_value(output):
@@ -379,6 +380,31 @@ class TestVerify:
         assert (rec["lhs"], rec["evaluations"]) == (partial.value, partial.terms_used)
         assert rec["rhs"] is rec["abs_err"] is rec["rel_err"] is None
         assert 2 ** 18 < rec["evaluations"] <= 2 ** 19
+
+    @pytest.mark.parametrize("identity,args,lhs", [
+        ("EQ10", ["--nu", "1", "--x", "2", "--y", "1", "--tol", "1e-8"],
+         lambda: product_via_integral(ProductQuery(1.0, 2.0, 1.0), 1e-9)),
+        ("EQ12", ["--nu", "1", "--a", "2", "--b", "1", "--tol", "1e-8"],
+         lambda: laplace_I(LaplaceParams(1.0, 2.0, 1.0), -1, 1e-9)),
+        ("EQ14", ["--a", "1", "--phi", "1", "--tol", "1e-8"],
+         lambda: lhs_14(HyperbolicQuery(a=1.0, phi=1.0), 1e-10)),
+    ])
+    def test_quadrature_miss_keeps_its_partial(self, run_cli, monkeypatch, identity, args, lhs):
+        # two levels cannot reach the tolerance: the failed record keeps the
+        # route's partial, the whole left side, and its evaluations
+        monkeypatch.setattr(quadrature, "_SEMI_INFINITE_LEVELS", 2)
+        monkeypatch.setattr(quadrature, "_FINITE_LEVELS", 2)
+        with pytest.raises(ConvergenceError) as info:
+            lhs()
+        partial = info.value.partial
+        r = run_cli(["verify", identity, *args])
+        assert r.exit_code == 1
+        (row,) = [l for l in r.stdout.splitlines() if l.startswith(identity)]
+        assert row.split(",")[-5:] == [repr(partial.value), "nan", "nan", "nan", "false"]
+        (rec,) = strict_json(run_cli(["verify", identity, *args, "--format", "json"]).stdout)[
+            "records"]
+        assert (rec["lhs"], rec["evaluations"]) == (partial.value, partial.evaluations)
+        assert rec["rhs"] is None and rec["status"] == "fail"
 
     def test_gamma_overflow_is_a_skip(self, run_cli):
         r = run_cli(["verify", "EQ15", "--nu", "200", "--x", "2", "--y", "1"])

@@ -13,8 +13,16 @@ import pytest
 from pcfprod import (
     ConvergenceError,
     DomainError,
+    HyperbolicQuery,
+    LaplaceParams,
+    ProductQuery,
     integrate_finite,
     integrate_semi_infinite,
+    laplace_I,
+    lhs_13a,
+    lhs_13b,
+    lhs_14,
+    product_via_integral,
     quadrature,
 )
 
@@ -268,6 +276,59 @@ class TestNestedRefinement:
         assert got.value == pytest.approx(float(exact), rel=1e-12)
 
 
+class TestReach:
+    """On a level past 0 a walk stops at its first dead term beyond the
+    largest k*h of a live term on a coarser level; a live term there
+    extends that reach, and a walk with no live term yet keeps the
+    consecutive-dead rule."""
+
+    @staticmethod
+    def _last_right_nodes(seen):
+        # decay rate 1: every right exp-sinh node t is the row's u itself
+        rows = {row[1]: (level, row[0])
+                for level, chunks in enumerate(quadrature._EXP_SINH_RIGHT._levels)
+                for chunk in chunks for row in chunk}
+        last = {}
+        for level, kh in (rows[t] for t in seen if t in rows):
+            last[level] = max(last.get(level, 0.0), kh)
+        return last
+
+    def test_live_term_past_the_reach_is_followed(self):
+        # e^{-t} cut off at t = 45: level 0 is live to s = 3.5 (t = 32.1) and
+        # ends 11 dead nodes on; the level-1 node s = 3.75 (t = 41.5) is live
+        # past that reach, so the walk goes on to s = 4.25, the first dead node
+        # past the new reach, and level 2 stops at s = 3.875 (t = 47.2)
+        seen = []
+
+        def f(t):
+            seen.append(t)
+            return math.exp(-t) if t < 45.0 else 0.0
+
+        r = integrate_semi_infinite(f, 1.0, 1e-12)
+        assert r.value == pytest.approx(1.0, rel=1e-12)
+        last = self._last_right_nodes(seen)
+        assert (last[0], last[1], last[2]) == (9.0, 4.25, 3.875)
+
+    def test_walk_without_live_term_keeps_the_consecutive_rule(self, monkeypatch):
+        # every level-0 node is 0; the box holds the level-1 node s = 3.75
+        # (t = 41.5), which only the consecutive rule reaches: stopping at the
+        # first dead node past s = 3 would return 0.0 with estimate 0.  The
+        # partial is the one pinned before the reach rule existed.
+        _set_levels(monkeypatch, 4)
+        seen = []
+
+        def box(t):
+            seen.append(t)
+            return 1.0 if 40.0 < t < 43.0 else 0.0
+
+        with pytest.raises(ConvergenceError) as exc:
+            integrate_semi_infinite(box, 1.0, 1e-10)
+        r = exc.value.partial
+        assert (r.value.hex(), r.error_estimate.hex(), r.evaluations) == (
+            "0x1.541377d0a7454p+1", "0x1.541377d0a7454p+1", 129)
+        assert self._last_right_nodes(seen)[1] == 9.25
+
+
 class TestErrorEstimateBoundsTrueError:
     """``error_estimate`` against 30-digit mpmath values.  The estimate is
     a difference of two levels, so rounding in the sums themselves (a
@@ -345,31 +406,31 @@ class TestPinnedPanel:
     }
     # (case, tol, outcome, value.hex(), error_estimate.hex(), evaluations)
     PANEL = [
-        ("gamma_half", 1e-06, "ok", "0x1.c5bf891b4ef6bp+0", "0x1.f80ba50000000p-27", 64),
-        ("algebraic_tail", 1e-06, "ok", "0x1.fffffffffffeep+0", "0x1.393006b000000p-23", 1524),
-        ("scale_clamp_low", 1e-06, "ok", "0x1.86a0000000000p+16", "0x1.699a214000000p-10", 73),
-        ("scale_clamp_high", 1e-06, "ok", "0x1.4f8b588e368f2p-17", "0x1.7058000000000p-56", 100),
-        ("inv_sqrt_cos", 1e-06, "ok", "0x1.cf1dcd0871260p+0", "0x1.9450000000000p-38", 74),
-        ("gaussian_window", 1e-06, "ok", "0x1.c5bf88a5f14afp+0", "0x0.0p+0", 205),
-        ("gamma_half", 1e-10, "ok", "0x1.c5bf891b4ef6ap+0", "0x1.0000000000000p-52", 116),
-        ("algebraic_tail", 1e-10, "ok", "0x1.fffffffffffffp+0", "0x1.1000000000000p-48", 2956),
-        ("scale_clamp_low", 1e-10, "ok", "0x1.86a0000000000p+16", "0x0.0p+0", 135),
-        ("scale_clamp_high", 1e-10, "ok", "0x1.4f8b588e368f2p-17", "0x1.7058000000000p-56", 100),
-        ("inv_sqrt_cos", 1e-10, "ok", "0x1.cf1dcd0871260p+0", "0x1.9450000000000p-38", 74),
-        ("gaussian_window", 1e-10, "ok", "0x1.c5bf88a5f14afp+0", "0x0.0p+0", 205),
-        ("gamma_half", 1e-14, "ok", "0x1.c5bf891b4ef6ap+0", "0x1.0000000000000p-52", 116),
-        ("algebraic_tail", 1e-14, "ok", "0x1.fffffffffffffp+0", "0x1.1000000000000p-48", 2956),
-        ("scale_clamp_low", 1e-14, "ok", "0x1.86a0000000000p+16", "0x0.0p+0", 135),
-        ("scale_clamp_high", 1e-14, "ok", "0x1.4f8b588e368f2p-17", "0x0.0p+0", 167),
-        ("inv_sqrt_cos", 1e-14, "ok", "0x1.cf1dcd087125ep+0", "0x1.0000000000000p-51", 143),
-        ("gaussian_window", 1e-14, "ok", "0x1.c5bf88a5f14afp+0", "0x0.0p+0", 205),
-        ("semi_max_level_4", 1e-12, "raises", "0x1.2ce84fdf5cc9ep-4", "0x1.22a13b61fbe08p-6", 201),
-        ("finite_max_level_4", 1e-12, "raises", "0x1.e69dd13d59903p-4", "0x1.3b195f9dce089p-2", 74),
-        ("inv_sqrt_cos_wide", 1e-06, "ok", "0x1.09e92e758ac0cp+0", "0x1.f5f0f68000000p-26", 74),
+        ("gamma_half", 1e-06, "ok", "0x1.c5bf891b4ef6bp+0", "0x1.f80ba50000000p-27", 51),
+        ("algebraic_tail", 1e-06, "ok", "0x1.fffffffffffeep+0", "0x1.393006b000000p-23", 1486),
+        ("scale_clamp_low", 1e-06, "ok", "0x1.86a0000000000p+16", "0x1.699a214000000p-10", 59),
+        ("scale_clamp_high", 1e-06, "ok", "0x1.4f8b588e368f2p-17", "0x1.7058000000000p-56", 73),
+        ("inv_sqrt_cos", 1e-06, "ok", "0x1.cf1dcd0871260p+0", "0x1.9450000000000p-38", 64),
+        ("gaussian_window", 1e-06, "ok", "0x1.c5bf88a5f14afp+0", "0x0.0p+0", 203),
+        ("gamma_half", 1e-10, "ok", "0x1.c5bf891b4ef6ap+0", "0x1.0000000000000p-52", 86),
+        ("algebraic_tail", 1e-10, "ok", "0x1.fffffffffffffp+0", "0x1.1000000000000p-48", 2908),
+        ("scale_clamp_low", 1e-10, "ok", "0x1.86a0000000000p+16", "0x0.0p+0", 101),
+        ("scale_clamp_high", 1e-10, "ok", "0x1.4f8b588e368f2p-17", "0x1.7058000000000p-56", 73),
+        ("inv_sqrt_cos", 1e-10, "ok", "0x1.cf1dcd0871260p+0", "0x1.9450000000000p-38", 64),
+        ("gaussian_window", 1e-10, "ok", "0x1.c5bf88a5f14afp+0", "0x0.0p+0", 203),
+        ("gamma_half", 1e-14, "ok", "0x1.c5bf891b4ef6ap+0", "0x1.0000000000000p-52", 86),
+        ("algebraic_tail", 1e-14, "ok", "0x1.fffffffffffffp+0", "0x1.1000000000000p-48", 2908),
+        ("scale_clamp_low", 1e-14, "ok", "0x1.86a0000000000p+16", "0x0.0p+0", 101),
+        ("scale_clamp_high", 1e-14, "ok", "0x1.4f8b588e368f2p-17", "0x0.0p+0", 130),
+        ("inv_sqrt_cos", 1e-14, "ok", "0x1.cf1dcd087125ep+0", "0x1.0000000000000p-51", 123),
+        ("gaussian_window", 1e-14, "ok", "0x1.c5bf88a5f14afp+0", "0x0.0p+0", 203),
+        ("semi_max_level_4", 1e-12, "raises", "0x1.2ce84fdf5cc9ep-4", "0x1.22a13b61fbe08p-6", 147),
+        ("finite_max_level_4", 1e-12, "raises", "0x1.e69dd13d59903p-4", "0x1.3b195f9dce089p-2", 60),
+        ("inv_sqrt_cos_wide", 1e-06, "ok", "0x1.09e92e758ac0cp+0", "0x1.f5f0f68000000p-26", 64),
         ("gaussian_offset", 1e-06, "ok", "0x1.b6c4586b18200p+0", "0x1.572a000000000p-37", 102),
-        ("inv_sqrt_cos_wide", 1e-10, "ok", "0x1.09e92e758ac0dp+0", "0x1.0000000000000p-52", 143),
+        ("inv_sqrt_cos_wide", 1e-10, "ok", "0x1.09e92e758ac0dp+0", "0x1.0000000000000p-52", 123),
         ("gaussian_offset", 1e-10, "ok", "0x1.b6c4586b18200p+0", "0x1.572a000000000p-37", 102),
-        ("inv_sqrt_cos_wide", 1e-14, "ok", "0x1.09e92e758ac0dp+0", "0x1.0000000000000p-52", 143),
+        ("inv_sqrt_cos_wide", 1e-14, "ok", "0x1.09e92e758ac0dp+0", "0x1.0000000000000p-52", 123),
         ("gaussian_offset", 1e-14, "ok", "0x1.b6c4586b181ffp+0", "0x1.0000000000000p-52", 204),
         ("oscillating_max_level_4", 1e-12, "raises", "0x1.4e900c658b530p-5", "0x1.4719993345fe4p-4", 51),
     ]
@@ -396,6 +457,41 @@ class TestPinnedPanel:
             best = re.search(r"best estimate (\S+?),", str(exc.value)).group(1)
             assert float(best) == r.value
         assert (r.value.hex(), r.error_estimate.hex(), r.evaluations) == (value, error, evaluations)
+
+
+class TestPinnedRoutes:
+    """Values and error estimates of the library's quadrature routes, bit
+    for bit, pinned before the reach rule; their evaluation counts are the
+    counts of that time, which no change to truncation may exceed."""
+
+    ROUTES = {
+        "product_nu_0.06": lambda tol: product_via_integral(ProductQuery(0.06, 2.0, 1.0), tol),
+        "product_gap_0.02": lambda tol: product_via_integral(ProductQuery(1.5, 3.02, 3.0), tol),
+        "product_nu_4": lambda tol: product_via_integral(ProductQuery(4.0, 6.0, 2.5), tol),
+        "laplace_plus": lambda tol: laplace_I(LaplaceParams(0.06, 2.5, 2.0), 1, tol),
+        "laplace_minus": lambda tol: laplace_I(LaplaceParams(2.5, 3.0, 1.0), -1, tol),
+        "lhs_13a": lambda tol: lhs_13a(HyperbolicQuery(alpha=1.5, phi=0.7), tol),
+        "lhs_13b": lambda tol: lhs_13b(HyperbolicQuery(alpha=0.3, phi=2.0), tol),
+        "lhs_14": lambda tol: lhs_14(HyperbolicQuery(a=0.5, phi=0.05), tol),
+    }
+    # (route, tol, value.hex(), error_estimate.hex(), evaluations at most)
+    PANEL = [
+        ("product_nu_0.06", 1e-09, "0x1.45a9f97612465p-2", "0x1.b978bf1aa4ebap-34", 116),
+        ("product_gap_0.02", 1e-12, "0x1.842354b26d7ffp-1", "0x1.821e08583f3d7p-49", 349),
+        ("product_nu_4", 1e-09, "0x1.cd8dc3434df8ap-19", "0x1.063483ad6a19fp-66", 114),
+        ("laplace_plus", 1e-08, "0x1.1ec20843288d8p+5", "0x1.84bb000000000p-27", 116),
+        ("laplace_minus", 1e-10, "0x1.5388fed5560eap-4", "0x0.0p+0", 115),
+        ("lhs_13a", 1e-12, "0x1.27393eeef748ap-2", "0x1.6100000000000p-43", 255),
+        ("lhs_13b", 1e-10, "0x1.dcff8e2627e93p-2", "0x1.0000000000000p-54", 433),
+        ("lhs_14", 1e-12, "0x1.5d6e0aefedbc7p+0", "0x1.0000000000000p-51", 513),
+    ]
+
+    @pytest.mark.parametrize("route,tol,value,error,evaluations", PANEL,
+                             ids=[p[0] for p in PANEL])
+    def test_pinned(self, route, tol, value, error, evaluations):
+        r = self.ROUTES[route](tol)
+        assert (r.value.hex(), r.error_estimate.hex()) == (value, error)
+        assert r.evaluations <= evaluations
 
 
 class TestNodeTables:
