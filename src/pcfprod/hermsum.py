@@ -38,6 +38,8 @@ series-vs-quadrature check) still tests two independent routes, with
 no ``pcf_d`` or quadrature inside.  At X = Y the error integral falls
 only like sqrt(1-u): no u within the cap of 2^19 products reaches a
 useful tol, and the sum raises :class:`ConvergenceError` after one pass.
+So does a sum of 0.0, as the tails may have underflowed with its terms;
+past s = 1.5e12 they underflow at every node, a :class:`DomainError`.
 Callers want a prefactor times B, given as ``factor``: it multiplies the
 value, ``tail_bound`` and an error's partial and numbers, never u, the
 term count or the stopping test.
@@ -53,11 +55,19 @@ block's end values, and h_n = h_{s-1}*P_n + h_s*Q_n fills the block.
 Forward recurrence is stable here because h_n is the dominant solution
 where it grows and an oscillatory one beyond its turning point
 (Gautschi, SIAM Review 1967).
+
+Built once per process: the ladder and the tails' panel geometry (under
+30 kB), and rows of the step coefficients, rebuilt to the longest grid
+used so far (at most 2 x 725 x 724 doubles, 8.4 MB, for a capped pass).  A
+call pays one exp over the 408 panel nodes, the ladder choice in scalar
+math, one multiply for every x*sqrt(2/(n+1)), three in-place numpy
+steps per offset and the weighted sum.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -74,20 +84,27 @@ _MAX_PRODUCTS = 524_288  # 2^19
 _LOG_CRAMER_SQ = 2.0 * math.log(1.086435)  # |h_n(X) h_n(Y)| <= e^this e^{(X^2+Y^2)/2}
 _EPS = 2.0 ** -52
 _TINY = 1e-300
+_STEPS = None  # the step coefficients of scaled_hermite_products
 
 
 @functools.cache
-def _rules() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ladder of weights 1 - u and the Gauss-Legendre nodes and weights
-    of :func:`_tails`, built on the first series call."""
+def _rules() -> tuple[list[float], float, tuple[np.ndarray, ...]]:
+    """The ladder of weights 1 - u, the largest shift and :func:`_tails`' panels."""
     import numpy as np
     # candidate weights 1 - u = 2^{-1-k/2}, each needing about sqrt(2) times the terms of
     # the last; at tol 1e-6 and below the 34th needs more than the cap
     ladder = 0.5 * 2.0 ** (-0.5 * np.arange(34))
     # 12-point Gauss-Legendre rule on [-1/2, 1/2] from its Jacobi matrix (Golub & Welsch 1969)
-    t, v = np.linalg.eigh(
+    t, vec = np.linalg.eigh(
         np.diag([k / math.sqrt(4.0 * k * k - 1.0) for k in range(1, 12)], 1), UPLO="U")
-    return ladder, 0.5 * t, v[0] ** 2
+    # panels in w = sqrt(1-v) between successive ladder points and from the last to 0
+    edges = np.append(np.sqrt(ladder), 0.0)
+    width = edges[:-1] - edges[1:]
+    w = 0.5 * (edges[:-1] + edges[1:])[:, None] + width[:, None] * (0.5 * t)
+    v = 1.0 - w * w
+    # past the largest shift v^{s-1} < e^{-700} at every node, the one nearest v = 1 too
+    return ladder.tolist(), -700.0 / float(np.log(v).max()), (
+        w, -v, w * w * (2.0 - w * w), np.log(v), np.sqrt(2.0 - w * w), vec[0] ** 2, width)
 
 
 @dataclass(frozen=True)
@@ -118,19 +135,17 @@ def scaled_hermite(n: int, x: float) -> float:
     return h
 
 
-def _chain(ends: list[list[float]]) -> list[list[float]]:
-    """True (h_{s-1}, h_s) at every block start, from (h_{-1}, h_0) = (0, 1).
-
-    ``ends`` lists, per block, (P, Q) at the block's last offset and at
-    the next block's start, as [P_last, Q_last, P_next, Q_next] rows.
-    """
-    a, b = 0.0, 1.0
-    alpha, beta = [a], [b]
-    for p1, q1, p2, q2 in zip(*ends):
-        a, b = a * p1 + b * q1, a * p2 + b * q2
-        alpha.append(a)
-        beta.append(b)
-    return [alpha, beta]
+def _chain(last: list[list[float]], nxt: list[list[float]]) -> list[tuple[float, ...]]:
+    """True (h_{s-1}(X), h_s(X), h_{s-1}(Y), h_s(Y)) at every block start s, from
+    (h_{-1}, h_0) = (0, 1) and the rows P(X), Q(X), P(Y), Q(Y), over blocks, at
+    each block's last offset (``last``) and at the next block's start (``nxt``)."""
+    ax, bx, ay, by = 0.0, 1.0, 0.0, 1.0
+    starts = [(ax, bx, ay, by)]
+    for px, qx, py, qy, px2, qx2, py2, qy2 in zip(*last, *nxt):
+        ax, bx = ax * px + bx * qx, ax * px2 + bx * qx2
+        ay, by = ay * py + by * qy, ay * py2 + by * qy2
+        starts.append((ax, bx, ay, by))
+    return starts
 
 
 def scaled_hermite_products(X: float, Y: float, count: int) -> np.ndarray:
@@ -138,47 +153,48 @@ def scaled_hermite_products(X: float, Y: float, count: int) -> np.ndarray:
     import numpy as np
     size = math.isqrt(count - 1) + 1  # ceil(sqrt(count))
     blocks = -(-count // size)
-    # coefficients of the step from offset j to j + 1, laid out (offset, block)
-    n = np.arange(size, dtype=np.float64)[:, None] + size * np.arange(blocks, dtype=np.float64)
-    a = np.sqrt(2.0 / (n + 1.0))
-    b = np.sqrt(n / (n + 1.0))
-    xy = np.array([X, X, Y, Y])[:, None]
-    # sol[j + 1] = rows P(X), Q(X), P(Y), Q(Y) at offset j of every block
+    # rows a = sqrt(2/(n+1)) and b = sqrt(n/(n+1)), kept between calls and
+    # rebuilt when a call needs a longer grid
+    global _STEPS
+    rows = _STEPS
+    if rows is None or rows.shape[1] < size * blocks:
+        n = np.arange(size * blocks, dtype=np.float64)
+        rows = _STEPS = np.stack([np.sqrt(2.0 / (n + 1.0)), np.sqrt(n / (n + 1.0))])
+    a, b = rows[:, :size * blocks].reshape(2, blocks, size).transpose(0, 2, 1)
+    # sol[j + 1] = rows P(X), Q(X), P(Y), Q(Y) at offset j of every block;
+    # sol[j + 2] holds X a, X a, Y a, Y a, the step from offset j, until the
+    # step overwrites it, and back[j] = b four times
     sol = np.empty((size + 2, 4, blocks))
-    sol[0] = np.array([1.0, 0.0, 1.0, 0.0])[:, None]
-    sol[1] = np.array([0.0, 1.0, 0.0, 1.0])[:, None]
-    step = np.empty((4, blocks))
-    for j in range(size):
-        np.multiply(xy, a[j], out=step)
-        step *= sol[j + 1]
-        np.multiply(b[j], sol[j], out=sol[j + 2])
-        np.subtract(step, sol[j + 2], out=sol[j + 2])
+    sol[:2] = [[[1.0], [0.0], [1.0], [0.0]], [[0.0], [1.0], [0.0], [1.0]]]
+    np.multiply(a[:, None], np.array([X, X, Y, Y])[:, None], sol[2:])
+    back = np.repeat(b[:, None], 4, axis=1)
+    sols = list(sol)
+    for b_j, s0, s1, s2 in zip(back, sols, sols[1:], sols[2:]):
+        np.multiply(s2, s1, s2)
+        np.multiply(b_j, s0, b_j)
+        np.subtract(s2, b_j, s2)
 
-    # true (h_{s-1}, h_s) of every block, then h at offsets 0 .. size-1
-    ends = sol[size:, :, :-1]
-    ax, bx = map(np.array, _chain(ends[:, 0:2].reshape(4, blocks - 1).tolist()))
-    ay, by = map(np.array, _chain(ends[:, 2:4].reshape(4, blocks - 1).tolist()))
+    # true (h_{s-1}, h_s) of every block, then h at offsets 0 .. size-1, in place
     body = sol[1:size + 1]
-    products = (body[:, 0] * ax + body[:, 1] * bx) * (body[:, 2] * ay + body[:, 3] * by)
-    return products.T.reshape(-1)[:count]
+    body *= np.array(_chain(*sol[size:, :, :-1].tolist())).T
+    hx, qx, hy, qy = body.transpose(1, 0, 2)
+    products = np.empty((blocks, size))
+    np.multiply(np.add(hx, qx, hx), np.add(hy, qy, hy), products.T)
+    return products.reshape(-1)[:count]
 
 
-def _tails(X: float, Y: float, shift: float) -> np.ndarray:
+def _tails(X: float, Y: float, shift: float) -> list[float]:
     """int_u^1 v^{s-1} K(v) dv at every ladder weight u, from the closed form.
 
-    Gauss-Legendre panels in w = sqrt(1-v), between successive ladder
-    points and from the last to 0; the exponent of K is written in w,
-    free of the cancellation of the v form near v = 1.
+    Gauss-Legendre panels in w = sqrt(1-v), summed from the last; the exponent
+    of K is written in w, free of the cancellation of the v form near v = 1.
     """
     import numpy as np
-    ladder, gl_t, gl_w = _rules()
-    edges = np.append(np.sqrt(ladder), 0.0)
-    width = edges[:-1] - edges[1:]
-    w = 0.5 * (edges[:-1] + edges[1:])[:, None] + width[:, None] * gl_t
-    v = 1.0 - w * w
-    expo = -v * ((X - Y) ** 2 - (X * X + Y * Y) * w * w) / (w * w * (2.0 - w * w))
-    f = 2.0 * np.exp((shift - 1.0) * np.log(v) + expo) / np.sqrt(2.0 - w * w)
-    return np.cumsum((f @ gl_w * width)[::-1])[::-1]
+    w, minus_v, den, log_v, root, weights, width = _rules()[2]
+    d2 = (X - Y) ** 2 if abs(X - Y) < 1e154 else math.inf  # ** raises where it overflows
+    expo = minus_v * (d2 - (X * X + Y * Y) * w * w) / den
+    f = 2.0 * np.exp((shift - 1.0) * log_v + expo) / root
+    return list(itertools.accumulate((f @ weights * width)[::-1].tolist()))[::-1]
 
 
 def bilinear_hermite_sum(X: float, Y: float, shift: float, tol: float,
@@ -186,12 +202,13 @@ def bilinear_hermite_sum(X: float, Y: float, shift: float, tol: float,
     """``factor`` (> 0) times sum_{n>=0} h_n(X)h_n(Y)/(n+shift), to relative ``tol``.
 
     X, Y and ``shift`` must be finite and ``tol`` positive, and ``shift``
-    must not be zero or a negative integer (series poles).
+    must not be zero or a negative integer (series poles) nor above about
+    1.5e12, where the closed-form tails underflow (:class:`DomainError`).
     Returns ``factor`` times the Abel-weighted sum B_u of ``terms_used``
     products, with ``tail_bound`` bounding its error.  When the bound
-    exceeds tol*|B_u|, raises :class:`ConvergenceError` with that partial
-    result, its message in the same units, listing each candidate u with
-    its closed-form tail.
+    exceeds tol*|B_u|, or is not finite, or B_u is 0.0, raises :class:`ConvergenceError`
+    with that partial result, its message in the same units, listing each
+    candidate u with its closed-form tail.
     """
     if not (math.isfinite(X) and math.isfinite(Y) and math.isfinite(shift) and tol > 0.0):
         raise DomainError(f"bilinear Hermite sum needs finite X, Y and shift and tol > 0, "
@@ -200,42 +217,54 @@ def bilinear_hermite_sum(X: float, Y: float, shift: float, tol: float,
         raise DomainError(f"shift {shift} sits on a pole of the series")
 
     import numpy as np
-    ladder = _rules()[0]
-    tails = _tails(X, Y, shift)
-    if shift > 0.0:
-        # v^{s-1} K(v) > 0, and on [0, 1/2] K >= min(K(0), K(1/2)) as its
-        # exponent is concave in v, so this is at most B
-        low = min(0.0, (X * Y - 0.25 * (X * X + Y * Y)) / 0.75)
-        target = tol * max(tails[0] + 0.5 ** shift / shift * math.exp(low), _TINY)
-    else:
-        # the terms n < -s can cancel B down to the rounding level of its
-        # terms, so aim the tail and the dropped terms at that level
-        target = _EPS * max(tails[0], _TINY)
-    # the dropped terms are at most e^{log_amp} u^{N+s}/((N+s)(1-u)); the
-    # least N+s = x holding that below target/8 solves x ln(1/u) + ln x = drop,
-    # and x -> (drop - ln x)/ln(1/u) maps a point above it below, then just above
-    log_amp = 0.5 * (X * X + Y * Y) + _LOG_CRAMER_SQ
-    drop, rate = log_amp - np.log(target / 8.0 * ladder), -np.log1p(-ladder)
-    x = np.maximum((drop - np.log(np.maximum(drop, 1.0) / rate)) / rate, 1.0)
-    counts = np.maximum(np.ceil((drop - np.log(x)) / rate - shift), math.floor(-shift) + 2)
-    # the first candidate whose tail is below target/4, or the last within the cap
-    reachable = int(np.searchsorted(counts, _MAX_PRODUCTS, side="right"))
-    k = max(min(int(np.searchsorted(-tails, -0.25 * target)), reachable - 1), 0)
-    count, log_u = min(int(counts[k]), _MAX_PRODUCTS), float(-rate[k])
+    ladder, max_shift = _rules()[:2]
+    if shift > max_shift:
+        raise DomainError(f"shift {shift} is past {max_shift:.3g}: v^(shift-1) underflows at "
+                          f"every node of the closed-form tails, which then bound nothing")
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum raises below
+        tails = _tails(X, Y, shift)
+        if shift > 0.0:
+            # v^{s-1} K(v) > 0, and on [0, 1/2] K >= min(K(0), K(1/2)) as its
+            # exponent is concave in v, so this is at most B
+            low = min(0.0, (X * Y - 0.25 * (X * X + Y * Y)) / 0.75)
+            target = tol * max(tails[0] + 0.5 ** shift / shift * math.exp(low), _TINY)
+        else:
+            # the terms n < -s can cancel B down to the rounding level of its
+            # terms, so aim the tail and the dropped terms at that level
+            target = _EPS * max(tails[0], _TINY)
+        # the first candidate whose tail is below target/4, stepped back while its
+        # count exceeds the cap; at least the terms n < -s and one more
+        k = next((j for j, t in enumerate(tails) if t <= 0.25 * target), len(tails) - 1)
+        fewest = max(math.floor(-shift), -1) + 2
+        log_amp = 0.5 * (X * X + Y * Y) + _LOG_CRAMER_SQ
+        while True:
+            # the dropped terms are at most e^{log_amp} u^{N+s}/((N+s)(1-u)); the
+            # least N+s = x holding that below target/8 solves x ln(1/u) + ln x = drop,
+            # and x -> (drop - ln x)/ln(1/u) maps a point above it below, then just above
+            rate = -math.log1p(-ladder[k])
+            drop = log_amp - math.log(max(target / 8.0 * ladder[k], 5e-324))
+            x = max((drop - math.log(max(drop, 1.0) / rate)) / rate, 1.0)
+            need = max((drop - math.log(x)) / rate - shift, fewest)
+            if need <= _MAX_PRODUCTS or not k:
+                break
+            k -= 1
+        # a nan count, from an overflowing X or Y, is the cap
+        count, log_u = math.ceil(min(_MAX_PRODUCTS, need)), -rate
 
-    exponent = np.arange(count, dtype=np.float64) + shift
-    weighted = scaled_hermite_products(X, Y, count) / exponent * np.exp(exponent * log_u)
-    value = float(np.sum(weighted))
-    dropped = math.exp(log_amp + (count + shift) * log_u) / ((count + shift) * ladder[k])
-    rounding = math.sqrt(count) * _EPS * float(np.sum(np.abs(weighted)))
-    bound = float(tails[k] + dropped + rounding)
-    if bound <= tol * abs(value):
+        exponent = np.arange(count, dtype=np.float64) + shift
+        weighted = scaled_hermite_products(X, Y, count) / exponent * np.exp(exponent * log_u)
+        value = float(weighted.sum())
+        rounding = math.sqrt(count) * _EPS * float(np.abs(weighted).sum())
+    log_drop = log_amp + (count + shift) * log_u
+    dropped = math.exp(log_drop) / ((count + shift) * ladder[k]) if log_drop < 709.0 else math.inf
+    bound = tails[k] + dropped + rounding
+    if value and bound <= tol * abs(value):
         return SeriesResult(factor * value, count, factor * bound)
-    tails *= factor
-    tried = ", ".join(f"1-u={ladder[j]:.4g} tail {tails[j]:.2e}" for j in range(k + 1))
+    test = f"> tol*|value| {tol * abs(factor * value):.3e}" if value else "with a sum of 0.0"
+    tried = ", ".join(f"1-u={ladder[j]:.4g} tail {factor * tails[j]:.2e}" for j in range(k + 1))
     raise ConvergenceError(
         f"bilinear Hermite sum missed tol={tol} at {count} terms (X={X}, Y={Y}, shift={shift}): "
-        f"bound {factor * bound:.3e} = tail {tails[k]:.3e} + dropped {factor * dropped:.3e} "
-        f"+ rounding {factor * rounding:.3e} > tol*|value| {tol * abs(factor * value):.3e}; "
+        f"bound {factor * bound:.3e} = tail {factor * tails[k]:.3e} "
+        f"+ dropped {factor * dropped:.3e} + rounding {factor * rounding:.3e} {test}; "
         f"candidates: {tried}",
         partial=SeriesResult(factor * value, count, factor * bound))

@@ -14,7 +14,9 @@ other side is an integral check it against an engine it does not share:
   Appl. Math. 121, 2000) and Gil, Segura & Temme (ACM TOMS 32, 2006);
   below z = 3, where the fraction converges slowly, one Taylor step of
   Weber's equation carries D inward from z = 3.
-* nonnegative integer order n: D_n(z) = 2^{-n/2} e^{-z^2/4} H_n(z/sqrt 2).
+* nonnegative integer order n: D_n(z) = 2^{-n/2} e^{-z^2/4} H_n(z/sqrt 2)
+  = sqrt(n!) e^{-z^2/4} h_n(z/sqrt 2), the exponential applied to the
+  binary exponent of h_n so that nothing underflows before D_n does.
 
 Other orders are rejected explicitly.  K_{1/4}(z) is
 sqrt(pi/sqrt z) D_{-1/2}(2 sqrt z) (DLMF 12.7.10).
@@ -58,6 +60,9 @@ _CF_EPS = 2.0**-52
 # _Z_OVERFLOW, D_{-nu}(z) > nu e^{z^2/4}/(z-1) overflows a double at every nu > 0
 _Z_ZERO = 2.0 * math.sqrt(746.0)
 _Z_OVERFLOW = -80.0
+# D_n(z) = sqrt(n!) e^{-z^2/4} h_n(z/sqrt 2) for n <= 20, with sqrt(20!) < 2^31 and
+# |h_n| < 2^1024 (finite below |z| = 2 sqrt(_QUARTER_ZERO)), is 0.0 beyond this z^2/4
+_QUARTER_ZERO = 1500.0
 
 
 def hermite(n: int, x: float) -> float:
@@ -142,14 +147,14 @@ def _ratio(nu: float, z: float) -> float:
             return f
 
 
-def _scaled(x: float, expo: float, m: int, nu: float, z: float) -> float:
-    """x e^expo 2^(600 m) for x > 0, or DomainError where it overflows.
+def _scaled(x: float, expo: float, power: int, nu: float, z: float) -> float:
+    """x e^expo 2^power, or DomainError where it overflows.
     e^expo is split as 2^n e^r with |r| <= ln(2)/2, so the powers of two
     are applied exactly and rounded once, by ldexp."""
     n = round(expo / _LN2)
     r = (expo - n * _LN2_HI) - n * _LN2_LO
     try:
-        return math.ldexp(x * math.exp(r), n + _RESCALE * m)
+        return math.ldexp(x * math.exp(r), n + power)
     except OverflowError:
         raise DomainError(f"D_{{{-nu}}}({z}) overflows a double") from None
 
@@ -160,7 +165,7 @@ def _wronskian_d(nu: float, z: float, zz: float) -> tuple[float, float]:
     p, q, m = _sums(nu, z, zz)
     rho = _ratio(nu, z)
     den = q / z + rho * p
-    return _scaled(_SQRT_2PI / den, 0.25 * zz, -m, nu, z), rho
+    return _scaled(_SQRT_2PI / den, 0.25 * zz, -_RESCALE * m, nu, z), rho
 
 
 def _taylor_inward(nu: float, z: float) -> float:
@@ -201,7 +206,7 @@ def _pcf_d_negative_order(nu: float, z: float, zz: float) -> float:
         return _taylor_inward(nu, z)
     # D_{-nu}(-w) = e^{-w^2/4} nu S_nu(w)/Gamma(nu+1), all terms positive
     p, _, m = _sums(nu, -z, zz)
-    return _scaled(p / math.gamma(nu + 1.0), -0.25 * zz, m, nu, z)
+    return _scaled(p / math.gamma(nu + 1.0), -0.25 * zz, _RESCALE * m, nu, z)
 
 
 def pcf_d(nu_order: float, z: float) -> float:
@@ -220,7 +225,10 @@ def pcf_d(nu_order: float, z: float) -> float:
     sums take about z^2 terms, so a call costs some 30 us for |z| <= 7
     and about 0.8 ms at |z| = 50.  Where D_order(z) overflows a double
     (z < 0 only, e.g. D_{-20}(-53)) it raises :class:`DomainError`;
-    beyond z = 2 sqrt(746) it underflows and is returned as 0.0.
+    beyond z = 2 sqrt(746) it underflows and is returned as 0.0.  An
+    integer order n is evaluated in log scale, so D_n(z) is 0.0 only where
+    it underflows (D_20(55) = 2.2e-294 is returned; beyond |z| = 77.5
+    every D_n(z) is 0.0), never nan.
     """
     if not abs(nu_order) <= _ORDER_LIMIT:
         raise DomainError(f"order {nu_order} outside supported range [-20, 20]")
@@ -234,4 +242,10 @@ def pcf_d(nu_order: float, z: float) -> float:
             f"positive non-integer order {nu_order} is unsupported "
             "(only negative real orders and nonnegative integers)"
         )
-    return 2.0 ** (-0.5 * n) * math.exp(-0.25 * z * z) * hermite(n, z / math.sqrt(2.0))
+    # D_n(z) = sqrt(n!) e^{-z^2/4} h_n(z/sqrt 2), e^{-z^2/4} applied to h_n's mantissa
+    # and binary exponent: it underflows only where D_n does
+    quarter = 0.25 * z * z
+    if quarter > _QUARTER_ZERO:
+        return 0.0
+    frac, expo = math.frexp(scaled_hermite(n, z / math.sqrt(2.0)))
+    return _scaled(math.sqrt(math.factorial(n)) * frac, -quarter, expo, -n, z)

@@ -157,6 +157,26 @@ class TestEval:
                                  "--nu", "1", "--x", "2", "--y", "1"])
         assert any(line.startswith("# evaluations = ") for line in r.stdout.splitlines())
 
+    @pytest.mark.parametrize("argv,code", [
+        (["green_spectral", "--lam", "0.5", "--x", "-2e6", "--xprime", "0"], 3),
+        (["series_for_I", "--nu", "1.2", "--X", "47", "--Y", "-1e139"], 3),
+        (["sum_rule_lhs", "--nu", "39", "--x", "1e81", "--y", "17"], 3),
+        (["green_spectral", "--lam", "-1e300", "--x", "15", "--xprime", "0"], 2),
+        (["green_ode", "--lam", "700", "--x", "1e-300", "--xprime", "2.2"], 2),
+        (["pcf_d", "--nu", "14", "--z", "1e51"], 0),
+    ])
+    def test_extreme_input_keeps_the_error_contract(self, run_cli, argv, code):
+        # each ended in a traceback or printed nan: an overflowing series is a
+        # ConvergenceError (3), a shift or lambda past what the series or the
+        # oracle resolve a DomainError (2), and a value that underflows is 0.0
+        r = run_cli(["eval", *argv])
+        assert r.exit_code == code
+        if code:
+            assert r.stderr.startswith(("convergence error: ", "domain error: "))
+            assert len(r.stderr.splitlines()) == 1
+        else:
+            assert first_value(r.stdout) == 0.0 and r.stderr == ""
+
     def test_clamped_tolerance_is_reported(self, run_cli):
         # one floor, 1e-9, for every Hermite-series target
         for args in (["series_for_I", "--nu", "1", "--X", "1", "--Y", "0.2"],

@@ -1,6 +1,7 @@
 """Oscillator Green function: spectral sum, closed form, ODE construction."""
 
 import math
+import re
 
 import mpmath as mp
 import pytest
@@ -225,6 +226,12 @@ class TestGuards:
             green_ode_oracle(GreenQuery(1.05, 1.0, 0.0))  # too close to lambda_0
         with pytest.raises(DomainError):
             green_ode_oracle(GreenQuery(0.0, 7.0, 0.0))   # outside shooting range
+
+    @pytest.mark.parametrize("lam", [64.0, 700.0, 1e300])
+    def test_ode_needs_lambda_below_shooting_point_squared(self, lam):
+        # the starting slopes are +-sqrt(64 - lambda); was a math ValueError
+        with pytest.raises(DomainError, match="requires lambda < 64, .*" + re.escape(f"={lam}")):
+            green_ode_oracle(GreenQuery(lam, 1e-300, 2.2))
 
     def test_closed_form_domain(self):
         with pytest.raises(DomainError):

@@ -2,6 +2,9 @@
 
 import math
 import re
+import sys
+import threading
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -9,7 +12,10 @@ import pytest
 
 from pcfprod import hermsum
 from pcfprod.errors import ConvergenceError, DomainError
+from pcfprod.green import GreenQuery, green_spectral
 from pcfprod.hermsum import SeriesResult, bilinear_hermite_sum, scaled_hermite_products
+from pcfprod.mehler import (MehlerPoint, SumRuleQuery, mehler_kernel_series, series_for_I,
+                            sum_rule_lhs)
 
 POINTS = [(1.3, 0.4), (5.0, -4.9), (0.01, 3.0)]
 ORACLE_N = [3, 57, 700, 5000, 65537, 300001, 524287]
@@ -207,3 +213,175 @@ def test_negative_shift_against_mpmath(s):
         r = bilinear_hermite_sum(X, Y, s, tol)
         assert abs(r.value - ref) <= tol * abs(ref)
         assert abs(r.value - ref) <= r.tail_bound + ROUNDING_ALLOWANCE * abs(ref)
+
+
+ROUTES = {
+    "bilinear": lambda args: bilinear_hermite_sum(*args),
+    "series_for_I": lambda args: series_for_I(*args),
+    "sum_rule_lhs": lambda args: sum_rule_lhs(SumRuleQuery(*args[0]), args[1]),
+    "green_spectral": lambda args: green_spectral(GreenQuery(*args[0]), args[1]),
+    "mehler_kernel_series": lambda args: mehler_kernel_series(MehlerPoint(*args[0]), args[1]),
+}
+
+
+def run_route(name, args):
+    """The result of a series route, or the partial of its ConvergenceError."""
+    try:
+        return ROUTES[name](args), False
+    except ConvergenceError as exc:
+        return exc.partial, True
+
+
+class TestPinnedSeries:
+    """Value and term count bit for bit, and the bound within 4 ulps, of the
+    kernel that rebuilt its coefficients on every call; counts 1 and 2,
+    169 = 13^2, 484 = 22^2 and 485 = 22^2 + 1 check the block layout's
+    edges, (4, -3, 12.5) fails on its rounding term and X = Y takes one
+    capped pass."""
+
+    # (route, arguments, raised, value.hex(), terms_used, tail_bound.hex())
+    PINS = [
+        ("bilinear", (0.5, 0.1, 1e-06, 0.001), False,
+         "0x1.e847e9d1bd81fp+19", 1, "0x1.11a28c8bc05b2p+1"),
+        ("bilinear", (0.5, 0.1, 1e-06, 1e-05), False,
+         "0x1.e847eb6b56ee1p+19", 2, "0x1.212ed0b6ca48bp+0"),
+        ("bilinear", (1.43, -1.05, 3.42, 1e-07), False,
+         "0x1.7ba66898c4301p-8", 169, "0x1.068d31ef93245p-35"),
+        ("bilinear", (1.02, -0.47, 3.75, 1e-08), False,
+         "0x1.9f99f1a23f9aep-6", 485, "0x1.cf47368324421p-36"),
+        ("bilinear", (1.0, 0.2, 2.0, 1e-09), False,
+         "0x1.67ca5f913f88cp-2", 1366, "0x1.bfcc106e95acdp-35"),
+        ("bilinear", (1.5, -1.0, 0.5, 1e-09), False,
+         "0x1.b7dbe8d769f0cp-1", 181, "0x1.90421766d137cp-37"),
+        ("bilinear", (2.0, 0.5, 2.0, 1e-08), False,
+         "0x1.089b733d916e4p-2", 470, "0x1.1b687f27bbda8p-32"),
+        ("bilinear", (1.2, 0.95, 1.0, 1e-09), False,
+         "0x1.55b8e958ee226p+1", 14687, "0x1.3c1a82d1772f0p-32"),
+        ("bilinear", (4.0, -3.0, 12.5, 1e-10), True,
+         "0x1.8e782c929bc0bp-38", 227, "0x1.b459421a5db0bp-43"),
+        ("bilinear", (0.9, 0.6, -0.25, 1e-09), False,
+         "-0x1.3159b195668b4p+1", 25273, "0x1.ea61c75180b67p-43"),
+        ("bilinear", (1.0, 0.2, -1.3, 1e-08), False,
+         "-0x1.84fdf014143b9p+1", 4510, "0x1.d3604545ce385p-45"),
+        ("bilinear", (2.0, 1.5, -3.9995, 1e-09), False,
+         "-0x1.74364e470d66cp+12", 8749, "0x1.104c1e2380780p-33"),
+        ("bilinear", (1.0, 0.2, 0.5, 1e-09, 0.37), False,
+         "0x1.63523adf253b0p-1", 1269, "0x1.62ebd568da2bep-34"),
+        ("bilinear", (1.0, 1.0, 0.5, 1.25e-07), True,
+         "0x1.315dadebaab4ep+2", 492352, "0x1.5bf1270c1d0bcp-6"),
+        ("series_for_I", (1.0, 2.0, 0.5, 1e-08), False,
+         "0x1.089b733d8c9a6p-1", 484, "0x1.25171b7058b34p-32"),
+        ("series_for_I", (0.3, -1.0, 1.2, 1e-09), False,
+         "0x1.5e8229cf29677p+0", 259, "0x1.ccdb2b5056255p-37"),
+        ("sum_rule_lhs", ((1.0, 2.0, 1.0), 1e-09), False,
+         "0x1.add6c9cfdc3dbp-2", 1948, "0x1.85ad497ddc06ap-36"),
+        ("sum_rule_lhs", ((0.5, 1.5, -0.5), 1e-08), False,
+         "0x1.60b1baa92f115p-1", 431, "0x1.d0236543b4054p-33"),
+        ("green_spectral", ((0.0, 1.0, 0.0), 1e-09), False,
+         "0x1.1bb79277526f6p-2", 936, "0x1.d6bec479bfd08p-37"),
+        ("green_spectral", ((-2.5, 0.5, -1.0), 1e-08), False,
+         "0x1.6773a114a9d43p-6", 470, "0x1.353984be64ab9p-37"),
+        ("green_spectral", ((2.6, 1.2, -0.4), 1e-09), False,
+         "-0x1.a3f1abbee7831p-1", 1185, "0x1.ed9bd8514b0a5p-48"),
+        ("mehler_kernel_series", ((1.0, 0.5, 0.5), 1e-12), False,
+         "0x1.48b5e3c3e817ap+0", 42, "0x1.e8e4201bdc8dbp-41"),
+        ("mehler_kernel_series", ((-2.0, 1.5, 0.9), 1e-10), False,
+         "-0x1.3c7422e7f9260p-40", 264, "0x1.ac6337e50b653p-34"),
+    ]
+
+    @pytest.mark.parametrize("name,args,raised,value,terms,bound", PINS)
+    def test_pinned(self, name, args, raised, value, terms, bound):
+        r, failed = run_route(name, args)
+        assert (failed, r.value.hex(), r.terms_used) == (raised, value, terms)
+        want = float.fromhex(bound)
+        assert abs(r.tail_bound - want) <= 4 * math.ulp(want)
+
+
+class TestOverflowIsAnError:
+    """Terms or bounds past the range of a double end in a ConvergenceError
+    with the capped partial, and no numpy warning; so does a sum that
+    underflows to 0.0, and a shift too large for the tails is a DomainError."""
+
+    @pytest.mark.parametrize("name,args", [
+        ("green_spectral", ((0.5, -2e6, 0.0), 1e-9)),
+        ("series_for_I", (1.2, 47.0, -1e139, 1e-9)),
+        ("sum_rule_lhs", ((39.0, 1e81, 17.0), 1e-9)),
+        ("series_for_I", (1.0, 1e200, 0.0, 1e-9)),  # (X - Y)**2 overflows
+    ])
+    def test_overflow_raises_convergence_error(self, name, args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="bilinear Hermite sum missed") as info:
+                ROUTES[name](args)
+        assert info.value.partial.terms_used == hermsum._MAX_PRODUCTS
+        assert not info.value.partial.tail_bound < math.inf
+
+    @pytest.mark.parametrize("name,args", [
+        ("green_spectral", ((-1e300, 15.0, 0.0), 1e-9)),
+        ("green_spectral", ((-1e13, 1e-6, 0.0), 1e-9)),  # G about 6.7e-9
+        ("series_for_I", (1e12, 1e-6, 0.0, 1e-9)),  # its n = 0 term alone is 1e-12
+    ])
+    def test_shift_past_the_panels_is_a_domain_error(self, name, args):
+        # v^{s-1} underflows at every node of the tails, which then read 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="shift .* is past 1.53e\\+12"):
+                ROUTES[name](args)
+
+    @pytest.mark.parametrize("lam,x", [
+        (-1e6, 15.0),  # G about e^{-15000}: 0.0 in a double
+        (-2.5e11, 1e-3),  # G about e^{-500}/1e6 = 7e-224, the tails all 0.0
+    ])
+    def test_sum_of_zero_is_a_convergence_error(self, lam, x):
+        # u^shift underflows in every term, and the tails underflow with it,
+        # so a bound of 0.0 certifies nothing about G
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="with a sum of 0.0") as info:
+                green_spectral(GreenQuery(lam, x, 0.0), 1e-9)
+        assert info.value.partial == SeriesResult(0.0, 1, 0.0)
+
+    def test_one_term_against_mpmath(self):
+        # a count at the bottom of its range still returns the sum to tol
+        s, tol = 1e-6, 1e-3
+        r = bilinear_hermite_sum(0.5, 0.1, s, tol)
+        ref = sum_rule_oracle(0.5, 0.1, s)
+        assert r.terms_used == 1
+        assert abs(r.value - ref) <= min(tol * abs(ref), r.tail_bound)
+
+
+def test_threads_share_the_growing_rows(monkeypatch):
+    # calls in several threads regrow the kept rows under one another; each
+    # keeps the rows it read, so every array equals a serial run's
+    counts = [9, 100, 37, 4097, 640, 2, 20000, 1500]
+    want = {c: scaled_hermite_products(0.7, -1.1, c) for c in counts}
+    monkeypatch.setattr(hermsum, "_STEPS", None)
+    bad = []
+
+    def work(shift):
+        for c in counts[shift:] + counts[:shift]:
+            if not np.array_equal(scaled_hermite_products(0.7, -1.1, c), want[c]):
+                bad.append(c)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert bad == []
+
+
+def test_coefficient_rows_are_bounded():
+    # a capped pass of 2^19 products takes 725 offsets of 724 blocks; the
+    # kept rows grow to cover that grid (8.4 MB), and a smaller call reuses them
+    scaled_hermite_products(0.3, 0.1, 2 ** 19)
+    rows = hermsum._STEPS
+    assert rows.shape[1] == 724 * 725
+    scaled_hermite_products(0.3, 0.1, 7)
+    assert hermsum._STEPS is rows

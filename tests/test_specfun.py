@@ -177,6 +177,18 @@ class TestPcfD:
         ]
         assert pcf_d(float(n), 1.3) == pytest.approx(oracle[n], rel=1e-12)
 
+    @pytest.mark.parametrize("n", [0, 1, 14, 20])
+    @pytest.mark.parametrize("z", [40.0, 55.0, 60.0, 1e3, 1e51])
+    def test_integer_order_far_out_matches_mpmath(self, n, z):
+        # e^{-z^2/4} underflows before e^{-z^2/4} H_n does: D_20(55) = 2.2e-294
+        # is a double, and D_14(1e51) is 0.0, not 0 * inf
+        for x in (z, -z):
+            with mp.workdps(40):
+                ref = float(2 ** (-mp.mpf(n) / 2) * mp.exp(-mp.mpf(x) ** 2 / 4)
+                            * mp.hermite(n, mp.mpf(x) / mp.sqrt(2)))
+            got = pcf_d(float(n), x)
+            assert abs(got - ref) <= 16 * EPS * max(1.0, x * x / 2) * abs(ref), (n, x, got, ref)
+
     def test_step_recurrence_links_orders(self):
         # D_{nu+1}(z) = z D_nu(z) - nu D_{nu-1}(z) at nu = -1 ties the
         # integer branch to two negative-order integral evaluations
