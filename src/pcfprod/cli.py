@@ -463,7 +463,8 @@ def explore_cmd(args: argparse.Namespace, extra: list[str]) -> int:
     around it asserts divergence at x = y; the integrand tail there is
     ~ t^{-3/2}, however, which is integrable.  This command evaluates
     the integral at x = y and reports how it compares with the direct
-    product.  A tolerance it clamps to the quadrature's range is given as
+    product, then the quadrature's '# error_estimate' and '# evaluations'.
+    A tolerance it clamps to the quadrature's range is given as
     '# tol_effective'; where the quadrature misses it, the best estimate
     is compared and a '#' line says so.
     """
@@ -491,6 +492,8 @@ def explore_cmd(args: argparse.Namespace, extra: list[str]) -> int:
         if rel <= 1e-4 else
         "finding: the integral and the product disagree at x = y."
     )
+    print(f"# error_estimate = {got.error_estimate!r}")
+    print(f"# evaluations = {got.evaluations!r}")
     if used != tol:
         print(f"# tol_effective = {used!r}")
     if missed:

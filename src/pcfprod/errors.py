@@ -10,8 +10,9 @@ class ConvergenceError(RuntimeError):
 
     The best partial result, when one exists, is attached as ``partial``
     (a QuadratureResult or SeriesResult).  The partial and the numbers in
-    the message are in the units of the quantity the caller asked for:
-    the engine that raises applies the caller's prefactor to both.
+    the message are in the units of the quantity the caller asked for: a
+    quadrature's integrand carries its own prefactor, and the Hermite
+    summer applies the caller's ``factor`` to both.
     """
 
     def __init__(self, message, partial=None):

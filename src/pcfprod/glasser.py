@@ -20,10 +20,10 @@ The map (x, y) <-> (a, b) is a = (x^2+y^2)/2, b = x y, a bijection
 between {x > y > 0} and {a > b > 0}.
 
 The integral's exponential tail rate is a - b = (x-y)^2/2, which
-vanishes as x -> y; accuracy and cost degrade accordingly.  At x = y
-the tail is only algebraic (~ t^{-3/2} e^{b/2}) yet still integrable:
-``product_via_integral`` accepts ``allow_equal_args=True`` as an
-exploratory mode for probing that boundary.
+vanishes as x -> y; that costs evaluations, not accuracy, for the
+integrand's exponent holds no terms that cancel.  At x = y the tail is
+only algebraic (~ t^{-3/2}) yet integrable, and ``product_via_integral``
+with ``allow_equal_args=True`` evaluates it there.
 """
 
 from __future__ import annotations
@@ -114,18 +114,22 @@ def product_reference(q: ProductQuery) -> float:
     return value
 
 
-def _laplace_integrand(nu: float, a: float, b: float, sign: float):
-    half_nu = 0.5 * nu
+def _laplace_integrand(nu: float, decay: float, b: float, sign: int, shift: float):
+    """t^{nu/2-1} (1+t)^{-(nu+1)/2} e^{shift - decay t - (q + c t)/(t + g + r)},
+    r = sqrt(t(t+1)), decay = a - sign b: -a t + sign b r with no two terms
+    that cancel.  For sign +1, (q, c, g) = (b/4, 0, 1/2), as -a t + b r =
+    b/2 - decay t - (b/4)/(t + 1/2 + r); for sign -1, (0, b, 0), as
+    -a t - b r = -decay t - b t/(t + r).  A Laplace form passes shift = b/2
+    for sign +1 and 0 for -1; the product -decay/2 - ln(2 Gamma(nu)), b/2 plus
+    the exponent of its prefactor e^{-a/2}/(2 Gamma(nu)).  The factor
+    (t/(1+t))^{nu/2-1} (1+t)^{-3/2} is never inf * 0."""
+    p = 0.5 * nu - 1.0
+    q, c, g = (0.25 * b, 0.0, 0.5) if sign == 1 else (0.0, b, 0.0)
 
     def f(t: float) -> float:
-        expo = -a * t + sign * b * math.sqrt(t * (t + 1.0))
-        if expo < -745.0:
-            return 0.0
-        if t > 1e15:
-            # algebraic factors in log form; they cancel to ~ t^{-3/2}
-            expo += (half_nu - 1.0) * math.log(t) - 0.5 * (nu + 1.0) * math.log1p(t)
-            return math.exp(expo) if expo > -745.0 else 0.0
-        return t ** (half_nu - 1.0) * (1.0 + t) ** (-(nu + 1.0) / 2.0) * math.exp(expo)
+        u = 1.0 + t
+        expo = shift - decay * t - (q + c * t) / (t + g + math.sqrt(t * u))
+        return math.exp(expo) * (t / u) ** p / (u * math.sqrt(u))
 
     return f
 
@@ -144,7 +148,8 @@ def laplace_I(p: LaplaceParams, sign: int, tol: float = 1e-10) -> QuadratureResu
     if sign == -1 and not p.a + p.b > 0.0:
         raise DomainError(f"sign=-1 requires a + b > 0, got a={p.a}, b={p.b}")
     decay = p.a - sign * p.b
-    return integrate_semi_infinite(_laplace_integrand(p.nu, p.a, p.b, float(sign)), decay, tol)
+    shift = 0.5 * p.b if sign == 1 else 0.0
+    return integrate_semi_infinite(_laplace_integrand(p.nu, decay, p.b, sign, shift), decay, tol)
 
 
 def product_via_integral(
@@ -161,8 +166,6 @@ def product_via_integral(
             raise DomainError(f"requires x >= y > 0, got x={q.x}, y={q.y}")
     elif not (q.x > q.y > 0.0):
         raise DomainError(f"representation requires x > y > 0, got x={q.x}, y={q.y}")
-    a = 0.5 * (q.x * q.x + q.y * q.y)
-    b = q.x * q.y
     decay = 0.5 * (q.x - q.y) ** 2
-    pref = math.exp(-0.5 * a) / (2.0 * gamma(q.nu))
-    return integrate_semi_infinite(_laplace_integrand(q.nu, a, b, 1.0), decay, tol, factor=pref)
+    shift = -0.5 * decay - math.log(2.0 * gamma(q.nu))
+    return integrate_semi_infinite(_laplace_integrand(q.nu, decay, q.x * q.y, 1, shift), decay, tol)

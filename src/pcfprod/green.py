@@ -32,8 +32,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
-from .hermsum import SeriesResult, bilinear_hermite_sum, scaled_hermite
-from .specfun import gamma, pcf_d
+from .hermsum import SeriesResult, bilinear_hermite_sum, scaled_hermite_frexp
+from .specfun import _LN2, _times_exp, gamma, pcf_d
 
 __all__ = [
     "GreenQuery",
@@ -141,10 +141,16 @@ def _eigen_distance(lam: float) -> float:
 
 
 def eigenfunction(n: int, x: float) -> float:
-    """Normalized oscillator eigenfunction pi^{-1/4} e^{-x^2/2} h_n(x), not log-scaled:
-    the two factors leave floating range for |x| beyond about 37.  The degree
-    is capped at 2^19: a larger n raises :class:`DomainError`."""
-    return math.pi ** -0.25 * math.exp(-0.5 * x * x) * scaled_hermite(n, x)
+    """Normalized oscillator eigenfunction pi^{-1/4} e^{-x^2/2} h_n(x), with
+    e^{-x^2/2} applied to h_n's binary exponent: it is 0.0 only where it
+    underflows, never nan.  The degree is capped at 2^19: a larger n raises
+    :class:`DomainError`."""
+    frac, expo = scaled_hermite_frexp(n, x)
+    half = 0.5 * x * x
+    # |pi^{-1/4} frac| < 1, so below e^{-746} the value rounds to 0.0
+    if expo * _LN2 - half < -746.0:
+        return 0.0
+    return _times_exp(math.pi ** -0.25 * frac, -half, expo)
 
 
 def green_spectral(q: GreenQuery, tol: float = 5e-7) -> SeriesResult:

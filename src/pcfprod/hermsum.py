@@ -6,11 +6,13 @@ h_n(x) = H_n(x)/sqrt(2^n n!), which stay in floating range for any n
 
     h_{n+1}(x) = x*sqrt(2/(n+1))*h_n(x) - sqrt(n/(n+1))*h_{n-1}(x).
 
-No other module runs this recurrence: :func:`scaled_hermite` gives one
-h_n(x) by a scalar loop, cheaper than a numpy call for single-index
-callers, and :func:`scaled_hermite_products` the products h_n(X) h_n(Y)
-of a whole index range, for the series.  numpy is imported on the first
-series call, so a caller of :func:`scaled_hermite` alone never loads it.
+No other module runs this recurrence: :func:`scaled_hermite_frexp` gives
+one h_n(x) by a scalar loop, cheaper than a numpy call for single-index
+callers, as a mantissa and a binary exponent, so that it is finite at
+any finite x (:func:`scaled_hermite` rounds it to a double), and
+:func:`scaled_hermite_products` the products h_n(X) h_n(Y) of a whole
+index range, for the series.  numpy is imported on the first series
+call, so a caller of the scalar loop alone never loads it.
 
 The series B(X, Y, s) = sum_{n>=0} h_n(X) h_n(Y)/(n+s) has terms that
 decay only like n^{-3/2}.  Mehler's kernel K(v) = sum_n h_n(X) h_n(Y) v^n
@@ -77,7 +79,7 @@ from .errors import ConvergenceError, DomainError
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = ["SeriesResult", "scaled_hermite", "scaled_hermite_products",
+__all__ = ["SeriesResult", "scaled_hermite", "scaled_hermite_frexp", "scaled_hermite_products",
            "bilinear_hermite_sum"]
 
 _MAX_PRODUCTS = 524_288  # 2^19
@@ -85,6 +87,8 @@ _LOG_CRAMER_SQ = 2.0 * math.log(1.086435)  # |h_n(X) h_n(Y)| <= e^this e^{(X^2+Y
 _EPS = 2.0 ** -52
 _TINY = 1e-300
 _STEPS = None  # the step coefficients of scaled_hermite_products
+# the scalar recurrence scales its pair down once it passes 2^_RESCALE
+_RESCALE = 600
 
 
 @functools.cache
@@ -117,11 +121,17 @@ class SeriesResult:
     tail_bound: float
 
 
-def scaled_hermite(n: int, x: float) -> float:
-    """h_n(x) = H_n(x)/sqrt(2^n n!) for one degree n, by the scalar recurrence.
+def scaled_hermite_frexp(n: int, x: float) -> tuple[float, int]:
+    """h_n(x) = H_n(x)/sqrt(2^n n!) for one degree n, by the scalar recurrence,
+    as ``math.frexp`` would split it: (mantissa, binary exponent).
 
-    The loop runs n steps, so n is capped at 2^19, the series' own cap on
-    the products it computes; a larger degree raises :class:`DomainError`.
+    A step multiplies the pair (h_{k-1}, h_k) by at most sqrt(2)|x| + 1.  Once
+    h_k passes 2^600 (less where |x| passes 2^419, so that the next step stays
+    finite) the pair is scaled down by a power of two and the exponent kept, as
+    :func:`pcfprod.specfun._sums` does, so the result is finite at any finite x;
+    below that nothing is scaled.  The loop runs n steps, so n is capped at 2^19,
+    the series' own cap on the products it computes; a larger degree raises
+    :class:`DomainError`.
     """
     if not n >= 0 or n % 1:
         raise DomainError(f"Hermite degree must be a nonnegative integer, got {n}")
@@ -129,10 +139,29 @@ def scaled_hermite(n: int, x: float) -> float:
         raise DomainError(f"Hermite degree must be at most 2^19 = {_MAX_PRODUCTS}, got {n}")
     if not math.isfinite(x):
         raise DomainError(f"Hermite argument must be finite, got x={x}")
-    prev, h = 0.0, 1.0
-    for k in range(int(n)):
+    if n == 0:
+        return 0.5, 1
+    lim = min(2.0**_RESCALE, 2.0**1019 / (0.75 * abs(x) + 0.5))
+    top = min(0, math.frexp(lim)[1] - 1)  # a scaled h_k lies in [2^(top-1), 2^top)
+    # (h_0, h_1) = (1, sqrt(2) x), each times 2^top
+    prev, h, m = math.ldexp(1.0, top), math.sqrt(2.0) * math.ldexp(x, top), -top
+    for k in range(1, int(n)):
+        if not -lim <= h <= lim:
+            e = math.frexp(h)[1] - top
+            prev, h, m = math.ldexp(prev, -e), math.ldexp(h, -e), m + e
         prev, h = h, x * math.sqrt(2.0 / (k + 1)) * h - math.sqrt(k / (k + 1.0)) * prev
-    return h
+    frac, e = math.frexp(h)
+    return frac, e + m
+
+
+def scaled_hermite(n: int, x: float) -> float:
+    """h_n(x) as a double: :func:`scaled_hermite_frexp` rounded once, and
+    signed infinity where it overflows."""
+    frac, expo = scaled_hermite_frexp(n, x)
+    try:
+        return math.ldexp(frac, expo)
+    except OverflowError:
+        return math.copysign(math.inf, frac)
 
 
 def _chain(last: list[list[float]], nxt: list[list[float]]) -> list[tuple[float, ...]]:

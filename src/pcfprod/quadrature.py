@@ -38,17 +38,17 @@ the refinement loop itself: a node costs no Python call but the
 integrand.  Tables grow lazily, a chunk of rows at a time, as far as
 some walk has gone and never to the representable range (the right
 exp-sinh side would run to s = 690).  A row takes about 160 bytes and
-is kept for the life of the process, so a call that walks a million
-nodes leaves about 160 MB of table behind.
+is kept for the life of the process, and nothing bounds the growth: a
+walk over 100,000 nodes leaves about 16 MB of table behind.
 
 The step is halved until two successive levels agree to ``tol``
 relative, within 13 levels (semi-infinite) or 12 (finite).  The error
 estimate reported is the difference between the last two levels; the
 returned value comes from the finer level, whose true error is in
 practice far smaller than the estimate.  A :class:`ConvergenceError`
-lists the change at every level.  A caller's prefactor, ``factor``,
-multiplies the result and every number of the error, never the
-stopping test.
+lists the change at every level.  The engines take no prefactor: an
+integrand carries its own, so a result and an error's numbers are in
+the integral's units.
 """
 
 from __future__ import annotations
@@ -195,7 +195,7 @@ _, _U0, _G0 = _exp_sinh_row(1.0)(0.0)  # the exp-sinh row at the center, s = 0
 
 
 def _refine(f: Callable[[float], float], scale: float, interval: tuple[float, float] | None,
-            tol: float, factor: float) -> QuadratureResult:
+            tol: float) -> QuadratureResult:
     """Nested trapezoid refinement of a double-exponential sum of ``f``.
 
     Without ``interval`` the walks are the exp-sinh sides: the row
@@ -204,8 +204,7 @@ def _refine(f: Callable[[float], float], scale: float, interval: tuple[float, fl
     (lo, hi), the tanh-sinh walk: the row (k*h, den, w) is the nodes hi - d
     and lo + d, d = (scale*2)/den, with the term (f(hi - d) + f(lo + d))*w,
     and the integral is h * scale * (sum of all terms), scale the
-    half-width.  Result and error are ``factor`` times the integral's.
-    """
+    half-width."""
     pair = interval is not None
     if pair:
         lo, hi = interval
@@ -282,37 +281,33 @@ def _refine(f: Callable[[float], float], scale: float, interval: tuple[float, fl
         if level:
             diff = abs(value - prev)
             if diff <= tol * max(abs(value), _TINY):
-                return QuadratureResult(factor * value, factor * diff, calls)
+                return QuadratureResult(value, diff, calls)
             changes.append((h, diff))
         prev = value
         h *= 0.5
-    levels = ", ".join(f"h={h!r} {factor * d:.3e}" for h, d in changes) or "none"
+    levels = ", ".join(f"h={h!r} {d:.3e}" for h, d in changes) or "none"
     raise ConvergenceError(
-        f"{what} did not reach tol={tol} (best estimate {factor * prev!r}, last refinement "
-        f"change {factor * diff:.3e}); changes between successive levels: {levels}",
-        partial=QuadratureResult(factor * prev, factor * diff, calls))
+        f"{what} did not reach tol={tol} (best estimate {prev!r}, last refinement "
+        f"change {diff:.3e}); changes between successive levels: {levels}",
+        partial=QuadratureResult(prev, diff, calls))
 
 
-def integrate_semi_infinite(
-    f: Callable[[float], float],
-    decay_rate: float,
-    tol: float = 1e-10,
-    factor: float = 1.0,
-) -> QuadratureResult:
-    """``factor`` (> 0) times the integral of ``f`` over (0, inf).
+def integrate_semi_infinite(f: Callable[[float], float], decay_rate: float,
+                            tol: float = 1e-10) -> QuadratureResult:
+    """Integrate ``f`` over (0, inf).
 
     The substitution t = c*exp(s - exp(-s)) with c ~ 1/decay_rate turns
     both the origin singularity and the exponential tail into
     double-exponentially decaying contributions of the trapezoid sum in
     s; ``decay_rate`` 0 selects the algebraic tail (like t^{-3/2}), which
     converges more slowly but remains integrable.  The step is halved
-    until two successive levels agree to ``tol`` relative; the result, or
-    an error's partial and numbers, are then multiplied by ``factor``.
+    until two successive levels agree to ``tol`` relative.  A prefactor
+    belongs in ``f``, best in its exponent: nothing scales the result.
     """
     _check_tol(tol)
     if not decay_rate >= 0.0:
         raise DomainError(f"decay rate must be >= 0, got {decay_rate}")
-    return _refine(f, 1.0 / min(max(decay_rate, 1e-4), 1e4), None, tol, factor)
+    return _refine(f, 1.0 / min(max(decay_rate, 1e-4), 1e4), None, tol)
 
 
 def integrate_finite(
@@ -333,4 +328,4 @@ def integrate_finite(
     _check_tol(tol)
     if not lo < hi:
         raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
-    return _refine(f, 0.5 * (hi - lo), (lo, hi), tol, 1.0)
+    return _refine(f, 0.5 * (hi - lo), (lo, hi), tol)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
-from .hermsum import scaled_hermite
+from .hermsum import scaled_hermite_frexp
 # not called here: bound for bench/test_bench.py, which checks that the
 # benchmark's tracer restores this binding
 from .quadrature import integrate_semi_infinite  # noqa: F401
@@ -66,14 +66,15 @@ _QUARTER_ZERO = 1500.0
 
 
 def hermite(n: int, x: float) -> float:
-    """Physicists' Hermite polynomial H_n(x) = sqrt(2^n n!) h_n(x), with h_n
-    from :func:`pcfprod.hermsum.scaled_hermite` and the norm rounded once.
+    """Physicists' Hermite polynomial H_n(x) = sqrt(2^n n!) h_n(x), with h_n's
+    mantissa and binary exponent from :func:`pcfprod.hermsum.scaled_hermite_frexp`
+    and the norm rounded once.
 
     Where H_n(x) overflows a double the result is signed infinity; it is
-    never nan for |x| < 37, where h_n(x) <= 1.0865 e^{x^2/2} is finite.
-    The degree is capped at 2^19: a larger n raises :class:`DomainError`.
+    never nan at any finite x.  The degree is capped at 2^19: a larger n
+    raises :class:`DomainError`.
     """
-    frac, expo = math.frexp(scaled_hermite(n, x))  # checks the degree
+    frac, expo = scaled_hermite_frexp(n, x)  # checks the degree
     # the top 212 or 213 bits of 2^n n! (an even shift): isqrt leaves 106 exact bits of
     # the norm; from n = 512 on any nonzero h_n overflows, so n need go no further
     norm_sq = math.factorial(min(int(n), 512)) << (min(int(n), 512) + 212)
@@ -147,14 +148,19 @@ def _ratio(nu: float, z: float) -> float:
             return f
 
 
-def _scaled(x: float, expo: float, power: int, nu: float, z: float) -> float:
-    """x e^expo 2^power, or DomainError where it overflows.
+def _times_exp(x: float, expo: float, power: int) -> float:
+    """x e^expo 2^power for a moderate expo, or OverflowError where it overflows.
     e^expo is split as 2^n e^r with |r| <= ln(2)/2, so the powers of two
     are applied exactly and rounded once, by ldexp."""
     n = round(expo / _LN2)
     r = (expo - n * _LN2_HI) - n * _LN2_LO
+    return math.ldexp(x * math.exp(r), n + power)
+
+
+def _scaled(x: float, expo: float, power: int, nu: float, z: float) -> float:
+    """x e^expo 2^power, or DomainError where it overflows."""
     try:
-        return math.ldexp(x * math.exp(r), n + power)
+        return _times_exp(x, expo, power)
     except OverflowError:
         raise DomainError(f"D_{{{-nu}}}({z}) overflows a double") from None
 
@@ -247,5 +253,5 @@ def pcf_d(nu_order: float, z: float) -> float:
     quarter = 0.25 * z * z
     if quarter > _QUARTER_ZERO:
         return 0.0
-    frac, expo = math.frexp(scaled_hermite(n, z / math.sqrt(2.0)))
+    frac, expo = scaled_hermite_frexp(n, z / math.sqrt(2.0))
     return _scaled(math.sqrt(math.factorial(n)) * frac, -quarter, expo, -n, z)

@@ -447,11 +447,11 @@ class TestVerify:
         assert len(notes) == 2
         assert notes[0] == "# EQ15 nu=1.0 x=1.0 y=1.99: sum rule requires x > y, got x=1.0, y=1.99"
         assert notes[1].startswith("# EQ15 nu=1.0 x=2.0 y=1.99: bilinear Hermite sum missed tol")
-        # a deterministic miss: about 14x over its tolerance
-        r = run_cli(["verify", "EQ10", "--nu", "0.9985", "--x", "26.145",
-                                 "--y", "26.0815", "--tol", "1e-12"])
+        # a deterministic miss: the direct product's D_{-1}(54) = 4.6e-319 is
+        # subnormal, with about five digits, so the sides differ by 3.7e-6
+        r = run_cli(["verify", "EQ10", "--nu", "1", "--x", "54", "--y", "50"])
         assert r.exit_code == 1
-        assert r.stderr == "# EQ10 nu=0.9985 x=26.145 y=26.0815: error above tolerance\n"
+        assert r.stderr == "# EQ10 nu=1.0 x=54.0 y=50.0: error above tolerance\n"
         # the two routes of EQ10 share no code and differ by several ulps: 1e-16
         # is missed, and the note gives that reason and then the clamp
         r = run_cli(["verify", "EQ10", "--nu", "1", "--x", "2", "--y", "1",
@@ -486,11 +486,11 @@ class TestVerify:
                          "0.5": self.NOTE_AT_HALF.get(identity, ""), "1e-8": ""}
 
     def test_clamped_failure_keeps_its_reason(self, run_cli):
-        # rel_err about 3.7e-14, from the direct product at large x and y
-        r = run_cli(["verify", "EQ10", "--nu", "1", "--x", "15", "--y", "14",
+        # rel_err about 3.0e-15, from the direct product at large x and y
+        r = run_cli(["verify", "EQ10", "--nu", "1", "--x", "30", "--y", "29",
                                  "--tol", "1e-15"])
         assert r.exit_code == 1
-        assert r.stderr == ("# EQ10 nu=1.0 x=15.0 y=14.0: error above tolerance; "
+        assert r.stderr == ("# EQ10 nu=1.0 x=30.0 y=29.0: error above tolerance; "
                             "quadrature tol clamped to 1e-14\n")
 
     def test_identity_name_case_insensitive(self, run_cli):
@@ -564,9 +564,10 @@ class TestExploreEqualArgs:
         assert "relative discrepancy" in r.stdout
         assert "finding:" in r.stdout
 
-    def test_unconverged_integral_is_reported_as_the_product(self, run_cli):
-        # at tol 1e-10 the quadrature raises; its partial must carry the
+    def test_unconverged_integral_is_reported_as_the_product(self, run_cli, monkeypatch):
+        # with three levels the quadrature raises; its partial must carry the
         # product's prefactor, not be the bare Laplace integral
+        monkeypatch.setattr(quadrature, "_SEMI_INFINITE_LEVELS", 3)
         r = run_cli(["explore-equal-args", "--nu", "1", "--x", "2",
                                  "--tol", "1e-10"])
         assert r.exit_code == 0
@@ -574,25 +575,29 @@ class TestExploreEqualArgs:
         assert rel <= 1e-4
         assert "finding: the integral converges" in r.stdout
 
-    def test_clamped_and_missed_tolerance_are_reported(self, run_cli):
-        r = run_cli(["explore-equal-args", "--nu", "1", "--x", "2"])
-        assert not [line for line in r.stdout.splitlines() if line.startswith("#")]
-        # 1e-16 is below the quadrature's range, and 1e-14 beyond its reach here
+    def test_clamped_and_missed_tolerance_are_reported(self, run_cli, monkeypatch):
+        # the integral converges at x = y: every run ends in its estimate and cost
+        for tol, used, extra in (("1e-06", 1e-6, []), ("1e-10", 1e-10, []),
+                                 ("1e-16", 1e-14, ["# tol_effective = 1e-14"])):
+            r = run_cli(["explore-equal-args", "--nu", "1", "--x", "2", "--tol", tol])
+            assert r.exit_code == 0
+            got = product_via_integral(ProductQuery(1.0, 2.0, 2.0), used, allow_equal_args=True)
+            assert r.stdout.splitlines()[4:] == [
+                f"# error_estimate = {got.error_estimate!r}",
+                f"# evaluations = {got.evaluations!r}",
+            ] + extra
+            assert "finding: the integral converges" in r.stdout
+        # a quadrature made to stop early: its best estimate, and a line that says so
+        monkeypatch.setattr(quadrature, "_SEMI_INFINITE_LEVELS", 3)
+        with pytest.raises(ConvergenceError) as info:
+            product_via_integral(ProductQuery(1.0, 2.0, 2.0), 1e-14, allow_equal_args=True)
+        partial = info.value.partial
         r = run_cli(["explore-equal-args", "--tol", "1e-16"])
         assert r.exit_code == 0
         assert r.stdout.splitlines()[4:] == [
+            f"# error_estimate = {partial.error_estimate!r}",
+            f"# evaluations = {partial.evaluations!r}",
             "# tol_effective = 1e-14",
             f"# quadrature did not reach tol 1e-14 (last refinement change "
-            f"{_explore_partial(1e-14).error_estimate:.3e}); its best estimate is shown",
+            f"{partial.error_estimate:.3e}); its best estimate is shown",
         ]
-        r = run_cli(["explore-equal-args", "--tol", "1e-10"])
-        assert r.stdout.splitlines()[4:] == [
-            f"# quadrature did not reach tol 1e-10 (last refinement change "
-            f"{_explore_partial(1e-10).error_estimate:.3e}); its best estimate is shown",
-        ]
-
-
-def _explore_partial(tol):
-    with pytest.raises(ConvergenceError) as info:
-        product_via_integral(ProductQuery(1.0, 2.0, 2.0), tol, allow_equal_args=True)
-    return info.value.partial

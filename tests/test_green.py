@@ -4,6 +4,7 @@ import math
 import re
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from pcfprod import (
@@ -75,6 +76,23 @@ class TestEigenfunction:
     def test_negative_index_rejected(self):
         with pytest.raises(DomainError):
             eigenfunction(-1, 0.0)
+
+    @pytest.mark.parametrize("n", [100, 1000, 2985, 10000])
+    def test_large_degree_matches_mpmath(self, n):
+        # e^{-x^2/2} is applied to h_n's binary exponent: y_2985(40) is
+        # -0.0122842067, where e^{-800} underflows and h_2985(40) overflows
+        for x in [*(float(x) for x in np.linspace(-45.0, 45.0, 37)), 40.0]:
+            with mp.workdps(40):
+                exact = (mp.pi ** -0.25 * mp.exp(-mp.mpf(x) ** 2 / 2) * mp.hermite(n, x)
+                         / mp.sqrt(mp.mpf(2) ** n * mp.factorial(n)))
+            err = abs(eigenfunction(n, x) - float(exact))
+            assert err <= 8 * 2.0**-52 * (1.0 + abs(x)), (n, x, err)
+        assert eigenfunction(2985, 40.0) == pytest.approx(-0.0122842067022129, rel=1e-13)
+
+    def test_underflow_is_zero(self):
+        # beyond every turning point the value underflows to 0.0, never nan
+        assert eigenfunction(100, 45.0) == 0.0
+        assert eigenfunction(5, 1e200) == 0.0 and eigenfunction(5, -1.7e308) == 0.0
 
 
 class TestThreeWayAgreement:

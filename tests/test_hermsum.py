@@ -69,6 +69,34 @@ def test_scalar_degree_is_capped():
         hermsum.scaled_hermite(2 ** 19 + 1, 0.3)
 
 
+@pytest.mark.parametrize("n", [100, 1000, 2985, 10000])
+def test_scalar_mantissa_and_exponent_match_mpmath(n):
+    # past 2^600 the pair is scaled down and the exponent kept: h_2985(40) is
+    # about 2^1149, and the error stays within a few eps of Cramer's scale
+    for x in np.linspace(-45.0, 45.0, 19):
+        frac, expo = hermsum.scaled_hermite_frexp(n, float(x))
+        assert frac == 0.0 or 0.5 <= abs(frac) < 1.0
+        with mp.workdps(40):
+            exact = scaled_hermite(n, float(x))
+            err = abs(mp.ldexp(frac, expo) - exact) / mp.exp(mp.mpf(x) ** 2 / 2)
+        assert err <= 8 * 2.0**-52 * (1.0 + abs(x)), (n, x)
+
+
+def test_scalar_pair_is_scaled_only_past_its_limit():
+    # below 2^600 the pair is never scaled: the value is the plain recurrence's
+    # bit for bit; past it the double rounds to signed infinity, never nan
+    for n, x in [(700, 1.3), (3000, 20.0), (57, -4.9)]:
+        prev, h = 0.0, 1.0
+        for k in range(n):
+            prev, h = h, x * math.sqrt(2.0 / (k + 1)) * h - math.sqrt(k / (k + 1.0)) * prev
+        assert hermsum.scaled_hermite(n, x) == h
+    assert hermsum.scaled_hermite(2985, 40.0) == -math.inf
+    for x in (1e200, -1.7e308, 2.0**500):
+        for n in (0, 1, 2, 3, 1000):
+            frac, expo = hermsum.scaled_hermite_frexp(n, x)
+            assert not math.isnan(frac) and not math.isnan(hermsum.scaled_hermite(n, x))
+
+
 @pytest.mark.parametrize("X,Y", POINTS)
 def test_products_match_mpmath(X, Y):
     prods = scaled_hermite_products(X, Y, ORACLE_N[-1] + 1)
