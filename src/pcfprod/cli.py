@@ -406,7 +406,8 @@ def verify_cmd(args: argparse.Namespace, gridargs: list[str]) -> int:
     """Verify IDENTITY (or 'all') over a parameter grid.
 
     Default grids are used for parameters without an explicit
-    --name lo:hi:count range.  Points outside an identity's validity
+    --name lo:hi:count range; a name that no chosen identity takes is
+    a usage error.  Points outside an identity's validity
     domain are emitted as skipped records noting the library's
     DomainError; a route that fails to converge gives a failed record.
     With CSV output the reason for each skipped or failed record, and a
@@ -423,6 +424,11 @@ def verify_cmd(args: argparse.Namespace, gridargs: list[str]) -> int:
             f"unknown identity {identity!r}; choose from {', '.join(IDENTITIES)} or 'all'")
     chosen = list(IDENTITIES) if identity == "all" else [identity]
     raw = _parse_named_floats(gridargs)
+    # with 'all', a name is used by the identities that take it
+    takes = tuple(dict.fromkeys(name for ident in chosen for name in IDENTITIES[ident]["grid"]))
+    unknown = set(raw) - set(takes)
+    if unknown:
+        raise UsageError(f"{identity} takes parameters {takes}, not {sorted(unknown)}")
 
     blocks = []
     for ident in chosen:
@@ -430,9 +436,6 @@ def verify_cmd(args: argparse.Namespace, gridargs: list[str]) -> int:
         names = tuple(cfg["grid"])
         grids = {name: _parse_gridspec(name, raw[name]) if name in raw else list(default)
                  for name, default in cfg["grid"].items()}
-        unknown = set(raw) - set(names)
-        if identity != "all" and unknown:
-            raise UsageError(f"{ident} takes parameters {names}, not {sorted(unknown)}")
         records = _evaluate_identity(ident, grids, tol if tol is not None else cfg["tol"])
         blocks.append((ident, names, records))
 

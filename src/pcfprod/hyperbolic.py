@@ -18,6 +18,7 @@ the record's note says when the clamp changed it.
 * 13b:  same exponential against sinh(th), with an erfc bracket on the right
 * 14:   int_0^inf (sinh th)^{-1/2} e^{-a cosh(th+phi)} dth
           = sqrt(a sinh(phi)/pi) K_{1/4}(a cosh^2(phi/2)) K_{1/4}(a sinh^2(phi/2))
+          = sqrt(2 pi) D_{-1/2}(2 sqrt(a) cosh(phi/2)) D_{-1/2}(2 sqrt(a) sinh(phi/2))
 
 Each left side is one tanh-sinh quadrature over [0, cut], the cut being
 the theta where the exponent reaches 785, beyond which the integrand is
@@ -27,9 +28,14 @@ cut = (acosh(cosh(phi) + 2*785/alpha^2) - phi)/2; for 14,
 cut = acosh(785/a) - phi.  Where the cut is not positive (14 with
 a cosh(phi) >= 785, or 13 where it underflows) the integrand is 0 at
 every node and [0, 1] serves.  :class:`HyperbolicQuery` keeps the cuts,
-and cosh and sinh of phi and of theta + phi, finite.  14 needs no lower
-limit on phi beyond a sinh^2(phi/2) > 0: K_{1/4} of it stays accurate
-as phi -> 0.
+and cosh and sinh of phi and of theta + phi, finite.
+
+The right side of 14 is computed in its second form, from
+K_{1/4}(z) = sqrt(pi/sqrt z) D_{-1/2}(2 sqrt z) (DLMF 12.7.10), whose
+prefactors cancel sqrt(a sinh(phi)/pi).  D_{-1/2} is finite at 0 and
+underflows to 0 past 54.6, so the right side is a double wherever the
+query is valid: as phi -> 0, where a sinh^2(phi/2) underflows, and at
+large a cosh^2(phi/2), where it overflows.
 """
 
 from __future__ import annotations
@@ -41,7 +47,8 @@ from dataclasses import dataclass
 from .errors import DomainError
 from .quadrature import QuadratureResult, clamp_tol, integrate_finite
 from .report import VerificationRecord, make_record
-from .specfun import bessel_k_quarter
+# D_{-nu}(z) given z^2, which is passed exactly, not as the square of a rounded z
+from .specfun import _SQRT_2PI, _pcf_d_negative_order
 
 __all__ = [
     "HyperbolicQuery",
@@ -166,9 +173,11 @@ def erfc_identity_13b(q: HyperbolicQuery, tol: float = 1e-10) -> VerificationRec
 
 def k_identity_14(q: HyperbolicQuery, tol: float = 1e-9) -> VerificationRecord:
     ch, sh = math.cosh(0.5 * q.phi), math.sinh(0.5 * q.phi)
+    root = 2.0 * math.sqrt(q.a)
+    four_a = 4.0 * q.a
     rhs = (
-        math.sqrt(q.a * math.sinh(q.phi) / math.pi)
-        * bessel_k_quarter(q.a * ch * ch)
-        * bessel_k_quarter(q.a * sh * sh)
+        _SQRT_2PI
+        * _pcf_d_negative_order(0.5, root * ch, four_a * ch * ch)
+        * _pcf_d_negative_order(0.5, root * sh, four_a * sh * sh)
     )
     return _record("EQ14", {"a": q.a, "phi": q.phi}, lhs_14, q, rhs, tol)

@@ -7,39 +7,49 @@ Two engines, both deterministic for fixed inputs:
   singularities t^p (p > -1) at the origin and follows exponential tails
   at the caller's ``decay_rate``, the one fact it needs of the integrand.
 * :func:`integrate_finite` -- classic tanh-sinh rule with nodes generated
-  as exact distances from the nearer endpoint, so integrable endpoint
+  as exact distances from their endpoint, so integrable endpoint
   singularities are resolved down to the floating-point limit.
 
 Both run on one trapezoid-refinement driver (Takahasi & Mori 1974;
-Bailey, Jeyabalan & Li, Exp. Math. 2005).  Level 0 sums the nodes k*h
-at the starting step h; each later level halves h, walks only the new
-odd multiples of it and adds their sum to the total carried from the
-coarser levels, so every abscissa is evaluated exactly once.  A walk
-outward from the center stops after more than ``_CONSEC_DEAD``
-consecutive dead terms, below 1e-20 of the partial sum of the current
-level's own new nodes (never of the carried total, which would stop a
-walk before it reaches a peak far from the center).  Past level 0 it
-stops sooner, at its first dead term beyond its reach, the largest k*h
-of a live term on a coarser level, if it has one; no walk stops before
-k*h = ``_MIN_TRUNC_T``.  Skipping a dead term cannot change the sum
-(it is below half an ulp of a partial sum above 1e-300); stopping at
-it can drop a later live term, a feature that first shows at a finer
-level between dead nodes of a coarser one past the reach, which the
-consecutive rule might still have come upon.  That changed no value
-on the measured workloads.
+Bailey, Jeyabalan & Li, Exp. Math. 2005) over the *sides* of a rule,
+its walks outward from the center.  A side (table, origin, scale) takes
+each row (k*h, a, w) of its node table as the node x = origin + scale*a
+with the term f(x)*w; the integral at step h is h*scale*(sum of the
+terms), scale that of the first side, whose row at k*h = 0 is the
+center term.  Exp-sinh has the sides (right, 0, c) and (left, 0, c),
+rows (k*h, u, u*(1 + e^{-s})) with u = exp(s - e^{-s}) at s = +-k*h;
+tanh-sinh walks one table of rows (k*h, 2/(1 + e^{2u}),
+(pi/2)*cosh(k*h)*sech^2(u)), u = (pi/2)*sinh(k*h), from lo with scale
++half-width and from hi with -half-width, so a node is its endpoint
+plus or minus an exactly evaluated distance.
 
-Everything at a node that depends only on k*h comes from a per-level
-node table, one per engine side and filled once per process: rows
-(k*h, exp(s - e^{-s}), 1 + e^{-s}) for each exp-sinh side and
-(k*h, 1 + exp(2u), (pi/2)*cosh(k*h)*sech^2(u)) with u = (pi/2)*sinh(k*h)
-for tanh-sinh.  A walk then only scales the row to the caller's
-interval or decay rate, evaluates the integrand and weights it, all in
-the refinement loop itself: a node costs no Python call but the
-integrand.  Tables grow lazily, a chunk of rows at a time, as far as
-some walk has gone and never to the representable range (the right
-exp-sinh side would run to s = 690).  A row takes about 160 bytes and
-is kept for the life of the process, and nothing bounds the growth: a
-walk over 100,000 nodes leaves about 16 MB of table behind.
+Level 0 sums the nodes k*h at the starting step h; each later level
+halves h, walks only the new odd multiples of it and adds their sum to
+the total carried from the coarser levels, so every abscissa is
+evaluated exactly once.  A walk ends at the end of its table or at the
+first node that rounds onto its origin, whose true contribution is
+below double resolution, and each side ends on its own.  It stops
+sooner after more than ``_CONSEC_DEAD`` consecutive dead terms, below
+1e-20 of the partial sum of the current level's own new nodes (never of
+the carried total, which would stop a walk before it reaches a peak far
+from the center).  Past level 0 it stops at its first dead term beyond
+its reach, the largest k*h of a live term on a coarser level, if it has
+one; no walk stops on dead terms before k*h = ``_MIN_TRUNC_T``.
+Skipping a dead term cannot change the sum (it is below half an ulp of
+a partial sum above 1e-300); stopping at it can drop a later live term,
+a feature that first shows at a finer level between dead nodes of a
+coarser one past the reach, which the consecutive rule might still have
+come upon.  That changed no value on the measured workloads.
+
+The node tables hold everything at a node that depends only on k*h, so
+a walk only places the node, evaluates the integrand and weights it,
+all in the refinement loop itself: a node costs no Python call but the
+integrand.  Each table is filled once per process and grows lazily, a
+chunk of rows at a time, as far as some walk has gone and never to the
+representable range (the right exp-sinh side would run to s = 690).  A
+row takes about 160 bytes and is kept for the life of the process, and
+nothing bounds the growth: a walk over 100,000 nodes leaves about 16 MB
+of table behind.
 
 The step is halved until two successive levels agree to ``tol``
 relative, within 13 levels (semi-infinite) or 12 (finite).  The error
@@ -107,48 +117,51 @@ def clamp_tol(tol: float) -> tuple[float, str]:
 
 
 class _NodeTable:
-    """Rows of one walk of a DE rule, per refinement level, in walk order.
+    """Rows (k*h, a, w) of the walks of a DE rule, per refinement level,
+    in walk order; a side places the node at origin + scale*a and weights
+    f there by w.
 
     Level L holds the nodes k*h with h = step/2^L, for k = 1, 2, 3, ...
-    at level 0 and the odd k after.  ``row`` maps k*h to the row of
-    everything the walk needs that depends only on k*h, or to None past
-    the representable range, which ends the level.  Rows are built in
-    chunks of ``_CHUNK``, only when a walk reaches the end of what is
-    built, and kept for the rest of the process: a level grows about as
-    far as the longest walk over it, never to the representable range.
-    Growth only appends, under ``_GROW_LOCK``, rows that depend on
-    nothing but k*h, so a walk stays valid while a nested integral (an
-    integrand that integrates) or another thread grows the same table.
+    at level 0 and the odd k after; ``center`` is the row at k*h = 0.
+    ``row`` maps k*h to its row, or to None past the representable
+    range, which ends the level.  Rows are built in chunks of
+    ``_CHUNK``, only when a walk reaches the end of what is built, and
+    kept for the rest of the process: a level grows about as far as the
+    longest walk over it, never to the representable range.  Growth only
+    appends, under ``_GROW_LOCK``, rows that depend on nothing but k*h,
+    so a walk stays valid while a nested integral (an integrand that
+    integrates) or another thread grows the same table.
     """
 
     def __init__(self, step: float, row: Callable[[float], tuple | None]):
         self.step = step
+        self.center = row(0.0)
         self._row = row
         self._levels: list[list[tuple]] = []
 
     def rows(self, level: int):
         """Iterator over the rows of ``level``, grown as it is consumed."""
-        return chain.from_iterable(self._chunks(level))
+        if len(self._levels) <= level:
+            with _GROW_LOCK:
+                while len(self._levels) <= level:
+                    self._levels.append([])
+        return chain.from_iterable(self._chunks(self._levels[level], level))
 
-    def _chunks(self, level: int):
-        with _GROW_LOCK:
-            while len(self._levels) <= level:
-                self._levels.append([])
-        chunks = self._levels[level]
-        h = self.step * 0.5**level
-        dk = 1 if level == 0 else 2
+    def _chunks(self, chunks: list, level: int):
         i = 0
-        while i < len(chunks) or self._grow(chunks, i, h, dk):
+        while i < len(chunks) or self._grow(chunks, i, level):
             yield chunks[i]
             i += 1
 
-    def _grow(self, chunks: list, i: int, h: float, dk: int) -> bool:
+    def _grow(self, chunks: list, i: int, level: int) -> bool:
         """Make chunk ``i`` of a level; False once the level has ended."""
         with _GROW_LOCK:
             if i < len(chunks):  # another thread made it meanwhile
                 return True
             if chunks and len(chunks[-1]) < _CHUNK:
                 return False
+            h = self.step * 0.5**level
+            dk = 1 if level == 0 else 2
             first = 1 + i * _CHUNK * dk
             chunk = []
             for k in range(first, min(first + _CHUNK * dk, _MAX_STEPS_PER_SIDE), dk):
@@ -161,7 +174,7 @@ class _NodeTable:
 
 
 def _exp_sinh_row(sgn: float) -> Callable[[float], tuple | None]:
-    """Rows (k*h, exp(s - e^{-s}), 1 + e^{-s}) at s = sgn*k*h."""
+    """Rows (k*h, u, u*(1 + e^{-s})), u = exp(s - e^{-s}), at s = sgn*k*h."""
     def row(k_h: float) -> tuple | None:
         s = sgn * k_h
         es = math.exp(-s)
@@ -169,63 +182,46 @@ def _exp_sinh_row(sgn: float) -> Callable[[float], tuple | None]:
         if arg > 690.0:
             return None
         u = math.exp(arg)
-        # u == 0 makes every scaled node t = scale*u zero
-        return (k_h, u, 1.0 + es) if u > 0.0 else None
+        # u == 0 puts every node of the walk on to its origin
+        return (k_h, u, u * (1.0 + es)) if u > 0.0 else None
     return row
 
 
 def _tanh_sinh_row(k_h: float) -> tuple | None:
-    """Rows (k*h, 1 + exp(2u), (pi/2)*cosh(k*h)*sech^2(u)), u = (pi/2)*sinh(k*h).
-
-    The nodes lie at distance (half-width)*2/(1 + exp(2u)) =
-    (half-width)*(1 - tanh u) from both endpoints.
-    """
+    """Rows (k*h, 1 - tanh u, (pi/2)*cosh(k*h)*sech^2(u)), u = (pi/2)*sinh(k*h),
+    with 1 - tanh u, the nodes' distance from an endpoint in half-widths,
+    formed as 2/(1 + exp(2u))."""
     u = _PIOV2 * math.sinh(k_h)
     if u > 350.0:
         return None
     sech = 2.0 * math.exp(-u) / (1.0 + math.exp(-2.0 * u))
-    return (k_h, 1.0 + math.exp(2.0 * u), _PIOV2 * math.cosh(k_h) * (sech * sech))
+    return (k_h, 2.0 / (1.0 + math.exp(2.0 * u)), _PIOV2 * math.cosh(k_h) * (sech * sech))
 
 
 _GROW_LOCK = threading.Lock()
 _EXP_SINH_RIGHT = _NodeTable(0.5, _exp_sinh_row(1.0))
 _EXP_SINH_LEFT = _NodeTable(0.5, _exp_sinh_row(-1.0))
 _TANH_SINH = _NodeTable(1.0, _tanh_sinh_row)
-_, _U0, _G0 = _exp_sinh_row(1.0)(0.0)  # the exp-sinh row at the center, s = 0
 
 
-def _refine(f: Callable[[float], float], scale: float, interval: tuple[float, float] | None,
+def _refine(f: Callable[[float], float], sides: tuple, levels: int, what: str,
             tol: float) -> QuadratureResult:
-    """Nested trapezoid refinement of a double-exponential sum of ``f``.
-
-    Without ``interval`` the walks are the exp-sinh sides: the row
-    (k*h, u, g) is the node t = scale*u with the term f(t)*t*g, and the
-    integral at step h is h * (sum of all terms).  With ``interval`` =
-    (lo, hi), the tanh-sinh walk: the row (k*h, den, w) is the nodes hi - d
-    and lo + d, d = (scale*2)/den, with the term (f(hi - d) + f(lo + d))*w,
-    and the integral is h * scale * (sum of all terms), scale the
-    half-width."""
-    pair = interval is not None
-    if pair:
-        lo, hi = interval
-        tables, levels = (_TANH_SINH,), _FINITE_LEVELS
-        what, name = f"tanh-sinh quadrature on [{lo}, {hi}]", "x"
-        width, unit, x = scale * 2.0, scale, 0.5 * (hi + lo)
-    else:
-        tables, levels = (_EXP_SINH_RIGHT, _EXP_SINH_LEFT), _SEMI_INFINITE_LEVELS
-        what, name = "semi-infinite quadrature", "t"
-        unit, x = 1.0, scale * _U0
+    """Nested trapezoid refinement of ``f`` over the ``sides`` of a DE rule
+    (see the module docstring), within ``levels`` levels; ``what`` names
+    the rule in a :class:`ConvergenceError`."""
+    table, origin, unit = sides[0]
+    _, a, w = table.center
+    x = origin + unit * a
     v = f(x)
     if v != v:
-        raise ConvergenceError(f"integrand returned NaN at {name}={x!r}")
-    # the k = 0 term; sech^2(0) = 1 in tanh-sinh
-    center = v * _PIOV2 if pair else v * x * _G0
+        raise ConvergenceError(f"integrand returned NaN at x={x!r}")
+    center = v * w
     calls = 1
-    cut, neg_cut, floor = _TERM_CUTOFF, -_TERM_CUTOFF, _DEAD_FLOOR
-    # per walk, the largest k*h of a live term on any level so far; while it
+    cut, neg_cut, floor, tiny = _TERM_CUTOFF, -_TERM_CUTOFF, _DEAD_FLOOR, _TINY
+    # per side, the largest k*h of a live term on any level so far; while it
     # is 0 (none yet) only the consecutive rule stops the walk
-    reach = [0.0] * len(tables)
-    h = tables[0].step
+    reach = [0.0] * len(sides)
+    h = table.step
     total = 0.0
     prev = math.nan
     diff = math.inf
@@ -233,47 +229,37 @@ def _refine(f: Callable[[float], float], scale: float, interval: tuple[float, fl
     for level in range(levels):
         # level 0 takes every k; later levels only the odd k, new at this h
         new = center if level == 0 else 0.0
-        for i, table in enumerate(tables):
+        for i, (table, origin, scale) in enumerate(sides):
             far = reach[i] or math.inf
-            dead, live = 0, 0.0
+            # a side sums its own terms, which rounds them less than the level's sum
+            part, dead, live = 0.0, 0, 0.0
             for t, a, w in table.rows(level):
-                if pair:
-                    d = width / a
-                    if d == 0.0:
-                        break
-                    xh = hi - d
-                    xl = lo + d
-                    # a node that rounds onto its endpoint cannot be represented;
-                    # its true contribution is below double resolution
-                    vh = f(xh) if xh < hi else 0.0
-                    vl = f(xl) if xl > lo else 0.0
-                    calls += (xh < hi) + (xl > lo)
-                    term = (vh + vl) * w
-                    if term != term and (vh != vh or vl != vl):
-                        x = xh if vh != vh else xl
-                        raise ConvergenceError(f"integrand returned NaN at {name}={x!r}")
+                x = origin + scale * a
+                if x == origin:
+                    break
+                calls += 1
+                v = f(x)
+                term = v * w
+                part += term
+                # abs(term) <= cut * max(abs(s), _TINY), s the level's partial
+                # sum, without the builtins; a nan term is never dead
+                s = new + part
+                if s >= tiny:
+                    lim = s * cut
+                elif s <= -tiny:
+                    lim = s * neg_cut
                 else:
-                    x = scale * a
-                    if x == 0.0:
-                        break
-                    calls += 1
-                    v = f(x)
-                    if v != v:
-                        raise ConvergenceError(f"integrand returned NaN at {name}={x!r}")
-                    term = v * x * w
-                new += term
-                # abs(term) <= cut * max(abs(new), _TINY) without the builtins;
-                # a nan partial sum leaves lim nan, and no term dead, alike
-                lim = new * cut if new >= 0.0 else new * neg_cut
-                if lim < floor:
                     lim = floor
-                if -lim <= term <= lim:
+                if term <= lim and -lim <= term:
                     dead += 1
                     if (dead > _CONSEC_DEAD or t > far) and t >= _MIN_TRUNC_T:
                         break
                 else:
+                    if v != v:
+                        raise ConvergenceError(f"integrand returned NaN at x={x!r}")
                     dead = 0
                     live = t
+            new += part
             if live > reach[i]:
                 reach[i] = live
         total += new
@@ -307,7 +293,9 @@ def integrate_semi_infinite(f: Callable[[float], float], decay_rate: float,
     _check_tol(tol)
     if not decay_rate >= 0.0:
         raise DomainError(f"decay rate must be >= 0, got {decay_rate}")
-    return _refine(f, 1.0 / min(max(decay_rate, 1e-4), 1e4), None, tol)
+    c = 1.0 / min(max(decay_rate, 1e-4), 1e4)
+    return _refine(f, ((_EXP_SINH_RIGHT, 0.0, c), (_EXP_SINH_LEFT, 0.0, c)),
+                   _SEMI_INFINITE_LEVELS, "semi-infinite quadrature", tol)
 
 
 def integrate_finite(
@@ -328,4 +316,6 @@ def integrate_finite(
     _check_tol(tol)
     if not lo < hi:
         raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
-    return _refine(f, 0.5 * (hi - lo), (lo, hi), tol)
+    half = 0.5 * (hi - lo)
+    return _refine(f, ((_TANH_SINH, lo, half), (_TANH_SINH, hi, -half)),
+                   _FINITE_LEVELS, f"tanh-sinh quadrature on [{lo}, {hi}]", tol)

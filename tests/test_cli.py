@@ -116,6 +116,8 @@ USAGE_ERRORS = [
     ("verify EQ13A --alpha log:-1:2:3", "log spacing needs positive bounds in "
                                         "--alpha='log:-1:2:3'"),
     ("verify EQ13A --beta 1", "EQ13A takes parameters ('alpha', 'phi'), not ['beta']"),
+    ("verify all --foo 1", "all takes parameters ('X', 'Y', 'u', 'nu', 'x', 'y', 'a', 'b', "
+                           "'alpha', 'phi', 'lam', 'xprime'), not ['foo']"),
     ("verify EQ13A --format xml", "Invalid value for '--format': 'xml' is not one of "
                                   "'csv', 'json'."),
     ("explore-equal-args --nu abc", "Invalid value for '--nu': 'abc' is not a valid float."),
@@ -364,6 +366,10 @@ class TestVerify:
         # phi < 0.05 used to be refused, and a = 1e-300 ended in a traceback
         "EQ14 --a 1 --phi 0.01",
         "EQ14 --a 1e-300 --phi 1",
+        # a sinh^2(phi/2) underflows to 0 and a cosh^2(phi/2) overflows: the
+        # right side's D_{-1/2} arguments are 1e-300 and 3e154
+        "EQ14 --a 1 --phi 1e-300",
+        "EQ14 --a 1e5 --phi 700",
     ], ids=lambda a: a.replace(" --", "-").replace(" ", "="))
     def test_hyperbolic_extremes_pass(self, run_cli, args):
         r = run_cli(["verify", *args.split()])

@@ -226,6 +226,10 @@ class TestNestedRefinement:
     @pytest.mark.parametrize("f,lo,hi", [
         (lambda t: abs(t)**0.3 * math.exp(-2.0 * abs(t)), -4.0, 4.0),
         (lambda x: 1.0 if x < 0.3 else 0.0, 0.0, 1.0),
+        # live at lo and 0.0 near hi: each side ends on its own
+        (lambda x: x**-0.5 * math.exp(-1.0 / (1.0 - x)), 0.0, 1.0),
+        # lo != 0, and the hi side is live until its nodes round onto hi
+        (lambda x: math.sqrt(x - 2.0) * math.exp(-x), 2.0, 5.0),
     ])
     def test_repeats_only_where_nodes_round_together(self, f, lo, hi):
         # tanh-sinh nodes within a few ulps of an endpoint lie at distinct
@@ -360,6 +364,13 @@ class TestErrorEstimateBoundsTrueError:
         (lambda x: math.log(x) * math.exp(x), 0.0, 2.0,
          lambda: mpmath.quad(lambda x: mpmath.log(x) * mpmath.exp(x), [0, 2])),
         (lambda x: x**-0.9 * math.exp(-x), 0.0, 5.0, lambda: mpmath.gammainc(0.1, 0, 5)),
+        # live at lo and 0.0 near hi: each side ends on its own
+        (lambda x: x**-0.5 * math.exp(-1.0 / (1.0 - x)), 0.0, 1.0,
+         lambda: mpmath.quad(lambda x: x**-0.5 * mpmath.exp(-1 / (1 - x)),
+                             [0, 0.25, 0.5, 0.75, 1])),
+        # lo != 0, and the hi side is live until its nodes round onto hi
+        (lambda x: math.sqrt(x - 2.0) * math.exp(-x), 2.0, 5.0,
+         lambda: mpmath.exp(-2) * mpmath.gammainc(1.5, 0, 3)),
     ])
     def test_finite_singular_lower_endpoint(self, f, lo, hi, exact):
         with mpmath.workdps(30):
@@ -406,33 +417,33 @@ class TestPinnedPanel:
     }
     # (case, tol, outcome, value.hex(), error_estimate.hex(), evaluations)
     PANEL = [
-        ("gamma_half", 1e-06, "ok", "0x1.c5bf891b4ef6bp+0", "0x1.f80ba50000000p-27", 51),
-        ("algebraic_tail", 1e-06, "ok", "0x1.fffffffffffeep+0", "0x1.393006b000000p-23", 1486),
-        ("scale_clamp_low", 1e-06, "ok", "0x1.86a0000000000p+16", "0x1.699a214000000p-10", 59),
-        ("scale_clamp_high", 1e-06, "ok", "0x1.4f8b588e368f2p-17", "0x1.7058000000000p-56", 73),
-        ("inv_sqrt_cos", 1e-06, "ok", "0x1.cf1dcd0871260p+0", "0x1.9450000000000p-38", 64),
-        ("gaussian_window", 1e-06, "ok", "0x1.c5bf88a5f14afp+0", "0x0.0p+0", 203),
+        ("gamma_half", 1e-06, "ok", "0x1.c5bf891b4ef6bp+0", "0x1.f80ba48000000p-27", 51),
+        ("algebraic_tail", 1e-06, "ok", "0x1.fffffffffffefp+0", "0x1.393006b800000p-23", 1486),
+        ("scale_clamp_low", 1e-06, "ok", "0x1.86a0000000000p+16", "0x1.699a218000000p-10", 59),
+        ("scale_clamp_high", 1e-06, "ok", "0x1.4f8b588e368f1p-17", "0x1.7058000000000p-56", 73),
+        ("inv_sqrt_cos", 1e-06, "ok", "0x1.cf1dcd0871260p+0", "0x1.9448000000000p-38", 64),
+        ("gaussian_window", 1e-06, "ok", "0x1.c5bf88a5f14afp+0", "0x0.0p+0", 201),
         ("gamma_half", 1e-10, "ok", "0x1.c5bf891b4ef6ap+0", "0x1.0000000000000p-52", 86),
-        ("algebraic_tail", 1e-10, "ok", "0x1.fffffffffffffp+0", "0x1.1000000000000p-48", 2908),
+        ("algebraic_tail", 1e-10, "ok", "0x1.0000000000001p+1", "0x1.3000000000000p-48", 2908),
         ("scale_clamp_low", 1e-10, "ok", "0x1.86a0000000000p+16", "0x0.0p+0", 101),
-        ("scale_clamp_high", 1e-10, "ok", "0x1.4f8b588e368f2p-17", "0x1.7058000000000p-56", 73),
-        ("inv_sqrt_cos", 1e-10, "ok", "0x1.cf1dcd0871260p+0", "0x1.9450000000000p-38", 64),
-        ("gaussian_window", 1e-10, "ok", "0x1.c5bf88a5f14afp+0", "0x0.0p+0", 203),
+        ("scale_clamp_high", 1e-10, "ok", "0x1.4f8b588e368f1p-17", "0x1.7058000000000p-56", 73),
+        ("inv_sqrt_cos", 1e-10, "ok", "0x1.cf1dcd0871260p+0", "0x1.9448000000000p-38", 64),
+        ("gaussian_window", 1e-10, "ok", "0x1.c5bf88a5f14afp+0", "0x0.0p+0", 201),
         ("gamma_half", 1e-14, "ok", "0x1.c5bf891b4ef6ap+0", "0x1.0000000000000p-52", 86),
-        ("algebraic_tail", 1e-14, "ok", "0x1.fffffffffffffp+0", "0x1.1000000000000p-48", 2908),
+        ("algebraic_tail", 1e-14, "ok", "0x1.0000000000001p+1", "0x1.3000000000000p-48", 2908),
         ("scale_clamp_low", 1e-14, "ok", "0x1.86a0000000000p+16", "0x0.0p+0", 101),
-        ("scale_clamp_high", 1e-14, "ok", "0x1.4f8b588e368f2p-17", "0x0.0p+0", 130),
-        ("inv_sqrt_cos", 1e-14, "ok", "0x1.cf1dcd087125ep+0", "0x1.0000000000000p-51", 123),
-        ("gaussian_window", 1e-14, "ok", "0x1.c5bf88a5f14afp+0", "0x0.0p+0", 203),
+        ("scale_clamp_high", 1e-14, "ok", "0x1.4f8b588e368f1p-17", "0x0.0p+0", 130),
+        ("inv_sqrt_cos", 1e-14, "ok", "0x1.cf1dcd087125fp+0", "0x1.0000000000000p-52", 123),
+        ("gaussian_window", 1e-14, "ok", "0x1.c5bf88a5f14afp+0", "0x0.0p+0", 201),
         ("semi_max_level_4", 1e-12, "raises", "0x1.2ce84fdf5cc9ep-4", "0x1.22a13b61fbe08p-6", 147),
-        ("finite_max_level_4", 1e-12, "raises", "0x1.e69dd13d59903p-4", "0x1.3b195f9dce089p-2", 60),
-        ("inv_sqrt_cos_wide", 1e-06, "ok", "0x1.09e92e758ac0cp+0", "0x1.f5f0f68000000p-26", 64),
-        ("gaussian_offset", 1e-06, "ok", "0x1.b6c4586b18200p+0", "0x1.572a000000000p-37", 102),
-        ("inv_sqrt_cos_wide", 1e-10, "ok", "0x1.09e92e758ac0dp+0", "0x1.0000000000000p-52", 123),
-        ("gaussian_offset", 1e-10, "ok", "0x1.b6c4586b18200p+0", "0x1.572a000000000p-37", 102),
-        ("inv_sqrt_cos_wide", 1e-14, "ok", "0x1.09e92e758ac0dp+0", "0x1.0000000000000p-52", 123),
-        ("gaussian_offset", 1e-14, "ok", "0x1.b6c4586b181ffp+0", "0x1.0000000000000p-52", 204),
-        ("oscillating_max_level_4", 1e-12, "raises", "0x1.4e900c658b530p-5", "0x1.4719993345fe4p-4", 51),
+        ("finite_max_level_4", 1e-12, "raises", "0x1.e69dd13d59900p-4", "0x1.3b195f9dce08ap-2", 59),
+        ("inv_sqrt_cos_wide", 1e-06, "ok", "0x1.09e92e758ac0ep+0", "0x1.f5f0f6c000000p-26", 64),
+        ("gaussian_offset", 1e-06, "ok", "0x1.b6c4586b18201p+0", "0x1.5728000000000p-37", 102),
+        ("inv_sqrt_cos_wide", 1e-10, "ok", "0x1.09e92e758ac0cp+0", "0x1.0000000000000p-51", 123),
+        ("gaussian_offset", 1e-10, "ok", "0x1.b6c4586b18201p+0", "0x1.5728000000000p-37", 102),
+        ("inv_sqrt_cos_wide", 1e-14, "ok", "0x1.09e92e758ac0cp+0", "0x1.0000000000000p-51", 123),
+        ("gaussian_offset", 1e-14, "ok", "0x1.b6c4586b18202p+0", "0x1.0000000000000p-52", 204),
+        ("oscillating_max_level_4", 1e-12, "raises", "0x1.4e900c658b52cp-5", "0x1.4719993345fe5p-4", 51),
     ]
 
     def _run(self, case, tol):
@@ -465,7 +476,12 @@ class TestPinnedRoutes:
     counts of that time, which no change to truncation may exceed.  The
     product rows are re-pinned for the integrand that holds its prefactor
     in the exponent: against 30-digit mpmath each is as close as before or
-    within 2 eps (3.5e-10, the small-nu loss, 2.0e-16 and 2.7e-16)."""
+    within 2 eps (3.5e-10, the small-nu loss, 2.0e-16 and 2.7e-16).
+    product_gap_0.02, product_nu_4, laplace_minus and lhs_13b are re-pinned
+    for the walks that sum each side apart and place a node at origin +
+    scale*a: against 40-digit mpmath they are 1.06, 2.89, 0.06 and 0.32 eps
+    off, from 0.91, 1.22, 0.69 and 0.86 eps, a move within the rounding of
+    their sums."""
 
     ROUTES = {
         "product_nu_0.06": lambda tol: product_via_integral(ProductQuery(0.06, 2.0, 1.0), tol),
@@ -480,12 +496,12 @@ class TestPinnedRoutes:
     # (route, tol, value.hex(), error_estimate.hex(), evaluations at most)
     PANEL = [
         ("product_nu_0.06", 1e-09, "0x1.45a9f97612466p-2", "0x1.b978c00000000p-34", 116),
-        ("product_gap_0.02", 1e-12, "0x1.842354b26d6acp-1", "0x1.8000000000000p-50", 349),
-        ("product_nu_4", 1e-09, "0x1.cd8dc3434df8cp-19", "0x1.1000000000000p-66", 114),
+        ("product_gap_0.02", 1e-12, "0x1.842354b26d6afp-1", "0x1.4000000000000p-50", 349),
+        ("product_nu_4", 1e-09, "0x1.cd8dc3434df8fp-19", "0x1.1000000000000p-66", 114),
         ("laplace_plus", 1e-08, "0x1.1ec20843288d8p+5", "0x1.84bb000000000p-27", 116),
-        ("laplace_minus", 1e-10, "0x1.5388fed5560eap-4", "0x0.0p+0", 115),
+        ("laplace_minus", 1e-10, "0x1.5388fed5560ebp-4", "0x1.0000000000000p-56", 115),
         ("lhs_13a", 1e-12, "0x1.27393eeef748ap-2", "0x1.6100000000000p-43", 255),
-        ("lhs_13b", 1e-10, "0x1.dcff8e2627e93p-2", "0x1.0000000000000p-54", 433),
+        ("lhs_13b", 1e-10, "0x1.dcff8e2627e92p-2", "0x0.0p+0", 433),
         ("lhs_14", 1e-12, "0x1.5d6e0aefedbc7p+0", "0x1.0000000000000p-51", 513),
     ]
 
