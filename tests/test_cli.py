@@ -453,11 +453,12 @@ class TestVerify:
         assert len(notes) == 2
         assert notes[0] == "# EQ15 nu=1.0 x=1.0 y=1.99: sum rule requires x > y, got x=1.0, y=1.99"
         assert notes[1].startswith("# EQ15 nu=1.0 x=2.0 y=1.99: bilinear Hermite sum missed tol")
-        # a deterministic miss: the direct product's D_{-1}(54) = 4.6e-319 is
-        # subnormal, with about five digits, so the sides differ by 3.7e-6
-        r = run_cli(["verify", "EQ10", "--nu", "1", "--x", "54", "--y", "50"])
+        # a deterministic miss: EQ11's right side takes D_{-11.2}(52.57) = 4.7e-320,
+        # a subnormal with about four digits, so the sides differ by 4.5e-5
+        r = run_cli(["verify", "EQ11", "--nu", "11.2", "--a", "1385", "--b", "134",
+                     "--tol", "1e-13"])
         assert r.exit_code == 1
-        assert r.stderr == "# EQ10 nu=1.0 x=54.0 y=50.0: error above tolerance\n"
+        assert r.stderr == "# EQ11 nu=11.2 a=1385.0 b=134.0: error above tolerance\n"
         # the two routes of EQ10 share no code and differ by several ulps: 1e-16
         # is missed, and the note gives that reason and then the clamp
         r = run_cli(["verify", "EQ10", "--nu", "1", "--x", "2", "--y", "1",

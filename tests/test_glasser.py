@@ -112,6 +112,24 @@ class TestProductReference:
             product_reference(ProductQuery(1.0, -40.0, 40.0))
         with pytest.raises(DomainError, match="overflows a double"):
             product_reference(ProductQuery(20.0, 1.0, 53.0))
+        with pytest.raises(DomainError, match="outside supported range"):
+            product_reference(ProductQuery(20.5, 1.0, 0.5))
+
+    @pytest.mark.parametrize("nu,x,y", [(1.0, 54.0, 50.0), (1.0, 60.0, 55.0),
+                                        (1e-3, 70.0, 60.0), (1.0, -60.0, -60.0)])
+    def test_factor_outside_double_range(self, nu, x, y):
+        # D_{-1}(54) = 4.6e-319 is subnormal and D_{-1}(60) underflows, but not
+        # the products; D_{-1}(-60) overflows, but not D_{-1}(-60) D_{-1}(60)
+        with mpmath.workdps(40):
+            ref = mpmath.pcfd(-nu, x) * mpmath.pcfd(-nu, -y)
+            err = abs(product_reference(ProductQuery(nu, x, y)) - ref) / ref
+        assert err <= 16 * 2.0**-52 * max(x * x, y * y) / 2
+
+    def test_far_factor_underflows_any_product(self):
+        # D_{-20}(-80) D_{-20}(98.5) < 2^-1075
+        with mpmath.workdps(40):
+            assert mpmath.pcfd(-20, -80) * mpmath.pcfd(-20, 98.5) < mpmath.mpf(2) ** -1075
+        assert product_reference(ProductQuery(20.0, 98.5, 80.0)) == 0.0
 
     def test_symmetric_at_origin(self):
         v = product_reference(ProductQuery(0.75, 0.0, 0.0))

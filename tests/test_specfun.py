@@ -135,7 +135,40 @@ class TestBesselKQuarter:
             bessel_k_quarter(bad)
 
 
+# pcf_d bits frozen from the loops on int counters, before the anchor memo: each
+# branch, both ends of the Taylor route and a subnormal value
+FROZEN_BITS = [
+    (-0.5, -30.0, "0x1.92b1bff22574fp+322"),
+    (-2.5, -1.0, "0x1.b34cf03ae5bd9p+1"),
+    (-12.0, 0.0, "0x1.937e11175f095p-14"),
+    (-0.5, 1e-12, "0x1.375e23df01638p+0"),
+    (-2.5, 0.5, "0x1.9138e06d4fda3p-2"),
+    (-12.0, 1.7, "0x1.2bb9b4b82c6a0p-22"),
+    (-20.0, 2.5, "0x1.75e049fc08671p-46"),
+    (-0.03, 2.999999, "0x1.a118261b0f7e0p-4"),
+    (-0.5, 3.0, "0x1.e155695d8ab3bp-5"),
+    (-2.5, 4.25, "0x1.f6c510c6ef960p-13"),
+    (-12.0, 10.0, "0x1.0c7f00931461dp-77"),
+    (-1.0, 53.5, "0x0.0000f21de4ce3p-1022"),
+]
+
+
 class TestPcfD:
+    @pytest.mark.parametrize("order,z,bits", FROZEN_BITS)
+    def test_frozen_bits(self, order, z, bits):
+        assert pcf_d(order, z).hex() == bits
+
+    def test_anchor_memo_changes_no_bit(self):
+        # the Taylor route reads D and D_{-nu-1}/D at z = 3 from a memo of one order
+        assert specfun._anchor.cache_info().maxsize == 1
+        for order, z, bits in FROZEN_BITS:
+            if 0.0 < z < 3.0:
+                pcf_d(-7.25, 1.0)
+                assert pcf_d(order, z).hex() == bits
+                hits = specfun._anchor.cache_info().hits
+                assert pcf_d(order, z).hex() == bits
+                assert specfun._anchor.cache_info().hits == hits + 1
+
     def test_order_zero(self):
         assert pcf_d(0.0, 2.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
 
