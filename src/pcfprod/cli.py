@@ -223,9 +223,8 @@ def _verify_laplace(identity, sign):
         q = glasser.xy_from_params(lp)  # validates the domain before any quadrature
         quad_tol, note = quadrature.clamp_tol(tol * 0.1)
         lhs = glasser.laplace_I(lp, sign, quad_tol)
-        y_arg = -q.y if sign == 1 else q.y
-        rhs = (2.0 * math.exp(0.5 * p["a"]) * specfun.gamma(p["nu"])
-               * specfun.pcf_d(-p["nu"], q.x) * specfun.pcf_d(-p["nu"], y_arg))
+        rhs = specfun.pcf_d_product(q.nu, q.x, q.x * q.x, -sign * q.y, q.y * q.y,
+                                    factor=2.0 * specfun.gamma(q.nu), expo=0.5 * p["a"])
         return make_record(identity, p, lhs.value, rhs, tol, lhs.evaluations, note=note)
     return run
 
@@ -241,8 +240,7 @@ def _verify_hyperbolic(fn, size):
 def _verify_eq15(p, tol):
     q = mehler.SumRuleQuery(p["nu"], p["x"], p["y"])
     lhs = mehler.sum_rule_lhs(q, tol * 0.5)
-    rhs = specfun.gamma(p["nu"]) * glasser.product_reference(
-        glasser.ProductQuery(p["nu"], p["x"], p["y"]))
+    rhs = specfun.pcf_d_product(q.nu, q.x, q.x * q.x, -q.y, q.y * q.y, factor=specfun.gamma(q.nu))
     return make_record("EQ15", p, lhs.value, rhs, tol, lhs.terms_used)
 
 

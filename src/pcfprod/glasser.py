@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .quadrature import QuadratureResult, integrate_semi_infinite
-from .specfun import _check_order, _pcf_d_negative_order_frexp, gamma
+from .specfun import gamma, pcf_d_product
 
 __all__ = [
     "ProductQuery",
@@ -102,23 +102,16 @@ def product_reference(q: ProductQuery) -> float:
     """D_{-nu}(x) * D_{-nu}(-y) via two independent pcf_d evaluations.
 
     This is the oracle side of every identity involving the product;
-    it is defined for all real x, y (no x > y restriction).  ``pcf_d``
-    sums series and a continued fraction and runs no quadrature, so it
-    shares no code with the integral side.  Each factor comes as a
-    fraction and a binary exponent, and the product is scaled by a power
-    of two once, so a subnormal factor (D_{-1}(54) = 4.6e-319) or one that
+    it is defined for all real x, y (no x > y restriction).  The factors
+    come from :func:`pcfprod.specfun.pcf_d_product`, which sums series and
+    a continued fraction and runs no quadrature, so it shares no code with
+    the integral side.  Each factor is kept as a fraction and a binary
+    exponent, so a subnormal factor (D_{-1}(54) = 4.6e-319) or one that
     underflows costs no digits where the product is a normal double.
     Where the product overflows a double (large y, or x and -y both far
     below 0), or x or -y is below -80, it raises :class:`DomainError`.
     """
-    _check_order(-q.nu)
-    frac_x, exp_x = _pcf_d_negative_order_frexp(q.nu, q.x, q.x * q.x)
-    frac_y, exp_y = _pcf_d_negative_order_frexp(q.nu, -q.y, q.y * q.y)
-    try:
-        return math.ldexp(frac_x * frac_y, exp_x + exp_y)
-    except OverflowError:
-        raise DomainError(
-            f"D_{{-{q.nu}}}({q.x}) D_{{-{q.nu}}}({-q.y}) overflows a double") from None
+    return pcf_d_product(q.nu, q.x, q.x * q.x, -q.y, q.y * q.y)
 
 
 def _laplace_integrand(nu: float, decay: float, b: float, sign: int, shift: float):

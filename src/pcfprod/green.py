@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
 from .hermsum import SeriesResult, bilinear_hermite_sum, scaled_hermite_frexp
-from .specfun import _LN2, _times_exp, gamma, pcf_d
+from .specfun import _LN2, _times_exp, gamma, pcf_d_product
 
 __all__ = [
     "GreenQuery",
@@ -173,20 +173,22 @@ def green_spectral(q: GreenQuery, tol: float = 5e-7) -> SeriesResult:
 
 
 def green_closed(q: GreenQuery) -> float:
-    """Titchmarsh closed form, valid for x > x' and lambda < 1."""
+    """Titchmarsh closed form, valid for x > x' and lambda < 1, evaluated by
+    :func:`pcfprod.specfun.pcf_d_product`, so a subnormal or underflowing
+    factor costs no digits where G is a double.  It raises
+    :class:`DomainError` for lambda < -39 (an order below -20), for x' above
+    about 56.6 (-x' sqrt 2 below -80) and where the product overflows a
+    double.  Past x of about 69.3 (x sqrt 2 past 98) G is below 2^-1075 at
+    every valid lambda and x', and is 0.0.
+    """
     if not q.x > q.xprime:
         raise DomainError(f"closed form requires x > x', got x={q.x}, x'={q.xprime}")
-    half = 0.5 * (1.0 - q.lam)
-    if not half > 0.0:
+    nu = 0.5 * (1.0 - q.lam)
+    if not nu > 0.0:
         raise DomainError(f"closed form requires lambda < 1, got {q.lam}")
-    order = 0.5 * (q.lam - 1.0)
     rt2 = math.sqrt(2.0)
-    return (
-        gamma(half)
-        / (2.0 * math.sqrt(math.pi))
-        * pcf_d(order, q.x * rt2)
-        * pcf_d(order, -q.xprime * rt2)
-    )
+    return pcf_d_product(nu, q.x * rt2, 2.0 * q.x * q.x, -q.xprime * rt2, 2.0 * q.xprime * q.xprime,
+                         factor=gamma(nu) / (2.0 * math.sqrt(math.pi)))
 
 
 def green_ode_oracle(q: GreenQuery) -> float:

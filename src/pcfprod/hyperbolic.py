@@ -32,10 +32,12 @@ and cosh and sinh of phi and of theta + phi, finite.
 
 The right side of 14 is computed in its second form, from
 K_{1/4}(z) = sqrt(pi/sqrt z) D_{-1/2}(2 sqrt z) (DLMF 12.7.10), whose
-prefactors cancel sqrt(a sinh(phi)/pi).  D_{-1/2} is finite at 0 and
-underflows to 0 past 54.6, so the right side is a double wherever the
-query is valid: as phi -> 0, where a sinh^2(phi/2) underflows, and at
-large a cosh^2(phi/2), where it overflows.
+prefactors cancel sqrt(a sinh(phi)/pi).  D_{-1/2} is finite at 0, and
+:func:`pcfprod.specfun.pcf_d_product` keeps each factor as a fraction
+and a binary exponent up to z = 98, past which a factor underflows any
+product with the other, so the right side is a double wherever the query
+is valid: as phi -> 0, where a sinh^2(phi/2) underflows, and at large
+a cosh^2(phi/2), where it overflows.
 """
 
 from __future__ import annotations
@@ -47,8 +49,7 @@ from dataclasses import dataclass
 from .errors import DomainError
 from .quadrature import QuadratureResult, clamp_tol, integrate_finite
 from .report import VerificationRecord, make_record
-# D_{-nu}(z) given z^2, which is passed exactly, not as the square of a rounded z
-from .specfun import _SQRT_2PI, _pcf_d_negative_order
+from .specfun import pcf_d_product
 
 __all__ = [
     "HyperbolicQuery",
@@ -173,11 +174,8 @@ def erfc_identity_13b(q: HyperbolicQuery, tol: float = 1e-10) -> VerificationRec
 
 def k_identity_14(q: HyperbolicQuery, tol: float = 1e-9) -> VerificationRecord:
     ch, sh = math.cosh(0.5 * q.phi), math.sinh(0.5 * q.phi)
-    root = 2.0 * math.sqrt(q.a)
-    four_a = 4.0 * q.a
-    rhs = (
-        _SQRT_2PI
-        * _pcf_d_negative_order(0.5, root * ch, four_a * ch * ch)
-        * _pcf_d_negative_order(0.5, root * sh, four_a * sh * sh)
-    )
+    root, four_a = 2.0 * math.sqrt(q.a), 4.0 * q.a
+    # the squared arguments are passed exactly, not as squares of rounded ones
+    rhs = pcf_d_product(0.5, root * ch, four_a * ch * ch, root * sh, four_a * sh * sh,
+                        factor=math.sqrt(2.0 * math.pi))
     return _record("EQ14", {"a": q.a, "phi": q.phi}, lhs_14, q, rhs, tol)

@@ -23,7 +23,9 @@ other side is an integral check it against an engine it does not share:
   binary exponent of h_n so that nothing underflows before D_n does.
 
 Other orders are rejected explicitly.  K_{1/4}(z) is
-sqrt(pi/sqrt z) D_{-1/2}(2 sqrt z) (DLMF 12.7.10).
+sqrt(pi/sqrt z) D_{-1/2}(2 sqrt z) (DLMF 12.7.10).  :func:`pcf_d_product`
+is the one product of two D_{-nu} values, with a prefactor C e^E, that
+every closed-form right side calls.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ __all__ = [
     "gamma",
     "bessel_k_quarter",
     "pcf_d",
+    "pcf_d_product",
 ]
 
 _ORDER_LIMIT = 20.0
@@ -67,9 +70,8 @@ _CF_LO, _CF_HI = 1.0 - _CF_EPS, 1.0 + _CF_EPS
 # _Z_OVERFLOW, D_{-nu}(z) > nu e^{z^2/4}/(z-1) overflows a double at every nu > 0
 _Z_ZERO = 2.0 * math.sqrt(746.0)
 _Z_OVERFLOW = -80.0
-# the factors of a product are kept as (frac, binary exponent): D_{-nu}(w) < e^{1645}
-# for w >= _Z_OVERFLOW (at nu = 20, w = -80), so D_{-nu}(z) D_{-nu}(w) < 2^-1075
-# rounds to 0 beyond _Z_FAR, where D_{-nu}(z) < e^{-z^2/4} = e^{-2401}
+# a product's factors are summed up to _Z_FAR, past D's own underflow at _Z_ZERO; beyond
+# it a factor would take about z^2 terms and is bounded by z^-nu e^{-z^2/4} instead
 _Z_FAR = 98.0
 # D_n(z) = sqrt(n!) e^{-z^2/4} h_n(z/sqrt 2) for n <= 20, with sqrt(20!) < 2^31 and
 # |h_n| < 2^1024 (finite below |z| = 2 sqrt(_QUARTER_ZERO)), is 0.0 beyond this z^2/4
@@ -261,10 +263,7 @@ def _taylor_inward(nu: float, z: float) -> float:
 def _pcf_d_negative_order_frexp(nu: float, z: float, zz: float) -> tuple[float, int]:
     """D_{-nu}(z) = frac 2^n as (frac, n) for nu > 0, given zz = z^2: the
     binary exponent n is exact, so neither part under- or overflows where
-    D_{-nu}(z) does.  (0.0, 0) beyond _Z_FAR, and DomainError below
-    _Z_OVERFLOW."""
-    if z > _Z_FAR:
-        return 0.0, 0
+    D_{-nu}(z) does.  DomainError below _Z_OVERFLOW."""
     if z < _Z_OVERFLOW:
         raise DomainError(f"D_{{{-nu}}}({z}) overflows a double")
     if z >= _Z1:
@@ -287,6 +286,43 @@ def _check_order(nu_order: float) -> None:
     """DomainError for an order outside [-20, 20]."""
     if not abs(nu_order) <= _ORDER_LIMIT:
         raise DomainError(f"order {nu_order} outside supported range [-20, 20]")
+
+
+def pcf_d_product(nu: float, z: float, zz: float, w: float, ww: float,
+                  factor: float = 1.0, expo: float = 0.0) -> float:
+    """factor e^expo D_{-nu}(z) D_{-nu}(w) for 0 < nu <= 20 and factor > 0, given
+    zz = z^2 and ww = w^2, passed exactly where the caller can.
+
+    This is the right side of every identity that ends in a product of two D
+    values.  Each factor is kept as a fraction and a binary exponent, and
+    e^expo and the summed exponent are applied once, so a subnormal or
+    underflowing factor, or an e^expo past a double, costs no digits where
+    the product is a double.  A factor past z = 98 is not summed (that
+    would take about z^2 terms) but bounded by z^-nu e^{-z^2/4}: the
+    product is 0.0 where that bound is below 2^-1075, and a
+    :class:`DomainError` naming the argument where it is not.  Where the
+    product overflows a double, or an argument is below -80 or nan, it
+    raises :class:`DomainError` too.
+    """
+    _check_order(-nu)
+    frac, power, log_far = factor, 0, 0.0
+    for v, vv in ((z, zz), (w, ww)):
+        if not v <= _Z_FAR:  # a nan too, which the bound below makes a DomainError
+            log_far -= 0.25 * vv + nu * math.log(v)
+        else:
+            f, n = _pcf_d_negative_order_frexp(nu, v, vv)
+            frac, power = frac * f, power + n
+    if log_far:
+        # the log of the bound, widened by the rounding of expo - z^2/4 at a large expo;
+        # below e^-746 < 2^-1075 the product rounds to 0.0
+        if math.log(frac) + power * _LN2 + expo + log_far + 2.0**-48 * abs(expo) < -746.0:
+            return 0.0
+        raise DomainError(f"D_{{{-nu}}}({z}) D_{{{-nu}}}({w}) need not underflow, and a "
+                          f"factor past z = {_Z_FAR} is not evaluated")
+    try:
+        return _times_exp(frac, expo, power)
+    except OverflowError:
+        raise DomainError(f"D_{{{-nu}}}({z}) D_{{{-nu}}}({w}) overflows a double") from None
 
 
 def pcf_d(nu_order: float, z: float) -> float:

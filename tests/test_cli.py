@@ -179,6 +179,12 @@ class TestEval:
         else:
             assert first_value(r.stdout) == 0.0 and r.stderr == ""
 
+    def test_green_closed_keeps_an_underflowing_factor(self, run_cli):
+        # D_{-15.5}(38 sqrt 2) = 3.7e-342 underflows; G does not (40-digit mpmath)
+        r = run_cli(["eval", "green_closed", "--lam", "-30", "--x", "38", "--xprime", "10"])
+        assert r.exit_code == 0
+        assert first_value(r.stdout) == pytest.approx(1.115118243961698e-302, rel=1e-14)
+
     def test_clamped_tolerance_is_reported(self, run_cli):
         # one floor, 1e-9, for every Hermite-series target
         for args in (["series_for_I", "--nu", "1", "--X", "1", "--Y", "0.2"],
@@ -376,6 +382,26 @@ class TestVerify:
         assert r.exit_code == 0, r.stderr
         assert r.stdout.splitlines()[-1] == "# summary: pass=1 fail=0 skip=0"
 
+    @pytest.mark.parametrize("args", [
+        # e^{a/2} = e^{750} overflowed (a traceback), and D_{-11.2}(52.57) = 4.7e-320
+        # is subnormal (a miss by 4.5e-5): the right side keeps both as exponents
+        "EQ11 --nu 1 --a 1500 --b 10",
+        "EQ11 --nu 11.2 --a 1385 --b 134 --tol 1e-13",
+    ], ids=lambda a: a.replace(" --", "-").replace(" ", "="))
+    def test_laplace_right_side_past_a_double_passes(self, run_cli, args):
+        r = run_cli(["verify", *args.split()])
+        assert r.exit_code == 0, r.stderr
+        assert r.stdout.splitlines()[-1] == "# summary: pass=1 fail=0 skip=0"
+
+    @pytest.mark.parametrize("a", ["5000", "1e6"])
+    def test_laplace_factor_past_98_is_a_skip(self, run_cli, a):
+        # x = 100 or 1414 is not summed, and e^{a/2} lifts the product back into
+        # range (about 0.03 and 2e-3): a skip, not a failure with rhs 0.0
+        r = run_cli(["verify", "EQ11", "--nu", "1", "--a", a, "--b", "10"])
+        assert r.exit_code == 0
+        assert r.stdout.splitlines()[-1] == "# summary: pass=0 fail=0 skip=1"
+        assert "is not evaluated" in r.stderr and "past z = 98.0" in r.stderr
+
     def test_near_diagonal_sum_rule_passes(self, run_cli):
         # x - y = 0.1 (X - Y = 0.07) used to stall at 524,288 terms
         r = run_cli(["verify", "EQ15", "--nu", "1", "--x", "2", "--y", "1.9"])
@@ -453,12 +479,12 @@ class TestVerify:
         assert len(notes) == 2
         assert notes[0] == "# EQ15 nu=1.0 x=1.0 y=1.99: sum rule requires x > y, got x=1.0, y=1.99"
         assert notes[1].startswith("# EQ15 nu=1.0 x=2.0 y=1.99: bilinear Hermite sum missed tol")
-        # a deterministic miss: EQ11's right side takes D_{-11.2}(52.57) = 4.7e-320,
-        # a subnormal with about four digits, so the sides differ by 4.5e-5
-        r = run_cli(["verify", "EQ11", "--nu", "11.2", "--a", "1385", "--b", "134",
-                     "--tol", "1e-13"])
+        # a deterministic miss: EQ14's right side at a = 400 takes D_{-1/2}(40.0005),
+        # whose condition number z^2/2 = 800 leaves about 1e-13, so the sides differ
+        # by 9.3e-14; its quadrature runs at 1e-14, inside the engines' range
+        r = run_cli(["verify", "EQ14", "--a", "400", "--phi", "0.01", "--tol", "1e-14"])
         assert r.exit_code == 1
-        assert r.stderr == "# EQ11 nu=11.2 a=1385.0 b=134.0: error above tolerance\n"
+        assert r.stderr == "# EQ14 a=400.0 phi=0.01: error above tolerance\n"
         # the two routes of EQ10 share no code and differ by several ulps: 1e-16
         # is missed, and the note gives that reason and then the clamp
         r = run_cli(["verify", "EQ10", "--nu", "1", "--x", "2", "--y", "1",

@@ -116,10 +116,12 @@ class TestProductReference:
             product_reference(ProductQuery(20.5, 1.0, 0.5))
 
     @pytest.mark.parametrize("nu,x,y", [(1.0, 54.0, 50.0), (1.0, 60.0, 55.0),
-                                        (1e-3, 70.0, 60.0), (1.0, -60.0, -60.0)])
+                                        (1e-3, 70.0, 60.0), (1.0, -60.0, -60.0),
+                                        (0.5, 90.0, 79.9)])
     def test_factor_outside_double_range(self, nu, x, y):
         # D_{-1}(54) = 4.6e-319 is subnormal and D_{-1}(60) underflows, but not
-        # the products; D_{-1}(-60) overflows, but not D_{-1}(-60) D_{-1}(60)
+        # the products; D_{-1}(-60) overflows, but not D_{-1}(-60) D_{-1}(60);
+        # D_{-1/2}(90) = 3.8e-881 is summed, a factor of a product near 8e-189
         with mpmath.workdps(40):
             ref = mpmath.pcfd(-nu, x) * mpmath.pcfd(-nu, -y)
             err = abs(product_reference(ProductQuery(nu, x, y)) - ref) / ref

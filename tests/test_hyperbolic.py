@@ -173,7 +173,7 @@ class TestLeftSides:
             return calls[-1][2]
 
         monkeypatch.setattr(hyperbolic, "integrate_finite", spy)
-        monkeypatch.setattr(hyperbolic, "_pcf_d_negative_order", None)  # the right side is not run
+        monkeypatch.setattr(hyperbolic, "pcf_d_product", None)  # the right side is not run
         exponents = {
             lhs_13a: lambda q, th: q.alpha**2 * math.sinh(th) * math.sinh(th + q.phi),
             lhs_13b: lambda q, th: q.alpha**2 * math.sinh(th) * math.sinh(th + q.phi),

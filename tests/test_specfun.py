@@ -1,7 +1,10 @@
 """Scalar special functions: frozen high-precision values and recurrences."""
 
+import inspect
 import math
+import random
 import sys
+import types
 
 import mpmath as mp
 import numpy as np
@@ -9,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcfprod import DomainError, bessel_k_quarter, gamma, hermite, pcf_d, quadrature, specfun
+from pcfprod import (DomainError, bessel_k_quarter, cli, gamma, glasser, green, hermite, hyperbolic,
+                     mehler, pcf_d, quadrature, specfun)
 
 # frozen with an independent 30-digit oracle before the library was built
 GAMMA_3_5 = 3.323350970447842551
@@ -287,3 +291,180 @@ class TestPcfD:
             pcf_d(-20.5, 1.0)
         with pytest.raises(DomainError):
             pcf_d(math.nan, 1.0)
+
+
+# every closed-form right side that ends in a product of two D values, by its caller
+ROUTES = ("product_reference", "EQ11", "EQ12", "EQ15", "EQ14", "green_closed")
+
+
+def right_side(route, p):
+    """The right side that ``route`` forms from its parameters ``p``, with every
+    left side stubbed out, and the one call it made to pcf_d_product, its
+    arguments bound by name."""
+    calls = []
+    inner = specfun.pcf_d_product
+
+    def spy(*args, **kwargs):
+        calls.append(inspect.signature(inner).bind(*args, **kwargs))
+        calls[-1].apply_defaults()
+        return inner(*args, **kwargs)
+
+    side = types.SimpleNamespace(value=1.0, evaluations=0, terms_used=0)
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (specfun, glasser, green, hyperbolic):
+            patch.setattr(module, "pcf_d_product", spy)
+        patch.setattr(glasser, "laplace_I", lambda *args: side)
+        patch.setattr(mehler, "sum_rule_lhs", lambda *args: side)
+        patch.setattr(hyperbolic, "_record", lambda identity, params, lhs, q, rhs, tol: rhs)
+        if route == "product_reference":
+            value = glasser.product_reference(glasser.ProductQuery(p["nu"], p["x"], p["y"]))
+        elif route == "EQ14":
+            value = hyperbolic.k_identity_14(hyperbolic.HyperbolicQuery(a=p["a"], phi=p["phi"]))
+        elif route == "green_closed":
+            value = green.green_closed(green.GreenQuery(p["lam"], p["x"], p["xprime"]))
+        else:
+            value = cli.IDENTITIES[route]["run"](p, 1e-8).rhs
+    (call,) = calls
+    return value, call.arguments
+
+
+def reference(route, p):
+    """The right side by 40-digit mpmath, from the caller's own parameters."""
+    with mp.workdps(40):
+        if route in ("EQ11", "EQ12"):
+            a, b = mp.mpf(p["a"]), mp.mpf(p["b"])
+            x = mp.sqrt(a + mp.sqrt((a - b) * (a + b)))
+            y = b / x if route == "EQ12" else -b / x
+            return 2 * mp.exp(a / 2) * mp.gamma(p["nu"]) * mp.pcfd(-p["nu"], x) * mp.pcfd(-p["nu"], y)
+        if route == "EQ15":
+            return mp.gamma(p["nu"]) * mp.pcfd(-p["nu"], p["x"]) * mp.pcfd(-p["nu"], -p["y"])
+        if route == "EQ14":
+            root, half = 2 * mp.sqrt(p["a"]), mp.mpf(p["phi"]) / 2
+            return (mp.sqrt(2 * mp.pi) * mp.pcfd(-0.5, root * mp.cosh(half))
+                    * mp.pcfd(-0.5, root * mp.sinh(half)))
+        nu, rt2 = (1 - mp.mpf(p["lam"])) / 2, mp.sqrt(2)
+        return (mp.gamma(nu) / (2 * mp.sqrt(mp.pi))
+                * mp.pcfd(-nu, p["x"] * rt2) * mp.pcfd(-nu, -p["xprime"] * rt2))
+
+
+def seeded_points(route, count, seed):
+    """``count`` parameter sets of ``route`` with orders log-uniform in
+    [0.05, 20] and no argument below -80; some EQ14 and green_closed points
+    have a factor past z = 98, where the product underflows."""
+    rng = random.Random(seed)
+
+    def log_uniform(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    points = []
+    for _ in range(count):
+        nu = log_uniform(0.05, 20.0)
+        if route in ("EQ11", "EQ12"):
+            a = log_uniform(0.5, 3000.0)
+            points.append({"nu": nu, "a": a, "b": a * rng.uniform(0.01, 0.99)})
+        elif route == "EQ15":
+            x = rng.uniform(-5.0, 60.0)
+            points.append({"nu": nu, "x": x, "y": max(x - log_uniform(0.1, 40.0), -80.0)})
+        elif route == "EQ14":
+            points.append({"a": log_uniform(0.1, 1000.0), "phi": log_uniform(1e-3, 5.0)})
+        else:
+            x = rng.uniform(-10.0, 75.0)
+            points.append({"lam": rng.uniform(-39.0, 0.99), "x": x,
+                           "xprime": min(x - log_uniform(0.1, 40.0), 56.0)})
+    return points
+
+
+def log_d_bound(nu, v):
+    """An upper bound on log D_{-nu}(v), from D's integral (DLMF 12.5.1):
+    v^-nu e^{-v^2/4} for v > 0, as e^{-t^2/2} < 1, and
+    e^{3v^2/4} 2^{nu-1} Gamma(nu/2)/Gamma(nu) for v <= 0, as -vt <= v^2 + t^2/4."""
+    if v > 0:
+        return -v * v / 4 - nu * mp.log(v)
+    return 3 * v * v / 4 + (nu - 1) * mp.log(2) + mp.loggamma(nu / 2) - mp.loggamma(nu)
+
+
+def assert_rounds_to_zero(args):
+    """The product is below 2^-1075: by the bounds of :func:`log_d_bound`, or
+    else with each factor up to z = 98 from 40-digit mpmath (which takes
+    seconds at an order and a negative z both near 1e-300)."""
+    with mp.workdps(40):
+        nu, zw = mp.mpf(args["nu"]), (mp.mpf(args["z"]), mp.mpf(args["w"]))
+        prefactor, zero = mp.log(args["factor"]) + args["expo"], -1075 * mp.log(2)
+        if prefactor + sum(log_d_bound(nu, v) for v in zw) < zero:
+            return
+        exact = sum(log_d_bound(nu, v) if v > 98 else mp.log(mp.pcfd(-nu, v)) for v in zw)
+        assert prefactor + exact < zero, args
+
+
+# points whose product is a double though a factor or e^{a/2} is not
+OUTSIDE_DOUBLE_RANGE = {
+    # e^{a/2} = e^{750} overflows, and D_{-11.2}(52.57) = 4.7e-320 is subnormal
+    "EQ11": [{"nu": 1.0, "a": 1500.0, "b": 10.0}, {"nu": 11.2, "a": 1385.0, "b": 134.0}],
+    # D_{-15.5}(53.74) = 3.7e-342 underflows; G = 1.1e-302
+    "green_closed": [{"lam": -30.0, "x": 38.0, "xprime": 10.0}],
+}
+
+
+class TestPcfDProduct:
+    @pytest.mark.parametrize("route", ["EQ11", "EQ12", "EQ15", "EQ14", "green_closed"])
+    def test_against_mpmath(self, route):
+        # within pcf_d's bound, 16 eps max(1, z^2/2), for each factor; a value
+        # below the normal range within one subnormal step more
+        points = seeded_points(route, 30, seed=ROUTES.index(route))
+        for p in points + OUTSIDE_DOUBLE_RANGE.get(route, []):
+            value, args = right_side(route, p)
+            ref = reference(route, p)
+            bound = 16 * EPS * sum(max(1.0, v * v / 2) for v in (args["z"], args["w"]))
+            assert abs(value - ref) <= bound * abs(ref) + 2.0**-1074, (route, p, value, ref)
+
+    def test_overflow_is_a_domain_error(self):
+        # e^{750} D_{-1}(38.7) D_{-1}(-38.7) is past a double
+        with pytest.raises(DomainError, match="overflows a double"):
+            right_side("EQ11", {"nu": 1.0, "a": 1500.0, "b": 1499.0})
+        with pytest.raises(DomainError, match="overflows a double"):
+            specfun.pcf_d_product(1.0, 1.0, 1.0, 1.0, 1.0, expo=800.0)
+        with pytest.raises(DomainError, match="overflows a double"):
+            specfun.pcf_d_product(1.0, -79.0, 6241.0, -79.0, 6241.0)
+
+    @pytest.mark.parametrize("a", [5000.0, 1e6, 1e20, 1e150])
+    def test_far_factor_under_a_large_prefactor(self, a):
+        # x past 98 is not summed, and e^{a/2} lifts the product back into range
+        # (about 0.03 at a = 5000): a DomainError naming it, never 0.0
+        with pytest.raises(DomainError, match="is not evaluated"):
+            right_side("EQ11", {"nu": 1.0, "a": a, "b": 10.0})
+
+    def test_far_factor_underflows(self):
+        # the bound z^-nu e^{-z^2/4} of a factor past 98 underflows with the other
+        # factor and the prefactor: 0.0 for the largest D_{-20}(-80) and Gamma(20)
+        for route, p in (("green_closed", {"lam": -39.0, "x": 69.4, "xprime": 56.5}),
+                         ("EQ15", {"nu": 20.0, "x": 98.01, "y": 80.0}),
+                         ("EQ14", {"a": 1e5, "phi": 700.0})):
+            value, args = right_side(route, p)
+            assert value == 0.0 and max(args["z"], args["w"]) > 98.0
+            assert_rounds_to_zero(args)
+
+    def test_nan_argument_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            specfun.pcf_d_product(1.0, math.nan, math.nan, 1.0, 1.0)
+        with pytest.raises(DomainError):
+            specfun.pcf_d_product(1.0, 1.0, 1.0, math.nan, math.nan)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_finite_value_or_domain_error(self, route, data):
+        # any finite input: a finite value or a DomainError, and 0.0 only where the
+        # product rounds to 0
+        real = st.one_of(st.floats(-120.0, 120.0), st.floats(allow_nan=False, allow_infinity=False))
+        nu = st.floats(0.0, 20.0, exclude_min=True)
+        names = {"product_reference": ("nu", "x", "y"), "EQ11": ("nu", "a", "b"),
+                 "EQ12": ("nu", "a", "b"), "EQ15": ("nu", "x", "y"), "EQ14": ("a", "phi"),
+                 "green_closed": ("lam", "x", "xprime")}[route]
+        p = data.draw(st.fixed_dictionaries({name: nu if name == "nu" else real for name in names}))
+        try:
+            value, args = right_side(route, p)
+        except DomainError:
+            return
+        assert isinstance(value, float) and math.isfinite(value), (route, p, value)
+        if value == 0.0:
+            assert_rounds_to_zero(args)
