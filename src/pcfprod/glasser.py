@@ -103,13 +103,14 @@ def product_reference(q: ProductQuery) -> float:
 
     This is the oracle side of every identity involving the product;
     it is defined for all real x, y (no x > y restriction).  The factors
-    come from :func:`pcfprod.specfun.pcf_d_product`, which sums series and
-    a continued fraction and runs no quadrature, so it shares no code with
-    the integral side.  Each factor is kept as a fraction and a binary
-    exponent, so a subnormal factor (D_{-1}(54) = 4.6e-319) or one that
-    underflows costs no digits where the product is a normal double.
+    come from :func:`pcfprod.specfun.pcf_d_product`, which sums series, a
+    continued fraction and Poincare expansions and runs no quadrature, so
+    it shares no code with the integral side.  Each factor is kept as a
+    fraction and a binary exponent, so a subnormal factor
+    (D_{-1}(54) = 4.6e-319) or one that underflows costs no digits where
+    the product is a normal double.
     Where the product overflows a double (large y, or x and -y both far
-    below 0), or x or -y is below -80, it raises :class:`DomainError`.
+    below 0), or x or -y is below -1700, it raises :class:`DomainError`.
     """
     return pcf_d_product(q.nu, q.x, q.x * q.x, -q.y, q.y * q.y)
 
@@ -122,14 +123,21 @@ def _laplace_integrand(nu: float, decay: float, b: float, sign: int, shift: floa
     -a t - b r = -decay t - b t/(t + r).  A Laplace form passes shift = b/2
     for sign +1 and 0 for -1; the product -decay/2 - ln(2 Gamma(nu)), b/2 plus
     the exponent of its prefactor e^{-a/2}/(2 Gamma(nu)).  The factor
-    (t/(1+t))^{nu/2-1} (1+t)^{-3/2} is never inf * 0."""
+    (t/(1+t))^{nu/2-1} (1+t)^{-3/2} is never inf * 0.  Where the exponential
+    overflows a double (a Laplace form whose integral is past a double, as at
+    a = 1500, b = 1499) the integrand raises :class:`DomainError`."""
     p = 0.5 * nu - 1.0
     q, c, g = (0.25 * b, 0.0, 0.5) if sign == 1 else (0.0, b, 0.0)
 
     def f(t: float) -> float:
         u = 1.0 + t
         expo = shift - decay * t - (q + c * t) / (t + g + math.sqrt(t * u))
-        return math.exp(expo) * (t / u) ** p / (u * math.sqrt(u))
+        try:
+            scale = math.exp(expo)
+        except OverflowError:
+            raise DomainError(f"the Laplace integrand's e^{{{expo}}} overflows a double "
+                              f"at t = {t}") from None
+        return scale * (t / u) ** p / (u * math.sqrt(u))
 
     return f
 

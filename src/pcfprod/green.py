@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
 from .hermsum import SeriesResult, bilinear_hermite_sum, scaled_hermite_frexp
-from .specfun import _LN2, _times_exp, gamma, pcf_d_product
+from .specfun import _times_exp, gamma, pcf_d_product
 
 __all__ = [
     "GreenQuery",
@@ -50,7 +50,7 @@ _ORACLE_RANGE = 6.0
 _ORACLE_RTOL = 1e-11  # local relative error allowed per step of solve_ivp
 
 # Taylor shooter: fixed order, step-size safety factor, and a cap on the
-# steps of one shoot (a whole oracle call, 16 units of t, takes 31-56)
+# steps of one shoot (a whole oracle call takes 31-56 at lambda <= 1, about 110 near 64)
 _TAYLOR_ORDER = 24
 _STEP_SAFETY = 0.7
 _MAX_STEPS = 1000
@@ -146,11 +146,7 @@ def eigenfunction(n: int, x: float) -> float:
     underflows, never nan.  The degree is capped at 2^19: a larger n raises
     :class:`DomainError`."""
     frac, expo = scaled_hermite_frexp(n, x)
-    half = 0.5 * x * x
-    # |pi^{-1/4} frac| < 1, so below e^{-746} the value rounds to 0.0
-    if expo * _LN2 - half < -746.0:
-        return 0.0
-    return _times_exp(math.pi ** -0.25 * frac, -half, expo)
+    return _times_exp(math.pi ** -0.25 * frac, -0.5 * x * x, expo, "eigenfunction({}, {})", n, x)
 
 
 def green_spectral(q: GreenQuery, tol: float = 5e-7) -> SeriesResult:
@@ -177,9 +173,9 @@ def green_closed(q: GreenQuery) -> float:
     :func:`pcfprod.specfun.pcf_d_product`, so a subnormal or underflowing
     factor costs no digits where G is a double.  It raises
     :class:`DomainError` for lambda < -39 (an order below -20), for x' above
-    about 56.6 (-x' sqrt 2 below -80) and where the product overflows a
-    double.  Past x of about 69.3 (x sqrt 2 past 98) G is below 2^-1075 at
-    every valid lambda and x', and is 0.0.
+    about 1202 (-x' sqrt 2 below -1700) and where the product overflows a
+    double.  Past x of about 1202 (x sqrt 2 past 1700) G is 0.0, or a
+    :class:`DomainError` where x' is within about 0.6 of x and G need not underflow.
     """
     if not q.x > q.xprime:
         raise DomainError(f"closed form requires x > x', got x={q.x}, x'={q.xprime}")
@@ -195,28 +191,29 @@ def green_ode_oracle(q: GreenQuery) -> float:
     """Wronskian construction from two shooting solutions.
 
     Integrates the left-decaying solution from -L and the right-decaying
-    solution from +L (L = 8) with WKB-normalized starting slopes
-    y'/y = +-sqrt(L^2 - lambda).  Any admixture of the wrong solution in
-    the starting data decays by ~ e^{-2 int sqrt(x^2-lambda)} on the way
-    in, which is < 1e-12 by |x| = 6; the construction is scale-invariant
-    so the arbitrary starting amplitude drops out.  The slopes need
-    lambda < L^2 = 64; a larger lambda raises :class:`DomainError`.  As the
-    turning point sqrt(lambda) nears L that decay fades: against the closed
-    form at x = 1, x' = 0 the error is 2e-15 at lambda = 20, 4e-7 at 40 and
-    1e-2 at 60.
+    solution from +L, L = max(8, 7 + sqrt(lambda)), with WKB-normalized
+    starting slopes y'/y = +-sqrt(L^2 - lambda).  Any admixture of the wrong
+    solution in the starting data decays by ~ e^{-2 int sqrt(x^2-lambda)} on
+    the way in: below 1e-12 by |x| = 6 at L = 8, and below e^{-49} past the
+    turning point sqrt(lambda) at L = 7 + sqrt(lambda).  The construction is
+    scale-invariant so the arbitrary starting amplitude drops out.  It takes
+    lambda < 64, the range it is checked on; a larger lambda raises
+    :class:`DomainError`.  Against 40-digit mpmath over 120 seeded points
+    with lambda in (1, 64) and |x|, |x'| <= 6 the worst relative error is
+    3.0e-13; at x = 1, x' = 0 at most 2e-15 at lambda = 20.5, 40.5, 60.5, 63.5.
     """
     if max(abs(q.x), abs(q.xprime)) > _ORACLE_RANGE:
         raise DomainError(f"oracle supports |x|, |x'| <= {_ORACLE_RANGE}")
     if not q.lam < _SHOOT_FROM ** 2:
-        raise DomainError(f"oracle requires lambda < {_SHOOT_FROM ** 2:g}, the square of its "
-                          f"shooting point, got lambda={q.lam}")
+        raise DomainError(f"oracle requires lambda < {_SHOOT_FROM ** 2:g}, the range it is "
+                          f"checked on, got lambda={q.lam}")
     if _eigen_distance(q.lam) < _ORACLE_POLE_GUARD:
         raise DomainError(
             f"lambda={q.lam} within {_ORACLE_POLE_GUARD} of an eigenvalue; "
             "the oracle is ill-conditioned there"
         )
     lam = q.lam
-    L = _SHOOT_FROM
+    L = max(_SHOOT_FROM, 7.0 + math.sqrt(max(lam, 0.0)))
     xlo, xhi = min(q.x, q.xprime), max(q.x, q.xprime)
 
     slope = math.sqrt(L * L - lam)

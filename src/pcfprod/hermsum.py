@@ -127,11 +127,10 @@ def scaled_hermite_frexp(n: int, x: float) -> tuple[float, int]:
 
     A step multiplies the pair (h_{k-1}, h_k) by at most sqrt(2)|x| + 1.  Once
     h_k passes 2^600 (less where |x| passes 2^419, so that the next step stays
-    finite) the pair is scaled down by a power of two and the exponent kept, as
-    :func:`pcfprod.specfun._sums` does, so the result is finite at any finite x;
-    below that nothing is scaled.  The loop runs n steps, so n is capped at 2^19,
-    the series' own cap on the products it computes; a larger degree raises
-    :class:`DomainError`.
+    finite) the pair is scaled down by a power of two and the exponent kept, so
+    the result is finite at any finite x; below that nothing is scaled.  The
+    loop runs n steps, so n is capped at 2^19, the series' own cap on the
+    products it computes; a larger degree raises :class:`DomainError`.
     """
     if not n >= 0 or n % 1:
         raise DomainError(f"Hermite degree must be a nonnegative integer, got {n}")

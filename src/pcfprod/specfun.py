@@ -4,7 +4,7 @@ parabolic cylinder function D of real order.
 D has two routes, neither of them a quadrature, so the identities whose
 other side is an integral check it against an engine it does not share:
 
-* negative real order -nu (nu > 0): the defining integral
+* negative real order -nu (nu > 0), for |z| < 15: the defining integral
   D_{-nu}(z) = e^{-z^2/4}/Gamma(nu) * S_nu(-z), with
   S_nu(w) = int_0^inf t^{nu-1} e^{w t - t^2/2} dt, expanded in powers of w.
   For z <= 0 the series has positive terms.  For z > 0 the Wronskian of
@@ -17,7 +17,9 @@ other side is an integral check it against an engine it does not share:
   z = 3 are kept for the last order used, so points of one order in
   0 < z < 3 pay for the continued fraction once.  The loops count in
   floats and test the peak and the tail each in its own phase, so a step
-  is float arithmetic only.
+  is float arithmetic only.  From |z| = 15 on, where the sums would take
+  about z^2 terms, D is its Poincare expansion (DLMF 12.9.1; for z < 0
+  with 12.2.15 and 12.9.2), as in both papers: at most 49 terms.
 * nonnegative integer order n: D_n(z) = 2^{-n/2} e^{-z^2/4} H_n(z/sqrt 2)
   = sqrt(n!) e^{-z^2/4} h_n(z/sqrt 2), the exponential applied to the
   binary exponent of h_n so that nothing underflows before D_n does.
@@ -53,9 +55,6 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # below _Z1 the continued fraction converges slowly: D(z) for 0 < z < _Z1
 # is a Taylor step inward from D(_Z1)
 _Z1 = 3.0
-# a partial sum past 2^_RESCALE is scaled by 2^-_RESCALE, and the count kept
-_RESCALE = 600
-_BIG, _SMALL = 2.0**_RESCALE, 2.0**-_RESCALE
 _LN2 = math.log(2.0)
 # ln 2 in two parts (fdlibm's): n * _LN2_HI is exact for |n| < 2^20
 _LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
@@ -66,16 +65,12 @@ _SUM_EPS = 2.0**-56
 _CF_EPS = 2.0**-52
 # |x - 1| <= _CF_EPS as one chained comparison: x - 1 is exact wherever it can be that small
 _CF_LO, _CF_HI = 1.0 - _CF_EPS, 1.0 + _CF_EPS
-# D_{-nu}(z) < e^{-z^2/4} for z >= 1, which rounds to 0 beyond _Z_ZERO; below
-# _Z_OVERFLOW, D_{-nu}(z) > nu e^{z^2/4}/(z-1) overflows a double at every nu > 0
-_Z_ZERO = 2.0 * math.sqrt(746.0)
-_Z_OVERFLOW = -80.0
-# a product's factors are summed up to _Z_FAR, past D's own underflow at _Z_ZERO; beyond
-# it a factor would take about z^2 terms and is bounded by z^-nu e^{-z^2/4} instead
-_Z_FAR = 98.0
-# D_n(z) = sqrt(n!) e^{-z^2/4} h_n(z/sqrt 2) for n <= 20, with sqrt(20!) < 2^31 and
-# |h_n| < 2^1024 (finite below |z| = 2 sqrt(_QUARTER_ZERO)), is 0.0 beyond this z^2/4
-_QUARTER_ZERO = 1500.0
+# from |z| = _Z_POINCARE on, D is its Poincare expansion, whose terms fall below 2^-56
+# of the sum before they grow at every order up to 20; the sums below it stay under e^172
+_Z_POINCARE = 15.0
+# e^{z^2/4} is split exactly as 2^n e^r up to |z| = _Z_FAR (n < 2^20): D_{-nu}(z) is
+# not evaluated past it, where it overflows (z < 0) or is below e^{-z^2/4} (z > 0)
+_Z_FAR = 1700.0
 
 
 def hermite(n: int, x: float) -> float:
@@ -119,17 +114,15 @@ def bessel_k_quarter(z: float) -> float:
     return math.sqrt(math.pi / root) * _pcf_d_negative_order(0.5, 2.0 * root, 4.0 * z)
 
 
-def _sums(nu: float, w: float, w2: float) -> tuple[float, float, int]:
-    """nu S_nu(w) and w S_{nu+1}(w) for w >= 0 and w2 = w^2, each scaled
-    by 2^{-600 m}, and m.  They are the sums over k >= 0 of nu T_k and of
-    k T_k, where T_k = 2^{(nu+k)/2-1} Gamma((nu+k)/2) w^k/k! and
-    T_{k+2} = T_k (nu+k) w^2/((k+1)(k+2)): two interleaved recurrences.
-    k is a float, so every step is float arithmetic."""
+def _sums(nu: float, w: float, w2: float) -> tuple[float, float]:
+    """nu S_nu(w) and w S_{nu+1}(w) for 0 <= w < _Z_POINCARE and w2 = w^2: the
+    sums over k >= 0 of nu T_k and of k T_k, where T_k = 2^{(nu+k)/2-1}
+    Gamma((nu+k)/2) w^k/k! and T_{k+2} = T_k (nu+k) w^2/((k+1)(k+2)): two
+    interleaved recurrences.  k is a float, so every step is float arithmetic."""
     nu_t0 = 2.0 ** (0.5 * nu) * math.gamma(0.5 * nu + 1.0)  # finite as nu -> 0
     t1 = 2.0 ** (0.5 * (nu - 1.0)) * math.gamma(0.5 * (nu + 1.0)) * w
     t2 = 0.5 * nu_t0 * w2
     s = s1 = 0.0
-    m = 0
     # k1 = k + 1 and p = (k+1)(k+2), the divisor of t1's step
     k, k1, p = 1.0, 2.0, 6.0
     # the climb: a step may still grow the terms; once (nu+k) w^2 < (k+1)(k+2)
@@ -137,8 +130,6 @@ def _sums(nu: float, w: float, w2: float) -> tuple[float, float, int]:
     while True:
         s += t1 + t2
         s1 += k * t1 + k1 * t2
-        if s1 > _BIG:
-            s, s1, t1, t2, m = s * _SMALL, s1 * _SMALL, t1 * _SMALL, t2 * _SMALL, m + 1
         nuk = nu + k
         k2 = k1 + 1.0
         k3 = k2 + 1.0
@@ -153,11 +144,9 @@ def _sums(nu: float, w: float, w2: float) -> tuple[float, float, int]:
         u = t1 + t2
         v = k * t1 + k1 * t2
         if u <= _SUM_EPS * s and v <= _SUM_EPS * s1:
-            return math.ldexp(nu_t0, -_RESCALE * m) + nu * s, s1, m
+            return nu_t0 + nu * s, s1
         s += u
         s1 += v
-        if s1 > _BIG:
-            s, s1, t1, t2, m = s * _SMALL, s1 * _SMALL, t1 * _SMALL, t2 * _SMALL, m + 1
         nuk = nu + k
         k2 = k1 + 1.0
         k3 = k2 + 1.0
@@ -183,6 +172,19 @@ def _ratio(nu: float, z: float) -> float:
             return f
 
 
+def _poincare(a: float, x: float) -> float:
+    """sum_s (a)_{2s} x^s/s!, the Poincare series of DLMF 12.9.1 (a = nu, x = -1/(2 z^2))
+    and 12.9.2 (a = 1 - nu, x = 1/(2 z^2)), stopped before the first term below 2^-56 of
+    the sum, or at its least term: past it the terms grow."""
+    total = term = 1.0
+    b, s = a, 1.0
+    while True:
+        nxt = term * b * (b + 1.0) * x / s
+        if not _SUM_EPS * abs(total) < abs(nxt) < abs(term):
+            return total
+        total, term, b, s = total + nxt, nxt, b + 2.0, s + 1.0
+
+
 def _exp_frexp(x: float, expo: float, power: int) -> tuple[float, int]:
     """x e^expo 2^power for a moderate expo as (frac, n) with frac in [0.5, 1)
     and x e^expo 2^power = frac 2^n.  e^expo is split as 2^n e^r with
@@ -194,28 +196,24 @@ def _exp_frexp(x: float, expo: float, power: int) -> tuple[float, int]:
     return frac, e + n + power
 
 
-def _times_exp(x: float, expo: float, power: int) -> float:
-    """x e^expo 2^power for a moderate expo, rounded once by ldexp, or
-    OverflowError where it overflows."""
-    return math.ldexp(*_exp_frexp(x, expo, power))
-
-
-def _scaled(frac_exp: tuple[float, int], nu: float, z: float) -> float:
-    """D_{-nu}(z) from its fraction and binary exponent, rounded once, or
-    DomainError where it overflows."""
+def _times_exp(x: float, expo: float, power: int, name: str, *args: object) -> float:
+    """x e^expo 2^power, rounded once by ldexp: 0.0 below e^-746 < 2^-1075, tested before
+    e^expo is split, so expo may be any size there, and a :class:`DomainError` naming
+    ``name.format(*args)``, formatted on that path alone, where it overflows a double."""
+    if (math.frexp(x)[1] + power) * _LN2 + expo < -746.0:
+        return 0.0
     try:
-        return math.ldexp(*frac_exp)
+        return math.ldexp(*_exp_frexp(x, expo, power)) if expo else math.ldexp(x, power)
     except OverflowError:
-        raise DomainError(f"D_{{{-nu}}}({z}) overflows a double") from None
+        raise DomainError(name.format(*args) + " overflows a double") from None
 
 
 def _wronskian_frexp(nu: float, z: float, zz: float) -> tuple[float, int, float]:
     """D_{-nu}(z) = frac 2^n as (frac, n), and D_{-nu-1}(z)/D_{-nu}(z), for
     z > 0, from D_{-nu}(z) = sqrt(2 pi) e^{z^2/4} / (S_{nu+1}(z) + rho nu S_nu(z))."""
-    p, q, m = _sums(nu, z, zz)
+    p, q = _sums(nu, z, zz)
     rho = _ratio(nu, z)
-    den = q / z + rho * p
-    return *_exp_frexp(_SQRT_2PI / den, 0.25 * zz, -_RESCALE * m), rho
+    return *_exp_frexp(_SQRT_2PI / (q / z + rho * p), 0.25 * zz, 0), rho
 
 
 @functools.lru_cache(maxsize=1)
@@ -261,25 +259,38 @@ def _taylor_inward(nu: float, z: float) -> float:
 
 
 def _pcf_d_negative_order_frexp(nu: float, z: float, zz: float) -> tuple[float, int]:
-    """D_{-nu}(z) = frac 2^n as (frac, n) for nu > 0, given zz = z^2: the
-    binary exponent n is exact, so neither part under- or overflows where
-    D_{-nu}(z) does.  DomainError below _Z_OVERFLOW."""
-    if z < _Z_OVERFLOW:
+    """D_{-nu}(z) = frac 2^n as (frac, n) for nu > 0 and z <= _Z_FAR, given
+    zz = z^2: the binary exponent n is exact, so neither part under- or
+    overflows where D_{-nu}(z) does.  DomainError below -_Z_FAR."""
+    if z < -_Z_FAR:
         raise DomainError(f"D_{{{-nu}}}({z}) overflows a double")
+    if z >= _Z_POINCARE:  # DLMF 12.9.1
+        return _exp_frexp(z ** -nu * _poincare(nu, -0.5 / zz), -0.25 * zz, 0)
     if z >= _Z1:
         return _wronskian_frexp(nu, z, zz)[:2]
     if z > 0.0:
         return math.frexp(_taylor_inward(nu, z))
-    # D_{-nu}(-w) = e^{-w^2/4} nu S_nu(w)/Gamma(nu+1), all terms positive
-    p, _, m = _sums(nu, -z, zz)
-    return _exp_frexp(p / math.gamma(nu + 1.0), -0.25 * zz, _RESCALE * m)
+    if z > -_Z_POINCARE:
+        # D_{-nu}(-w) = e^{-w^2/4} nu S_nu(w)/Gamma(nu+1), all terms positive
+        return _exp_frexp(_sums(nu, -z, zz)[0] / math.gamma(nu + 1.0), -0.25 * zz, 0)
+    # DLMF 12.2.15 and 12.9.2: D_{-nu}(-w) = sqrt(2 pi)/Gamma(nu) e^{w^2/4} w^{nu-1} sum
+    # + cos(pi nu) D_{-nu}(w), with 1/Gamma(nu) = m 2^k/Gamma(nu+1) for nu = m 2^k, so
+    # a subnormal order costs no digits; as nu -> 0 the second term dominates, and its
+    # shift nb - na stays below 916 (k >= -1074, w^2/4 >= 56)
+    m, k = math.frexp(nu)
+    fa, na = _exp_frexp(_SQRT_2PI * m / math.gamma(nu + 1.0) * (-z) ** (nu - 1.0)
+                        * _poincare(1.0 - nu, 0.5 / zz), 0.25 * zz, k)
+    fb, nb = _pcf_d_negative_order_frexp(nu, -z, zz)
+    frac, e = math.frexp(fa + math.cos(math.pi * nu) * math.ldexp(fb, nb - na))
+    return frac, e + na
 
 
 def _pcf_d_negative_order(nu: float, z: float, zz: float) -> float:
     """D_{-nu}(z) for nu > 0, given zz = z^2."""
-    if z > _Z_ZERO:  # D rounds to 0; its fraction would take up to 5000 steps of the sums
+    if z > _Z_FAR:  # D < e^{-z^2/4} rounds to 0
         return 0.0
-    return _scaled(_pcf_d_negative_order_frexp(nu, z, zz), nu, z)
+    frac, n = _pcf_d_negative_order_frexp(nu, z, zz)
+    return _times_exp(frac, 0.0, n, "D_{{{}}}({})", -nu, z)
 
 
 def _check_order(nu_order: float) -> None:
@@ -297,12 +308,11 @@ def pcf_d_product(nu: float, z: float, zz: float, w: float, ww: float,
     values.  Each factor is kept as a fraction and a binary exponent, and
     e^expo and the summed exponent are applied once, so a subnormal or
     underflowing factor, or an e^expo past a double, costs no digits where
-    the product is a double.  A factor past z = 98 is not summed (that
-    would take about z^2 terms) but bounded by z^-nu e^{-z^2/4}: the
-    product is 0.0 where that bound is below 2^-1075, and a
-    :class:`DomainError` naming the argument where it is not.  Where the
-    product overflows a double, or an argument is below -80 or nan, it
-    raises :class:`DomainError` too.
+    the product is a double.  A factor past z = 1700, where e^{-z^2/4} is not
+    split exactly, is not evaluated but bounded by z^-nu e^{-z^2/4}: the product
+    is 0.0 where that bound is below 2^-1075, and a :class:`DomainError` naming
+    the argument where it is not.  Where the product overflows a double, or an
+    argument is below -1700 or nan, it raises :class:`DomainError` too.
     """
     _check_order(-nu)
     frac, power, log_far = factor, 0, 0.0
@@ -319,10 +329,7 @@ def pcf_d_product(nu: float, z: float, zz: float, w: float, ww: float,
             return 0.0
         raise DomainError(f"D_{{{-nu}}}({z}) D_{{{-nu}}}({w}) need not underflow, and a "
                           f"factor past z = {_Z_FAR} is not evaluated")
-    try:
-        return _times_exp(frac, expo, power)
-    except OverflowError:
-        raise DomainError(f"D_{{{-nu}}}({z}) D_{{{-nu}}}({w}) overflows a double") from None
+    return _times_exp(frac, expo, power, "D_{{{0}}}({1}) D_{{{0}}}({2})", -nu, z, w)
 
 
 def pcf_d(nu_order: float, z: float) -> float:
@@ -332,21 +339,20 @@ def pcf_d(nu_order: float, z: float) -> float:
     nonnegative integers up to 20, at any finite z.  Anything else raises
     :class:`DomainError` -- there is no silent fallback.
 
-    A negative order runs no quadrature: for z <= 0 a series of positive
-    terms, for z >= 3 the Wronskian with that series and a continued
-    fraction, and for 0 < z < 3 a Taylor step inward from z = 3 (see the
-    module docstring).  Against 40-digit mpmath over orders in
-    [-20, -1e-9] and |z| <= 53.5 the relative error stays within
-    16 eps max(1, z^2/2), z^2/2 being D's own condition number in z.  The
-    sums take about z^2 terms.  On one Xeon core (CPython 3.11) a call
-    costs 19-21 us for -7 <= z <= 0, 27-41 us for 3 <= z < 7, 17-20 us
-    for 0 < z < 3 at the order of the previous such call and 32-58 us at
-    a new one, and 0.5-0.75 ms at |z| = 50.  Where D_order(z) overflows a
-    double (z < 0 only, e.g. D_{-20}(-53)) it raises :class:`DomainError`;
-    beyond z = 2 sqrt(746) it underflows and is returned as 0.0.  An
-    integer order n is evaluated in log scale, so D_n(z) is 0.0 only where
-    it underflows (D_20(55) = 2.2e-294 is returned; beyond |z| = 77.5
-    every D_n(z) is 0.0), never nan.
+    A negative order runs no quadrature: a series of positive terms for
+    -15 < z <= 0, the Wronskian for 3 <= z < 15, a Taylor step inward from
+    z = 3 for 0 < z < 3 and the Poincare expansions for |z| >= 15 (see the
+    module docstring).  Against 40-digit mpmath over orders in [-20, -1e-9]
+    and -80 <= z <= 1000 the relative error stays within 16 eps max(1, z^2/2),
+    z^2/2 being D's own condition number in z.  On one Xeon core (CPython
+    3.11) a call costs 19-21 us for -7 <= z <= 0, 27-41 us for 3 <= z < 7,
+    17-20 us for 0 < z < 3 at the order of the previous such call and
+    32-58 us at a new one, and 3-13 us for |z| >= 15.  Where D_order(z)
+    overflows a double (z < 0 only, e.g. D_{-20}(-53)), and below z = -1700,
+    it raises :class:`DomainError`; beyond z = 2 sqrt(746) it underflows and
+    is returned as 0.0.  An integer order n is evaluated in log scale, so
+    D_n(z) is 0.0 only where it underflows (D_20(55) = 2.2e-294 is returned;
+    beyond |z| = 77.5 every D_n(z) is 0.0), never nan.
     """
     _check_order(nu_order)
     if not math.isfinite(z):
@@ -361,8 +367,5 @@ def pcf_d(nu_order: float, z: float) -> float:
         )
     # D_n(z) = sqrt(n!) e^{-z^2/4} h_n(z/sqrt 2), e^{-z^2/4} applied to h_n's mantissa
     # and binary exponent: it underflows only where D_n does
-    quarter = 0.25 * z * z
-    if quarter > _QUARTER_ZERO:
-        return 0.0
     frac, expo = scaled_hermite_frexp(n, z / math.sqrt(2.0))
-    return _scaled(_exp_frexp(math.sqrt(math.factorial(n)) * frac, -quarter, expo), -n, z)
+    return _times_exp(math.sqrt(math.factorial(n)) * frac, -0.25 * z * z, expo, "D_{}({})", n, z)

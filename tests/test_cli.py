@@ -393,14 +393,30 @@ class TestVerify:
         assert r.exit_code == 0, r.stderr
         assert r.stdout.splitlines()[-1] == "# summary: pass=1 fail=0 skip=0"
 
-    @pytest.mark.parametrize("a", ["5000", "1e6"])
-    def test_laplace_factor_past_98_is_a_skip(self, run_cli, a):
-        # x = 100 or 1414 is not summed, and e^{a/2} lifts the product back into
-        # range (about 0.03 and 2e-3): a skip, not a failure with rhs 0.0
-        r = run_cli(["verify", "EQ11", "--nu", "1", "--a", a, "--b", "10"])
+    @pytest.mark.parametrize("args", [
+        # D_{-1}(-100) overflows a double, but the product is 3.3e-13
+        "EQ10 --nu 1 --x 100.5 --y 100",
+        # x = 100 or 1414, and e^{a/2} lifts the product back into range (about
+        # 0.03 and 2e-3)
+        "EQ11 --nu 1 --a 5000 --b 10",
+        "EQ11 --nu 1 --a 1e6 --b 10",
+    ], ids=lambda a: a.replace(" --", "-").replace(" ", "="))
+    def test_factor_past_the_old_limits_passes(self, run_cli, args):
+        # factors below -80 or past 98 were a skip
+        r = run_cli(["verify", *args.split()])
+        assert r.exit_code == 0, r.stderr
+        assert r.stdout.splitlines()[-1] == "# summary: pass=1 fail=0 skip=0"
+
+    def test_laplace_integral_past_a_double(self, run_cli):
+        # the integral, about e^{750}, overflows its integrand's exponential: verify
+        # skips the point and eval exits 2, where both ended in a traceback
+        r = run_cli(["verify", "EQ11", "--nu", "1", "--a", "1500", "--b", "1499"])
         assert r.exit_code == 0
         assert r.stdout.splitlines()[-1] == "# summary: pass=0 fail=0 skip=1"
-        assert "is not evaluated" in r.stderr and "past z = 98.0" in r.stderr
+        assert "overflows a double" in r.stderr
+        r = run_cli(["eval", "laplace_I", "--nu", "1", "--a", "1500", "--b", "1499", "--sign", "1"])
+        assert r.exit_code == 2
+        assert r.stderr.startswith("domain error: ") and "overflows a double" in r.stderr
 
     def test_near_diagonal_sum_rule_passes(self, run_cli):
         # x - y = 0.1 (X - Y = 0.07) used to stall at 524,288 terms
@@ -519,11 +535,11 @@ class TestVerify:
                          "0.5": self.NOTE_AT_HALF.get(identity, ""), "1e-8": ""}
 
     def test_clamped_failure_keeps_its_reason(self, run_cli):
-        # rel_err about 3.0e-15, from the direct product at large x and y
-        r = run_cli(["verify", "EQ10", "--nu", "1", "--x", "30", "--y", "29",
+        # rel_err about 1.6e-15, from the direct product at large x and y
+        r = run_cli(["verify", "EQ10", "--nu", "2.5", "--x", "13", "--y", "12",
                                  "--tol", "1e-15"])
         assert r.exit_code == 1
-        assert r.stderr == ("# EQ10 nu=1.0 x=30.0 y=29.0: error above tolerance; "
+        assert r.stderr == ("# EQ10 nu=2.5 x=13.0 y=12.0: error above tolerance; "
                             "quadrature tol clamped to 1e-14\n")
 
     def test_identity_name_case_insensitive(self, run_cli):

@@ -121,7 +121,7 @@ class TestProductReference:
     def test_factor_outside_double_range(self, nu, x, y):
         # D_{-1}(54) = 4.6e-319 is subnormal and D_{-1}(60) underflows, but not
         # the products; D_{-1}(-60) overflows, but not D_{-1}(-60) D_{-1}(60);
-        # D_{-1/2}(90) = 3.8e-881 is summed, a factor of a product near 8e-189
+        # D_{-1/2}(90) = 3.8e-881 is evaluated, a factor of a product near 8e-189
         with mpmath.workdps(40):
             ref = mpmath.pcfd(-nu, x) * mpmath.pcfd(-nu, -y)
             err = abs(product_reference(ProductQuery(nu, x, y)) - ref) / ref
@@ -221,6 +221,12 @@ class TestLaplaceForms:
             laplace_I(LaplaceParams(1.0, 1.0, -2.0), -1)  # needs a + b > 0
         with pytest.raises(DomainError):
             laplace_I(LaplaceParams(1.0, 2.0, 1.0), 2)
+
+    def test_integrand_overflow_is_a_domain_error(self):
+        # the integral, about e^{750}, is past a double: its integrand's exponential
+        # overflows, a DomainError and not an OverflowError
+        with pytest.raises(DomainError, match="integrand's e\\^\\{.*\\} overflows a double"):
+            laplace_I(LaplaceParams(1.0, 1500.0, 1499.0), 1)
 
 
 def _mp_product(nu, x, y):

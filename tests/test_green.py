@@ -137,6 +137,15 @@ class TestShooter:
         assert got[0] == pytest.approx(sol.y[0, -1], rel=1e-9)
         assert got[1] == pytest.approx(sol.y[1, -1], rel=1e-9)
 
+    @pytest.mark.parametrize("lam", [20.5, 40.5, 60.5, 63.5])
+    def test_near_the_lambda_limit(self, lam):
+        # L = 7 + sqrt(lambda) keeps the shooting point 7 units past the turning point;
+        # from L = 8 the error at x = 1, x' = 0 was 8e-7 at lambda = 40.5 and 4e-2 at 60.5
+        for x, xp in ((1.0, 0.0), (4.0, -2.5), (6.0, -6.0)):
+            ode = green_ode_oracle(GreenQuery(lam, x, xp))
+            ref = green_closed_mp(lam, x, xp)
+            assert abs((ode - ref) / ref) < 1e-10, (lam, x, xp)
+
     def test_deterministic(self):
         q = GreenQuery(-1.3, 2.2, -0.7)
         assert green_ode_oracle(q) == green_ode_oracle(q)
@@ -247,7 +256,7 @@ class TestGuards:
 
     @pytest.mark.parametrize("lam", [64.0, 700.0, 1e300])
     def test_ode_needs_lambda_below_shooting_point_squared(self, lam):
-        # the starting slopes are +-sqrt(64 - lambda); was a math ValueError
+        # the oracle is checked below lambda = 64; a math ValueError once
         with pytest.raises(DomainError, match="requires lambda < 64, .*" + re.escape(f"={lam}")):
             green_ode_oracle(GreenQuery(lam, 1e-300, 2.2))
 

@@ -139,10 +139,13 @@ class TestBesselKQuarter:
             bessel_k_quarter(bad)
 
 
-# pcf_d bits frozen from the loops on int counters, before the anchor memo: each
-# branch, both ends of the Taylor route and a subnormal value
+# pcf_d bits of each branch, both ends of the Taylor route and a subnormal value: for
+# |z| < 15 frozen from the loops on int counters, before the anchor memo; for |z| >= 15
+# from the Poincare expansions, which moved D_{-1/2}(-30) from 11 to 0.3 eps off
+# 40-digit mpmath and left D_{-1}(53.5) as it was
 FROZEN_BITS = [
-    (-0.5, -30.0, "0x1.92b1bff22574fp+322"),
+    (-0.5, -30.0, "0x1.92b1bff225760p+322"),
+    (-7.5, -15.0, "0x1.1524f8aaf1a33p+97"),
     (-2.5, -1.0, "0x1.b34cf03ae5bd9p+1"),
     (-12.0, 0.0, "0x1.937e11175f095p-14"),
     (-0.5, 1e-12, "0x1.375e23df01638p+0"),
@@ -153,6 +156,8 @@ FROZEN_BITS = [
     (-0.5, 3.0, "0x1.e155695d8ab3bp-5"),
     (-2.5, 4.25, "0x1.f6c510c6ef960p-13"),
     (-12.0, 10.0, "0x1.0c7f00931461dp-77"),
+    (-20.0, 15.0, "0x1.63e95737257f2p-161"),
+    (-2.5, 20.0, "0x1.e10d7dd7ec085p-156"),
     (-1.0, 53.5, "0x0.0000f21de4ce3p-1022"),
 ]
 
@@ -257,6 +262,52 @@ class TestPcfD:
                         continue
                     err = float(abs(got - ref) / ref)
                     assert err <= 16 * EPS * max(1.0, z * z / 2), (nu, z, err)
+
+    def test_fraction_and_exponent_sweep(self):
+        # orders log-uniform in [1e-9, 20] and z in [-80, 1000]: the fraction and
+        # binary exponent that pcf_d_product multiplies, also where D is past a double
+        rng = random.Random(21)
+        with mp.workdps(40):
+            for _ in range(200):
+                nu = math.exp(rng.uniform(math.log(1e-9), math.log(20.0)))
+                z = (rng.uniform(-80.0, 80.0) if rng.random() < 0.7
+                     else math.exp(rng.uniform(math.log(80.0), math.log(1e3))))
+                frac, n = specfun._pcf_d_negative_order_frexp(nu, z, z * z)
+                ref = mp.pcfd(-nu, z)
+                err = float(abs(mp.ldexp(frac, n) - ref) / ref)
+                assert err <= 16 * EPS * max(1.0, z * z / 2), (nu, z, err)
+
+    @pytest.mark.parametrize("nu", [1e-9, 0.03, 0.5, 1.0, 2.5, 12.2209, 20.0])
+    def test_poincare_crossover(self, nu):
+        # z = +-15, where the Poincare expansions take over from the sums, and the
+        # ulp on each side of it
+        with mp.workdps(40):
+            for edge in (15.0, -15.0):
+                for z in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, 2.0 * edge)):
+                    ref = mp.pcfd(-nu, z)
+                    err = float(abs(pcf_d(-nu, z) - ref) / ref)
+                    assert err <= 16 * EPS * z * z / 2, (nu, z, err)
+
+    @pytest.mark.parametrize("nu", [5e-324, 1e-310])
+    @pytest.mark.parametrize("z", [-15.0, -40.0, -60.0])
+    def test_subnormal_order(self, nu, z):
+        # 1/Gamma(nu) = nu/Gamma(nu+1) with nu's binary exponent kept apart; at z = -15
+        # the term cos(pi nu) D_{-nu}(15) ~ e^{-56} outweighs the one of order nu
+        with mp.workdps(30):  # at 40 digits mpmath takes seconds here
+            ref = mp.pcfd(-nu, z)
+        assert abs(pcf_d(-nu, z) - ref) <= 16 * EPS * z * z / 2 * ref, (nu, z)
+
+    def test_far_limit(self):
+        # up to |z| = 1700 e^{z^2/4} is split exactly; past it D is 0.0 for z > 0 and a
+        # DomainError for z < 0, where it overflows
+        with mp.workdps(40):
+            for z in (1700.0, -1700.0):
+                frac, n = specfun._pcf_d_negative_order_frexp(2.5, z, z * z)
+                ref = mp.pcfd(-2.5, z)
+                assert abs(mp.ldexp(frac, n) - ref) <= 16 * EPS * z * z / 2 * ref
+        assert pcf_d(-2.5, math.nextafter(1700.0, math.inf)) == 0.0
+        with pytest.raises(DomainError, match="overflows a double"):
+            pcf_d(-1e-9, math.nextafter(-1700.0, -math.inf))
 
     @pytest.mark.parametrize("order,z", [(-1.0, -40.0), (-0.5, -53.0), (-15.0, -51.0)])
     def test_large_finite_values(self, order, z):
@@ -426,16 +477,35 @@ class TestPcfDProduct:
         with pytest.raises(DomainError, match="overflows a double"):
             specfun.pcf_d_product(1.0, -79.0, 6241.0, -79.0, 6241.0)
 
-    @pytest.mark.parametrize("a", [5000.0, 1e6, 1e20, 1e150])
+    @pytest.mark.parametrize("route,p", [
+        # D_{-1}(-100) overflows a double, but not its product with D_{-1}(100.5)
+        ("product_reference", {"nu": 1.0, "x": 100.5, "y": 100.0}),
+        # x = 100 and 1414, and e^{a/2} lifts the product back into range
+        ("EQ11", {"nu": 1.0, "a": 5000.0, "b": 10.0}),
+        ("EQ11", {"nu": 1.0, "a": 1e6, "b": 10.0}),
+    ], ids=["EQ10-x=100.5", "EQ11-a=5000", "EQ11-a=1e6"])
+    def test_past_the_old_limits(self, route, p):
+        # factors past z = 98 and below -80 were not evaluated
+        value, args = right_side(route, p)
+        if route == "EQ11":
+            ref = reference(route, p)
+        else:
+            with mp.workdps(40):
+                ref = mp.pcfd(-p["nu"], p["x"]) * mp.pcfd(-p["nu"], -p["y"])
+        bound = 16 * EPS * sum(max(1.0, v * v / 2) for v in (args["z"], args["w"]))
+        assert abs(value - ref) <= bound * ref, (route, p, value, ref)
+
+    @pytest.mark.parametrize("a", [1e20, 1e150])
     def test_far_factor_under_a_large_prefactor(self, a):
-        # x past 98 is not summed, and e^{a/2} lifts the product back into range
-        # (about 0.03 at a = 5000): a DomainError naming it, never 0.0
+        # x past 1700 is not evaluated, and e^{a/2} may lift the product back into
+        # range: a DomainError naming it, never 0.0
         with pytest.raises(DomainError, match="is not evaluated"):
             right_side("EQ11", {"nu": 1.0, "a": a, "b": 10.0})
 
     def test_far_factor_underflows(self):
-        # the bound z^-nu e^{-z^2/4} of a factor past 98 underflows with the other
-        # factor and the prefactor: 0.0 for the largest D_{-20}(-80) and Gamma(20)
+        # a factor past 98 underflows with the other factor and the prefactor: 0.0
+        # for the largest D_{-20}(-80) and Gamma(20); past 1700 (EQ14) its bound
+        # z^-nu e^{-z^2/4} does
         for route, p in (("green_closed", {"lam": -39.0, "x": 69.4, "xprime": 56.5}),
                          ("EQ15", {"nu": 20.0, "x": 98.01, "y": 80.0}),
                          ("EQ14", {"a": 1e5, "phi": 700.0})):
