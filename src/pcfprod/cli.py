@@ -24,13 +24,14 @@ range [1e-14, 1e-2]; a record whose quadrature tolerance was clamped
 says so in its note.  CSV output writes the notes of skipped, failed
 and noted records to stderr; JSON output writes a number that is nan
 or infinite, such as the sides of a skipped record, as null.  ``eval``
-and ``explore-equal-args`` report a tolerance they clamped as
-``# tol_effective``, and ``explore-equal-args`` a quadrature that missed
-it.
+passes ``--tol`` to its route as given; ``explore-equal-args`` reports a
+tolerance it clamped as ``# tol_effective``, and a quadrature that
+missed it.
 
 The command line is parsed with :mod:`argparse`; a usage error prints the
 command's usage line and the message on stderr and exits with status 2,
-a ``DomainError`` from ``eval`` exits 2 and a ``ConvergenceError`` 3.  A
+a ``DomainError`` from ``eval`` exits 2 and a ``ConvergenceError`` 3,
+after its partial result, where it has one, is printed on stdout.  A
 launch imports only what its command runs: ``glasser``, ``green`` and
 ``mehler`` are imported by the first route that reads them, so
 ``eval pcf_d`` loads neither those modules nor numpy.
@@ -118,19 +119,13 @@ EVAL_TARGETS = {
     "green_ode": (("lam", "x", "xprime"), lambda lam, x, xprime, tol:
                   green.green_ode_oracle(green.GreenQuery(lam, x, xprime))),
     "eigenfunction": (("n", "x"), lambda n, x, tol: green.eigenfunction(n, x)),
-    # the left sides run at min(tol, 1e-10), as in their identities
     "hyperbolic_lhs_13a": (("alpha", "phi"), lambda alpha, phi, tol: hyperbolic.lhs_13a(
-        hyperbolic.HyperbolicQuery(alpha=alpha, phi=phi), min(tol, 1e-10))),
+        hyperbolic.HyperbolicQuery(alpha=alpha, phi=phi), tol)),
     "hyperbolic_lhs_13b": (("alpha", "phi"), lambda alpha, phi, tol: hyperbolic.lhs_13b(
-        hyperbolic.HyperbolicQuery(alpha=alpha, phi=phi), min(tol, 1e-10))),
+        hyperbolic.HyperbolicQuery(alpha=alpha, phi=phi), tol)),
     "hyperbolic_lhs_14": (("a", "phi"), lambda a, phi, tol: hyperbolic.lhs_14(
-        hyperbolic.HyperbolicQuery(a=a, phi=phi), min(tol, 1e-10))),
+        hyperbolic.HyperbolicQuery(a=a, phi=phi), tol)),
 }
-
-# The Hermite-series routes pass tol/2 to hermsum, whose tail bounds are
-# checked against mpmath down to 1e-10 (tests/test_hermsum.py)
-_SERIES_TOL_FLOOR = 1e-9
-_SERIES_TARGETS = ("series_for_I", "sum_rule_lhs", "green_spectral")
 
 
 def _echo_result(result) -> None:
@@ -193,14 +188,7 @@ def _parse_gridspec(name: str, spec: str) -> list[float]:
     return [lo + step * i for i in range(count)]
 
 
-# EQ3 stays short of the series' own |u| <= 0.95 limit, where the series
-# error creeps toward the tolerance
-_EQ3_U_LIMIT = 0.9
-
-
 def _verify_eq3(p, tol):
-    if not abs(p["u"]) <= _EQ3_U_LIMIT:
-        raise DomainError(f"EQ3 is verified for |u| <= {_EQ3_U_LIMIT}, got u={p['u']}")
     point = mehler.MehlerPoint(p["X"], p["Y"], p["u"])
     series = mehler.mehler_kernel_series(point, tol * 0.1)
     # kernel values can be exponentially small while series terms are O(1);
@@ -385,18 +373,18 @@ def eval_cmd(args: argparse.Namespace, params: list[str]) -> int:
     missing = [n for n in names if n not in point]
     if missing:
         raise UsageError(f"missing parameter(s): {', '.join('--' + m for m in missing)}")
-    used = max(tol, _SERIES_TOL_FLOOR) if target in _SERIES_TARGETS else tol
     try:
-        result = route(*(point[n] for n in names), used)
+        result = route(*(point[n] for n in names), tol)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return _EXIT_DOMAIN
     except ConvergenceError as exc:
+        # the best value the route reached, then why it missed its tolerance
+        if exc.partial is not None:
+            _echo_result(exc.partial)
         print(f"convergence error: {exc}", file=sys.stderr)
         return _EXIT_CONVERGENCE
     _echo_result(result)
-    if used != tol:
-        print(f"# tol_effective = {used!r}")
     return 0
 
 

@@ -174,6 +174,7 @@ def product_via_integral(
             raise DomainError(f"requires x >= y > 0, got x={q.x}, y={q.y}")
     elif not (q.x > q.y > 0.0):
         raise DomainError(f"representation requires x > y > 0, got x={q.x}, y={q.y}")
-    decay = 0.5 * (q.x - q.y) ** 2
+    gap = q.x - q.y
+    decay = 0.5 * (gap * gap)  # ** raises where it overflows
     shift = -0.5 * decay - math.log(2.0 * gamma(q.nu))
     return integrate_semi_infinite(_laplace_integrand(q.nu, decay, q.x * q.y, 1, shift), decay, tol)

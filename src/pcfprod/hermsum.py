@@ -113,8 +113,8 @@ def _rules() -> tuple[list[float], float, tuple[np.ndarray, ...]]:
 
 @dataclass(frozen=True)
 class SeriesResult:
-    """A truncated series' value; ``tail_bound`` bounds its absolute error
-    (of truncation, and for :func:`bilinear_hermite_sum` of rounding too)."""
+    """A truncated series' value; ``tail_bound`` bounds its absolute error,
+    of truncation and of rounding."""
 
     value: float
     terms_used: int
@@ -286,7 +286,7 @@ def bilinear_hermite_sum(X: float, Y: float, shift: float, tol: float,
     log_drop = log_amp + (count + shift) * log_u
     dropped = math.exp(log_drop) / ((count + shift) * ladder[k]) if log_drop < 709.0 else math.inf
     bound = tails[k] + dropped + rounding
-    if value and bound <= tol * abs(value):
+    if value and bound <= tol * abs(value) and math.isfinite(bound):
         return SeriesResult(factor * value, count, factor * bound)
     test = f"> tol*|value| {tol * abs(factor * value):.3e}" if value else "with a sum of 0.0"
     tried = ", ".join(f"1-u={ladder[j]:.4g} tail {factor * tails[j]:.2e}" for j in range(k + 1))

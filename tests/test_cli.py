@@ -8,11 +8,14 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pcfprod
-from pcfprod import (ConvergenceError, HyperbolicQuery, LaplaceParams, ProductQuery,
-                     SeriesResult, SumRuleQuery, laplace_I, lhs_14, product_via_integral,
-                     quadrature, sum_rule_lhs)
+from pcfprod import (ConvergenceError, DomainError, HyperbolicQuery, LaplaceParams,
+                     ProductQuery, SeriesResult, SumRuleQuery, laplace_I, lhs_14,
+                     product_via_integral, quadrature, sum_rule_lhs)
+from pcfprod.cli import EVAL_TARGETS
 
 
 def first_value(output):
@@ -185,18 +188,33 @@ class TestEval:
         assert r.exit_code == 0
         assert first_value(r.stdout) == pytest.approx(1.115118243961698e-302, rel=1e-14)
 
-    def test_clamped_tolerance_is_reported(self, run_cli):
-        # one floor, 1e-9, for every Hermite-series target
+    @pytest.mark.parametrize("tol", ["1e-12", "1e-14"])
+    def test_series_tolerance_is_taken_as_given(self, run_cli, tol):
+        # no floor: each Hermite series runs at --tol, and either its bound
+        # meets it or it exits 3 with its best value and that value's bound
         for args in (["series_for_I", "--nu", "1", "--X", "1", "--Y", "0.2"],
                      ["sum_rule_lhs", "--nu", "1", "--x", "2", "--y", "1"],
                      ["green_spectral", "--lam", "0", "--x", "1", "--xprime", "0"]):
-            r = run_cli(["eval", *args, "--tol", "1e-12"])
-            assert r.exit_code == 0
-            assert "# tol_effective = 1e-09" in r.stdout.splitlines()
-            for tol in ("1e-9", "1e-6"):
-                r = run_cli(["eval", *args, "--tol", tol])
-                assert r.exit_code == 0
-                assert "tol_effective" not in r.stdout
+            r = run_cli(["eval", *args, "--tol", tol])
+            value, terms, bound = r.stdout.splitlines()
+            assert terms.startswith("# terms_used = ")
+            assert bound.startswith("# tail_bound = ")
+            within = float(bound.split(" = ")[1]) <= float(tol) * abs(float(value))
+            assert (r.exit_code, within) in ((0, True), (3, False)), r.stderr
+            assert r.stderr.startswith("convergence error: ") == (r.exit_code == 3)
+
+    def test_convergence_error_prints_its_partial(self, run_cli):
+        # the Mehler series' rounding alone exceeds tol*(1+|value|) here, where
+        # the kernel is 5.4e-32: the best sum is shown, then why it missed
+        r = run_cli(["eval", "mehler_kernel_series", "--X", "6", "--Y", "-6", "--u", "0.5",
+                     "--tol", "1e-9"])
+        assert r.exit_code == 3
+        value, terms, bound = r.stdout.splitlines()
+        assert float(value) == pytest.approx(1.65e-6, rel=1e-2)
+        assert terms == "# terms_used = 83"
+        assert float(bound.split(" = ")[1]) >= abs(float(value))
+        assert r.stderr.startswith("convergence error: Mehler series at X=6.0")
+        assert len(r.stderr.splitlines()) == 1
 
     def test_route_is_looked_up_at_call_time(self, run_cli, monkeypatch):
         # a patched module attribute, as the benchmark's tracer installs,
@@ -206,8 +224,7 @@ class TestEval:
         r = run_cli(["eval", "sum_rule_lhs", "--nu", "1.5", "--x", "2", "--y", "1",
                                  "--tol", "1e-12"])
         assert r.exit_code == 0
-        assert r.stdout.splitlines() == ["1.5", "# terms_used = 3", "# tail_bound = 1e-09",
-                                         "# tol_effective = 1e-09"]
+        assert r.stdout.splitlines() == ["1.5", "# terms_used = 3", "# tail_bound = 1e-12"]
 
     def test_unknown_target(self, run_cli):
         r = run_cli(["eval", "nope", "--x", "1"])
@@ -330,6 +347,24 @@ class TestEval:
             assert error.startswith("# error_estimate = ")
             assert evaluations.startswith("# evaluations = ")
 
+    def test_hyperbolic_left_sides_take_tol_as_given(self, run_cli):
+        # --tol reaches the quadrature as given: 1e-6 takes 114 evaluations
+        # where 1e-10, the default, takes 220; outside the engines' range
+        # [1e-14, 1e-2] it is a DomainError
+        args = ["eval", "hyperbolic_lhs_13a", "--alpha", "1", "--phi", "1"]
+        for tol, count in (("1e-6", 114), ("1e-10", 220)):
+            r = run_cli([*args, "--tol", tol])
+            assert r.exit_code == 0, r.stderr
+            assert r.stdout.splitlines()[2] == f"# evaluations = {count}"
+        assert run_cli(args).stdout == r.stdout
+        q = HyperbolicQuery(a=1.0, phi=1.0)
+        assert run_cli(["eval", "hyperbolic_lhs_14", "--a", "1", "--phi", "1", "--tol", "1e-6"]
+                       ).stdout.splitlines()[0] == repr(lhs_14(q, 1e-6).value)
+        for tol in ("0.05", "1e-15"):
+            r = run_cli([*args, "--tol", tol])
+            assert r.exit_code == 2
+            assert r.stderr.startswith("domain error: tol must lie in [1e-14, 1e-2]")
+
 
 class TestVerify:
     def test_single_point_sum_rule(self, run_cli):
@@ -342,7 +377,7 @@ class TestVerify:
 
     # one point per domain rule the library enforces for `verify`
     @pytest.mark.parametrize("args", [
-        "EQ3 --X 1 --Y 0.5 --u 0.95",
+        "EQ3 --X 1 --Y 0.5 --u 0.96",
         "EQ10 --nu 1 --x 1 --y 2",
         "EQ11 --nu 1 --a 1 --b 2",
         "EQ12 --nu 1 --a 1.5 --b -0.5",
@@ -404,6 +439,13 @@ class TestVerify:
     def test_factor_past_the_old_limits_passes(self, run_cli, args):
         # factors below -80 or past 98 were a skip
         r = run_cli(["verify", *args.split()])
+        assert r.exit_code == 0, r.stderr
+        assert r.stdout.splitlines()[-1] == "# summary: pass=1 fail=0 skip=0"
+
+    def test_product_gap_past_a_double_passes(self, run_cli):
+        # (x - y)**2 overflowed in the integral's decay rate, a traceback; both
+        # sides are 0.0, as D_{-1}(1e155) underflows
+        r = run_cli(["verify", "EQ10", "--nu", "1", "--x", "1e155", "--y", "0.5"])
         assert r.exit_code == 0, r.stderr
         assert r.stdout.splitlines()[-1] == "# summary: pass=1 fail=0 skip=0"
 
@@ -650,3 +692,55 @@ class TestExploreEqualArgs:
             f"# quadrature did not reach tol 1e-14 (last refinement change "
             f"{partial.error_estimate:.3e}); its best estimate is shown",
         ]
+
+
+def known_escape(target, args, outcome):
+    """Whether ``outcome``, an exception or a value of route ``target`` at
+    ``args``, is one of the two known escapes from the error contract.
+    Each keeps a test of its own below, which fails once it is mended."""
+    if isinstance(outcome, OverflowError):
+        # below nu of about 0.065, (t/(1+t))^{nu/2-1} overflows a double at
+        # the integrands' subnormal nodes (ROADMAP item 2; bench/test_bench.py
+        # pins it as an OverflowError)
+        return target in ("product_integral", "laplace_I") and 0.0 < args[0] < 0.07
+    # the closed Mehler kernel's exponent is inf*0 or inf - inf where
+    # X^2 + Y^2 overflows, though the kernel is 1 at u = 0
+    return (target == "mehler_kernel" and math.isnan(outcome)
+            and args[0] * args[0] + args[1] * args[1] == math.inf)
+
+
+@pytest.mark.parametrize("target", sorted(EVAL_TARGETS))
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_every_route_keeps_the_error_contract(target, data):
+    # finite input gives a finite value, a DomainError or a ConvergenceError;
+    # hermite's documented signed inf is the one exception among values
+    names, route = EVAL_TARGETS[target]
+    real = st.one_of(st.floats(-30.0, 30.0), st.floats(allow_nan=False, allow_infinity=False))
+    tol = st.one_of(st.floats(1e-15, 1e-2), st.floats(allow_nan=False, allow_infinity=False))
+    args = data.draw(st.tuples(*(real for _ in names), tol))
+    try:
+        result = route(*args)
+    except (DomainError, ConvergenceError):
+        return
+    except OverflowError as exc:
+        assert known_escape(target, args, exc), (target, args)
+        return
+    value = getattr(result, "value", result)
+    assert isinstance(value, float), (target, args, result)
+    assert (math.isfinite(value) or (target == "hermite" and math.isinf(value))
+            or known_escape(target, args, value)), (target, args, value)
+
+
+@pytest.mark.parametrize("target,args", [("product_integral", (0.03, 2.0, 1.0)),
+                                         ("laplace_I", (0.03, 2.5, 2.0, 1.0))])
+def test_small_order_overflow_still_escapes(target, args):
+    with pytest.raises(OverflowError) as info:
+        EVAL_TARGETS[target][1](*args, 1e-10)
+    assert known_escape(target, args, info.value)
+
+
+@pytest.mark.parametrize("args", [(0.0, 1.7e155, 0.0), (1e200, 1e200, 1e-9)])
+def test_mehler_kernel_nan_still_escapes(args):
+    value = EVAL_TARGETS["mehler_kernel"][1](*args, 1e-10)
+    assert known_escape("mehler_kernel", args, value)

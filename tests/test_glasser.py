@@ -165,6 +165,13 @@ class TestProductViaIntegral:
         with pytest.raises(DomainError):
             product_via_integral(ProductQuery(1.0, 2.0, -2.0), 1e-6, allow_equal_args=True)
 
+    @pytest.mark.parametrize("x,y", [(1e155, 0.5), (1e300, 1e-300)])
+    def test_gap_past_a_double_underflows(self, x, y):
+        # (x - y)**2 raised OverflowError; the integrand's exponent is then
+        # -inf and the product, about e^{-x^2/4}, is 0.0 as its reference is
+        q = ProductQuery(1.0, x, y)
+        assert product_via_integral(q).value == 0.0 == product_reference(q)
+
     def test_convergence_error_partial_is_scaled(self, monkeypatch):
         # the integrand carries the prefactor e^{-a/2}/(2 Gamma(nu)) in its
         # exponent: stopped after two levels, the route raises a partial in the

@@ -30,9 +30,9 @@ PROD_1_2_1 = 0.4197646649478962796
 EPS = np.finfo(float).eps
 
 
-def kernel_oracle(X, Y, u):
-    """The closed Mehler kernel at 30 digits."""
-    with mp.workdps(30):
+def kernel_oracle(X, Y, u, dps=30):
+    """The closed Mehler kernel at ``dps`` digits."""
+    with mp.workdps(dps):
         X, Y, u = mp.mpf(X), mp.mpf(Y), mp.mpf(u)
         return mp.exp((2 * X * Y * u - (X * X + Y * Y) * u * u) / (1 - u * u))
 
@@ -99,6 +99,40 @@ class TestKernelSeries:
             err, scale = float(abs(r.value - ref)), 1.0 + abs(float(ref))
             assert err <= r.tail_bound + 64 * EPS * scale, (X, Y, u, tol)
             assert err <= tol * scale, (X, Y, u, tol)
+
+    def test_returned_values_meet_their_tolerance_sweep(self):
+        # terms up to e^{(X^2+Y^2)/2} = e^144 sum to exponentially small
+        # kernels: where their rounding exceeds tol*(1+|value|) the series
+        # raises, and a value it returns is within tol*(1+|K|); 865 of these
+        # points return, and with a bound of truncation alone 477 of them
+        # missed silently
+        rng = np.random.default_rng(1729)
+        returned = 0
+        for _ in range(1500):
+            X, Y = rng.uniform(-12, 12, 2)
+            u, tol = rng.uniform(-0.95, 0.95), 10 ** rng.uniform(-12, -6)
+            try:
+                r, raised = mehler_kernel_series(MehlerPoint(X, Y, u), tol), False
+            except ConvergenceError as exc:
+                r, raised = exc.partial, True
+            ref = kernel_oracle(X, Y, u, dps=40)
+            err, scale = float(abs(r.value - ref)), 1.0 + abs(float(ref))
+            assert err <= r.tail_bound + 64 * EPS * scale, (X, Y, u, tol)
+            assert raised or err <= tol * scale, (X, Y, u, tol)
+            returned += not raised
+        assert returned >= 750
+
+    @pytest.mark.parametrize("X,Y,u,tol", [
+        (6.0, -6.0, 0.5, 1e-9),
+        (-11.11919796974277, -5.745092501383281, -0.6006125753766942, 1e-12)])
+    def test_rounding_past_tol_raises_with_partial(self, X, Y, u, tol):
+        # these returned 1.65e-6 and -91697.67, with bounds of 9.1e-10 and
+        # 7.8e-13, for kernels of 5.4e-32 and 3.0e-91
+        with pytest.raises(ConvergenceError, match="rounding") as info:
+            mehler_kernel_series(MehlerPoint(X, Y, u), tol)
+        partial = info.value.partial
+        assert abs(partial.value - float(kernel_oracle(X, Y, u))) <= partial.tail_bound
+        assert partial.tail_bound > tol * (1.0 + abs(partial.value))
 
     def test_overflow_raises_library_errors(self):
         p = MehlerPoint(30.0, 30.0, 0.9)
