@@ -9,7 +9,7 @@ Three commands:
   point as CSV or JSON plus a pass/fail/skip summary.  Exit status is 0
   iff no record failed.
 * ``pcfprod explore-equal-args`` compares the integral representation
-  with the direct product at x = y, outside its stated domain.
+  with the direct product at x = y, the boundary the paper excludes.
 
 Grid specs are ``lo:hi:count`` (inclusive, linear), ``log:lo:hi:count``
 (log-spaced), or a single number.  Output is deterministic: identical
@@ -446,13 +446,14 @@ def verify_cmd(args: argparse.Namespace, gridargs: list[str]) -> int:
 
 
 def explore_cmd(args: argparse.Namespace, extra: list[str]) -> int:
-    """Probe the integral representation on its x = y boundary.
+    """Probe the integral representation at x = y, the boundary the paper excludes.
 
-    The representation is stated for x > y only, and the discussion
-    around it asserts divergence at x = y; the integrand tail there is
-    ~ t^{-3/2}, however, which is integrable.  This command evaluates
-    the integral at x = y and reports how it compares with the direct
-    product, then the quadrature's '# error_estimate' and '# evaluations'.
+    The paper states the representation for x > y only and asserts
+    divergence at x = y; the integrand tail there is ~ t^{-3/2}, however,
+    which is integrable, and the library's domain is x >= y > 0.  This
+    command evaluates the integral at x = y as every route does and
+    reports how it compares with the direct product, then the
+    quadrature's '# error_estimate' and '# evaluations'.
     A tolerance it clamps to the quadrature's range is given as
     '# tol_effective'; where the quadrature misses it, the best estimate
     is compared and a '#' line says so.
@@ -465,7 +466,7 @@ def explore_cmd(args: argparse.Namespace, extra: list[str]) -> int:
     used = quadrature.clamp_tol(tol)[0]
     missed = False
     try:
-        got = glasser.product_via_integral(q, used, allow_equal_args=True)
+        got = glasser.product_via_integral(q, used)
     except ConvergenceError as exc:
         if exc.partial is None:
             print(f"convergence error: {exc}", file=sys.stderr)

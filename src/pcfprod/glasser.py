@@ -1,6 +1,6 @@
 """Product of two parabolic cylinder functions with unrelated arguments.
 
-The central identity evaluated here: for x > y > 0 and nu > 0,
+The central identity evaluated here: for x >= y > 0 and nu > 0,
 
     D_{-nu}(x) D_{-nu}(-y)
       = e^{-(x^2+y^2)/4} / (2 Gamma(nu))
@@ -13,17 +13,19 @@ together with its two Laplace-transform forms
       = 2 e^{a/2} Gamma(nu) D_{-nu}(x) D_{-nu}(-+y),
 
 where x = sqrt(a + sqrt(a^2-b^2)), y = sqrt(a - sqrt(a^2-b^2)); the plus
-exponent sign pairs with the -y argument (valid for a > b > 0) and the
+exponent sign pairs with the -y argument (valid for a >= b > 0) and the
 minus sign with +y (valid for a + b > 0).
 
 The map (x, y) <-> (a, b) is a = (x^2+y^2)/2, b = x y, a bijection
-between {x > y > 0} and {a > b > 0}.
+between {x >= y > 0} and {a >= b > 0}.
 
 The integral's exponential tail rate is a - b = (x-y)^2/2, which
 vanishes as x -> y; that costs evaluations, not accuracy, for the
-integrand's exponent holds no terms that cancel.  At x = y the tail is
-only algebraic (~ t^{-3/2}) yet integrable, and ``product_via_integral``
-with ``allow_equal_args=True`` evaluates it there.
+integrand's exponent holds no terms that cancel.  The paper states the
+representation for x > y and says it diverges at x = y, but there the
+tail is only algebraic (~ t^{-3/2}) and integrable: at x = y, and at
+a = b for the plus form, the quadrature walks that algebraic tail
+(decay rate 0) like any other point of the domain.
 """
 
 from __future__ import annotations
@@ -77,9 +79,9 @@ class LaplaceParams:
 
 
 def params_from_xy(q: ProductQuery) -> LaplaceParams:
-    """Map (x, y) with x > y > 0 to (a, b) = ((x^2+y^2)/2, x*y)."""
-    if not (q.x > q.y > 0.0):
-        raise DomainError(f"map requires x > y > 0, got x={q.x}, y={q.y}")
+    """Map (x, y) with x >= y > 0 to (a, b) = ((x^2+y^2)/2, x*y)."""
+    if not (q.x >= q.y > 0.0):
+        raise DomainError(f"map requires x >= y > 0, got x={q.x}, y={q.y}")
     return LaplaceParams(q.nu, 0.5 * (q.x * q.x + q.y * q.y), q.x * q.y)
 
 
@@ -145,14 +147,15 @@ def _laplace_integrand(nu: float, decay: float, b: float, sign: int, shift: floa
 def laplace_I(p: LaplaceParams, sign: int, tol: float = 1e-10) -> QuadratureResult:
     """The Laplace-form integral with e^{sign * b * sqrt(t(t+1))}.
 
-    sign=+1 requires a > b > 0 and equals
-    2 e^{a/2} Gamma(nu) D_{-nu}(x) D_{-nu}(-y); sign=-1 requires
-    a + b > 0 and equals 2 e^{a/2} Gamma(nu) D_{-nu}(x) D_{-nu}(+y).
+    sign=+1 requires a >= b > 0 and equals
+    2 e^{a/2} Gamma(nu) D_{-nu}(x) D_{-nu}(-y); at a = b its decay rate
+    a - b is 0 and the tail ~ t^{-3/2} is walked as it stands.  sign=-1
+    requires a + b > 0 and equals 2 e^{a/2} Gamma(nu) D_{-nu}(x) D_{-nu}(+y).
     """
     if sign not in (1, -1):
         raise DomainError(f"sign must be +1 or -1, got {sign}")
-    if sign == 1 and not (p.a > p.b > 0.0):
-        raise DomainError(f"sign=+1 requires a > b > 0, got a={p.a}, b={p.b}")
+    if sign == 1 and not (p.a >= p.b > 0.0):
+        raise DomainError(f"sign=+1 requires a >= b > 0, got a={p.a}, b={p.b}")
     if sign == -1 and not p.a + p.b > 0.0:
         raise DomainError(f"sign=-1 requires a + b > 0, got a={p.a}, b={p.b}")
     decay = p.a - sign * p.b
@@ -160,20 +163,14 @@ def laplace_I(p: LaplaceParams, sign: int, tol: float = 1e-10) -> QuadratureResu
     return integrate_semi_infinite(_laplace_integrand(p.nu, decay, p.b, sign, shift), decay, tol)
 
 
-def product_via_integral(
-    q: ProductQuery, tol: float = 1e-10, allow_equal_args: bool = False
-) -> QuadratureResult:
+def product_via_integral(q: ProductQuery, tol: float = 1e-10) -> QuadratureResult:
     """Evaluate D_{-nu}(x) D_{-nu}(-y) through the integral representation.
 
-    Valid for x > y > 0.  With ``allow_equal_args`` the boundary x = y
-    is evaluated anyway (algebraic-tail quadrature, exploratory use
-    only); everything outside x >= y > 0 is always rejected.
+    Valid for x >= y > 0: at x = y the integrand's tail is ~ t^{-3/2},
+    which the quadrature walks with decay rate 0.
     """
-    if allow_equal_args:
-        if not (q.x >= q.y > 0.0):
-            raise DomainError(f"requires x >= y > 0, got x={q.x}, y={q.y}")
-    elif not (q.x > q.y > 0.0):
-        raise DomainError(f"representation requires x > y > 0, got x={q.x}, y={q.y}")
+    if not (q.x >= q.y > 0.0):
+        raise DomainError(f"representation requires x >= y > 0, got x={q.x}, y={q.y}")
     gap = q.x - q.y
     decay = 0.5 * (gap * gap)  # ** raises where it overflows
     shift = -0.5 * decay - math.log(2.0 * gamma(q.nu))

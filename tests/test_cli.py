@@ -15,7 +15,7 @@ import pcfprod
 from pcfprod import (ConvergenceError, DomainError, HyperbolicQuery, LaplaceParams,
                      ProductQuery, SeriesResult, SumRuleQuery, laplace_I, lhs_14,
                      product_via_integral, quadrature, sum_rule_lhs)
-from pcfprod.cli import EVAL_TARGETS
+from pcfprod.cli import EVAL_TARGETS, IDENTITIES, _evaluate_identity
 
 
 def first_value(output):
@@ -149,6 +149,19 @@ class TestEval:
         r = run_cli(["eval", "mehler_kernel", "--X", "1", "--Y", "0.5", "--u", "0"])
         assert r.exit_code == 0
         assert first_value(r.stdout) == 1.0
+        # X^2 + Y^2 overflows a double: the kernel is still 1 at u = 0, not nan
+        r = run_cli(["eval", "mehler_kernel", "--X", "0", "--Y", "1.7e155", "--u", "0"])
+        assert r.exit_code == 0
+        assert r.stdout == "1.0\n"
+
+    @pytest.mark.parametrize("lam,code", [("3.00000001", 0), ("2.99999999999999", 0),
+                                          ("3", 2)])
+    def test_green_spectral_beside_an_eigenvalue(self, run_cli, lam, code):
+        # only the eigenvalue itself is the series' pole, a DomainError
+        r = run_cli(["eval", "green_spectral", "--lam", lam, "--x", "1", "--xprime", "0"])
+        assert r.exit_code == code, r.stderr
+        if code:
+            assert r.stderr.startswith("domain error: shift -1.0 sits on a pole")
 
     def test_integral_matches_reference(self, run_cli):
         args = ["--nu", "1", "--x", "2", "--y", "1"]
@@ -377,7 +390,7 @@ class TestVerify:
 
     # one point per domain rule the library enforces for `verify`
     @pytest.mark.parametrize("args", [
-        "EQ3 --X 1 --Y 0.5 --u 0.96",
+        "EQ3 --X 1 --Y 0.5 --u 1.0",
         "EQ10 --nu 1 --x 1 --y 2",
         "EQ11 --nu 1 --a 1 --b 2",
         "EQ12 --nu 1 --a 1.5 --b -0.5",
@@ -438,6 +451,19 @@ class TestVerify:
     ], ids=lambda a: a.replace(" --", "-").replace(" ", "="))
     def test_factor_past_the_old_limits_passes(self, run_cli, args):
         # factors below -80 or past 98 were a skip
+        r = run_cli(["verify", *args.split()])
+        assert r.exit_code == 0, r.stderr
+        assert r.stdout.splitlines()[-1] == "# summary: pass=1 fail=0 skip=0"
+
+    @pytest.mark.parametrize("args", [
+        "EQ10 --nu 1 --x 2 --y 2",
+        "EQ11 --nu 1 --a 2 --b 2",
+        "EQ3 --X 1 --Y 0.5 --u 0.99",
+        "EQ3 --X -2 --Y 2 --u -0.999",
+    ], ids=lambda a: a.replace(" --", "-").replace(" ", "="))
+    def test_former_walls_pass(self, run_cli, args):
+        # x = y, a = b and |u| > 0.95 were skipped; the integral and the series
+        # decide their own reach there
         r = run_cli(["verify", *args.split()])
         assert r.exit_code == 0, r.stderr
         assert r.stdout.splitlines()[-1] == "# summary: pass=1 fail=0 skip=0"
@@ -672,7 +698,7 @@ class TestExploreEqualArgs:
                                  ("1e-16", 1e-14, ["# tol_effective = 1e-14"])):
             r = run_cli(["explore-equal-args", "--nu", "1", "--x", "2", "--tol", tol])
             assert r.exit_code == 0
-            got = product_via_integral(ProductQuery(1.0, 2.0, 2.0), used, allow_equal_args=True)
+            got = product_via_integral(ProductQuery(1.0, 2.0, 2.0), used)
             assert r.stdout.splitlines()[4:] == [
                 f"# error_estimate = {got.error_estimate!r}",
                 f"# evaluations = {got.evaluations!r}",
@@ -681,7 +707,7 @@ class TestExploreEqualArgs:
         # a quadrature made to stop early: its best estimate, and a line that says so
         monkeypatch.setattr(quadrature, "_SEMI_INFINITE_LEVELS", 3)
         with pytest.raises(ConvergenceError) as info:
-            product_via_integral(ProductQuery(1.0, 2.0, 2.0), 1e-14, allow_equal_args=True)
+            product_via_integral(ProductQuery(1.0, 2.0, 2.0), 1e-14)
         partial = info.value.partial
         r = run_cli(["explore-equal-args", "--tol", "1e-16"])
         assert r.exit_code == 0
@@ -695,18 +721,17 @@ class TestExploreEqualArgs:
 
 
 def known_escape(target, args, outcome):
-    """Whether ``outcome``, an exception or a value of route ``target`` at
-    ``args``, is one of the two known escapes from the error contract.
-    Each keeps a test of its own below, which fails once it is mended."""
-    if isinstance(outcome, OverflowError):
-        # below nu of about 0.065, (t/(1+t))^{nu/2-1} overflows a double at
-        # the integrands' subnormal nodes (ROADMAP item 2; bench/test_bench.py
-        # pins it as an OverflowError)
-        return target in ("product_integral", "laplace_I") and 0.0 < args[0] < 0.07
-    # the closed Mehler kernel's exponent is inf*0 or inf - inf where
-    # X^2 + Y^2 overflows, though the kernel is 1 at u = 0
-    return (target == "mehler_kernel" and math.isnan(outcome)
-            and args[0] * args[0] + args[1] * args[1] == math.inf)
+    """Whether ``outcome``, an exception of route ``target`` at ``args``, is the
+    one known escape from the error contract: below nu of about 0.065,
+    (t/(1+t))^{nu/2-1} overflows a double at the integrands' subnormal nodes
+    (ROADMAP item 2; bench/test_bench.py pins it as an OverflowError).  It
+    keeps tests of its own below, which fail once it is mended."""
+    return (isinstance(outcome, OverflowError) and 0.0 < args[0] < 0.07
+            and target in ("product_integral", "laplace_I", "EQ10", "EQ11", "EQ12"))
+
+
+REAL = st.one_of(st.floats(-30.0, 30.0), st.floats(allow_nan=False, allow_infinity=False))
+TOL = st.one_of(st.floats(1e-15, 1e-2), st.floats(allow_nan=False, allow_infinity=False))
 
 
 @pytest.mark.parametrize("target", sorted(EVAL_TARGETS))
@@ -716,9 +741,7 @@ def test_every_route_keeps_the_error_contract(target, data):
     # finite input gives a finite value, a DomainError or a ConvergenceError;
     # hermite's documented signed inf is the one exception among values
     names, route = EVAL_TARGETS[target]
-    real = st.one_of(st.floats(-30.0, 30.0), st.floats(allow_nan=False, allow_infinity=False))
-    tol = st.one_of(st.floats(1e-15, 1e-2), st.floats(allow_nan=False, allow_infinity=False))
-    args = data.draw(st.tuples(*(real for _ in names), tol))
+    args = data.draw(st.tuples(*(REAL for _ in names), TOL))
     try:
         result = route(*args)
     except (DomainError, ConvergenceError):
@@ -728,8 +751,25 @@ def test_every_route_keeps_the_error_contract(target, data):
         return
     value = getattr(result, "value", result)
     assert isinstance(value, float), (target, args, result)
-    assert (math.isfinite(value) or (target == "hermite" and math.isinf(value))
-            or known_escape(target, args, value)), (target, args, value)
+    assert math.isfinite(value) or (target == "hermite" and math.isinf(value)), \
+        (target, args, value)
+
+
+@pytest.mark.parametrize("identity", list(IDENTITIES))
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_every_identity_keeps_the_error_contract(identity, data):
+    # any finite grid point and tol: one record that passes, fails or skips
+    names = list(IDENTITIES[identity]["grid"])
+    args = data.draw(st.tuples(*(REAL for _ in names)))
+    tol = data.draw(TOL)
+    try:
+        records = _evaluate_identity(identity, {n: [v] for n, v in zip(names, args)}, tol)
+    except OverflowError as exc:
+        assert known_escape(identity, args, exc), (identity, args, tol)
+        return
+    (record,) = records
+    assert record.status in ("pass", "fail", "skip"), (identity, args, tol)
 
 
 @pytest.mark.parametrize("target,args", [("product_integral", (0.03, 2.0, 1.0)),
@@ -740,7 +780,23 @@ def test_small_order_overflow_still_escapes(target, args):
     assert known_escape(target, args, info.value)
 
 
-@pytest.mark.parametrize("args", [(0.0, 1.7e155, 0.0), (1e200, 1e200, 1e-9)])
-def test_mehler_kernel_nan_still_escapes(args):
-    value = EVAL_TARGETS["mehler_kernel"][1](*args, 1e-10)
-    assert known_escape("mehler_kernel", args, value)
+@pytest.mark.parametrize("identity,args", [("EQ10", (0.03, 2.0, 1.0)),
+                                           ("EQ11", (0.03, 2.5, 2.0)),
+                                           ("EQ12", (0.03, 2.5, 2.0))])
+def test_small_order_overflow_still_escapes_verify(identity, args):
+    grids = {n: [v] for n, v in zip(IDENTITIES[identity]["grid"], args)}
+    with pytest.raises(OverflowError) as info:
+        _evaluate_identity(identity, grids, IDENTITIES[identity]["tol"])
+    assert known_escape(identity, args, info.value)
+
+
+@pytest.mark.parametrize("X,Y,u,expected", [(0.0, 1.7e155, 0.0, 1.0), (0.0, 1e167, 1e-300, 1.0),
+                                            (1e200, 1e200, 1e-9, None)])
+def test_mehler_kernel_is_a_value_or_a_domain_error(X, Y, u, expected):
+    # X^2 + Y^2 overflowed to nan where the kernel is about 1
+    route = EVAL_TARGETS["mehler_kernel"][1]
+    if expected is None:
+        with pytest.raises(DomainError):
+            route(X, Y, u, 1e-10)
+    else:
+        assert route(X, Y, u, 1e-10) == expected

@@ -156,14 +156,16 @@ class TestProductViaIntegral:
         with pytest.raises(DomainError):
             product_via_integral(ProductQuery(1.0, 1.0, 2.0))
         with pytest.raises(DomainError):
-            product_via_integral(ProductQuery(1.0, 2.0, 2.0))
-
-    def test_equal_args_flag(self):
-        # the boundary case runs with the flag and is rejected without it
-        r = product_via_integral(ProductQuery(1.0, 2.0, 2.0), 1e-6, allow_equal_args=True)
-        assert math.isfinite(r.value)
+            product_via_integral(ProductQuery(1.0, 2.0, -2.0))
         with pytest.raises(DomainError):
-            product_via_integral(ProductQuery(1.0, 2.0, -2.0), 1e-6, allow_equal_args=True)
+            product_via_integral(ProductQuery(1.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("nu,x", [(1.0, 2.0), (0.5, 0.3), (7.5, 4.0)])
+    def test_equal_arguments(self, nu, x):
+        # the paper's excluded boundary x = y: a t^{-3/2} tail, walked with decay rate 0
+        r = product_via_integral(ProductQuery(nu, x, x), 1e-10)
+        exact = float(_mp_product(nu, x, -x))
+        assert abs(r.value - exact) <= 1e-10 * abs(exact)
 
     @pytest.mark.parametrize("x,y", [(1e155, 0.5), (1e300, 1e-300)])
     def test_gap_past_a_double_underflows(self, x, y):
@@ -180,7 +182,7 @@ class TestProductViaIntegral:
         monkeypatch.setattr(quadrature, "_SEMI_INFINITE_LEVELS", 2)
         q = ProductQuery(1.5, 2.0, 2.0)
         with pytest.raises(ConvergenceError) as info:
-            product_via_integral(q, 1e-10, allow_equal_args=True)
+            product_via_integral(q, 1e-10)
         msg, partial = str(info.value), info.value.partial
         assert abs(partial.value - product_reference(q)) <= partial.error_estimate
         assert partial.error_estimate < 0.1 * partial.value
@@ -221,7 +223,7 @@ class TestLaplaceForms:
 
     def test_sign_domains(self):
         with pytest.raises(DomainError):
-            laplace_I(LaplaceParams(1.0, 2.0, 2.5), 1)   # needs a > b
+            laplace_I(LaplaceParams(1.0, 2.0, 2.5), 1)   # needs a >= b
         with pytest.raises(DomainError):
             laplace_I(LaplaceParams(1.0, 2.0, 0.0), 1)   # needs b > 0
         with pytest.raises(DomainError):
@@ -255,7 +257,7 @@ def _mp_laplace(nu, a, b, sign):
 class TestIntegralAgainstMpmath:
     """A seeded sweep of the product and both Laplace forms against 30-digit
     mpmath: nu log-uniform in [0.1, 20], y in [0.05, 6], x - y log-uniform
-    in [1e-3, 3] or, for the routes defined there, 0, and tol log-uniform in
+    in [1e-3, 3] or, at a fifth of the points, 0, and tol log-uniform in
     [1e-14, 1e-8].  Every point converges, within tol and within its error
     estimate plus a rounding allowance of 32 eps of the value.  The estimate
     is a difference of two levels and cannot see rounding that both levels
@@ -269,12 +271,12 @@ class TestIntegralAgainstMpmath:
     ALLOWANCE = 32 * 2.0**-52
 
     @staticmethod
-    def _points(seed, equal_args):
+    def _points(seed):
         rng = random.Random(seed)
         for _ in range(TestIntegralAgainstMpmath.POINTS):
             nu = 0.1 * 200.0 ** rng.random()
             y = rng.uniform(0.05, 6.0)
-            gap = 0.0 if equal_args and rng.random() < 0.2 else 1e-3 * 3000.0 ** rng.random()
+            gap = 0.0 if rng.random() < 0.2 else 1e-3 * 3000.0 ** rng.random()
             yield nu, y + gap, y, 10.0 ** rng.uniform(-14.0, -8.0)
 
     def _check(self, r, exact, tol):
@@ -284,17 +286,16 @@ class TestIntegralAgainstMpmath:
         assert err <= r.error_estimate + self.ALLOWANCE * abs(exact)
 
     def test_product(self):
-        for nu, x, y, tol in self._points(101, equal_args=True):
+        for nu, x, y, tol in self._points(101):
             q = ProductQuery(nu, x, y)
-            r = product_via_integral(q, tol, allow_equal_args=True)
+            r = product_via_integral(q, tol)
             self._check(r, _mp_product(nu, x, -y), tol)
 
     @pytest.mark.parametrize("sign,seed", [(1, 102), (-1, 103)])
     def test_laplace(self, sign, seed):
-        # a = b, the plus form's x = y, is outside its domain
-        for nu, x, y, tol in self._points(seed, equal_args=sign == -1):
-            p = params_from_xy(ProductQuery(nu, x, y)) if x > y else \
-                LaplaceParams(nu, x * x, x * x)
+        # x = y is a = b: the plus form's decay rate 0, the minus form's b = a
+        for nu, x, y, tol in self._points(seed):
+            p = params_from_xy(ProductQuery(nu, x, y))
             self._check(laplace_I(p, sign, tol), _mp_laplace(nu, p.a, p.b, sign), tol)
 
 
@@ -348,7 +349,7 @@ class TestEdgesOfTheIntegral:
         for table in tables:
             monkeypatch.setattr(table, "_levels", [])
         q = ProductQuery(1.0, 2.0, 2.0)
-        r = product_via_integral(q, 1e-10, allow_equal_args=True)
+        r = product_via_integral(q, 1e-10)
         rows = sum(len(chunk) for table in tables for level in table._levels for chunk in level)
         assert rows < 10_000
         assert r.value == pytest.approx(float(_mp_product(1.0, 2.0, -2.0)), rel=1e-10)

@@ -37,9 +37,9 @@ ORACLE_EDGES = [(-4.0, 6.0, 0.0), (-4.0, 6.0, -6.0), (0.85, -5.4, -5.5),
                 (-30.0, 6.0, -6.0), (0.0, 1.0, 1.0), (0.5, -6.0, -6.0)]
 
 
-def green_closed_mp(lam, x, xp):
-    """Titchmarsh closed form at 30 digits, x >= x'."""
-    with mp.workdps(30):
+def green_closed_mp(lam, x, xp, dps=30):
+    """Titchmarsh closed form at ``dps`` digits, x >= x'."""
+    with mp.workdps(dps):
         lam, x, xp = mp.mpf(lam), mp.mpf(x), mp.mpf(xp)
         nu = (lam - 1) / 2
         rt2 = mp.sqrt(2)
@@ -244,9 +244,24 @@ class TestGuards:
         with pytest.raises(DomainError, match="needs finite lambda, x, x'"):
             GreenQuery(lam, x, xprime)
 
-    def test_spectral_pole_guard(self):
-        with pytest.raises(DomainError):
-            green_spectral(GreenQuery(3.0 + 1e-8, 1.0, 0.0))
+    @pytest.mark.parametrize("lam", [1.0, 3.0, 5.0, 11.0])
+    def test_spectral_sum_at_an_eigenvalue_is_a_pole(self, lam):
+        with pytest.raises(DomainError, match="pole"):
+            green_spectral(GreenQuery(lam, 1.0, 0.0))
+
+    def test_spectral_sum_beside_an_eigenvalue(self):
+        # within 1e-14 to 1e-7 of lambda = 1, 3, 5, on either side: the pole's
+        # term dominates and the sum meets its tol against 40-digit mpmath
+        rng = np.random.default_rng(35)
+        tol = 1e-8
+        for lam0 in (1.0, 3.0, 5.0):
+            for _ in range(20):
+                lam = lam0 + rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(-14, -7)
+                xp = rng.uniform(-2.0, 1.5)
+                x = xp + rng.uniform(0.3, 2.5)
+                got = green_spectral(GreenQuery(lam, x, xp), tol).value
+                exact = green_closed_mp(lam, x, xp, dps=40)
+                assert abs(got - exact) <= tol * abs(exact), (lam, x, xp)
 
     def test_ode_guards(self):
         with pytest.raises(DomainError):

@@ -47,11 +47,30 @@ class TestKernelClosed:
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(min_value=-3, max_value=3), st.floats(min_value=-3, max_value=3),
-           st.floats(min_value=-0.95, max_value=0.95))
+           st.floats(min_value=-1, max_value=1, exclude_min=True, exclude_max=True))
     def test_symmetry(self, X, Y, u):
         a = mehler_kernel_closed(MehlerPoint(X, Y, u))
         b = mehler_kernel_closed(MehlerPoint(Y, X, u))
         assert a == pytest.approx(b, rel=1e-13)
+
+    @pytest.mark.parametrize("X,Y", [(-1e308, 1e308), (1e300, 1e299)])
+    def test_both_squares_past_a_double(self, X, Y):
+        # (X+Y)^2/4 and (X-Y)^2/4 both overflow a double, and the kernel
+        # underflows: 0.0, where unscaled squares give inf - inf = nan
+        assert mehler_kernel_closed(MehlerPoint(X, Y, 0.5)) == 0.0
+
+    def test_accurate_as_u_nears_one(self):
+        # the exponent 2u[m^2/(1+u) - d^2/(1-u)] rounds no difference of
+        # 2XYu and (X^2+Y^2)u^2: at most 1.4e-13 relative here, where that
+        # form lost up to 1.5e-11
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            X, Y = rng.uniform(-3, 3, 2)
+            u = rng.choice((-1.0, 1.0)) * (1.0 - 10 ** rng.uniform(-6, -2))
+            ref = kernel_oracle(X, Y, u, dps=40)
+            if ref > 1e-290:
+                got = mehler_kernel_closed(MehlerPoint(X, Y, u))
+                assert abs(got - ref) <= 1e-12 * ref, (X, Y, u)
 
     @pytest.mark.parametrize("u", [1.0, -1.0, 1.5])
     def test_unit_disc_enforced(self, u):
@@ -82,9 +101,33 @@ class TestKernelSeries:
         s = mehler_kernel_series(p, 1e-10).value
         assert s == pytest.approx(mehler_kernel_closed(p), rel=1e-9)
 
-    def test_practical_domain_bound(self):
-        with pytest.raises(DomainError):
-            mehler_kernel_series(MehlerPoint(1.0, 1.0, 0.96))
+    @pytest.mark.parametrize("u", [0.96, -0.99, 0.999])
+    def test_past_the_old_limit(self, u):
+        # |u| <= 0.95 was a wall; the cap and the rounding allowance decide now
+        p = MehlerPoint(1.0, 1.0, u)
+        r = mehler_kernel_series(p, 1e-10)
+        assert abs(r.value - float(kernel_oracle(1.0, 1.0, u, dps=40))) <= \
+            1e-10 * (1.0 + abs(r.value))
+
+    def test_near_one_sweep_against_mpmath(self):
+        # 0.95 < |u| < 0.9999: no value it returns is outside tol*(1+|K|), and
+        # every result, returned or raised, is within tail_bound + 64 eps (1+|K|)
+        rng = np.random.default_rng(95)
+        returned = 0
+        for _ in range(400):
+            X, Y = rng.uniform(-6, 6, 2)
+            u = rng.choice((-1.0, 1.0)) * rng.uniform(0.95, 0.9999)
+            tol = 10 ** rng.uniform(-12, -6)
+            try:
+                r, raised = mehler_kernel_series(MehlerPoint(X, Y, u), tol), False
+            except ConvergenceError as exc:
+                r, raised = exc.partial, True
+            ref = kernel_oracle(X, Y, u, dps=40)
+            err, scale = float(abs(r.value - ref)), 1.0 + abs(float(ref))
+            assert err <= r.tail_bound + 64 * EPS * scale, (X, Y, u, tol)
+            assert raised or err <= tol * scale, (X, Y, u, tol)
+            returned += not raised
+        assert returned >= 200
 
     def test_tail_bound_holds_against_mpmath_sweep(self):
         # the first point is a regression case: a running-envelope tail
