@@ -212,7 +212,7 @@ def _verify_laplace(identity, sign):
         quad_tol, note = quadrature.clamp_tol(tol * 0.1)
         lhs = glasser.laplace_I(lp, sign, quad_tol)
         rhs = specfun.pcf_d_product(q.nu, q.x, q.x * q.x, -sign * q.y, q.y * q.y,
-                                    factor=2.0 * specfun.gamma(q.nu), expo=0.5 * p["a"])
+                                    factor=2.0 * specfun.gamma(q.nu), scaled=True)
         return make_record(identity, p, lhs.value, rhs, tol, lhs.evaluations, note=note)
     return run
 

@@ -57,8 +57,7 @@ _MAX_STEPS = 1000
 _RECUR = tuple(1.0 / ((k + 2) * (k + 1)) for k in range(_TAYLOR_ORDER - 1))
 
 
-def solve_ivp(lam: float, t0: float, t1: float, y: float, yp: float,
-              rtol: float) -> tuple[float, float]:
+def solve_ivp(lam: float, t0: float, t1: float, y: float, yp: float) -> tuple[float, float]:
     """Integrate y'' = (t^2 - lambda) y from t0 to t1; return (y(t1), y'(t1)).
 
     A fixed-order Taylor method (Corliss & Chang 1982; Jorba & Zou 2005).
@@ -69,8 +68,8 @@ def solve_ivp(lam: float, t0: float, t1: float, y: float, yp: float,
         (k+2)(k+1) c_{k+2} = a c_k + b c_{k-1} + c_{k-2}.
 
     Each step is sized from the last four coefficients so that the dropped
-    terms stay below ``rtol`` times the state max(|y|, |y'|), shrunk by a
-    safety factor; the last step is clipped to land exactly on t1, and y
+    terms stay below ``_ORACLE_RTOL`` times the state max(|y|, |y'|), shrunk
+    by a safety factor; the last step is clipped to land exactly on t1, and y
     and y' there come from Horner evaluation.  Four, not two: at t0 = 0
     with lambda = 0 the recurrence links only every fourth coefficient,
     so when y or y' is zero there two neighbouring ones vanish while the
@@ -92,7 +91,7 @@ def solve_ivp(lam: float, t0: float, t1: float, y: float, yp: float,
         c = [y, yp, 0.5 * a * y, (a * yp + b * y) / 6.0]
         for k in range(2, n - 1):
             c.append((a * c[k] + b * c[k - 1] + c[k - 2]) * recur[k])
-        bound = rtol * max(abs(y), abs(yp))
+        bound = _ORACLE_RTOL * max(abs(y), abs(yp))
         h = math.inf
         for k in range(n - 3, n + 1):
             if c[k]:
@@ -219,10 +218,10 @@ def green_ode_oracle(q: GreenQuery) -> float:
     xlo, xhi = min(q.x, q.xprime), max(q.x, q.xprime)
 
     slope = math.sqrt(L * L - lam)
-    u, up = solve_ivp(lam, -L, xlo, 1.0, slope, _ORACLE_RTOL)       # decays toward -inf
-    v_hi, vp_hi = solve_ivp(lam, L, xhi, 1.0, -slope, _ORACLE_RTOL)  # decays toward +inf
+    u, up = solve_ivp(lam, -L, xlo, 1.0, slope)  # decays toward -inf
+    v_hi, vp_hi = solve_ivp(lam, L, xhi, 1.0, -slope)  # decays toward +inf
     if xhi > xlo:
-        v, vp = solve_ivp(lam, xhi, xlo, v_hi, vp_hi, _ORACLE_RTOL)
+        v, vp = solve_ivp(lam, xhi, xlo, v_hi, vp_hi)
     else:
         v, vp = v_hi, vp_hi
     wronskian = u * vp - up * v

@@ -6,16 +6,17 @@ left side by direct theta-quadrature (never touching erfc, K_{1/4} or
 pcf_d), the right side from the erfc / K_{1/4} closed forms (never
 touching the theta-quadrature).  :func:`lhs_13a`, :func:`lhs_13b` and
 :func:`lhs_14` return the left sides alone, as quadrature results at
-the caller's ``tol``.  Each identity function computes its right side
-first, so that a point where the right side's exponential overflows
-(13a, 13b) raises :class:`DomainError` before any quadrature, then
-returns the verification record, judged at the caller's ``tol``; its
-left side runs at min(tol, 1e-10), clamped to the engines' range, and
-the record's note says when the clamp changed it.
+the caller's ``tol``.  Each identity function returns the verification
+record, judged at the caller's ``tol``; its left side runs at
+min(tol, 1e-10), clamped to the engines' range, and the record's note
+says when the clamp changed it.
 
 * 13a:  int_0^inf sech(th) e^{-alpha^2 sinh(th) sinh(th+phi)} dth
           = (pi/2) e^{alpha^2 cosh(phi)} erfc(alpha sinh(phi/2)) erfc(alpha cosh(phi/2))
-* 13b:  same exponential against sinh(th), with an erfc bracket on the right
+          = (pi/2) erfcx(alpha sinh(phi/2)) erfcx(alpha cosh(phi/2))
+* 13b:  int_0^inf sinh(th) e^{-alpha^2 sinh(th) sinh(th+phi)} dth
+          = (sqrt(pi)/(2 alpha)) [ch erfcx(alpha ch) - sh erfcx(alpha sh)],
+        ch, sh = cosh(phi/2), sinh(phi/2)
 * 14:   int_0^inf (sinh th)^{-1/2} e^{-a cosh(th+phi)} dth
           = sqrt(a sinh(phi)/pi) K_{1/4}(a cosh^2(phi/2)) K_{1/4}(a sinh^2(phi/2))
           = sqrt(2 pi) D_{-1/2}(2 sqrt(a) cosh(phi/2)) D_{-1/2}(2 sqrt(a) sinh(phi/2))
@@ -30,6 +31,13 @@ a cosh(phi) >= 785, or 13 where it underflows) the integrand is 0 at
 every node and [0, 1] serves.  :class:`HyperbolicQuery` keeps the cuts,
 and cosh and sinh of phi and of theta + phi, finite.
 
+The right sides of 13a and 13b carry e^{alpha^2 cosh(phi)} =
+e^{alpha^2 sh^2} e^{alpha^2 ch^2} inside the erfc each factor scales, as
+:func:`pcfprod.specfun.erfcx`, which lies in (0, 1]: they are doubles
+for every valid query, and 0.0 only where they underflow.  13b's bracket
+cancels as phi grows (ch and sh near e^{phi/2}/2, and erfcx(x) near
+1/(x sqrt(pi))), so its relative error grows with phi.
+
 The right side of 14 is computed in its second form, from
 K_{1/4}(z) = sqrt(pi/sqrt z) D_{-1/2}(2 sqrt z) (DLMF 12.7.10), whose
 prefactors cancel sqrt(a sinh(phi)/pi).  D_{-1/2} is finite at 0, and
@@ -43,13 +51,12 @@ a cosh^2(phi/2), where it overflows.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from .errors import DomainError
 from .quadrature import QuadratureResult, clamp_tol, integrate_finite
 from .report import VerificationRecord, make_record
-from .specfun import pcf_d_product
+from .specfun import erfcx, pcf_d_product
 
 __all__ = [
     "HyperbolicQuery",
@@ -62,7 +69,6 @@ __all__ = [
 ]
 
 _CUT_EXPONENT = 785.0  # e^{-785} is far below the smallest double, 4.9e-324
-_MAX_EXPONENT = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -84,13 +90,6 @@ class HyperbolicQuery:
                 raise DomainError(f"{name} must be finite and at least {low}, got {value}")
         if not 0.0 < self.phi <= 700.0:
             raise DomainError(f"phi must lie in (0, 700], got {self.phi}")
-
-
-def _closed_form_exp(expo: float, q: HyperbolicQuery) -> float:
-    """e^expo in a closed-form right side; :class:`DomainError` if it overflows."""
-    if not expo <= _MAX_EXPONENT:
-        raise DomainError(f"closed form overflows at alpha={q.alpha}, phi={q.phi}")
-    return math.exp(expo)
 
 
 def _theta_integral(integrand, cut: float, tol: float) -> QuadratureResult:
@@ -150,25 +149,24 @@ def _record(identity: str, params: dict, lhs, q: HyperbolicQuery, rhs: float,
 
 
 def erfc_identity_13a(q: HyperbolicQuery, tol: float = 1e-10) -> VerificationRecord:
-    rhs = (
-        0.5 * math.pi
-        * _closed_form_exp(q.alpha * q.alpha * math.cosh(q.phi), q)
-        * math.erfc(q.alpha * math.sinh(0.5 * q.phi))
-        * math.erfc(q.alpha * math.cosh(0.5 * q.phi))
-    )
+    """13a, its right side (pi/2) erfcx(alpha sh) erfcx(alpha ch): the
+    e^{alpha^2 cosh(phi)} of the erfc form, split as e^{alpha^2 sh^2}
+    e^{alpha^2 ch^2}, inside the two erfc values it scales.  A double for
+    every valid query, 0.0 only where it underflows."""
+    ch, sh = math.cosh(0.5 * q.phi), math.sinh(0.5 * q.phi)
+    rhs = 0.5 * math.pi * erfcx(q.alpha * sh) * erfcx(q.alpha * ch)
     return _record("EQ13A", {"alpha": q.alpha, "phi": q.phi}, lhs_13a, q, rhs, tol)
 
 
 def erfc_identity_13b(q: HyperbolicQuery, tol: float = 1e-10) -> VerificationRecord:
-    a2 = q.alpha * q.alpha
+    """13b, its right side (sqrt(pi)/(2 alpha)) [ch erfcx(alpha ch) -
+    sh erfcx(alpha sh)], each exponential inside the erfc it scales: a
+    double for every valid query.  The bracket cancels as phi grows, by
+    about alpha^2 sinh^2(phi) where alpha ch is large and e^phi where it
+    is small, and its relative error grows with that cancellation."""
     ch, sh = math.cosh(0.5 * q.phi), math.sinh(0.5 * q.phi)
-    rhs = (
-        math.sqrt(math.pi) / (2.0 * q.alpha)
-        * (
-            _closed_form_exp(a2 * ch * ch, q) * ch * math.erfc(q.alpha * ch)
-            - _closed_form_exp(a2 * sh * sh, q) * sh * math.erfc(q.alpha * sh)
-        )
-    )
+    rhs = (math.sqrt(math.pi) / (2.0 * q.alpha)
+           * (ch * erfcx(q.alpha * ch) - sh * erfcx(q.alpha * sh)))
     return _record("EQ13B", {"alpha": q.alpha, "phi": q.phi}, lhs_13b, q, rhs, tol)
 
 

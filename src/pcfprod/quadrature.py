@@ -7,8 +7,10 @@ Two engines, both deterministic for fixed inputs:
   singularities t^p (p > -1) at the origin and follows exponential tails
   at the caller's ``decay_rate``, the one fact it needs of the integrand.
 * :func:`integrate_finite` -- classic tanh-sinh rule with nodes generated
-  as exact distances from their endpoint, so integrable endpoint
-  singularities are resolved down to the floating-point limit.
+  as exact distances from their endpoint.  An integrable singularity is
+  resolved at an endpoint at 0 alone, where a node is its distance; at
+  any other endpoint, nodes within a few ulps of it round onto the same
+  floats, and what they miss does not show in the error estimate.
 
 Both run on one trapezoid-refinement driver (Takahasi & Mori 1974;
 Bailey, Jeyabalan & Li, Exp. Math. 2005) over the *sides* of a rule,
@@ -306,12 +308,18 @@ def integrate_finite(
 ) -> QuadratureResult:
     """Integrate ``f`` over [lo, hi] with the tanh-sinh rule.
 
-    Nodes cluster double-exponentially at both endpoints, so power-law
-    integrable singularities at lo or hi are handled without any help
-    from the caller.  Node positions near an endpoint are computed as
-    the endpoint plus/minus an exactly evaluated small distance, keeping
-    singular integrands accurate until the distance underflows the
-    spacing of floats around the endpoint itself.
+    Nodes cluster double-exponentially at both endpoints.  Node positions
+    near an endpoint are computed as the endpoint plus/minus an exactly
+    evaluated small distance, so an integrable power-law singularity is
+    resolved where that endpoint is 0: there a node is its distance, exact
+    down to the smallest double.  At a nonzero endpoint the nodes within a
+    few ulps of it round onto the same floats, and the part of the integral
+    they miss does not show in the error estimate:
+    ``integrate_finite(lambda x: (3 - x)**-0.5, 1, 3, 1e-10)`` is off by
+    3.1e-8 against an estimate of 2.7e-10, after 12,957 evaluations, and
+    (x - 1)**-0.5 on [1, 3] by 2.2e-8 against 9.6e-11.  No
+    :class:`ConvergenceError` is promised there.  Every integrand the
+    library integrates is singular, if at all, only at 0.
     """
     _check_tol(tol)
     if not lo < hi:

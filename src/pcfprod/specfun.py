@@ -26,8 +26,10 @@ other side is an integral check it against an engine it does not share:
 
 Other orders are rejected explicitly.  K_{1/4}(z) is
 sqrt(pi/sqrt z) D_{-1/2}(2 sqrt z) (DLMF 12.7.10).  :func:`pcf_d_product`
-is the one product of two D_{-nu} values, with a prefactor C e^E, that
-every closed-form right side calls.
+is the one product of two D_{-nu} values, each of them D or the scaled
+e^{z^2/4} D, that every closed-form right side of a D product calls.
+:func:`erfcx` is e^{x^2} erfc(x) = sqrt(2/pi) e^{z^2/4} D_{-1}(z) at
+z = sqrt(2) x, which never overflows, for the erfc right sides.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ __all__ = [
     "bessel_k_quarter",
     "pcf_d",
     "pcf_d_product",
+    "erfcx",
 ]
 
 _ORDER_LIMIT = 20.0
@@ -300,36 +303,50 @@ def _check_order(nu_order: float) -> None:
 
 
 def pcf_d_product(nu: float, z: float, zz: float, w: float, ww: float,
-                  factor: float = 1.0, expo: float = 0.0) -> float:
-    """factor e^expo D_{-nu}(z) D_{-nu}(w) for 0 < nu <= 20 and factor > 0, given
-    zz = z^2 and ww = w^2, passed exactly where the caller can.
+                  factor: float = 1.0, scaled: bool = False) -> float:
+    """factor D_{-nu}(z) D_{-nu}(w) for 0 < nu <= 20 and factor > 0, given
+    zz = z^2 and ww = w^2, passed exactly where the caller can; with
+    ``scaled``, factor [e^{zz/4} D_{-nu}(z)] [e^{ww/4} D_{-nu}(w)].
 
     This is the right side of every identity that ends in a product of two D
-    values.  Each factor is kept as a fraction and a binary exponent, and
-    e^expo and the summed exponent are applied once, so a subnormal or
-    underflowing factor, or an e^expo past a double, costs no digits where
-    the product is a double.  A factor past z = 1700, where e^{-z^2/4} is not
-    split exactly, is not evaluated but bounded by z^-nu e^{-z^2/4}: the product
-    is 0.0 where that bound is below 2^-1075, and a :class:`DomainError` naming
-    the argument where it is not.  Where the product overflows a double, or an
-    argument is below -1700 or nan, it raises :class:`DomainError` too.
+    values.  Each factor is kept as a fraction and a binary exponent, scaled
+    by its own e^{vv/4} through an exact split of that exponent where asked,
+    and the summed exponent is applied once, so a subnormal or underflowing
+    factor, or a scale past a double, costs no digits where the product is a
+    double, and no large exponent is set against a rounded square.  A factor
+    past z = 1700, where e^{-z^2/4} is not split exactly, is not evaluated but
+    bounded by z^-nu e^{-z^2/4} (z^-nu scaled): the product is 0.0 where that
+    bound is below 2^-1075, and a :class:`DomainError` naming the argument
+    where it is not.  Where the product overflows a double, or an argument is
+    below -1700 or nan, it raises :class:`DomainError` too.
     """
     _check_order(-nu)
     frac, power, log_far = factor, 0, 0.0
     for v, vv in ((z, zz), (w, ww)):
         if not v <= _Z_FAR:  # a nan too, which the bound below makes a DomainError
-            log_far -= 0.25 * vv + nu * math.log(v)
+            log_far -= nu * math.log(v) + (0.0 if scaled else 0.25 * vv)
         else:
             f, n = _pcf_d_negative_order_frexp(nu, v, vv)
+            if scaled:
+                f, n = _exp_frexp(f, 0.25 * vv, n)
             frac, power = frac * f, power + n
     if log_far:
-        # the log of the bound, widened by the rounding of expo - z^2/4 at a large expo;
         # below e^-746 < 2^-1075 the product rounds to 0.0
-        if math.log(frac) + power * _LN2 + expo + log_far + 2.0**-48 * abs(expo) < -746.0:
+        if math.log(frac) + power * _LN2 + log_far < -746.0:
             return 0.0
         raise DomainError(f"D_{{{-nu}}}({z}) D_{{{-nu}}}({w}) need not underflow, and a "
                           f"factor past z = {_Z_FAR} is not evaluated")
-    return _times_exp(frac, expo, power, "D_{{{0}}}({1}) D_{{{0}}}({2})", -nu, z, w)
+    return _times_exp(frac, 0.0, power, "D_{{{0}}}({1}) D_{{{0}}}({2})", -nu, z, w)
+
+
+def erfcx(x: float) -> float:
+    """e^{x^2} erfc(x) for x >= 0, in (0, 1]: e^{x^2} erfc(x) below x = 15/sqrt 2,
+    and from there the Poincare expansion that :func:`pcf_d` takes from |z| = 15
+    (DLMF 12.9.1 for D_{-1}(sqrt(2) x)), so it never overflows; 0.0 at x = inf."""
+    xx = x * x
+    if xx < 0.5 * _Z_POINCARE * _Z_POINCARE:
+        return math.exp(xx) * math.erfc(x)
+    return _poincare(1.0, -0.25 / xx) / (x * math.sqrt(math.pi))
 
 
 def pcf_d(nu_order: float, z: float) -> float:

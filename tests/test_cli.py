@@ -153,6 +153,12 @@ class TestEval:
         r = run_cli(["eval", "mehler_kernel", "--X", "0", "--Y", "1.7e155", "--u", "0"])
         assert r.exit_code == 0
         assert r.stdout == "1.0\n"
+        # and the series is its one term, with no tail (it was nan after 2^19)
+        r = run_cli(["eval", "mehler_kernel_series", "--X", "0", "--Y", "1.7e155", "--u", "0"])
+        assert r.exit_code == 0, r.stderr
+        value, terms, tail = r.stdout.splitlines()
+        assert (value, terms) == ("1.0", "# terms_used = 1")
+        assert math.isfinite(float(tail.split(" = ")[1]))
 
     @pytest.mark.parametrize("lam,code", [("3.00000001", 0), ("2.99999999999999", 0),
                                           ("3", 2)])
@@ -394,14 +400,11 @@ class TestVerify:
         "EQ10 --nu 1 --x 1 --y 2",
         "EQ11 --nu 1 --a 1 --b 2",
         "EQ12 --nu 1 --a 1.5 --b -0.5",
-        "EQ13A --alpha 10 --phi 3",
-        "EQ13B --alpha 15 --phi 3",
         "EQ14 --a 1 --phi 800",
         # phi past 700, alpha below 1e-150 and alpha^2 = inf used to end in
         # a traceback or a nan right side
         "EQ13A --alpha 1 --phi 800",
         "EQ13B --alpha 1e-200 --phi 1",
-        "EQ13A --alpha 1e200 --phi 1",
         "EQ15 --nu 1 --x 1 --y 2",
         "EQ8_EQ9 --lam 0.5 --x 0 --xprime 0",
         "EQ8_EQ9 --lam 1.5 --x 1 --xprime 0",
@@ -460,10 +463,19 @@ class TestVerify:
         "EQ11 --nu 1 --a 2 --b 2",
         "EQ3 --X 1 --Y 0.5 --u 0.99",
         "EQ3 --X -2 --Y 2 --u -0.999",
+        # e^{alpha^2 cosh(phi)} overflows a double (inf at alpha = 1e200, where
+        # both sides are 0.0): the erfc right sides carry it inside erfcx
+        "EQ13A --alpha 10 --phi 3",
+        "EQ13B --alpha 15 --phi 3",
+        "EQ13A --alpha 1e200 --phi 1",
+        # missed at 4.2e-11 and 7.9e-11: a large exponential set against a rounded
+        # square, where each factor now carries its own
+        "EQ13B --alpha 2 --phi 5 --tol 1e-11",
+        "EQ11 --nu 1 --a 1e6 --b 10 --tol 1e-11",
     ], ids=lambda a: a.replace(" --", "-").replace(" ", "="))
     def test_former_walls_pass(self, run_cli, args):
-        # x = y, a = b and |u| > 0.95 were skipped; the integral and the series
-        # decide their own reach there
+        # x = y, a = b, |u| > 0.95 and an overflowing closed-form exponential
+        # were skipped; the integral and the series decide their own reach there
         r = run_cli(["verify", *args.split()])
         assert r.exit_code == 0, r.stderr
         assert r.stdout.splitlines()[-1] == "# summary: pass=1 fail=0 skip=0"

@@ -133,7 +133,7 @@ class TestShooter:
         sol = integrate.solve_ivp(lambda t, s: [s[1], (t * t - lam) * s[0]], [t0, t1],
                                   [y, yp], method="DOP853", rtol=1e-12, atol=1e-300)
         assert sol.success
-        got = green.solve_ivp(lam, t0, t1, y, yp, 1e-11)
+        got = green.solve_ivp(lam, t0, t1, y, yp)
         assert got[0] == pytest.approx(sol.y[0, -1], rel=1e-9)
         assert got[1] == pytest.approx(sol.y[1, -1], rel=1e-9)
 
@@ -176,14 +176,14 @@ class TestShooter:
     def test_non_finite_state_is_a_convergence_error(self):
         with pytest.raises(ConvergenceError, match=r"from t=0\.0 to t=1\.0 stopped at t=\S+ "
                                                     r"after \d+ steps: state is not finite"):
-            green.solve_ivp(0.0, 0.0, 1.0, 1e308, 1e308, 1e-11)
+            green.solve_ivp(0.0, 0.0, 1.0, 1e308, 1e308)
 
     def test_step_rule_when_coefficients_vanish_in_pairs(self):
         # at t = 0 with lambda = 0 and y = 0 only c_1, c_5, c_9, ... are
         # nonzero, so c_23 = c_24 = 0 although the dropped terms are not
         with mp.workdps(30):
             ref = mp.odefun(lambda t, s: [s[1], t * t * s[0]], 0, [mp.mpf(0), mp.mpf(1)])(3)
-        y, yp = green.solve_ivp(0.0, 0.0, 3.0, 0.0, 1.0, 1e-11)
+        y, yp = green.solve_ivp(0.0, 0.0, 3.0, 0.0, 1.0)
         assert y == pytest.approx(float(ref[0]), rel=1e-12)
         assert yp == pytest.approx(float(ref[1]), rel=1e-12)
 

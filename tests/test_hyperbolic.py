@@ -1,6 +1,7 @@
 """Hyperbolic integral identities: theta-quadrature vs closed forms."""
 
 import math
+import random
 
 import mpmath as mp
 import numpy as np
@@ -103,6 +104,43 @@ class TestErfcIdentities:
             b = alpha * alpha * math.sinh(phi)
             lap = laplace_I(LaplaceParams(1.0, a, b), -1, 1e-11)
             assert rec.lhs == pytest.approx(0.5 * lap.value, rel=1e-9)
+
+
+class TestErfcxRightSides:
+    """The right sides of 13a and 13b, each exponential inside the erfcx it
+    scales, against 50-digit mpmath of the erfc form."""
+
+    @staticmethod
+    def _points(count, seed):
+        rng = random.Random(seed)
+
+        def log_uniform(lo, hi):
+            return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+        return [(log_uniform(0.01, 16.0), log_uniform(0.01, 12.0)) for _ in range(count)]
+
+    def test_sweep_against_mpmath(self, monkeypatch):
+        # 13a within 4 eps (2 + x_s^2 + x_c^2), each square capped at 113 where
+        # erfcx leaves e^{x^2} erfc(x) for its expansion; 13b within
+        # 4 eps kappa (2 + x_c^2), kappa = (A + B)/|A - B| the cancellation of
+        # its bracket A - B = ch erfcx(x_c) - sh erfcx(x_s)
+        monkeypatch.setattr(hyperbolic, "_record", lambda identity, params, lhs, q, rhs, tol: rhs)
+        eps = 2.0**-53
+        for alpha, phi in self._points(400, seed=24):
+            q = HyperbolicQuery(alpha=alpha, phi=phi)
+            r13a, r13b = erfc_identity_13a(q), erfc_identity_13b(q)
+            x_s, x_c = alpha * math.sinh(phi / 2), alpha * math.cosh(phi / 2)
+            with mp.workdps(50):
+                al, ph = mp.mpf(alpha), mp.mpf(phi)
+                sh, ch = mp.sinh(ph / 2), mp.cosh(ph / 2)
+                big_a = ch * mp.exp((al * ch) ** 2) * mp.erfc(al * ch)
+                big_b = sh * mp.exp((al * sh) ** 2) * mp.erfc(al * sh)
+                ref_a = mp.pi / 2 * mp.exp(al**2 * mp.cosh(ph)) * mp.erfc(al * sh) * mp.erfc(al * ch)
+                ref_b = mp.sqrt(mp.pi) / (2 * al) * (big_a - big_b)
+                kappa = (big_a + big_b) / abs(big_a - big_b)
+                err_a, err_b = abs(r13a - ref_a) / ref_a, abs(r13b - ref_b) / ref_b
+            assert err_a <= 4 * eps * (2 + min(x_s**2, 113) + min(x_c**2, 113)), (alpha, phi)
+            assert err_b <= 4 * eps * kappa * (2 + min(x_c**2, 113)), (alpha, phi)
 
 
 class TestKIdentity:
@@ -212,11 +250,12 @@ class TestLeftSides:
                 assert abs(r.value - ref) <= 1e-10 * ref, (x, phi, r.value, ref)
 
     def test_finite_where_the_closed_form_overflows(self):
+        # e^{alpha^2 cosh(phi)}, about e^{9060}, is past a double, and the right side
+        # carries it inside erfcx: the record passes on this left side
         q = HyperbolicQuery(alpha=30.0, phi=3.0)
-        with pytest.raises(DomainError, match="closed form overflows"):
-            erfc_identity_13a(q)
-        r = lhs_13a(q)
+        r, rec = lhs_13a(q), erfc_identity_13a(q)
         assert 0.0 < r.value < 1e-3
+        assert rec.passed and rec.lhs == r.value, rec
 
 
 class TestQueryValidation:
@@ -253,9 +292,15 @@ class TestQueryValidation:
     @pytest.mark.parametrize("fn,alpha", [(erfc_identity_13a, 10.0), (erfc_identity_13a, 30.0),
                                           (erfc_identity_13b, 15.0), (erfc_identity_13a, 1e200),
                                           (erfc_identity_13b, 1e200)])
-    def test_closed_form_overflow_is_out_of_domain(self, fn, alpha):
+    def test_past_the_old_overflow(self, fn, alpha):
         # e^{alpha^2 cosh(phi)} (13a) and e^{alpha^2 cosh^2(phi/2)} (13b) leave
-        # double range at phi = 3; at alpha = 1e200 the exponent is inf, whose
-        # math.exp raises nothing, and the right side used to come out nan
-        with pytest.raises(DomainError, match="closed form overflows"):
-            fn(HyperbolicQuery(alpha=alpha, phi=3.0))
+        # double range at phi = 3, and at alpha = 1e200 the exponent is inf; these
+        # were DomainErrors.  Each exponential lives inside its erfcx, so the right
+        # side is a value, 0.0 where both sides underflow
+        rec = fn(HyperbolicQuery(alpha=alpha, phi=3.0))
+        assert rec.passed, rec
+        if alpha == 1e200:
+            assert rec.lhs == rec.rhs == 0.0
+        else:
+            ref = (_mp_13a if fn is erfc_identity_13a else _mp_13b)(alpha, 3.0)
+            assert abs(rec.rhs - ref) <= 1e-11 * ref, (rec.rhs, ref)

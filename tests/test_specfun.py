@@ -379,9 +379,9 @@ def right_side(route, p):
     return value, call.arguments
 
 
-def reference(route, p):
-    """The right side by 40-digit mpmath, from the caller's own parameters."""
-    with mp.workdps(40):
+def reference(route, p, dps=40):
+    """The right side by ``dps``-digit mpmath, from the caller's own parameters."""
+    with mp.workdps(dps):
         if route in ("EQ11", "EQ12"):
             a, b = mp.mpf(p["a"]), mp.mpf(p["b"])
             x = mp.sqrt(a + mp.sqrt((a - b) * (a + b)))
@@ -425,25 +425,29 @@ def seeded_points(route, count, seed):
     return points
 
 
-def log_d_bound(nu, v):
+def log_d_bound(nu, v, scaled=False):
     """An upper bound on log D_{-nu}(v), from D's integral (DLMF 12.5.1):
     v^-nu e^{-v^2/4} for v > 0, as e^{-t^2/2} < 1, and
-    e^{3v^2/4} 2^{nu-1} Gamma(nu/2)/Gamma(nu) for v <= 0, as -vt <= v^2 + t^2/4."""
+    e^{3v^2/4} 2^{nu-1} Gamma(nu/2)/Gamma(nu) for v <= 0, as -vt <= v^2 + t^2/4;
+    with ``scaled``, on log e^{v^2/4} D_{-nu}(v), the v^2/4 added exactly."""
     if v > 0:
-        return -v * v / 4 - nu * mp.log(v)
-    return 3 * v * v / 4 + (nu - 1) * mp.log(2) + mp.loggamma(nu / 2) - mp.loggamma(nu)
+        return -nu * mp.log(v) - (0 if scaled else v * v / 4)
+    return ((v * v if scaled else 3 * v * v / 4) + (nu - 1) * mp.log(2)
+            + mp.loggamma(nu / 2) - mp.loggamma(nu))
 
 
 def assert_rounds_to_zero(args):
     """The product is below 2^-1075: by the bounds of :func:`log_d_bound`, or
     else with each factor up to z = 98 from 40-digit mpmath (which takes
-    seconds at an order and a negative z both near 1e-300)."""
+    seconds at an order and a negative z both near 1e-300); a scaled factor
+    with its own e^{v^2/4}."""
     with mp.workdps(40):
-        nu, zw = mp.mpf(args["nu"]), (mp.mpf(args["z"]), mp.mpf(args["w"]))
-        prefactor, zero = mp.log(args["factor"]) + args["expo"], -1075 * mp.log(2)
-        if prefactor + sum(log_d_bound(nu, v) for v in zw) < zero:
+        nu, zw, scaled = mp.mpf(args["nu"]), (mp.mpf(args["z"]), mp.mpf(args["w"])), args["scaled"]
+        prefactor, zero = mp.log(args["factor"]), -1075 * mp.log(2)
+        if prefactor + sum(log_d_bound(nu, v, scaled) for v in zw) < zero:
             return
-        exact = sum(log_d_bound(nu, v) if v > 98 else mp.log(mp.pcfd(-nu, v)) for v in zw)
+        exact = sum(log_d_bound(nu, v, scaled) if v > 98
+                    else mp.log(mp.pcfd(-nu, v)) + (v * v / 4 if scaled else 0) for v in zw)
         assert prefactor + exact < zero, args
 
 
@@ -454,6 +458,25 @@ OUTSIDE_DOUBLE_RANGE = {
     # D_{-15.5}(53.74) = 3.7e-342 underflows; G = 1.1e-302
     "green_closed": [{"lam": -30.0, "x": 38.0, "xprime": 10.0}],
 }
+
+
+class TestErfcx:
+    def test_against_mpmath(self):
+        # e^{x^2} erfc(x) rounds x^2 in its exponential, up to x^2 = 112.5; the
+        # Poincare expansion from there is within a few ulps
+        rng = random.Random(7)
+        points = [0.0, 1e-300, 10.6, 10.61, 15 / math.sqrt(2), 1e154, 1e200]
+        points += [math.exp(rng.uniform(math.log(1e-3), math.log(1e6))) for _ in range(300)]
+        for x in points:
+            value = specfun.erfcx(x)
+            with mp.workdps(40):
+                # mpmath's erfc raises past about 1e150; there erfcx is 1/(x sqrt(pi))
+                # to 1e-300
+                ref = (mp.exp(mp.mpf(x) ** 2) * mp.erfc(x) if x < 1e100
+                       else 1 / (mp.mpf(x) * mp.sqrt(mp.pi)))
+                err = abs(value - ref) / ref
+            assert 0.0 < value <= 1.0 and err <= EPS * (2 + min(x * x, 113)), (x, value, ref)
+        assert specfun.erfcx(math.inf) == 0.0
 
 
 class TestPcfDProduct:
@@ -472,8 +495,10 @@ class TestPcfDProduct:
         # e^{750} D_{-1}(38.7) D_{-1}(-38.7) is past a double
         with pytest.raises(DomainError, match="overflows a double"):
             right_side("EQ11", {"nu": 1.0, "a": 1500.0, "b": 1499.0})
+        # D_{-1}(-30)^2 is about e^{450}, and e^{900} with each factor scaled
+        assert math.isfinite(specfun.pcf_d_product(1.0, -30.0, 900.0, -30.0, 900.0))
         with pytest.raises(DomainError, match="overflows a double"):
-            specfun.pcf_d_product(1.0, 1.0, 1.0, 1.0, 1.0, expo=800.0)
+            specfun.pcf_d_product(1.0, -30.0, 900.0, -30.0, 900.0, scaled=True)
         with pytest.raises(DomainError, match="overflows a double"):
             specfun.pcf_d_product(1.0, -79.0, 6241.0, -79.0, 6241.0)
 
@@ -494,6 +519,19 @@ class TestPcfDProduct:
                 ref = mp.pcfd(-p["nu"], p["x"]) * mp.pcfd(-p["nu"], -p["y"])
         bound = 16 * EPS * sum(max(1.0, v * v / 2) for v in (args["z"], args["w"]))
         assert abs(value - ref) <= bound * ref, (route, p, value, ref)
+
+    @pytest.mark.parametrize("route", ["EQ11", "EQ12"])
+    @pytest.mark.parametrize("nu,a,b", [(1.0, 1e6, 10.0), (11.2, 1385.0, 134.0),
+                                        (1.0, 5000.0, 10.0)])
+    def test_scaled_laplace_right_side(self, route, nu, a, b):
+        # 2 Gamma(nu) [e^{x^2/4} D(x)] [e^{y^2/4} D(-+y)], as a/2 = (x^2 + y^2)/4:
+        # e^{a/2} set against factors of a rounded x was off by 7.9e-11, 5.3e-14
+        # and 2.5e-13 on EQ11
+        p = {"nu": nu, "a": a, "b": b}
+        value, args = right_side(route, p)
+        assert args["scaled"]
+        ref = reference(route, p, dps=50)
+        assert abs(value - ref) <= 1e-15 * ref, (route, p, value, ref)
 
     @pytest.mark.parametrize("a", [1e20, 1e150])
     def test_far_factor_under_a_large_prefactor(self, a):
