@@ -112,7 +112,7 @@ def product_reference(q: ProductQuery) -> float:
     (D_{-1}(54) = 4.6e-319) or one that underflows costs no digits where
     the product is a normal double.
     Where the product overflows a double (large y, or x and -y both far
-    below 0), or x or -y is below -1700, it raises :class:`DomainError`.
+    below 0), or x or -y is below about -2410, it raises :class:`DomainError`.
     """
     return pcf_d_product(q.nu, q.x, q.x * q.x, -q.y, q.y * q.y)
 

@@ -174,9 +174,8 @@ def green_closed(q: GreenQuery) -> float:
     :func:`pcfprod.specfun.pcf_d_product`, so a subnormal or underflowing
     factor costs no digits where G is a double.  It raises
     :class:`DomainError` for lambda < -39 (an order below -20), for x' above
-    about 1202 (-x' sqrt 2 below -1700) and where the product overflows a
-    double.  Past x of about 1202 (x sqrt 2 past 1700) G is 0.0, or a
-    :class:`DomainError` where x' is within about 0.6 of x and G need not underflow.
+    about 1704 (-x' sqrt 2 below -2410) and where the product overflows a
+    double.  Past x of about 1705 (x sqrt 2 past 2411) G is 0.0.
     """
     if not q.x > q.xprime:
         raise DomainError(f"closed form requires x > x', got x={q.x}, x'={q.xprime}")

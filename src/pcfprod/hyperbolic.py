@@ -42,8 +42,8 @@ The right side of 14 is computed in its second form, from
 K_{1/4}(z) = sqrt(pi/sqrt z) D_{-1/2}(2 sqrt z) (DLMF 12.7.10), whose
 prefactors cancel sqrt(a sinh(phi)/pi).  D_{-1/2} is finite at 0, and
 :func:`pcfprod.specfun.pcf_d_product` keeps each factor as a fraction
-and a binary exponent up to z = 1700, past which a factor underflows any
-product with the other, so the right side is a double wherever the query
+and a binary exponent, and a factor past z = 2411 is 0.0 and underflows
+any product with the other, so the right side is a double wherever the query
 is valid: as phi -> 0, where a sinh^2(phi/2) underflows, and at large
 a cosh^2(phi/2), where it overflows.
 """

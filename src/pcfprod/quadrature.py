@@ -284,10 +284,10 @@ def integrate_semi_infinite(f: Callable[[float], float], decay_rate: float,
                             tol: float = 1e-10) -> QuadratureResult:
     """Integrate ``f`` over (0, inf).
 
-    The substitution t = c*exp(s - exp(-s)) with c ~ 1/decay_rate turns
-    both the origin singularity and the exponential tail into
-    double-exponentially decaying contributions of the trapezoid sum in
-    s; ``decay_rate`` 0 selects the algebraic tail (like t^{-3/2}), which
+    The substitution t = c*exp(s - exp(-s)) with c = 1/decay_rate, kept in
+    [1e-150, 1e4], turns both the origin singularity and the exponential
+    tail into double-exponentially decaying contributions of the trapezoid
+    sum in s; ``decay_rate`` 0 selects the algebraic tail (like t^{-3/2}), which
     converges more slowly but remains integrable.  The step is halved
     until two successive levels agree to ``tol`` relative.  A prefactor
     belongs in ``f``, best in its exponent: nothing scales the result.
@@ -295,7 +295,10 @@ def integrate_semi_infinite(f: Callable[[float], float], decay_rate: float,
     _check_tol(tol)
     if not decay_rate >= 0.0:
         raise DomainError(f"decay rate must be >= 0, got {decay_rate}")
-    c = 1.0 / min(max(decay_rate, 1e-4), 1e4)
+    # up to decay_rate 1e150 c puts the nodes where the mass is; past it (inf where x - y
+    # passes 1.3e154) the library's integrands are 0 at every node, the walk reaches
+    # 1e-109 c, and c = 1e-150 keeps those nodes normal
+    c = 1.0 / min(max(decay_rate, 1e-4), 1e150)
     return _refine(f, ((_EXP_SINH_RIGHT, 0.0, c), (_EXP_SINH_LEFT, 0.0, c)),
                    _SEMI_INFINITE_LEVELS, "semi-infinite quadrature", tol)
 

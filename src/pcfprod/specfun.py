@@ -59,8 +59,11 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # is a Taylor step inward from D(_Z1)
 _Z1 = 3.0
 _LN2 = math.log(2.0)
-# ln 2 in two parts (fdlibm's): n * _LN2_HI is exact for |n| < 2^20
+# ln 2 in two parts (fdlibm's): n * _LN2_HI is exact for |n| <= 2^21
 _LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
+# e^expo splits exactly from -2^21 ln 2 (0.0 below) up to (2^21 - 2^11) ln 2, so that a
+# factor made 0.0 times any that is not, its rest and prefactor under 2^300, underflows too
+_EXPO_MIN, _EXPO_MAX = -2.0**21 * _LN2, (2.0**21 - 2.0**11) * _LN2
 # a sum stops once its new terms fall below this share of it
 _SUM_EPS = 2.0**-56
 # the continued fraction stops once a level changes it by at most this
@@ -71,9 +74,6 @@ _CF_LO, _CF_HI = 1.0 - _CF_EPS, 1.0 + _CF_EPS
 # from |z| = _Z_POINCARE on, D is its Poincare expansion, whose terms fall below 2^-56
 # of the sum before they grow at every order up to 20; the sums below it stay under e^172
 _Z_POINCARE = 15.0
-# e^{z^2/4} is split exactly as 2^n e^r up to |z| = _Z_FAR (n < 2^20): D_{-nu}(z) is
-# not evaluated past it, where it overflows (z < 0) or is below e^{-z^2/4} (z > 0)
-_Z_FAR = 1700.0
 
 
 def hermite(n: int, x: float) -> float:
@@ -189,10 +189,15 @@ def _poincare(a: float, x: float) -> float:
 
 
 def _exp_frexp(x: float, expo: float, power: int) -> tuple[float, int]:
-    """x e^expo 2^power for a moderate expo as (frac, n) with frac in [0.5, 1)
-    and x e^expo 2^power = frac 2^n.  e^expo is split as 2^n e^r with
+    """x e^expo 2^power as (frac, n) with frac in [0.5, 1) and
+    x e^expo 2^power = frac 2^n.  e^expo is split as 2^n e^r with
     |r| <= ln(2)/2, so the powers of two stay exact and only x e^r is
-    rounded."""
+    rounded.  The split is exact for expo in [_EXPO_MIN, _EXPO_MAX]: below
+    it the result is (0.0, 0), above it or at a nan an OverflowError."""
+    if expo < _EXPO_MIN:
+        return 0.0, 0
+    if not expo <= _EXPO_MAX:
+        raise OverflowError(f"e^{expo} is past e^{_EXPO_MAX:.0f}")
     n = round(expo / _LN2)
     r = (expo - n * _LN2_HI) - n * _LN2_LO
     frac, e = math.frexp(x * math.exp(r))
@@ -200,23 +205,23 @@ def _exp_frexp(x: float, expo: float, power: int) -> tuple[float, int]:
 
 
 def _times_exp(x: float, expo: float, power: int, name: str, *args: object) -> float:
-    """x e^expo 2^power, rounded once by ldexp: 0.0 below e^-746 < 2^-1075, tested before
-    e^expo is split, so expo may be any size there, and a :class:`DomainError` naming
-    ``name.format(*args)``, formatted on that path alone, where it overflows a double."""
+    """x e^expo 2^power, rounded once by ldexp: 0.0 below e^-746 < 2^-1075, also for a
+    negative x, and a :class:`DomainError` naming ``name.format(*args)``, formatted
+    on that path alone, where it overflows a double."""
     if (math.frexp(x)[1] + power) * _LN2 + expo < -746.0:
         return 0.0
     try:
-        return math.ldexp(*_exp_frexp(x, expo, power)) if expo else math.ldexp(x, power)
+        return math.ldexp(*_exp_frexp(x, expo, power))
     except OverflowError:
         raise DomainError(name.format(*args) + " overflows a double") from None
 
 
-def _wronskian_frexp(nu: float, z: float, zz: float) -> tuple[float, int, float]:
-    """D_{-nu}(z) = frac 2^n as (frac, n), and D_{-nu-1}(z)/D_{-nu}(z), for
+def _wronskian_frexp(nu: float, z: float, zz: float, lift: float) -> tuple[float, int, float]:
+    """e^lift D_{-nu}(z) = frac 2^n as (frac, n), and D_{-nu-1}(z)/D_{-nu}(z), for
     z > 0, from D_{-nu}(z) = sqrt(2 pi) e^{z^2/4} / (S_{nu+1}(z) + rho nu S_nu(z))."""
     p, q = _sums(nu, z, zz)
     rho = _ratio(nu, z)
-    return *_exp_frexp(_SQRT_2PI / (q / z + rho * p), 0.25 * zz, 0), rho
+    return *_exp_frexp(_SQRT_2PI / (q / z + rho * p), lift + 0.25 * zz, 0), rho
 
 
 @functools.lru_cache(maxsize=1)
@@ -224,7 +229,7 @@ def _anchor(nu: float) -> tuple[float, float]:
     """D_{-nu}(_Z1) and D_{-nu-1}(_Z1)/D_{-nu}(_Z1).  Only the last order is
     kept: a grid with nu outermost reuses it, and a larger memo would only
     serve repeated passes over the same orders."""
-    frac, n, rho = _wronskian_frexp(nu, _Z1, _Z1 * _Z1)
+    frac, n, rho = _wronskian_frexp(nu, _Z1, _Z1 * _Z1, 0.0)
     return math.ldexp(frac, n), rho
 
 
@@ -261,39 +266,44 @@ def _taylor_inward(nu: float, z: float) -> float:
     return total
 
 
-def _pcf_d_negative_order_frexp(nu: float, z: float, zz: float) -> tuple[float, int]:
-    """D_{-nu}(z) = frac 2^n as (frac, n) for nu > 0 and z <= _Z_FAR, given
-    zz = z^2: the binary exponent n is exact, so neither part under- or
-    overflows where D_{-nu}(z) does.  DomainError below -_Z_FAR."""
-    if z < -_Z_FAR:
-        raise DomainError(f"D_{{{-nu}}}({z}) overflows a double")
+def _pcf_d_negative_order_frexp(nu: float, z: float, zz: float, lift: float) -> tuple[float, int]:
+    """e^lift D_{-nu}(z) = frac 2^n as (frac, n) for nu > 0, given zz = z^2.  lift
+    (0, or zz/4 scaled) joins the route's exponent (-zz/4, zz/4 or none) before its
+    one split, so n is exact and -zz/4 + zz/4 is 0.  OverflowError past the split."""
     if z >= _Z_POINCARE:  # DLMF 12.9.1
-        return _exp_frexp(z ** -nu * _poincare(nu, -0.5 / zz), -0.25 * zz, 0)
+        # z^-nu; where it is subnormal or 0, m^-nu 2^-(e nu) for z = m 2^e, e nu = k + r/d exactly
+        frac, n = math.frexp(z ** -nu)
+        if n < -1021 or not frac:
+            (m, e), (a, d) = math.frexp(z), nu.as_integer_ratio()
+            k, r = divmod(e * a, d)
+            frac, n = math.frexp(m ** -nu * 2.0 ** (-r / d))
+            n -= k
+        return _exp_frexp(frac * _poincare(nu, -0.5 / zz), lift - 0.25 * zz, n)
     if z >= _Z1:
-        return _wronskian_frexp(nu, z, zz)[:2]
+        return _wronskian_frexp(nu, z, zz, lift)[:2]
     if z > 0.0:
-        return math.frexp(_taylor_inward(nu, z))
+        return _exp_frexp(_taylor_inward(nu, z), lift, 0)
     if z > -_Z_POINCARE:
         # D_{-nu}(-w) = e^{-w^2/4} nu S_nu(w)/Gamma(nu+1), all terms positive
-        return _exp_frexp(_sums(nu, -z, zz)[0] / math.gamma(nu + 1.0), -0.25 * zz, 0)
+        return _exp_frexp(_sums(nu, -z, zz)[0] / math.gamma(nu + 1.0), lift - 0.25 * zz, 0)
     # DLMF 12.2.15 and 12.9.2: D_{-nu}(-w) = sqrt(2 pi)/Gamma(nu) e^{w^2/4} w^{nu-1} sum
     # + cos(pi nu) D_{-nu}(w), with 1/Gamma(nu) = m 2^k/Gamma(nu+1) for nu = m 2^k, so
     # a subnormal order costs no digits; as nu -> 0 the second term dominates, and its
     # shift nb - na stays below 916 (k >= -1074, w^2/4 >= 56)
     m, k = math.frexp(nu)
     fa, na = _exp_frexp(_SQRT_2PI * m / math.gamma(nu + 1.0) * (-z) ** (nu - 1.0)
-                        * _poincare(1.0 - nu, 0.5 / zz), 0.25 * zz, k)
-    fb, nb = _pcf_d_negative_order_frexp(nu, -z, zz)
+                        * _poincare(1.0 - nu, 0.5 / zz), lift + 0.25 * zz, k)
+    fb, nb = _pcf_d_negative_order_frexp(nu, -z, zz, lift)
     frac, e = math.frexp(fa + math.cos(math.pi * nu) * math.ldexp(fb, nb - na))
     return frac, e + na
 
 
 def _pcf_d_negative_order(nu: float, z: float, zz: float) -> float:
     """D_{-nu}(z) for nu > 0, given zz = z^2."""
-    if z > _Z_FAR:  # D < e^{-z^2/4} rounds to 0
-        return 0.0
-    frac, n = _pcf_d_negative_order_frexp(nu, z, zz)
-    return _times_exp(frac, 0.0, n, "D_{{{}}}({})", -nu, z)
+    try:
+        return math.ldexp(*_pcf_d_negative_order_frexp(nu, z, zz, 0.0))
+    except OverflowError:
+        raise DomainError(f"D_{{{-nu}}}({z}) overflows a double") from None
 
 
 def _check_order(nu_order: float) -> None:
@@ -309,34 +319,22 @@ def pcf_d_product(nu: float, z: float, zz: float, w: float, ww: float,
     ``scaled``, factor [e^{zz/4} D_{-nu}(z)] [e^{ww/4} D_{-nu}(w)].
 
     This is the right side of every identity that ends in a product of two D
-    values.  Each factor is kept as a fraction and a binary exponent, scaled
-    by its own e^{vv/4} through an exact split of that exponent where asked,
-    and the summed exponent is applied once, so a subnormal or underflowing
-    factor, or a scale past a double, costs no digits where the product is a
-    double, and no large exponent is set against a rounded square.  A factor
-    past z = 1700, where e^{-z^2/4} is not split exactly, is not evaluated but
-    bounded by z^-nu e^{-z^2/4} (z^-nu scaled): the product is 0.0 where that
-    bound is below 2^-1075, and a :class:`DomainError` naming the argument
-    where it is not.  Where the product overflows a double, or an argument is
-    below -1700 or nan, it raises :class:`DomainError` too.
-    """
+    values.  Each factor is a fraction and a binary exponent, its e^{vv/4}
+    joined to its own exponent before the one exact split, and the summed
+    exponent is applied once: a subnormal or underflowing factor, or a scale
+    past a double, costs no digits, and no large exponent is set against a
+    rounded square.  An unscaled factor past v = 2411 is 0.0, and so is the
+    product.  Where the product overflows a double, a factor's exponent is
+    past the split (v below -2410, or -1704 scaled) or an argument is nan, it
+    raises :class:`DomainError`."""
     _check_order(-nu)
-    frac, power, log_far = factor, 0, 0.0
-    for v, vv in ((z, zz), (w, ww)):
-        if not v <= _Z_FAR:  # a nan too, which the bound below makes a DomainError
-            log_far -= nu * math.log(v) + (0.0 if scaled else 0.25 * vv)
-        else:
-            f, n = _pcf_d_negative_order_frexp(nu, v, vv)
-            if scaled:
-                f, n = _exp_frexp(f, 0.25 * vv, n)
-            frac, power = frac * f, power + n
-    if log_far:
-        # below e^-746 < 2^-1075 the product rounds to 0.0
-        if math.log(frac) + power * _LN2 + log_far < -746.0:
-            return 0.0
-        raise DomainError(f"D_{{{-nu}}}({z}) D_{{{-nu}}}({w}) need not underflow, and a "
-                          f"factor past z = {_Z_FAR} is not evaluated")
-    return _times_exp(frac, 0.0, power, "D_{{{0}}}({1}) D_{{{0}}}({2})", -nu, z, w)
+    try:
+        f, n = _pcf_d_negative_order_frexp(nu, z, zz, 0.25 * zz if scaled else 0.0)
+        g, m = _pcf_d_negative_order_frexp(nu, w, ww, 0.25 * ww if scaled else 0.0)
+        return math.ldexp(factor * f * g, n + m)
+    except OverflowError:
+        raise DomainError(f"D_{{{-nu}}}({z}) D_{{{-nu}}}({w}) overflows a double, or a factor "
+                          "is past the exact split") from None
 
 
 def erfcx(x: float) -> float:
@@ -365,8 +363,8 @@ def pcf_d(nu_order: float, z: float) -> float:
     3.11) a call costs 19-21 us for -7 <= z <= 0, 27-41 us for 3 <= z < 7,
     17-20 us for 0 < z < 3 at the order of the previous such call and
     32-58 us at a new one, and 3-13 us for |z| >= 15.  Where D_order(z)
-    overflows a double (z < 0 only, e.g. D_{-20}(-53)), and below z = -1700,
-    it raises :class:`DomainError`; beyond z = 2 sqrt(746) it underflows and
+    overflows a double (z < 0 only, e.g. D_{-20}(-53)) it raises
+    :class:`DomainError`; beyond z = 2 sqrt(746) it underflows and
     is returned as 0.0.  An integer order n is evaluated in log scale, so
     D_n(z) is 0.0 only where it underflows (D_20(55) = 2.2e-294 is returned;
     beyond |z| = 77.5 every D_n(z) is 0.0), never nan.

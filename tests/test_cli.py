@@ -451,12 +451,27 @@ class TestVerify:
         # 0.03 and 2e-3)
         "EQ11 --nu 1 --a 5000 --b 10",
         "EQ11 --nu 1 --a 1e6 --b 10",
+        # x = 2000 and 1.4e10, past z = 1700, where a factor was bounded
+        "EQ11 --nu 1 --a 2e6 --b 10",
+        "EQ12 --nu 1 --a 2e6 --b 10",
+        "EQ11 --nu 1 --a 1e20 --b 10",
+        "EQ12 --nu 1 --a 1e20 --b 10",
+        "EQ10 --nu 1 --x 2000 --y 1999.9",
     ], ids=lambda a: a.replace(" --", "-").replace(" ", "="))
     def test_factor_past_the_old_limits_passes(self, run_cli, args):
-        # factors below -80 or past 98 were a skip
+        # factors below -80 or past 98 were a skip, and so were factors past 1700
         r = run_cli(["verify", *args.split()])
         assert r.exit_code == 0, r.stderr
         assert r.stdout.splitlines()[-1] == "# summary: pass=1 fail=0 skip=0"
+
+    @pytest.mark.parametrize("tol", ["1e-8", "1e-12"])
+    def test_laplace_forms_hold_up_to_a_1e30(self, run_cli, tol):
+        # it read 25 skips from a = 1.9e7 (a factor past z = 1700) and 30 failures
+        # from a = 4.3e18 (the quadrature's scale clamped at decay rate 1e4)
+        r = run_cli(["verify", "EQ11", "--nu", "1:20:5", "--a", "log:1e5:1e30:12",
+                     "--b", "10", "--tol", tol])
+        assert r.exit_code == 0, r.stderr
+        assert r.stdout.splitlines()[-1] == "# summary: pass=60 fail=0 skip=0"
 
     @pytest.mark.parametrize("args", [
         "EQ10 --nu 1 --x 2 --y 2",

@@ -237,6 +237,14 @@ class TestLaplaceForms:
         with pytest.raises(DomainError, match="integrand's e\\^\\{.*\\} overflows a double"):
             laplace_I(LaplaceParams(1.0, 1500.0, 1499.0), 1)
 
+    @pytest.mark.parametrize("a", [1e17, 1e30])
+    def test_mass_near_one_over_a(self, a):
+        # the integral's mass sits near t = 1/a: with the scale clamped at decay
+        # rate 1e4, a = 1e17 raised a ConvergenceError after 49,304 evaluations
+        r = laplace_I(LaplaceParams(1.0, a, 10.0), 1, 1e-10)
+        exact = _mp_laplace(1.0, a, 10.0, 1, dps=50)  # pcfd is off by 8% at 30 digits
+        assert abs(r.value - exact) <= 1e-10 * exact and r.evaluations < 200, (r, exact)
+
 
 def _mp_product(nu, x, y):
     """D_{-nu}(x) D_{-nu}(y) by 30-digit mpmath, at the doubles given."""
@@ -244,9 +252,10 @@ def _mp_product(nu, x, y):
         return mpmath.pcfd(-nu, x) * mpmath.pcfd(-nu, y)
 
 
-def _mp_laplace(nu, a, b, sign):
-    """The Laplace form at the doubles a and b, as 2 e^{a/2} Gamma(nu) D D."""
-    with mpmath.workdps(30):
+def _mp_laplace(nu, a, b, sign, dps=30):
+    """The Laplace form at the doubles a and b, as 2 e^{a/2} Gamma(nu) D D, by
+    ``dps``-digit mpmath."""
+    with mpmath.workdps(dps):
         a, b = mpmath.mpf(a), mpmath.mpf(b)
         root = mpmath.sqrt((a - b) * (a + b))
         x, y = mpmath.sqrt(a + root), b / mpmath.sqrt(a + root)

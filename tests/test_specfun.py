@@ -272,7 +272,7 @@ class TestPcfD:
                 nu = math.exp(rng.uniform(math.log(1e-9), math.log(20.0)))
                 z = (rng.uniform(-80.0, 80.0) if rng.random() < 0.7
                      else math.exp(rng.uniform(math.log(80.0), math.log(1e3))))
-                frac, n = specfun._pcf_d_negative_order_frexp(nu, z, z * z)
+                frac, n = specfun._pcf_d_negative_order_frexp(nu, z, z * z, 0.0)
                 ref = mp.pcfd(-nu, z)
                 err = float(abs(mp.ldexp(frac, n) - ref) / ref)
                 assert err <= 16 * EPS * max(1.0, z * z / 2), (nu, z, err)
@@ -298,16 +298,27 @@ class TestPcfD:
         assert abs(pcf_d(-nu, z) - ref) <= 16 * EPS * z * z / 2 * ref, (nu, z)
 
     def test_far_limit(self):
-        # up to |z| = 1700 e^{z^2/4} is split exactly; past it D is 0.0 for z > 0 and a
-        # DomainError for z < 0, where it overflows
+        # e^expo is split exactly from -2^21 ln 2 to (2^21 - 2^11) ln 2; below it is
+        # 0.0, above it or at a nan an OverflowError.  D itself is within its bound
+        # at z = +-2410, 0.0 past z = 2411.3 and a DomainError below -2410.2
+        lo, hi = specfun._EXPO_MIN, specfun._EXPO_MAX
         with mp.workdps(40):
-            for z in (1700.0, -1700.0):
-                frac, n = specfun._pcf_d_negative_order_frexp(2.5, z, z * z)
+            for expo in (lo, math.nextafter(lo, 0.0), -1e6, 1e6, hi):
+                frac, n = specfun._exp_frexp(0.75, expo, 3)
+                ref = 6 * mp.exp(expo)
+                assert abs(mp.ldexp(frac, n) - ref) <= 2 * EPS * ref, expo
+            for z in (2410.0, -2410.0):
+                frac, n = specfun._pcf_d_negative_order_frexp(2.5, z, z * z, 0.0)
                 ref = mp.pcfd(-2.5, z)
                 assert abs(mp.ldexp(frac, n) - ref) <= 16 * EPS * z * z / 2 * ref
-        assert pcf_d(-2.5, math.nextafter(1700.0, math.inf)) == 0.0
+        for expo in (math.nextafter(lo, -math.inf), -math.inf):
+            assert specfun._exp_frexp(0.75, expo, 3) == (0.0, 0)
+        for expo in (math.nextafter(hi, math.inf), math.inf, math.nan):
+            with pytest.raises(OverflowError):
+                specfun._exp_frexp(0.75, expo, 3)
+        assert pcf_d(-2.5, 2411.4) == 0.0
         with pytest.raises(DomainError, match="overflows a double"):
-            pcf_d(-1e-9, math.nextafter(-1700.0, -math.inf))
+            pcf_d(-1e-9, -2410.2)
 
     @pytest.mark.parametrize("order,z", [(-1.0, -40.0), (-0.5, -53.0), (-15.0, -51.0)])
     def test_large_finite_values(self, order, z):
@@ -382,6 +393,8 @@ def right_side(route, p):
 def reference(route, p, dps=40):
     """The right side by ``dps``-digit mpmath, from the caller's own parameters."""
     with mp.workdps(dps):
+        if route == "product_reference":
+            return mp.pcfd(-p["nu"], p["x"]) * mp.pcfd(-p["nu"], -p["y"])
         if route in ("EQ11", "EQ12"):
             a, b = mp.mpf(p["a"]), mp.mpf(p["b"])
             x = mp.sqrt(a + mp.sqrt((a - b) * (a + b)))
@@ -396,6 +409,14 @@ def reference(route, p, dps=40):
         nu, rt2 = (1 - mp.mpf(p["lam"])) / 2, mp.sqrt(2)
         return (mp.gamma(nu) / (2 * mp.sqrt(mp.pi))
                 * mp.pcfd(-nu, p["x"] * rt2) * mp.pcfd(-nu, -p["xprime"] * rt2))
+
+
+def scaled_far_factor(nu, x):
+    """e^{x^2/4} D_{-nu}(x) for x >= 1e6 by the DLMF 12.9.1 sum
+    x^-nu sum_s (nu)_{2s} (-1/(2 x^2))^s / s!, whose terms fall by about
+    nu^2/x^2: at x = 1.4e75 mpmath's pcfd is off by a factor past e^{1e150}."""
+    return x ** -nu * mp.fsum(mp.rf(nu, 2 * s) * (-1 / (2 * x * x)) ** s / mp.factorial(s)
+                              for s in range(8))
 
 
 def seeded_points(route, count, seed):
@@ -508,15 +529,14 @@ class TestPcfDProduct:
         # x = 100 and 1414, and e^{a/2} lifts the product back into range
         ("EQ11", {"nu": 1.0, "a": 5000.0, "b": 10.0}),
         ("EQ11", {"nu": 1.0, "a": 1e6, "b": 10.0}),
-    ], ids=["EQ10-x=100.5", "EQ11-a=5000", "EQ11-a=1e6"])
+        # factors past |z| = 1700: 4.7e-47, and G = 1.75e-134 at z = 2121
+        ("product_reference", {"nu": 1.0, "x": 2000.0, "y": 1999.9}),
+        ("green_closed", {"lam": -3.0, "x": 1500.0, "xprime": 1499.8}),
+    ], ids=["EQ10-x=100.5", "EQ11-a=5000", "EQ11-a=1e6", "EQ10-x=2000", "green-x=1500"])
     def test_past_the_old_limits(self, route, p):
-        # factors past z = 98 and below -80 were not evaluated
+        # factors past z = 98 and below -80 were not evaluated, nor past |z| = 1700
         value, args = right_side(route, p)
-        if route == "EQ11":
-            ref = reference(route, p)
-        else:
-            with mp.workdps(40):
-                ref = mp.pcfd(-p["nu"], p["x"]) * mp.pcfd(-p["nu"], -p["y"])
+        ref = reference(route, p)
         bound = 16 * EPS * sum(max(1.0, v * v / 2) for v in (args["z"], args["w"]))
         assert abs(value - ref) <= bound * ref, (route, p, value, ref)
 
@@ -533,17 +553,47 @@ class TestPcfDProduct:
         ref = reference(route, p, dps=50)
         assert abs(value - ref) <= 1e-15 * ref, (route, p, value, ref)
 
+    @pytest.mark.parametrize("route,a", [("EQ11", 2e6), ("EQ12", 2e6), ("EQ12", 1e20)])
+    def test_laplace_right_side_past_the_old_bound(self, route, a):
+        # x = 2000 and 1.4e10, where the scaled factor was bounded, not evaluated
+        # (EQ11 at 1e20 below); within pcf_d's 16 eps, which D_{-1}(7.1e-10), the
+        # other factor of EQ12 at a = 1e20, takes 5.4 eps of
+        p = {"nu": 1.0, "a": a, "b": 10.0}
+        value, args = right_side(route, p)
+        ref = reference(route, p, dps=50)
+        assert abs(value - ref) <= 16 * EPS * ref, (route, p, value, ref)
+
     @pytest.mark.parametrize("a", [1e20, 1e150])
     def test_far_factor_under_a_large_prefactor(self, a):
-        # x past 1700 is not evaluated, and e^{a/2} may lift the product back into
-        # range: a DomainError naming it, never 0.0
-        with pytest.raises(DomainError, match="is not evaluated"):
-            right_side("EQ11", {"nu": 1.0, "a": a, "b": 10.0})
+        # x = 1.4e10 and 1.4e75, under e^{a/2}: the scaled factor x^-nu times its
+        # Poincare sum has no exponential left, and is evaluated, not bounded
+        p = {"nu": 1.0, "a": a, "b": 10.0}
+        value, args = right_side("EQ11", p)
+        with mp.workdps(50):
+            big, b = mp.mpf(a), mp.mpf(10)
+            x = mp.sqrt(big + mp.sqrt((big - b) * (big + b)))
+            y = b / x
+            ref = 2 * scaled_far_factor(1, x) * mp.exp(y * y / 4) * mp.pcfd(-1, -y)
+        assert abs(value - ref) <= 1e-15 * ref, (a, value, ref)
+
+    def test_subnormal_power_of_a_scaled_factor(self):
+        # x^-20 = 1e-320 at x = 1e16 is subnormal: kept as a fraction and a binary
+        # exponent it costs no digits (as a double it cost 1.1e-5 relative)
+        value = specfun.pcf_d_product(20.0, 1e16, 1e32, 0.0, 0.0, factor=1e300, scaled=True)
+        with mp.workdps(50):
+            ref = 1e300 * scaled_far_factor(20, mp.mpf(1e16)) * mp.pcfd(-20, 0)
+        assert abs(value - ref) <= 1e-15 * ref, (value, ref)
+
+    def test_no_silent_zero_past_the_split(self):
+        # D_{-1}(2411.5) is past the exact split, and D_{-1}(-2411) is not: their
+        # product, 1.65e-265, is a DomainError, never 0.0
+        with pytest.raises(DomainError, match="past the exact split"):
+            right_side("product_reference", {"nu": 1.0, "x": 2411.5, "y": 2411.0})
 
     def test_far_factor_underflows(self):
         # a factor past 98 underflows with the other factor and the prefactor: 0.0
-        # for the largest D_{-20}(-80) and Gamma(20); past 1700 (EQ14) its bound
-        # z^-nu e^{-z^2/4} does
+        # for the largest D_{-20}(-80) and Gamma(20); past z = 2411 (EQ14, where
+        # 4a cosh^2(phi/2) overflows) the factor is 0.0 itself
         for route, p in (("green_closed", {"lam": -39.0, "x": 69.4, "xprime": 56.5}),
                          ("EQ15", {"nu": 20.0, "x": 98.01, "y": 80.0}),
                          ("EQ14", {"a": 1e5, "phi": 700.0})):
@@ -563,7 +613,11 @@ class TestPcfDProduct:
     def test_finite_value_or_domain_error(self, route, data):
         # any finite input: a finite value or a DomainError, and 0.0 only where the
         # product rounds to 0
-        real = st.one_of(st.floats(-120.0, 120.0), st.floats(allow_nan=False, allow_infinity=False))
+        # a band of |v| in [1500, 2600] holds z = 1700, the old bound, and the ends of
+        # the exact split at 2410.2 and 2411.3 (EQ11/EQ12 reach them from a = 1.1e6)
+        real = st.one_of(st.floats(-120.0, 120.0), st.floats(1500.0, 2600.0),
+                         st.floats(-2600.0, -1500.0), st.floats(1.1e6, 3.4e6),
+                         st.floats(allow_nan=False, allow_infinity=False))
         nu = st.floats(0.0, 20.0, exclude_min=True)
         names = {"product_reference": ("nu", "x", "y"), "EQ11": ("nu", "a", "b"),
                  "EQ12": ("nu", "a", "b"), "EQ15": ("nu", "x", "y"), "EQ14": ("a", "phi"),
