@@ -324,17 +324,20 @@ def pcf_d_product(nu: float, z: float, zz: float, w: float, ww: float,
     exponent is applied once: a subnormal or underflowing factor, or a scale
     past a double, costs no digits, and no large exponent is set against a
     rounded square.  An unscaled factor past v = 2411 is 0.0, and so is the
-    product.  Where the product overflows a double, a factor's exponent is
-    past the split (v below -2410, or -1704 scaled) or an argument is nan, it
-    raises :class:`DomainError`."""
+    product.  Where the product overflows a double (an inf factor too), a
+    factor's exponent is past the split (v below -2410, or -1704 scaled) or
+    an argument is nan, it raises :class:`DomainError`."""
     _check_order(-nu)
     try:
         f, n = _pcf_d_negative_order_frexp(nu, z, zz, 0.25 * zz if scaled else 0.0)
         g, m = _pcf_d_negative_order_frexp(nu, w, ww, 0.25 * ww if scaled else 0.0)
-        return math.ldexp(factor * f * g, n + m)
+        product = math.ldexp(factor * f * g, n + m)
     except OverflowError:
-        raise DomainError(f"D_{{{-nu}}}({z}) D_{{{-nu}}}({w}) overflows a double, or a factor "
-                          "is past the exact split") from None
+        product = math.inf
+    if not math.isfinite(product):  # also an inf factor, such as 2 Gamma(1e-308)
+        raise DomainError(f"{factor} D_{{{-nu}}}({z}) D_{{{-nu}}}({w}) overflows a double, "
+                          "or a factor is past the exact split")
+    return product
 
 
 def erfcx(x: float) -> float:

@@ -688,6 +688,17 @@ class TestVerify:
         assert len(doc["records"]) == 2
         assert all(rec["status"] == "pass" for rec in doc["records"])
 
+    @pytest.mark.parametrize("identity,most", [("EQ13A", 1972), ("EQ13B", 1836),
+                                               ("EQ14", 2151)])
+    def test_hyperbolic_grid_evaluations(self, run_cli, identity, most):
+        # a cost counter, not a clock: the quadratic walks stop a level early,
+        # where two levels agreeing took 3,224, 3,388 and 2,841 evaluations
+        r = run_cli(["verify", identity, "--tol", "1e-13", "--format", "json"])
+        records = strict_json(r.stdout)["records"]
+        assert r.exit_code == 0 and len(records) == 9
+        assert all(rec["status"] == "pass" for rec in records)
+        assert sum(rec["evaluations"] for rec in records) <= most
+
     def test_csv_header(self, run_cli):
         r = run_cli(["verify", "EQ14", "--a", "1", "--phi", "1"])
         assert r.stdout.splitlines()[0] == \
@@ -751,7 +762,7 @@ def known_escape(target, args, outcome):
     """Whether ``outcome``, an exception of route ``target`` at ``args``, is the
     one known escape from the error contract: below nu of about 0.065,
     (t/(1+t))^{nu/2-1} overflows a double at the integrands' subnormal nodes
-    (ROADMAP item 2; bench/test_bench.py pins it as an OverflowError).  It
+    (ROADMAP item 3; bench/test_bench.py pins it as an OverflowError).  It
     keeps tests of its own below, which fail once it is mended."""
     return (isinstance(outcome, OverflowError) and 0.0 < args[0] < 0.07
             and target in ("product_integral", "laplace_I", "EQ10", "EQ11", "EQ12"))

@@ -387,6 +387,115 @@ class TestErrorEstimateBoundsTrueError:
         r = integrate_finite(lambda x: x**-0.3 * (1.0 - x)**-0.4, 0.0, 1.0, 1e-6)
         self._assert_bound(r, exact)
 
+    # walks that stop on the next change they predict: (run at tol, exact)
+    EARLY = {
+        "inv_sqrt_cos": (lambda tol: integrate_finite(lambda x: x**-0.5 * math.cos(x), 0.0, 1.0, tol),
+                         lambda: mpmath.quad(lambda x: x**-0.5 * mpmath.cos(x), [0, 1])),
+        "gamma_inc": (lambda tol: integrate_finite(lambda x: x**-0.9 * math.exp(-x), 0.0, 5.0, tol),
+                      lambda: mpmath.gammainc(0.1, 0, 5)),
+        "dead_near_hi": (lambda tol: integrate_finite(lambda x: x**-0.5 * math.exp(-1.0 / (1.0 - x)),
+                                                      0.0, 1.0, tol),
+                         lambda: mpmath.quad(lambda x: x**-0.5 * mpmath.exp(-1 / (1 - x)),
+                                             [0, 0.25, 0.5, 0.75, 1])),
+        "gaussian_power": (lambda tol: integrate_semi_infinite(lambda t: t**0.2 * math.exp(-t * t),
+                                                               1.0, tol),
+                           lambda: mpmath.gamma(0.6) / 2),
+    }
+
+    @staticmethod
+    def _evaluations_without_early_stop(monkeypatch, run):
+        with monkeypatch.context() as patch:
+            patch.setattr(quadrature, "_PREDICT_MARGIN", 0.0)
+            return run().evaluations
+
+    @pytest.mark.parametrize("case,tol", [
+        ("inv_sqrt_cos", 1e-6), ("inv_sqrt_cos", 1e-14), ("gamma_inc", 1e-6),
+        ("gamma_inc", 1e-13), ("dead_near_hi", 1e-6), ("gaussian_power", 1e-8),
+        ("gaussian_power", 1e-14),
+    ])
+    def test_early_stop(self, case, tol, monkeypatch):
+        run, exact = self.EARLY[case]
+        with mpmath.workdps(30):
+            exact = exact()
+        r = run(tol)
+        assert r.evaluations < self._evaluations_without_early_stop(monkeypatch, lambda: run(tol))
+        self._assert_bound(r, exact)
+        assert abs(r.value - float(exact)) <= tol * abs(float(exact))
+
+    @staticmethod
+    def _hyperbolic_exact(lhs, x, phi):
+        """The closed forms of 13a, 13b and 14 at 40 digits; each left side's
+        cut drops below e^{-785} of it."""
+        with mpmath.workdps(40):
+            x, phi = mpmath.mpf(x), mpmath.mpf(phi)
+            ch, sh = mpmath.cosh(phi / 2), mpmath.sinh(phi / 2)
+            if lhs is lhs_14:
+                return (mpmath.sqrt(x * mpmath.sinh(phi) / mpmath.pi)
+                        * mpmath.besselk(0.25, x * ch**2) * mpmath.besselk(0.25, x * sh**2))
+            if lhs is lhs_13a:
+                return (mpmath.pi / 2 * mpmath.exp(x**2 * mpmath.cosh(phi))
+                        * mpmath.erfc(x * sh) * mpmath.erfc(x * ch))
+            return mpmath.sqrt(mpmath.pi) / (2 * x) * (
+                mpmath.exp(x**2 * ch**2) * ch * mpmath.erfc(x * ch)
+                - mpmath.exp(x**2 * sh**2) * sh * mpmath.erfc(x * sh))
+
+    @pytest.mark.parametrize("lhs,x,phi", [
+        (lhs_13a, 0.5, 0.5), (lhs_13a, 1.0, 1.0), (lhs_13a, 2.0, 0.5),
+        (lhs_13b, 0.5, 0.5), (lhs_13b, 1.0, 1.0), (lhs_13b, 2.0, 1.0),
+        (lhs_14, 0.5, 0.5), (lhs_14, 0.5, 1.0), (lhs_14, 1.0, 0.5),
+    ], ids=lambda v: getattr(v, "__name__", v))
+    def test_hyperbolic_left_sides_stop_early(self, lhs, x, phi, monkeypatch):
+        # points of verify's EQ13A, EQ13B and EQ14 grids, at --tol 1e-13
+        q = HyperbolicQuery(alpha=x, a=x, phi=phi)
+        r = lhs(q, 1e-13)
+        assert r.evaluations < self._evaluations_without_early_stop(monkeypatch,
+                                                                    lambda: lhs(q, 1e-13))
+        exact = self._hyperbolic_exact(lhs, x, phi)
+        self._assert_bound(r, exact)
+        assert abs(r.value - float(exact)) <= 1e-13 * float(exact)
+
+    @pytest.mark.parametrize("run,exact,tol", [
+        (lambda tol: lhs_13b(HyperbolicQuery(alpha=1.6136453685372065, phi=0.093676121902307), tol),
+         lambda: TestErrorEstimateBoundsTrueError._hyperbolic_exact(
+             lhs_13b, 1.6136453685372065, 0.093676121902307), 1e-11),
+        (lambda tol: product_via_integral(
+            ProductQuery(17.831711857113607, 3.6693393811324433, 3.6439920318535757), tol),
+         lambda: mpmath.pcfd(-17.831711857113607, 3.6693393811324433)
+         * mpmath.pcfd(-17.831711857113607, -3.6439920318535757), 1e-9),
+    ], ids=["lhs_13b", "product"])
+    def test_coincident_level_does_not_stop(self, run, exact, tol, monkeypatch):
+        # a coarse level that lands near the last one: its change falls like
+        # d_{k-1}^11.4 (lhs_13b) and ^5.1 (product), not ^2, and predicts a next
+        # change far below tol that the true error is not.  Without the upper
+        # order the walk stops there, off by 1.3e-5 and 1.2e-6 relative
+        with mpmath.workdps(40):
+            exact = float(exact())
+        assert abs(run(tol).value - exact) <= tol * abs(exact)
+        monkeypatch.setattr(quadrature, "_MAX_ORDER", math.inf)
+        assert abs(run(tol).value - exact) > 100 * tol * abs(exact)
+
+    def test_rising_change_does_not_stop(self):
+        # levels 2-4 change by 1.3e-5, 8.3e-4 and 4.7e-8 relative: level 2 landed
+        # near level 1 by chance, and level 4's prediction, 2.7e-12, hid an
+        # error of 3.3e-10
+        q = HyperbolicQuery(alpha=0.22844582165978508, phi=0.20541816521944636)
+        exact = float(self._hyperbolic_exact(lhs_13a, q.alpha, q.phi))
+        assert abs(lhs_13a(q, 1e-10).value - exact) <= 1e-10 * exact
+
+    @pytest.mark.parametrize("tol,evaluations", [(1e-6, 1486), (1e-10, 2908)])
+    def test_algebraic_tail_never_stops_early(self, tol, evaluations, monkeypatch):
+        # decay rate 0 converges algebraically: even a rule that would stop every
+        # other walk at its third level leaves the count as it was
+        f, _ = TestPinnedPanel.SEMI["algebraic_tail"]
+        monkeypatch.setattr(quadrature, "_PREDICT_MARGIN", math.inf)
+        monkeypatch.setattr(quadrature, "_MIN_ORDER", 0.0)
+        monkeypatch.setattr(quadrature, "_MAX_ORDER", math.inf)
+        r = integrate_semi_infinite(f, 0.0, tol)
+        assert r.evaluations == evaluations
+        self._assert_bound(r, 2)
+        # the same rule at a positive decay rate does stop the walk early
+        assert integrate_semi_infinite(f, 1.0, tol).evaluations < evaluations
+
 
 class TestPinnedPanel:
     """Values, error estimates and evaluation counts of both engines, bit
@@ -395,7 +504,10 @@ class TestPinnedPanel:
     windows and three failures with the engines stopped after four levels
     (the ``*_max_level_4`` cases).  A change to the
     order of the floating-point operations in a table row or a walk
-    shows here."""
+    shows here.  inv_sqrt_cos at 1e-6 and 1e-14 and scale_clamp_high at
+    1e-14 are re-pinned for the walk that stops on a predicted next change:
+    against 50-digit mpmath each new value is within its tol and its new
+    estimate + 8 eps."""
 
     SEMI = {
         "gamma_half": (lambda t: t**-0.5 * math.exp(-t), 1.0),
@@ -421,7 +533,7 @@ class TestPinnedPanel:
         ("algebraic_tail", 1e-06, "ok", "0x1.fffffffffffefp+0", "0x1.393006b800000p-23", 1486),
         ("scale_clamp_low", 1e-06, "ok", "0x1.86a0000000000p+16", "0x1.699a218000000p-10", 59),
         ("scale_clamp_high", 1e-06, "ok", "0x1.4f31f8832dd2bp-502", "0x1.6ff0000000000p-541", 71),
-        ("inv_sqrt_cos", 1e-06, "ok", "0x1.cf1dcd0871260p+0", "0x1.9448000000000p-38", 64),
+        ("inv_sqrt_cos", 1e-06, "ok", "0x1.cf1dcd0877772p+0", "0x1.a462d7dbfb65fp-26", 33),
         ("gaussian_window", 1e-06, "ok", "0x1.c5bf88a5f14afp+0", "0x0.0p+0", 201),
         ("gamma_half", 1e-10, "ok", "0x1.c5bf891b4ef6ap+0", "0x1.0000000000000p-52", 86),
         ("algebraic_tail", 1e-10, "ok", "0x1.0000000000001p+1", "0x1.3000000000000p-48", 2908),
@@ -432,8 +544,8 @@ class TestPinnedPanel:
         ("gamma_half", 1e-14, "ok", "0x1.c5bf891b4ef6ap+0", "0x1.0000000000000p-52", 86),
         ("algebraic_tail", 1e-14, "ok", "0x1.0000000000001p+1", "0x1.3000000000000p-48", 2908),
         ("scale_clamp_low", 1e-14, "ok", "0x1.86a0000000000p+16", "0x0.0p+0", 101),
-        ("scale_clamp_high", 1e-14, "ok", "0x1.4f31f8832dd2bp-502", "0x0.0p+0", 128),
-        ("inv_sqrt_cos", 1e-14, "ok", "0x1.cf1dcd087125fp+0", "0x1.0000000000000p-52", 123),
+        ("scale_clamp_high", 1e-14, "ok", "0x1.4f31f8832dd2bp-502", "0x1.90f66faa2ca4dp-564", 71),
+        ("inv_sqrt_cos", 1e-14, "ok", "0x1.cf1dcd0871260p+0", "0x1.5b5ce2e449f03p-59", 64),
         ("gaussian_window", 1e-14, "ok", "0x1.c5bf88a5f14afp+0", "0x0.0p+0", 201),
         ("semi_max_level_4", 1e-12, "raises", "0x1.2ce84fdf5cc9ep-4", "0x1.22a13b61fbe08p-6", 147),
         ("finite_max_level_4", 1e-12, "raises", "0x1.e69dd13d59900p-4", "0x1.3b195f9dce08ap-2", 59),
@@ -481,7 +593,9 @@ class TestPinnedRoutes:
     for the walks that sum each side apart and place a node at origin +
     scale*a: against 40-digit mpmath they are 1.06, 2.89, 0.06 and 0.32 eps
     off, from 0.91, 1.22, 0.69 and 0.86 eps, a move within the rounding of
-    their sums."""
+    their sums.  lhs_13b and lhs_14 are re-pinned, with their counts, for
+    the walk that stops on a predicted next change: 0.32 and 2.21 eps off
+    50-digit mpmath, from 0.32 and 0.74 eps."""
 
     ROUTES = {
         "product_nu_0.06": lambda tol: product_via_integral(ProductQuery(0.06, 2.0, 1.0), tol),
@@ -501,8 +615,8 @@ class TestPinnedRoutes:
         ("laplace_plus", 1e-08, "0x1.1ec20843288d8p+5", "0x1.84bb000000000p-27", 116),
         ("laplace_minus", 1e-10, "0x1.5388fed5560ebp-4", "0x1.0000000000000p-56", 115),
         ("lhs_13a", 1e-12, "0x1.27393eeef748ap-2", "0x1.6100000000000p-43", 255),
-        ("lhs_13b", 1e-10, "0x1.dcff8e2627e92p-2", "0x0.0p+0", 433),
-        ("lhs_14", 1e-12, "0x1.5d6e0aefedbc7p+0", "0x1.0000000000000p-51", 513),
+        ("lhs_13b", 1e-10, "0x1.dcff8e2627e92p-2", "0x1.52db6a1ecc081p-53", 204),
+        ("lhs_14", 1e-12, "0x1.5d6e0aefedbc5p+0", "0x1.10c355cd3aacbp-54", 239),
     ]
 
     @pytest.mark.parametrize("route,tol,value,error,evaluations", PANEL,

@@ -523,6 +523,14 @@ class TestPcfDProduct:
         with pytest.raises(DomainError, match="overflows a double"):
             specfun.pcf_d_product(1.0, -79.0, 6241.0, -79.0, 6241.0)
 
+    def test_infinite_factor_is_a_domain_error(self):
+        # 2 Gamma(nu) is inf below nu of about 1.1e-308: the product is past a
+        # double, not inf
+        with pytest.raises(DomainError, match="overflows a double"):
+            specfun.pcf_d_product(1.0, 1.0, 1.0, 1.0, 1.0, factor=math.inf)
+        with pytest.raises(DomainError, match="overflows a double"):
+            right_side("EQ11", {"nu": 1.1125369292536007e-308, "a": 1500.0, "b": 1.0})
+
     @pytest.mark.parametrize("route,p", [
         # D_{-1}(-100) overflows a double, but not its product with D_{-1}(100.5)
         ("product_reference", {"nu": 1.0, "x": 100.5, "y": 100.0}),
