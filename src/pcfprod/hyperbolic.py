@@ -22,14 +22,16 @@ says when the clamp changed it.
           = sqrt(2 pi) D_{-1/2}(2 sqrt(a) cosh(phi/2)) D_{-1/2}(2 sqrt(a) sinh(phi/2))
 
 Each left side is one tanh-sinh quadrature over [0, cut], the cut being
-the theta where the exponent reaches 785, beyond which the integrand is
-below the smallest double.  For 13a and 13b the exponent is
-alpha^2 (cosh(2 th + phi) - cosh(phi))/2, so
-cut = (acosh(cosh(phi) + 2*785/alpha^2) - phi)/2; for 14,
-cut = acosh(785/a) - phi.  Where the cut is not positive (14 with
-a cosh(phi) >= 785, or 13 where it underflows) the integrand is 0 at
-every node and [0, 1] serves.  :class:`HyperbolicQuery` keeps the cuts,
-and cosh and sinh of phi and of theta + phi, finite.
+the theta where the exponent has risen E = 50 above its value at
+theta = 0, so the tail it drops is below about e^{-50} = 2e-22 of the
+integral.  For 13a and 13b the exponent is
+alpha^2 (cosh(2 th + phi) - cosh(phi))/2, so 2 cut = delta with
+cosh(delta + phi) = cosh(phi) + 2E/alpha^2; for 14 it is
+a cosh(th + phi), measured from its own e^{-a cosh(phi)}, so
+cut = delta with cosh(delta + phi) = cosh(phi) + E/a.  Where the cut
+underflows to 0 (large alpha or a, the sooner the larger phi) the
+integrand is 0 at every node and [0, 1] serves.  :class:`HyperbolicQuery`
+keeps the cuts, and cosh and sinh of phi and of theta + phi, finite.
 
 The right sides of 13a and 13b carry e^{alpha^2 cosh(phi)} =
 e^{alpha^2 sh^2} e^{alpha^2 ch^2} inside the erfc each factor scales, as
@@ -68,7 +70,9 @@ __all__ = [
     "k_identity_14",
 ]
 
-_CUT_EXPONENT = 785.0  # e^{-785} is far below the smallest double, 4.9e-324
+# each theta panel ends where its exponent has risen this far above its value at
+# theta = 0: the tail it drops is below about e^{-50} = 2e-22 of the integral
+_RISE = 50.0
 
 
 @dataclass(frozen=True)
@@ -77,7 +81,8 @@ class HyperbolicQuery:
 
     ``alpha`` feeds the two erfc identities, ``a`` the K_{1/4} identity;
     ``phi`` is the hyperbolic shift shared by all three.  alpha >= 1e-150,
-    a >= 1e-300 and phi <= 700 keep the theta integrals' cuts finite.
+    a >= 1e-300 and phi <= 700 keep the theta integrals' cuts, and cosh and
+    sinh of phi, finite.
     """
 
     alpha: float = 1.0
@@ -98,45 +103,53 @@ def _theta_integral(integrand, cut: float, tol: float) -> QuadratureResult:
     return integrate_finite(integrand, 0.0, cut if cut > 0.0 else 1.0, tol)
 
 
+def _cut(phi: float, d: float) -> float:
+    """The delta >= 0 with cosh(delta + phi) = cosh(phi) + d, d >= 0, written as
+    the log1p of positive terms, so it does not cancel to 0 where d << cosh(phi)."""
+    c, s = math.cosh(phi), math.sinh(phi)
+    # sinh(delta + phi) = sqrt(sinh^2(phi) + d (2 cosh(phi) + d)), which neither
+    # cancels where d << 1 nor overflows where phi is near 700
+    r = math.hypot(s, math.sqrt(d) * math.sqrt(2.0 * c + d))
+    return math.log1p(d * (1.0 + (2.0 * c + d) / (r + s)) * math.exp(-phi))
+
+
 def _cut_13(q: HyperbolicQuery) -> float:
-    """The theta where alpha^2 sinh(th) sinh(th+phi) = 785: 2 th =
-    acosh(cosh(phi) + d) - phi, d = 2*785/alpha^2, written as the log1p of
-    positive terms, so it does not cancel to 0 where d << cosh(phi)."""
-    d = 2.0 * _CUT_EXPONENT / (q.alpha * q.alpha)
-    c, s = math.cosh(q.phi), math.sinh(q.phi)
-    r = math.sqrt(c + d - 1.0) * math.sqrt(c + d + 1.0)  # sinh(2 th + phi)
-    return 0.5 * math.log1p(d * (1.0 + (2.0 * c + d) / (r + s)) * math.exp(-q.phi))
+    """The theta where alpha^2 sinh(th) sinh(th+phi) = alpha^2 (cosh(2 th + phi)
+    - cosh(phi))/2 reaches _RISE."""
+    return 0.5 * _cut(q.phi, 2.0 * _RISE / (q.alpha * q.alpha))
 
 
 def lhs_13a(q: HyperbolicQuery, tol: float = 1e-10) -> QuadratureResult:
     """Left side of 13a by tanh-sinh quadrature at ``tol``, over [0, cut]."""
-    a2 = q.alpha * q.alpha
+    a2, phi = q.alpha * q.alpha, q.phi
 
     def integrand(th: float) -> float:
-        return math.exp(-a2 * math.sinh(th) * math.sinh(th + q.phi)) / math.cosh(th)
+        return math.exp(-a2 * math.sinh(th) * math.sinh(th + phi)) / math.cosh(th)
 
     return _theta_integral(integrand, _cut_13(q), tol)
 
 
 def lhs_13b(q: HyperbolicQuery, tol: float = 1e-10) -> QuadratureResult:
     """Left side of 13b, as :func:`lhs_13a`."""
-    a2 = q.alpha * q.alpha
+    a2, phi = q.alpha * q.alpha, q.phi
 
     def integrand(th: float) -> float:
-        return math.sinh(th) * math.exp(-a2 * math.sinh(th) * math.sinh(th + q.phi))
+        s = math.sinh(th)
+        return s * math.exp(-a2 * s * math.sinh(th + phi))
 
     return _theta_integral(integrand, _cut_13(q), tol)
 
 
 def lhs_14(q: HyperbolicQuery, tol: float = 1e-10) -> QuadratureResult:
-    """Left side of 14 by tanh-sinh quadrature at ``tol``, over
-    [0, acosh(785/a) - phi]; the rule's endpoint clustering takes the
-    (sinh th)^{-1/2} singularity at 0."""
+    """Left side of 14 by tanh-sinh quadrature at ``tol``, over [0, cut], where
+    a cosh(th + phi) has risen _RISE above a cosh(phi); the rule's endpoint
+    clustering takes the (sinh th)^{-1/2} singularity at 0."""
+    a, phi = q.a, q.phi
 
     def integrand(th: float) -> float:
-        return math.exp(-q.a * math.cosh(th + q.phi)) / math.sqrt(math.sinh(th))
+        return math.exp(-a * math.cosh(th + phi)) / math.sqrt(math.sinh(th))
 
-    return _theta_integral(integrand, math.acosh(max(_CUT_EXPONENT / q.a, 1.0)) - q.phi, tol)
+    return _theta_integral(integrand, _cut(phi, _RISE / a), tol)
 
 
 def _record(identity: str, params: dict, lhs, q: HyperbolicQuery, rhs: float,

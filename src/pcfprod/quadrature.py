@@ -30,18 +30,21 @@ halves h, walks only the new odd multiples of it and adds their sum to
 the total carried from the coarser levels, so every abscissa is
 evaluated exactly once.  A walk ends at the end of its table or at the
 first node that rounds onto its origin, whose true contribution is
-below double resolution, and each side ends on its own.  It stops
-sooner after more than ``_CONSEC_DEAD`` consecutive dead terms, below
-1e-20 of the partial sum of the current level's own new nodes (never of
-the carried total, which would stop a walk before it reaches a peak far
-from the center).  Past level 0 it stops at its first dead term beyond
-its reach, the largest k*h of a live term on a coarser level, if it has
-one; no walk stops on dead terms before k*h = ``_MIN_TRUNC_T``.
-Skipping a dead term cannot change the sum (it is below half an ulp of
-a partial sum above 1e-300); stopping at it can drop a later live term,
-a feature that first shows at a finer level between dead nodes of a
-coarser one past the reach, which the consecutive rule might still have
-come upon.  That changed no value on the measured workloads.
+below double resolution, and each side ends on its own.  A term is dead
+below 1e-20 of the partial sum of the current level's own new nodes
+(never of the carried total, which would stop a walk before it reaches
+a peak far from the center).  Past level 0 a walk stops at its first
+dead term beyond its reach, the largest k*h of a live term on a coarser
+level, at any k*h.  It also stops after more than ``_CONSEC_DEAD``
+consecutive dead terms, but not before k*h = ``_MIN_TRUNC_T``: that is
+the one rule of a side that has seen no live term yet, and an integrand
+that is exactly 0 near the center (an underflow guard, a compact
+support) must not end its walk there.  Skipping a dead term cannot
+change the sum (it is below half an ulp of a partial sum above
+1e-300); stopping at it can drop a later live term, a feature that
+first shows at a finer level between dead nodes of a coarser one past
+the reach, which the consecutive rule might still have come upon.
+That changed no value on the measured workloads.
 
 The node tables hold everything at a node that depends only on k*h, so
 a walk only places the node, evaluates the integrand and weights it,
@@ -59,8 +62,13 @@ d_k, the change between two levels and the error estimate, is below
 also stops on the next change it predicts, d_k^2/d_{k-1} <= tol/10, and
 reports it, where d_{k-1}^2.5 <= d_k <= d_{k-1}^1.8 (relative) and d_{k-1}
 fell: a steeper fall or a rise is a coarse level that landed near another
-by chance.  Exp-sinh at decay rate 0 converges algebraically and never
-stops so.  A :class:`ConvergenceError` lists the change at every level.
+by chance.  The changes it reads, d_{k-1} and d_{k-2}, must also be at
+most ``_SETTLED`` = 5% of the value: a level that moved the value more
+had not yet resolved the integrand, and orders read across it mislead
+(a theta integral whose changes fell from 10% with orders 2.37 and 2.40
+fell with order 1.33 next, and the prediction hid an error of 1.4 tol).
+Exp-sinh at decay rate 0 converges algebraically and never stops so.
+A :class:`ConvergenceError` lists the change at every level.
 The engines take no prefactor: an integrand carries its own, so a result
 and an error's numbers are in the integral's units.
 """
@@ -88,7 +96,7 @@ _TERM_CUTOFF = 1e-20
 # the floor of the dead-term test, _TERM_CUTOFF * _TINY, precomputed
 _DEAD_FLOOR = _TERM_CUTOFF * _TINY
 _CONSEC_DEAD = 10
-# dead-term truncation is only trusted beyond this distance in the
+# the consecutive-dead rule is only trusted beyond this distance in the
 # transformed variable; integrands that are exactly zero near the start
 # of the node walk (underflow guards, compact support) must not stop it
 _MIN_TRUNC_T = 3.0
@@ -98,6 +106,9 @@ _TOL_MIN, _TOL_MAX = 1e-14, 1e-2  # the tolerances the engines accept
 _SEMI_INFINITE_LEVELS, _FINITE_LEVELS = 13, 12  # refinement levels at most
 _PIOV2 = 0.5 * math.pi
 _PREDICT_MARGIN, _MIN_ORDER, _MAX_ORDER = 0.1, 1.8, 2.5  # the early stop's bounds
+# the largest relative change the early stop reads: a level that moves the value
+# more has not yet resolved the integrand, and orders measured across it mislead
+_SETTLED = 0.05
 
 
 @dataclass(frozen=True)
@@ -257,7 +268,7 @@ def _refine(f: Callable[[float], float], sides: tuple, levels: int, what: str,
                     lim = floor
                 if term <= lim and -lim <= term:
                     dead += 1
-                    if (dead > _CONSEC_DEAD or t > far) and t >= _MIN_TRUNC_T:
+                    if t > far or dead > _CONSEC_DEAD and t >= _MIN_TRUNC_T:
                         break
                 else:
                     if v != v:
@@ -274,8 +285,11 @@ def _refine(f: Callable[[float], float], sides: tuple, levels: int, what: str,
             mag = max(abs(value), _TINY)
             if diff <= tol * mag:
                 return QuadratureResult(value, diff, calls)
-            # nan: no prediction before level 2 or after a change that rose
-            fell = quadratic and changes and (len(changes) < 2 or changes[-1][1] < changes[-2][1])
+            # nan: no prediction before level 2, after a change that rose or from
+            # a change above _SETTLED; changes[-2:][0] is d_{k-2}, or d_{k-1} at
+            # level 2, and d_{k-1} is below it where it fell
+            fell = quadratic and changes and changes[-2:][0][1] <= _SETTLED * mag and (
+                len(changes) < 2 or changes[-1][1] < changes[-2][1])
             predicted = diff * (diff / changes[-1][1]) if fell else math.nan
             if predicted <= _PREDICT_MARGIN * tol * mag:
                 last = math.log(changes[-1][1] / mag)  # orders in logs cannot overflow

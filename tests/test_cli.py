@@ -367,11 +367,11 @@ class TestEval:
             assert evaluations.startswith("# evaluations = ")
 
     def test_hyperbolic_left_sides_take_tol_as_given(self, run_cli):
-        # --tol reaches the quadrature as given: 1e-6 takes 114 evaluations
-        # where 1e-10, the default, takes 220; outside the engines' range
+        # --tol reaches the quadrature as given: 1e-3 takes 48 evaluations
+        # where 1e-10, the default, takes 85; outside the engines' range
         # [1e-14, 1e-2] it is a DomainError
         args = ["eval", "hyperbolic_lhs_13a", "--alpha", "1", "--phi", "1"]
-        for tol, count in (("1e-6", 114), ("1e-10", 220)):
+        for tol, count in (("1e-3", 48), ("1e-10", 85)):
             r = run_cli([*args, "--tol", tol])
             assert r.exit_code == 0, r.stderr
             assert r.stdout.splitlines()[2] == f"# evaluations = {count}"
@@ -698,6 +698,19 @@ class TestVerify:
         assert r.exit_code == 0 and len(records) == 9
         assert all(rec["status"] == "pass" for rec in records)
         assert sum(rec["evaluations"] for rec in records) <= most
+
+    @pytest.mark.parametrize("tol,most", [(None, {"EQ13A": 768, "EQ13B": 1179, "EQ14": 848}),
+                                          ("1e-13", {"EQ13A": 1128, "EQ13B": 1242, "EQ14": 930})])
+    def test_hyperbolic_panels_end_where_the_integrands_do(self, run_cli, tol, most):
+        # a cost counter: with the theta panels cut at a 50-unit rise of the
+        # exponent, panels to an exponent of 785 took 1,866, 1,836 and 1,803
+        # evaluations at the default tol, and 1,972, 1,836 and 2,151 at 1e-13
+        for identity, count in most.items():
+            r = run_cli(["verify", identity, "--format", "json", *(["--tol", tol] if tol else [])])
+            records = strict_json(r.stdout)["records"]
+            assert r.exit_code == 0 and len(records) == 9
+            assert all(rec["status"] == "pass" for rec in records)
+            assert sum(rec["evaluations"] for rec in records) <= count
 
     def test_csv_header(self, run_cli):
         r = run_cli(["verify", "EQ14", "--a", "1", "--phi", "1"])

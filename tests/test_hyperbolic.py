@@ -201,8 +201,8 @@ class TestLeftSides:
         assert 0.0 <= r.error_estimate <= 1e-10 * r.value
 
     def test_one_panel_to_the_cut(self, monkeypatch):
-        # each left side is one quadrature over [0, cut], and its exponent
-        # reaches 785 at the cut
+        # each left side is one quadrature over [0, cut], and its exponent has
+        # risen 50 above its value at theta = 0 at the cut
         calls = []
         inner = hyperbolic.integrate_finite
 
@@ -212,25 +212,26 @@ class TestLeftSides:
 
         monkeypatch.setattr(hyperbolic, "integrate_finite", spy)
         monkeypatch.setattr(hyperbolic, "pcf_d_product", None)  # the right side is not run
-        exponents = {
+        # the rise of 14's exponent, a (cosh(th + phi) - cosh(phi)), as a product
+        # that does not cancel
+        rises = {
             lhs_13a: lambda q, th: q.alpha**2 * math.sinh(th) * math.sinh(th + q.phi),
             lhs_13b: lambda q, th: q.alpha**2 * math.sinh(th) * math.sinh(th + q.phi),
-            lhs_14: lambda q, th: q.a * math.cosh(th + q.phi),
+            lhs_14: lambda q, th: 2.0 * q.a * math.sinh(0.5 * th + q.phi) * math.sinh(0.5 * th),
         }
-        for lhs, exponent in exponents.items():
-            for x, phi in ((1e-3, 1e-8), (0.5, 0.5), (2.0, 3.0), (20.0, 0.01), (1.0, 40.0)):
+        for lhs, rise in rises.items():
+            for x, phi in ((1e-3, 1e-8), (0.5, 0.5), (2.0, 3.0), (20.0, 0.01), (1.0, 40.0),
+                           (800.0, 0.5)):
                 q = HyperbolicQuery(alpha=x, a=x, phi=phi)
-                if lhs is lhs_14 and x * math.cosh(phi) >= 785.0:
-                    continue
                 calls.clear()
                 r = lhs(q, 1e-10)
                 ((lo, cut, result),) = calls
                 assert lo == 0.0 and cut > 0.0 and result == r
-                assert exponent(q, cut) == pytest.approx(785.0, rel=1e-12), (lhs, x, phi, cut)
+                assert rise(q, cut) == pytest.approx(50.0, rel=1e-12), (lhs, x, phi, cut)
 
     def test_underflowing_exponent_integrates_to_zero(self):
-        # a cosh(phi) >= 785 (14), or a cut that underflows (13): the
-        # integrand is 0 at every node of [0, 1]
+        # e^{-a cosh(phi)} below the smallest double (14), or a cut that
+        # underflows (13, on [0, 1]): the integrand is 0 at every node
         for r in (lhs_14(HyperbolicQuery(a=800.0, phi=0.5)),
                   lhs_14(HyperbolicQuery(a=1.0, phi=20.0)),
                   lhs_13a(HyperbolicQuery(alpha=1e200, phi=1.0)),
@@ -256,6 +257,77 @@ class TestLeftSides:
         r, rec = lhs_13a(q), erfc_identity_13a(q)
         assert 0.0 < r.value < 1e-3
         assert rec.passed and rec.lhs == r.value, rec
+
+
+class TestLeftSidesAgainstMpmath:
+    """The three theta quadratures within the caller's tol of 40-digit
+    mpmath, at named points and over a seeded log-uniform sweep."""
+
+    EXACT = {lhs_13a: _mp_13a, lhs_13b: _mp_13b, lhs_14: _mp_14}
+
+    @pytest.mark.parametrize("lhs,x,phi,tol", [
+        # 2.4, 1.1, 9.2 and 2.6 tol off with the panel to an exponent of 785,
+        # where the walk stopped on a prediction its levels had not earned
+        (lhs_14, 0.0012801762904320086, 0.07290541443398982, 7.188083282892639e-07),
+        (lhs_14, 0.009237346853904009, 2.3795433378376982, 4.331141726170695e-11),
+        (lhs_13a, 0.006771113873604478, 0.09579700021250535, 1.6598540303824665e-07),
+        (lhs_13a, 0.0036374272115944667, 1.3501391333716188, 6.16785562778349e-07),
+        # 1.4 tol off on the panel to a rise of 50 before _SETTLED: its orders
+        # 2.37 and 2.40 read across a level that moved the value by 10%
+        (lhs_14, 0.00011121178591706416, 0.0002964902384015909, 1.9129623550048243e-08),
+    ], ids=lambda v: getattr(v, "__name__", v))
+    def test_named_points(self, lhs, x, phi, tol):
+        r = lhs(HyperbolicQuery(alpha=x, a=x, phi=phi), tol)
+        exact = self.EXACT[lhs](x, phi)
+        assert abs(r.value - exact) <= tol * exact, (r, exact)
+
+    @pytest.mark.parametrize("lhs,x,phi", [
+        *((lhs, x, phi) for lhs in (lhs_13a, lhs_13b) for x in (1e-150, 1e150)
+          for phi in (1e-300, 700.0)),
+        *((lhs_14, x, phi) for x in (1e-300, 1e300) for phi in (1e-300, 700.0)),
+        # a cosh(phi) of 700 to 745, where e^{-a cosh(phi)} leaves the doubles
+        (lhs_14, 700.0, 1e-300), (lhs_14, 740.0, 1e-300), (lhs_14, 73.0, 3.0),
+        (lhs_14, 482.8, 1.0),
+    ], ids=lambda v: getattr(v, "__name__", v))
+    def test_corners(self, lhs, x, phi):
+        # the ends of the query's range: a value within tol, or 0.0 or a
+        # subnormal where the integral leaves the doubles.  At alpha = 1e150 and
+        # phi = 1e-300 the cut is 7e-150; sinh(delta + phi) as
+        # sqrt(c + d - 1) sqrt(c + d + 1) cancelled to 0 and put it at 4.03,
+        # where the walk raised ConvergenceError
+        q = HyperbolicQuery(a=x, phi=phi) if lhs is lhs_14 else HyperbolicQuery(alpha=x, phi=phi)
+        r = lhs(q, 1e-10)
+        exponent = x * math.cosh(phi) * (1.0 if lhs is lhs_14 else x)
+        # alpha = 1e150 at phi = 700: each side is below 1e-300
+        exact = 0.0 if exponent == math.inf else self.EXACT[lhs](x, phi)
+        if exact < 1e-290:
+            assert abs(r.value - exact) <= 1e-300, (r, exact)
+        else:
+            assert abs(r.value - exact) <= 1e-10 * exact, (r, exact)
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_sweep(self, seed):
+        # alpha and a in [1e-4, 30], phi in [1e-4, 50] and tol in [1e-12, 1e-6],
+        # log-uniform.  References below 1e-290 are skipped: the integrand is
+        # subnormal there.  tol stops at 1e-12: below 1e-13 the rounding of an
+        # exponent near 700, about 700 eps, exceeds tol where the change between
+        # two levels, which share it, cannot see it (ROADMAP item 6)
+        rng = random.Random(seed)
+
+        def log_uniform(lo, hi):
+            return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+        checked = 0
+        for _ in range(1500):
+            lhs = rng.choice((lhs_13a, lhs_13b, lhs_14))
+            x, phi, tol = log_uniform(1e-4, 30.0), log_uniform(1e-4, 50.0), log_uniform(1e-12, 1e-6)
+            exact = self.EXACT[lhs](x, phi)
+            if exact < 1e-290:
+                continue
+            r = lhs(HyperbolicQuery(alpha=x, a=x, phi=phi), tol)
+            assert abs(r.value - exact) <= tol * exact, (lhs.__name__, x, phi, tol, r, exact)
+            checked += 1
+        assert checked > 1300
 
 
 class TestQueryValidation:

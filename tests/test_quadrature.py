@@ -332,6 +332,41 @@ class TestReach:
             "0x1.541377d0a7454p+1", "0x1.541377d0a7454p+1", 129)
         assert self._last_right_nodes(seen)[1] == 9.25
 
+    def test_first_dead_term_past_the_reach_ends_the_walk_below_min_trunc_t(self):
+        # e^{-t^2}: level 0 is live to s = 2 (t = 6.4) and ends 11 dead nodes
+        # on, at s = 7.5.  Each later level stops at its first dead node past
+        # that reach, at s = 2.25, 2.125 and 2.0625, below k*h = _MIN_TRUNC_T;
+        # a walk that could not stop there before s = 3 went on to 3.25,
+        # 3.125 and 3.0625 and took 130 evaluations for the same value
+        seen = []
+
+        def f(t):
+            seen.append(t)
+            return math.exp(-t * t)
+
+        r = integrate_semi_infinite(f, 1.0, 1e-12)
+        assert r.value == pytest.approx(0.5 * SQRT_PI, rel=1e-15)
+        assert r.evaluations == 116
+        last = self._last_right_nodes(seen)
+        assert (last[0], last[1], last[2], last[3]) == (7.5, 2.25, 2.125, 2.0625)
+        assert all(last[level] < quadrature._MIN_TRUNC_T for level in last if level)
+
+    def test_exactly_zero_start_is_walked_through(self, monkeypatch):
+        # 0 on [0, 5] and smooth after: the right side's first nodes on each
+        # level are dead, and only _MIN_TRUNC_T keeps 11 of them (s = 1/16 to
+        # 21/16 on level 3) from ending that walk short of the support, which
+        # starts at s = 1.77
+        def f(t):
+            return 0.0 if t <= 5.0 else math.exp(-1.0 / (t - 5.0) - t)
+
+        with mpmath.workdps(30):
+            exact = float(2 * mpmath.besselk(1, 2) * mpmath.exp(-5))
+        r = integrate_semi_infinite(f, 1.0, 1e-6)
+        assert abs(r.value - exact) <= 1e-6 * exact
+        monkeypatch.setattr(quadrature, "_MIN_TRUNC_T", 0.0)
+        with pytest.raises(ConvergenceError):
+            integrate_semi_infinite(f, 1.0, 1e-6)
+
 
 class TestErrorEstimateBoundsTrueError:
     """``error_estimate`` against 30-digit mpmath values.  The estimate is
@@ -439,40 +474,54 @@ class TestErrorEstimateBoundsTrueError:
                 mpmath.exp(x**2 * ch**2) * ch * mpmath.erfc(x * ch)
                 - mpmath.exp(x**2 * sh**2) * sh * mpmath.erfc(x * sh))
 
-    @pytest.mark.parametrize("lhs,x,phi", [
-        (lhs_13a, 0.5, 0.5), (lhs_13a, 1.0, 1.0), (lhs_13a, 2.0, 0.5),
-        (lhs_13b, 0.5, 0.5), (lhs_13b, 1.0, 1.0), (lhs_13b, 2.0, 1.0),
-        (lhs_14, 0.5, 0.5), (lhs_14, 0.5, 1.0), (lhs_14, 1.0, 0.5),
+    @pytest.mark.parametrize("lhs,x,phi,tol", [
+        (lhs_13a, 0.5, 2.0, 1e-13), (lhs_13a, 2.0, 0.5, 1e-13), (lhs_13a, 2.0, 1.0, 1e-13),
+        (lhs_13b, 0.1, 0.05, 1e-13), (lhs_13b, 0.5, 0.1, 1e-9), (lhs_13b, 0.5, 0.25, 1e-8),
+        (lhs_14, 0.5, 0.5, 1e-13), (lhs_14, 0.5, 1.0, 1e-13), (lhs_14, 1.0, 1.0, 1e-13),
     ], ids=lambda v: getattr(v, "__name__", v))
-    def test_hyperbolic_left_sides_stop_early(self, lhs, x, phi, monkeypatch):
-        # points of verify's EQ13A, EQ13B and EQ14 grids, at --tol 1e-13
+    def test_hyperbolic_left_sides_stop_early(self, lhs, x, phi, tol, monkeypatch):
+        # points of verify's EQ13A and EQ14 grids at --tol 1e-13; no point of
+        # EQ13B's grid stops early there (its last change falls faster than
+        # d_{k-1}^2.5, or predicts more than tol/10)
         q = HyperbolicQuery(alpha=x, a=x, phi=phi)
-        r = lhs(q, 1e-13)
+        r = lhs(q, tol)
         assert r.evaluations < self._evaluations_without_early_stop(monkeypatch,
-                                                                    lambda: lhs(q, 1e-13))
+                                                                    lambda: lhs(q, tol))
         exact = self._hyperbolic_exact(lhs, x, phi)
         self._assert_bound(r, exact)
-        assert abs(r.value - float(exact)) <= 1e-13 * float(exact)
+        assert abs(r.value - float(exact)) <= tol * float(exact)
 
     @pytest.mark.parametrize("run,exact,tol", [
-        (lambda tol: lhs_13b(HyperbolicQuery(alpha=1.6136453685372065, phi=0.093676121902307), tol),
+        (lambda tol: lhs_14(HyperbolicQuery(a=17.91942666335425, phi=0.010681753360747772), tol),
          lambda: TestErrorEstimateBoundsTrueError._hyperbolic_exact(
-             lhs_13b, 1.6136453685372065, 0.093676121902307), 1e-11),
+             lhs_14, 17.91942666335425, 0.010681753360747772), 4e-8),
         (lambda tol: product_via_integral(
-            ProductQuery(17.831711857113607, 3.6693393811324433, 3.6439920318535757), tol),
-         lambda: mpmath.pcfd(-17.831711857113607, 3.6693393811324433)
-         * mpmath.pcfd(-17.831711857113607, -3.6439920318535757), 1e-9),
-    ], ids=["lhs_13b", "product"])
+            ProductQuery(8.528610515186333, 3.290959175135432, 3.2372324347442403), tol),
+         lambda: mpmath.pcfd(-8.528610515186333, 3.290959175135432)
+         * mpmath.pcfd(-8.528610515186333, -3.2372324347442403), 1e-11),
+    ], ids=["lhs_14", "product"])
     def test_coincident_level_does_not_stop(self, run, exact, tol, monkeypatch):
         # a coarse level that lands near the last one: its change falls like
-        # d_{k-1}^11.4 (lhs_13b) and ^5.1 (product), not ^2, and predicts a next
+        # d_{k-1}^3.7 (lhs_14) and ^4.5 (product), not ^2, and predicts a next
         # change far below tol that the true error is not.  Without the upper
-        # order the walk stops there, off by 1.3e-5 and 1.2e-6 relative
+        # order the walk stops there, off by 4.1e3 and 2.0e3 times tol
         with mpmath.workdps(40):
             exact = float(exact())
         assert abs(run(tol).value - exact) <= tol * abs(exact)
         monkeypatch.setattr(quadrature, "_MAX_ORDER", math.inf)
         assert abs(run(tol).value - exact) > 100 * tol * abs(exact)
+
+    def test_unsettled_level_does_not_stop(self, monkeypatch):
+        # lhs_14 at a = 1.1e-4 changes by 9.9e-2, 4.3e-3 and 2.0e-6 relative,
+        # orders 2.37 and 2.40, and predicts 9.5e-10; the next change is 2.6e-8
+        # (order 1.33).  Orders read across a level that moved the value by 10%
+        # mislead: without _SETTLED the walk stops there, 1.4 tol off
+        a, phi, tol = 0.00011121178591706416, 0.0002964902384015909, 1.9129623550048243e-08
+        q = HyperbolicQuery(a=a, phi=phi)
+        exact = float(self._hyperbolic_exact(lhs_14, a, phi))
+        assert abs(lhs_14(q, tol).value - exact) <= tol * exact
+        monkeypatch.setattr(quadrature, "_SETTLED", math.inf)
+        assert abs(lhs_14(q, tol).value - exact) > tol * exact
 
     def test_rising_change_does_not_stop(self):
         # levels 2-4 change by 1.3e-5, 8.3e-4 and 4.7e-8 relative: level 2 landed
@@ -507,7 +556,9 @@ class TestPinnedPanel:
     shows here.  inv_sqrt_cos at 1e-6 and 1e-14 and scale_clamp_high at
     1e-14 are re-pinned for the walk that stops on a predicted next change:
     against 50-digit mpmath each new value is within its tol and its new
-    estimate + 8 eps."""
+    estimate + 8 eps.  scale_clamp_high takes 64 evaluations, not 71, since a
+    walk stops at its first dead term past its reach below k*h = 3 too; its
+    values are unchanged."""
 
     SEMI = {
         "gamma_half": (lambda t: t**-0.5 * math.exp(-t), 1.0),
@@ -532,19 +583,19 @@ class TestPinnedPanel:
         ("gamma_half", 1e-06, "ok", "0x1.c5bf891b4ef6bp+0", "0x1.f80ba48000000p-27", 51),
         ("algebraic_tail", 1e-06, "ok", "0x1.fffffffffffefp+0", "0x1.393006b800000p-23", 1486),
         ("scale_clamp_low", 1e-06, "ok", "0x1.86a0000000000p+16", "0x1.699a218000000p-10", 59),
-        ("scale_clamp_high", 1e-06, "ok", "0x1.4f31f8832dd2bp-502", "0x1.6ff0000000000p-541", 71),
+        ("scale_clamp_high", 1e-06, "ok", "0x1.4f31f8832dd2bp-502", "0x1.6ff0000000000p-541", 64),
         ("inv_sqrt_cos", 1e-06, "ok", "0x1.cf1dcd0877772p+0", "0x1.a462d7dbfb65fp-26", 33),
         ("gaussian_window", 1e-06, "ok", "0x1.c5bf88a5f14afp+0", "0x0.0p+0", 201),
         ("gamma_half", 1e-10, "ok", "0x1.c5bf891b4ef6ap+0", "0x1.0000000000000p-52", 86),
         ("algebraic_tail", 1e-10, "ok", "0x1.0000000000001p+1", "0x1.3000000000000p-48", 2908),
         ("scale_clamp_low", 1e-10, "ok", "0x1.86a0000000000p+16", "0x0.0p+0", 101),
-        ("scale_clamp_high", 1e-10, "ok", "0x1.4f31f8832dd2bp-502", "0x1.6ff0000000000p-541", 71),
+        ("scale_clamp_high", 1e-10, "ok", "0x1.4f31f8832dd2bp-502", "0x1.6ff0000000000p-541", 64),
         ("inv_sqrt_cos", 1e-10, "ok", "0x1.cf1dcd0871260p+0", "0x1.9448000000000p-38", 64),
         ("gaussian_window", 1e-10, "ok", "0x1.c5bf88a5f14afp+0", "0x0.0p+0", 201),
         ("gamma_half", 1e-14, "ok", "0x1.c5bf891b4ef6ap+0", "0x1.0000000000000p-52", 86),
         ("algebraic_tail", 1e-14, "ok", "0x1.0000000000001p+1", "0x1.3000000000000p-48", 2908),
         ("scale_clamp_low", 1e-14, "ok", "0x1.86a0000000000p+16", "0x0.0p+0", 101),
-        ("scale_clamp_high", 1e-14, "ok", "0x1.4f31f8832dd2bp-502", "0x1.90f66faa2ca4dp-564", 71),
+        ("scale_clamp_high", 1e-14, "ok", "0x1.4f31f8832dd2bp-502", "0x1.90f66faa2ca4dp-564", 64),
         ("inv_sqrt_cos", 1e-14, "ok", "0x1.cf1dcd0871260p+0", "0x1.5b5ce2e449f03p-59", 64),
         ("gaussian_window", 1e-14, "ok", "0x1.c5bf88a5f14afp+0", "0x0.0p+0", 201),
         ("semi_max_level_4", 1e-12, "raises", "0x1.2ce84fdf5cc9ep-4", "0x1.22a13b61fbe08p-6", 147),
@@ -595,7 +646,11 @@ class TestPinnedRoutes:
     off, from 0.91, 1.22, 0.69 and 0.86 eps, a move within the rounding of
     their sums.  lhs_13b and lhs_14 are re-pinned, with their counts, for
     the walk that stops on a predicted next change: 0.32 and 2.21 eps off
-    50-digit mpmath, from 0.32 and 0.74 eps."""
+    50-digit mpmath, from 0.32 and 0.74 eps.  lhs_13a, lhs_13b and lhs_14 are
+    re-pinned, with their counts, for the theta panels that end where the
+    exponent has risen 50 and the walks that stop at their first dead term
+    past the reach: 0.94, 0.75 and 1.48 eps off 50-digit mpmath, from 0.79,
+    0.32 and 2.21 eps."""
 
     ROUTES = {
         "product_nu_0.06": lambda tol: product_via_integral(ProductQuery(0.06, 2.0, 1.0), tol),
@@ -614,9 +669,9 @@ class TestPinnedRoutes:
         ("product_nu_4", 1e-09, "0x1.cd8dc3434df8fp-19", "0x1.1000000000000p-66", 114),
         ("laplace_plus", 1e-08, "0x1.1ec20843288d8p+5", "0x1.84bb000000000p-27", 116),
         ("laplace_minus", 1e-10, "0x1.5388fed5560ebp-4", "0x1.0000000000000p-56", 115),
-        ("lhs_13a", 1e-12, "0x1.27393eeef748ap-2", "0x1.6100000000000p-43", 255),
-        ("lhs_13b", 1e-10, "0x1.dcff8e2627e92p-2", "0x1.52db6a1ecc081p-53", 204),
-        ("lhs_14", 1e-12, "0x1.5d6e0aefedbc5p+0", "0x1.10c355cd3aacbp-54", 239),
+        ("lhs_13a", 1e-12, "0x1.27393eeef7488p-2", "0x1.850f449dfb411p-51", 85),
+        ("lhs_13b", 1e-10, "0x1.dcff8e2627e90p-2", "0x1.0000000000000p-53", 139),
+        ("lhs_14", 1e-12, "0x1.5d6e0aefedbc6p+0", "0x1.10d5b954c038dp-43", 95),
     ]
 
     @pytest.mark.parametrize("route,tol,value,error,evaluations", PANEL,
