@@ -29,9 +29,12 @@ tolerance it clamped as ``# tol_effective``, and a quadrature that
 missed it.
 
 The command line is parsed with :mod:`argparse`; a usage error prints the
-command's usage line and the message on stderr and exits with status 2,
-a ``DomainError`` from ``eval`` exits 2 and a ``ConvergenceError`` 3,
-after its partial result, where it has one, is printed on stdout.  A
+command's usage line and the message on stderr and exits with status 2.
+A parameter that the target or identity does not take, and a parameter
+given twice, are usage errors.  A ``DomainError`` from ``eval`` or
+``explore-equal-args`` prints ``domain error: ...`` on stderr and exits 2,
+and a ``ConvergenceError`` exits 3, after its partial result, where it has
+one, is printed on stdout.  A
 launch imports only what its command runs: ``glasser``, ``green`` and
 ``mehler`` are imported by the first route that reads them, so
 ``eval pcf_d`` loads neither those modules nor numpy.
@@ -142,7 +145,8 @@ def _echo_result(result) -> None:
 
 
 def _parse_named_floats(raw: list[str]) -> dict[str, str]:
-    """Parse trailing '--name value' pairs into a dict of raw strings."""
+    """Parse trailing '--name value' pairs into a dict of raw strings; a
+    name given twice is a usage error, not a value that overrides the first."""
     out: dict[str, str] = {}
     i = 0
     while i < len(raw):
@@ -151,6 +155,8 @@ def _parse_named_floats(raw: list[str]) -> dict[str, str]:
             raise UsageError(f"expected --name, got {tok!r}")
         if i + 1 >= len(raw):
             raise UsageError(f"missing value for {tok}")
+        if tok[2:] in out:
+            raise UsageError(f"{tok} given more than once")
         out[tok[2:]] = raw[i + 1]
         i += 2
     return out
@@ -364,12 +370,15 @@ def eval_cmd(args: argparse.Namespace, params: list[str]) -> int:
     if target not in EVAL_TARGETS:
         known = ", ".join(sorted(EVAL_TARGETS))
         raise UsageError(f"unknown target {target!r}; known targets: {known}")
+    names, route = EVAL_TARGETS[target]
     raw = _parse_named_floats(params)
+    unknown = set(raw) - set(names)
+    if unknown:
+        raise UsageError(f"{target} takes parameters {names}, not {sorted(unknown)}")
     try:
         point = {k: float(v) for k, v in raw.items()}
     except ValueError as exc:
         raise UsageError(f"invalid parameter value: {exc}") from None
-    names, route = EVAL_TARGETS[target]
     missing = [n for n in names if n not in point]
     if missing:
         raise UsageError(f"missing parameter(s): {', '.join('--' + m for m in missing)}")
@@ -461,12 +470,15 @@ def explore_cmd(args: argparse.Namespace, extra: list[str]) -> int:
     if extra:
         raise UsageError(f"unrecognized arguments: {' '.join(extra)}")
     nu, x, tol = (_float_option(name, getattr(args, name)) for name in ("nu", "x", "tol"))
-    q = glasser.ProductQuery(nu, x, x)
-    ref = glasser.product_reference(q)
     used = quadrature.clamp_tol(tol)[0]
     missed = False
     try:
+        q = glasser.ProductQuery(nu, x, x)
+        ref = glasser.product_reference(q)
         got = glasser.product_via_integral(q, used)
+    except DomainError as exc:
+        print(f"domain error: {exc}", file=sys.stderr)
+        return _EXIT_DOMAIN
     except ConvergenceError as exc:
         if exc.partial is None:
             print(f"convergence error: {exc}", file=sys.stderr)

@@ -6,11 +6,13 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cli_cases
 import pcfprod
 from pcfprod import (ConvergenceError, DomainError, HyperbolicQuery, LaplaceParams,
                      ProductQuery, SeriesResult, SumRuleQuery, laplace_I, lhs_14,
@@ -29,11 +31,28 @@ def strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
+def table_test(rows, ids=cli_cases.row_id):
+    """A test that runs ``rows`` of the reproducer table in process; each
+    row runs under exactly one such test.  A test whose rows came from one
+    parametrized test keeps that test's name and ``ids``."""
+    @pytest.mark.parametrize("row", rows, ids=ids)
+    def test(self, run_cli, row):
+        r = run_cli(row[0].split())
+        why = cli_cases.failure(row, *r)
+        assert not why, f"{why}; exit code {r.exit_code}, stderr {r.stderr!r}"
+    test.rows = rows
+    return test
+
+
+def tree_pythonpath():
+    """PYTHONPATH for a fresh interpreter that imports pcfprod from this tree."""
+    src = os.path.dirname(os.path.dirname(pcfprod.__file__))
+    return os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+
+
 def run_python(code):
     """Run ``code`` in a fresh interpreter that imports pcfprod from this tree."""
-    src = os.path.dirname(os.path.dirname(pcfprod.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    env = {**os.environ, "PYTHONPATH": tree_pythonpath()}
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
 
 
@@ -82,8 +101,8 @@ def test_runs_without_scipy(run_cli):
     ["eval", "nope"],
 ], ids=lambda a: "-".join(a[:2]))
 def test_runs_without_click(run_cli, args):
-    # numpy is the only runtime dependency: with every click import made to
-    # fail, a command prints what it prints in process, with the same status
+    # no CLI dependency may come back: with every click import made to fail,
+    # a command prints what it prints in process, with the same status
     out = run_python(f"import sys; sys.modules['click'] = None; "
                      f"from pcfprod.cli import main; main({args!r})")
     assert (out.returncode, out.stdout, out.stderr) == tuple(run_cli(args))
@@ -98,7 +117,7 @@ def test_help(run_cli, command):
     assert r.stderr == ""
 
 
-# each message as click wrote it, after argparse's usage line and "pcfprod <command>: error: "
+# each usage error's whole message, after argparse's usage line and "pcfprod <command>: error: "
 USAGE_ERRORS = [
     ("eval nope --x 1", "unknown target 'nope'; known targets: bessel_k_quarter, "
                         "eigenfunction, erfc, gamma, green_closed, green_ode, green_spectral, "
@@ -124,6 +143,11 @@ USAGE_ERRORS = [
     ("verify EQ13A --format xml", "Invalid value for '--format': 'xml' is not one of "
                                   "'csv', 'json'."),
     ("explore-equal-args --nu abc", "Invalid value for '--nu': 'abc' is not a valid float."),
+    # a parameter the target does not take, or one given twice, is not ignored
+    ("eval product_integral --nu 1 --x 2 --y 1 --tool 1e-3",
+     "product_integral takes parameters ('nu', 'x', 'y'), not ['tool']"),
+    ("eval pcf_d --nu -1 --z 0 --nu 5", "--nu given more than once"),
+    ("verify EQ10 --nu 1 --nu 2 --x 2 --y 1", "--nu given more than once"),
 ]
 
 
@@ -149,25 +173,9 @@ class TestEval:
         r = run_cli(["eval", "mehler_kernel", "--X", "1", "--Y", "0.5", "--u", "0"])
         assert r.exit_code == 0
         assert first_value(r.stdout) == 1.0
-        # X^2 + Y^2 overflows a double: the kernel is still 1 at u = 0, not nan
-        r = run_cli(["eval", "mehler_kernel", "--X", "0", "--Y", "1.7e155", "--u", "0"])
-        assert r.exit_code == 0
-        assert r.stdout == "1.0\n"
-        # and the series is its one term, with no tail (it was nan after 2^19)
-        r = run_cli(["eval", "mehler_kernel_series", "--X", "0", "--Y", "1.7e155", "--u", "0"])
-        assert r.exit_code == 0, r.stderr
-        value, terms, tail = r.stdout.splitlines()
-        assert (value, terms) == ("1.0", "# terms_used = 1")
-        assert math.isfinite(float(tail.split(" = ")[1]))
 
-    @pytest.mark.parametrize("lam,code", [("3.00000001", 0), ("2.99999999999999", 0),
-                                          ("3", 2)])
-    def test_green_spectral_beside_an_eigenvalue(self, run_cli, lam, code):
-        # only the eigenvalue itself is the series' pole, a DomainError
-        r = run_cli(["eval", "green_spectral", "--lam", lam, "--x", "1", "--xprime", "0"])
-        assert r.exit_code == code, r.stderr
-        if code:
-            assert r.stderr.startswith("domain error: shift -1.0 sits on a pole")
+    test_green_spectral_beside_an_eigenvalue = table_test(
+        cli_cases.BESIDE_AN_EIGENVALUE, ids=lambda row: f"{row[0].split()[3]}-{row[1]}")
 
     def test_integral_matches_reference(self, run_cli):
         args = ["--nu", "1", "--x", "2", "--y", "1"]
@@ -181,25 +189,9 @@ class TestEval:
                                  "--nu", "1", "--x", "2", "--y", "1"])
         assert any(line.startswith("# evaluations = ") for line in r.stdout.splitlines())
 
-    @pytest.mark.parametrize("argv,code", [
-        (["green_spectral", "--lam", "0.5", "--x", "-2e6", "--xprime", "0"], 3),
-        (["series_for_I", "--nu", "1.2", "--X", "47", "--Y", "-1e139"], 3),
-        (["sum_rule_lhs", "--nu", "39", "--x", "1e81", "--y", "17"], 3),
-        (["green_spectral", "--lam", "-1e300", "--x", "15", "--xprime", "0"], 2),
-        (["green_ode", "--lam", "700", "--x", "1e-300", "--xprime", "2.2"], 2),
-        (["pcf_d", "--nu", "14", "--z", "1e51"], 0),
-    ])
-    def test_extreme_input_keeps_the_error_contract(self, run_cli, argv, code):
-        # each ended in a traceback or printed nan: an overflowing series is a
-        # ConvergenceError (3), a shift or lambda past what the series or the
-        # oracle resolve a DomainError (2), and a value that underflows is 0.0
-        r = run_cli(["eval", *argv])
-        assert r.exit_code == code
-        if code:
-            assert r.stderr.startswith(("convergence error: ", "domain error: "))
-            assert len(r.stderr.splitlines()) == 1
-        else:
-            assert first_value(r.stdout) == 0.0 and r.stderr == ""
+    test_extreme_input_keeps_the_error_contract = table_test(
+        cli_cases.EXTREME_INPUT,
+        ids=[f"argv{i}-{row[1]}" for i, row in enumerate(cli_cases.EXTREME_INPUT)])
 
     def test_green_closed_keeps_an_underflowing_factor(self, run_cli):
         # D_{-15.5}(38 sqrt 2) = 3.7e-342 underflows; G does not (40-digit mpmath)
@@ -245,16 +237,6 @@ class TestEval:
         assert r.exit_code == 0
         assert r.stdout.splitlines() == ["1.5", "# terms_used = 3", "# tail_bound = 1e-12"]
 
-    def test_unknown_target(self, run_cli):
-        r = run_cli(["eval", "nope", "--x", "1"])
-        assert r.exit_code != 0
-        assert "unknown target" in r.stderr
-
-    def test_missing_parameter(self, run_cli):
-        r = run_cli(["eval", "pcf_d", "--nu", "-1"])
-        assert r.exit_code != 0
-        assert "--z" in r.stderr
-
     def test_domain_error_exit_code(self, run_cli):
         r = run_cli(["eval", "pcf_d", "--nu", "0.5", "--z", "1"])
         assert r.exit_code == 2
@@ -296,61 +278,17 @@ class TestEval:
         r = run_cli(["eval", target, "--X", "30", "--Y", "30", "--u", "0.9"])
         assert r.exit_code in codes, r.stderr
 
-    @pytest.mark.parametrize("target", ["hermite", "eigenfunction"])
-    @pytest.mark.parametrize("n", ["2.5", "nan", "-1"])
-    def test_non_integer_degree_is_domain_error(self, run_cli, target, n):
-        # the degree is checked, not truncated: --n 2.5 is not H_2
-        r = run_cli(["eval", target, "--n", n, "--x", "1"])
-        assert r.exit_code == 2
-        assert "domain error" in r.stderr
-
-    @pytest.mark.parametrize("target", ["hermite", "eigenfunction"])
-    @pytest.mark.parametrize("n", ["524289", "1e9"])
-    def test_degree_above_cap_is_domain_error(self, run_cli, target, n):
-        # the recurrence runs n steps: 1e9 of them used to take minutes
-        r = run_cli(["eval", target, "--n", n, "--x", "0"])
-        assert r.exit_code == 2
-        assert r.stderr.startswith("domain error: Hermite degree must be at most 2^19")
+    test_non_integer_degree_is_domain_error = table_test(
+        cli_cases.HERMITE_DEGREE_NOT_INTEGER, ids=lambda row: "{3}-{1}".format(*row[0].split()))
+    test_degree_above_cap_is_domain_error = table_test(
+        cli_cases.HERMITE_DEGREE_CAP, ids=lambda row: "{3}-{1}".format(*row[0].split()))
 
     def test_nan_order_is_domain_error(self, run_cli):
         r = run_cli(["eval", "pcf_d", "--nu", "nan", "--z", "1"])
         assert r.exit_code == 2
         assert "domain error" in r.stderr
 
-    @pytest.mark.parametrize("args", [
-        "series_for_I --nu 1 --X 2 --Y 1 --tol nan",
-        "series_for_I --nu 1 --X inf --Y 0",
-        "sum_rule_lhs --nu 1 --x inf --y 0",
-        "green_spectral --lam nan --x 1 --xprime 0",
-        "green_ode --lam nan --x 1 --xprime 0",
-        # max(1, nan) is 1: this one used to print G at x = x'
-        "green_ode --lam 0 --x 1 --xprime nan",
-        # hermite and eigenfunction used to print nan, laplace_I 0.0, and
-        # product_integral exit 3 on a NaN integrand; pcf_d named the
-        # quadrature's decay rate rather than z
-        "hermite --n 2 --x nan",
-        "eigenfunction --n 2 --x nan",
-        "laplace_I --nu 1 --a inf --b 1 --sign 1",
-        "product_integral --nu 1 --x inf --y 1",
-        "pcf_d --nu -1 --z nan",
-        # a nan sign used to end in a ValueError traceback, and an infinite
-        # phi in a left side of 0.0
-        "laplace_I --nu 1 --a 2 --b 1 --sign nan",
-        "hyperbolic_lhs_14 --a 1 --phi inf",
-        # finite, but past the hyperbolic range: these used to end in an
-        # OverflowError traceback (exit 1)
-        "hyperbolic_lhs_13a --alpha 1 --phi 800",
-        "hyperbolic_lhs_14 --a 1 --phi 800",
-        "hyperbolic_lhs_13a --alpha 1e-200 --phi 1",
-        # math.erfc(nan) is nan, which this route used to print
-        "erfc --x nan",
-    ], ids=lambda a: a.replace(" --", "-").replace(" ", "="))
-    def test_non_finite_input_is_domain_error(self, run_cli, args):
-        r = run_cli(["eval", *args.split()])
-        assert r.exit_code == 2, r.stderr
-        assert r.stderr.startswith("domain error: ")
-        if args.startswith("pcf_d"):
-            assert "z=nan" in r.stderr
+    test_non_finite_input_is_domain_error = table_test(cli_cases.NON_FINITE)
 
     def test_hyperbolic_left_sides(self, run_cli):
         # the theta integral alone: its error estimate, and no right side,
@@ -394,106 +332,14 @@ class TestVerify:
         assert lines[0].endswith("true")
         assert "pass=1 fail=0 skip=0" in r.stdout
 
-    # one point per domain rule the library enforces for `verify`
-    @pytest.mark.parametrize("args", [
-        "EQ3 --X 1 --Y 0.5 --u 1.0",
-        "EQ10 --nu 1 --x 1 --y 2",
-        "EQ11 --nu 1 --a 1 --b 2",
-        "EQ12 --nu 1 --a 1.5 --b -0.5",
-        "EQ14 --a 1 --phi 800",
-        # phi past 700, alpha below 1e-150 and alpha^2 = inf used to end in
-        # a traceback or a nan right side
-        "EQ13A --alpha 1 --phi 800",
-        "EQ13B --alpha 1e-200 --phi 1",
-        "EQ15 --nu 1 --x 1 --y 2",
-        "EQ8_EQ9 --lam 0.5 --x 0 --xprime 0",
-        "EQ8_EQ9 --lam 1.5 --x 1 --xprime 0",
-        # non-finite input is outside every domain
-        "EQ15 --nu 1 --x inf --y 0",
-        "EQ15 --nu 1 --x 2 --y 1 --tol nan",
-        "EQ8_EQ9 --lam 0 --x inf --xprime 0",
-    ], ids=lambda a: a.replace(" --", "-").replace(" ", "="))
-    def test_out_of_domain_point_is_skipped(self, run_cli, args):
-        r = run_cli(["verify", *args.split()])
-        assert r.exit_code == 0
-        assert "skipped" in r.stdout
-        assert "skip=1" in r.stdout
-
-    @pytest.mark.parametrize("args", [
-        # phi < 0.05 used to be refused, and a = 1e-300 ended in a traceback
-        "EQ14 --a 1 --phi 0.01",
-        "EQ14 --a 1e-300 --phi 1",
-        # a sinh^2(phi/2) underflows to 0 and a cosh^2(phi/2) overflows: the
-        # right side's D_{-1/2} arguments are 1e-300 and 3e154
-        "EQ14 --a 1 --phi 1e-300",
-        "EQ14 --a 1e5 --phi 700",
-    ], ids=lambda a: a.replace(" --", "-").replace(" ", "="))
-    def test_hyperbolic_extremes_pass(self, run_cli, args):
-        r = run_cli(["verify", *args.split()])
-        assert r.exit_code == 0, r.stderr
-        assert r.stdout.splitlines()[-1] == "# summary: pass=1 fail=0 skip=0"
-
-    @pytest.mark.parametrize("args", [
-        # e^{a/2} = e^{750} overflowed (a traceback), and D_{-11.2}(52.57) = 4.7e-320
-        # is subnormal (a miss by 4.5e-5): the right side keeps both as exponents
-        "EQ11 --nu 1 --a 1500 --b 10",
-        "EQ11 --nu 11.2 --a 1385 --b 134 --tol 1e-13",
-    ], ids=lambda a: a.replace(" --", "-").replace(" ", "="))
-    def test_laplace_right_side_past_a_double_passes(self, run_cli, args):
-        r = run_cli(["verify", *args.split()])
-        assert r.exit_code == 0, r.stderr
-        assert r.stdout.splitlines()[-1] == "# summary: pass=1 fail=0 skip=0"
-
-    @pytest.mark.parametrize("args", [
-        # D_{-1}(-100) overflows a double, but the product is 3.3e-13
-        "EQ10 --nu 1 --x 100.5 --y 100",
-        # x = 100 or 1414, and e^{a/2} lifts the product back into range (about
-        # 0.03 and 2e-3)
-        "EQ11 --nu 1 --a 5000 --b 10",
-        "EQ11 --nu 1 --a 1e6 --b 10",
-        # x = 2000 and 1.4e10, past z = 1700, where a factor was bounded
-        "EQ11 --nu 1 --a 2e6 --b 10",
-        "EQ12 --nu 1 --a 2e6 --b 10",
-        "EQ11 --nu 1 --a 1e20 --b 10",
-        "EQ12 --nu 1 --a 1e20 --b 10",
-        "EQ10 --nu 1 --x 2000 --y 1999.9",
-    ], ids=lambda a: a.replace(" --", "-").replace(" ", "="))
-    def test_factor_past_the_old_limits_passes(self, run_cli, args):
-        # factors below -80 or past 98 were a skip, and so were factors past 1700
-        r = run_cli(["verify", *args.split()])
-        assert r.exit_code == 0, r.stderr
-        assert r.stdout.splitlines()[-1] == "# summary: pass=1 fail=0 skip=0"
-
-    @pytest.mark.parametrize("tol", ["1e-8", "1e-12"])
-    def test_laplace_forms_hold_up_to_a_1e30(self, run_cli, tol):
-        # it read 25 skips from a = 1.9e7 (a factor past z = 1700) and 30 failures
-        # from a = 4.3e18 (the quadrature's scale clamped at decay rate 1e4)
-        r = run_cli(["verify", "EQ11", "--nu", "1:20:5", "--a", "log:1e5:1e30:12",
-                     "--b", "10", "--tol", tol])
-        assert r.exit_code == 0, r.stderr
-        assert r.stdout.splitlines()[-1] == "# summary: pass=60 fail=0 skip=0"
-
-    @pytest.mark.parametrize("args", [
-        "EQ10 --nu 1 --x 2 --y 2",
-        "EQ11 --nu 1 --a 2 --b 2",
-        "EQ3 --X 1 --Y 0.5 --u 0.99",
-        "EQ3 --X -2 --Y 2 --u -0.999",
-        # e^{alpha^2 cosh(phi)} overflows a double (inf at alpha = 1e200, where
-        # both sides are 0.0): the erfc right sides carry it inside erfcx
-        "EQ13A --alpha 10 --phi 3",
-        "EQ13B --alpha 15 --phi 3",
-        "EQ13A --alpha 1e200 --phi 1",
-        # missed at 4.2e-11 and 7.9e-11: a large exponential set against a rounded
-        # square, where each factor now carries its own
-        "EQ13B --alpha 2 --phi 5 --tol 1e-11",
-        "EQ11 --nu 1 --a 1e6 --b 10 --tol 1e-11",
-    ], ids=lambda a: a.replace(" --", "-").replace(" ", "="))
-    def test_former_walls_pass(self, run_cli, args):
-        # x = y, a = b, |u| > 0.95 and an overflowing closed-form exponential
-        # were skipped; the integral and the series decide their own reach there
-        r = run_cli(["verify", *args.split()])
-        assert r.exit_code == 0, r.stderr
-        assert r.stdout.splitlines()[-1] == "# summary: pass=1 fail=0 skip=0"
+    test_out_of_domain_point_is_skipped = table_test(cli_cases.SKIPPED)
+    test_hyperbolic_extremes_pass = table_test(cli_cases.EQ14_EXTREMES)
+    test_laplace_right_side_past_a_double_passes = table_test(
+        cli_cases.LAPLACE_RIGHT_SIDE_PAST_A_DOUBLE)
+    test_factor_past_the_old_limits_passes = table_test(cli_cases.PAST_THE_OLD_LIMITS)
+    test_laplace_forms_hold_up_to_a_1e30 = table_test(
+        cli_cases.LAPLACE_TO_A_1E30, ids=lambda row: row[0].split()[-1])
+    test_former_walls_pass = table_test(cli_cases.FORMER_WALLS)
 
     def test_product_gap_past_a_double_passes(self, run_cli):
         # (x - y)**2 overflowed in the integral's decay rate, a traceback; both
@@ -657,16 +503,6 @@ class TestVerify:
         assert r.exit_code == 0
         assert "pass=3 fail=0 skip=0" in r.stdout
 
-    def test_malformed_gridspec(self, run_cli):
-        r = run_cli(["verify", "EQ13A", "--alpha", "1:2", "--phi", "1"])
-        assert r.exit_code != 0
-        assert "malformed range spec" in r.stderr
-
-    def test_unknown_identity(self, run_cli):
-        r = run_cli(["verify", "EQ99"])
-        assert r.exit_code != 0
-        assert "unknown identity" in r.stderr
-
     def test_json_has_no_nan(self, run_cli):
         # a skipped record has no numbers: JSON null, not the NaN literal
         r = run_cli(["verify", "EQ10", "--nu", "1", "--x", "1", "--y", "2",
@@ -723,6 +559,34 @@ class TestVerify:
         b = run_cli(cmd)
         assert a.exit_code == 0
         assert a == b
+
+
+class TestReproducers:
+    test_row = table_test(cli_cases.MORE)
+
+    def test_every_row_runs_in_process(self):
+        tables = [test.rows for cls in (TestEval, TestVerify, TestReproducers)
+                  for test in vars(cls).values() if hasattr(test, "rows")]
+        assert Counter(row for rows in tables for row in rows) == Counter(cli_cases.CASES)
+
+    def test_a_wrong_row_fails_in_process_and_in_the_runner(self, run_cli, monkeypatch,
+                                                           capsys):
+        # a row edited to expect another exit code, or other text, fails
+        # both in process and against a launched command
+        argv, stderr = "eval erfc --x nan", "domain error: erfc needs a finite argument x, got x=nan"
+        wrong_text = "domain error: erfc needs a positive argument"
+        rows = [(argv, 2, cli_cases.ERROR, stderr), (argv, 0, cli_cases.ERROR, stderr),
+                (argv, 2, cli_cases.ERROR, wrong_text)]
+        assert [bool(cli_cases.failure(row, *run_cli(argv.split()))) for row in rows] == \
+            [False, True, True]
+        monkeypatch.setenv("PYTHONPATH", tree_pythonpath())
+        assert cli_cases.run([sys.executable, "-m", "pcfprod.cli"], rows) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"FAIL {argv}: wrong exit code",
+            f"  exit code 2, expected 0; stderr: {stderr}",
+            f"FAIL {argv}: expected {cli_cases.ERROR} {wrong_text!r}",
+            f"  exit code 2, expected 2; stderr: {stderr}",
+            "3 rows, 2 failed"]
 
 
 class TestExploreEqualArgs:
