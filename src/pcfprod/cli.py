@@ -31,13 +31,16 @@ missed it.
 The command line is parsed with :mod:`argparse`; a usage error prints the
 command's usage line and the message on stderr and exits with status 2.
 A parameter that the target or identity does not take, and a parameter
-given twice, are usage errors.  A ``DomainError`` from ``eval`` or
+or option given twice, are usage errors.  A ``DomainError`` from ``eval`` or
 ``explore-equal-args`` prints ``domain error: ...`` on stderr and exits 2,
 and a ``ConvergenceError`` exits 3, after its partial result, where it has
 one, is printed on stdout.  A
 launch imports only what its command runs: ``glasser``, ``green`` and
 ``mehler`` are imported by the first route that reads them, so
-``eval pcf_d`` loads neither those modules nor numpy.
+``eval pcf_d`` loads neither those modules nor numpy.  Results and queries
+are ``typing.NamedTuple`` records and the help text is dedented here, so a
+scalar or quadrature ``eval`` imports no module for either; ``inspect``
+arrives only with numpy, on a series' first call.
 """
 
 from __future__ import annotations
@@ -45,11 +48,9 @@ from __future__ import annotations
 import argparse
 import functools
 import importlib
-import inspect
 import itertools
 import math
 import sys
-from dataclasses import fields, is_dataclass
 
 from . import hyperbolic, quadrature, specfun
 from .errors import ConvergenceError, DomainError
@@ -132,16 +133,16 @@ EVAL_TARGETS = {
 
 
 def _echo_result(result) -> None:
-    """Print a route's result: a number as is; a result dataclass as its
+    """Print a route's result: a number as is; a result NamedTuple as its
     value, then each other field as a '# name = value' line in declaration
     order."""
-    if not is_dataclass(result):
+    names = getattr(result, "_fields", None)
+    if names is None:
         print(repr(result))
         return
-    names = [f.name for f in fields(result)]
-    print(repr(getattr(result, names[0])))
-    for name in names[1:]:
-        print(f"# {name} = {getattr(result, name)!r}")
+    print(repr(result[0]))
+    for name, value in zip(names[1:], result[1:]):
+        print(f"# {name} = {value!r}")
 
 
 def _parse_named_floats(raw: list[str]) -> dict[str, str]:
@@ -508,6 +509,18 @@ def explore_cmd(args: argparse.Namespace, extra: list[str]) -> int:
 # argparse wiring
 # --------------------------------------------------------------------------
 
+class _Once(argparse.Action):
+    """Stores an option's value; the option given a second time is a usage
+    error, as a trailing parameter given twice is."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        given = vars(namespace).setdefault("given", set())
+        if self.dest in given:
+            parser.error(f"{option_string} given more than once")
+        given.add(self.dest)
+        setattr(namespace, self.dest, value)
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process.  Option values stay
@@ -519,7 +532,11 @@ def _parser() -> argparse.ArgumentParser:
     commands = top.add_subparsers(title="commands", metavar="COMMAND", required=True)
 
     def command(name, run, usage):
-        doc = inspect.cleandoc(run.__doc__)
+        # the docstring without its common indentation past the first line
+        first, *rest = run.__doc__.strip().splitlines()
+        margin = min((len(line) - len(line.lstrip()) for line in rest if line.strip()),
+                     default=0)
+        doc = "\n".join([first, *(line[margin:] for line in rest)])
         sub = commands.add_parser(name, help=doc.splitlines()[0], description=doc, usage=usage,
                                   formatter_class=argparse.RawDescriptionHelpFormatter,
                                   allow_abbrev=False)
@@ -528,18 +545,19 @@ def _parser() -> argparse.ArgumentParser:
 
     sub = command("eval", eval_cmd, "%(prog)s [-h] [--tol TOL] TARGET --name value ...")
     sub.add_argument("target", metavar="TARGET", help=", ".join(sorted(EVAL_TARGETS)))
-    sub.add_argument("--tol", default="1e-10",
+    sub.add_argument("--tol", default="1e-10", action=_Once,
                      help="Requested relative tolerance for iterative targets "
                           "(default: %(default)s).")
     sub = command("verify", verify_cmd, "%(prog)s [-h] [--tol TOL] [--format {csv,json}] "
                                         "IDENTITY [--name gridspec ...]")
     sub.add_argument("identity", metavar="IDENTITY", help=f"{', '.join(IDENTITIES)} or all")
-    sub.add_argument("--tol", help="Override the identity's default tolerance.")
-    sub.add_argument("--format", default="csv", metavar="{csv,json}",
+    sub.add_argument("--tol", action=_Once, help="Override the identity's default tolerance.")
+    sub.add_argument("--format", default="csv", metavar="{csv,json}", action=_Once,
                      help="(default: %(default)s)")
     sub = command("explore-equal-args", explore_cmd, None)
     for name, default in (("nu", "1.0"), ("x", "2.0"), ("tol", "1e-06")):
-        sub.add_argument(f"--{name}", default=default, help="(default: %(default)s)")
+        sub.add_argument(f"--{name}", default=default, action=_Once,
+                         help="(default: %(default)s)")
     return top
 
 

@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types, and the check that gives a query its domain."""
+
+import functools
 
 
 class DomainError(ValueError):
@@ -18,3 +20,20 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message, partial=None):
         super().__init__(message)
         self.partial = partial
+
+
+def checked(cls):
+    """Make the NamedTuple query ``cls`` run its ``_check`` method, which
+    raises :class:`DomainError` for a field outside the domain, on every
+    construction: by call, by ``_make`` and so by ``_replace``."""
+    new = cls.__new__
+
+    @functools.wraps(new)
+    def __new__(cls, *args, **kwargs):
+        self = new(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    cls.__new__ = __new__
+    cls._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return cls

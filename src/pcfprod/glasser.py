@@ -31,9 +31,9 @@ a = b for the plus form, the quadrature walks that algebraic tail
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, checked
 from .quadrature import QuadratureResult, integrate_semi_infinite
 from .specfun import gamma, pcf_d_product
 
@@ -48,30 +48,30 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ProductQuery:
+@checked
+class ProductQuery(NamedTuple):
     """The triple (nu, x, y) addressing D_{-nu}(x) * D_{-nu}(-y)."""
 
     nu: float
     x: float
     y: float
 
-    def __post_init__(self):
+    def _check(self):
         if not self.nu > 0.0:
             raise DomainError(f"order nu must be positive, got {self.nu}")
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise DomainError(f"x and y must be finite, got x={self.x}, y={self.y}")
 
 
-@dataclass(frozen=True)
-class LaplaceParams:
+@checked
+class LaplaceParams(NamedTuple):
     """The triple (nu, a, b) of the Laplace-transform forms."""
 
     nu: float
     a: float
     b: float
 
-    def __post_init__(self):
+    def _check(self):
         if not self.nu > 0.0:
             raise DomainError(f"order nu must be positive, got {self.nu}")
         if not (math.isfinite(self.a) and math.isfinite(self.b)):

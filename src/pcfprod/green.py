@@ -29,9 +29,9 @@ numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, checked
 from .hermsum import SeriesResult, bilinear_hermite_sum, scaled_hermite_frexp
 from .specfun import _times_exp, gamma, pcf_d_product
 
@@ -117,15 +117,15 @@ def solve_ivp(lam: float, t0: float, t1: float, y: float, yp: float) -> tuple[fl
     return y, yp
 
 
-@dataclass(frozen=True)
-class GreenQuery:
+@checked
+class GreenQuery(NamedTuple):
     """Spectral parameter and the two space points (lambda, x, x'), all finite."""
 
     lam: float
     x: float
     xprime: float
 
-    def __post_init__(self):
+    def _check(self):
         if not (math.isfinite(self.lam) and math.isfinite(self.x) and math.isfinite(self.xprime)):
             raise DomainError(f"Green function needs finite lambda, x, x', got "
                               f"lambda={self.lam}, x={self.x}, x'={self.xprime}")

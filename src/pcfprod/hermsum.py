@@ -71,8 +71,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ConvergenceError, DomainError
 
@@ -111,8 +110,7 @@ def _rules() -> tuple[list[float], float, tuple[np.ndarray, ...]]:
         w, -v, w * w * (2.0 - w * w), np.log(v), np.sqrt(2.0 - w * w), vec[0] ** 2, width)
 
 
-@dataclass(frozen=True)
-class SeriesResult:
+class SeriesResult(NamedTuple):
     """A truncated series' value; ``tail_bound`` bounds its absolute error,
     of truncation and of rounding."""
 

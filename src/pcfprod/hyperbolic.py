@@ -53,9 +53,9 @@ a cosh^2(phi/2), where it overflows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, checked
 from .quadrature import QuadratureResult, clamp_tol, integrate_finite
 from .report import VerificationRecord, make_record
 from .specfun import erfcx, pcf_d_product
@@ -75,8 +75,8 @@ __all__ = [
 _RISE = 50.0
 
 
-@dataclass(frozen=True)
-class HyperbolicQuery:
+@checked
+class HyperbolicQuery(NamedTuple):
     """Parameters of the hyperbolic identities.
 
     ``alpha`` feeds the two erfc identities, ``a`` the K_{1/4} identity;
@@ -89,7 +89,7 @@ class HyperbolicQuery:
     a: float = 1.0
     phi: float = 1.0
 
-    def __post_init__(self):
+    def _check(self):
         for name, value, low in (("alpha", self.alpha, 1e-150), ("a", self.a, 1e-300)):
             if not low <= value < math.inf:
                 raise DomainError(f"{name} must be finite and at least {low}, got {value}")

@@ -17,9 +17,9 @@ kernel bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, checked
 from .hermsum import (_EPS, _LOG_CRAMER_SQ, _MAX_PRODUCTS, SeriesResult, bilinear_hermite_sum,
                       scaled_hermite_products)
 
@@ -36,23 +36,23 @@ __all__ = [
 _DECAY_FIT = (100, 20000, 20)  # n_lo, n_hi and the log-spaced bins between them
 
 
-@dataclass(frozen=True)
-class MehlerPoint:
+@checked
+class MehlerPoint(NamedTuple):
     """Arguments (X, Y, u) of the Mehler kernel; requires finite X, Y and |u| < 1."""
 
     X: float
     Y: float
     u: float
 
-    def __post_init__(self):
+    def _check(self):
         if not (math.isfinite(self.X) and math.isfinite(self.Y)):
             raise DomainError(f"Mehler kernel requires finite X, Y, got X={self.X}, Y={self.Y}")
         if not abs(self.u) < 1.0:
             raise DomainError(f"Mehler kernel requires |u| < 1, got u={self.u}")
 
 
-@dataclass(frozen=True)
-class SumRuleQuery:
+@checked
+class SumRuleQuery(NamedTuple):
     """Parameters (nu, x, y) of the product sum rule; requires x > y, nu > 0.
 
     Negative y is admitted; only the ordering x > y matters.
@@ -62,7 +62,7 @@ class SumRuleQuery:
     x: float
     y: float
 
-    def __post_init__(self):
+    def _check(self):
         if not self.nu > 0.0:
             raise DomainError(f"sum rule requires nu > 0, got {self.nu}")
         if not self.x > self.y:

@@ -77,9 +77,8 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from itertools import chain
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import ConvergenceError, DomainError
 
@@ -111,8 +110,7 @@ _PREDICT_MARGIN, _MIN_ORDER, _MAX_ORDER = 0.1, 1.8, 2.5  # the early stop's boun
 _SETTLED = 0.05
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     """Value of an integral together with convergence metadata."""
 
     value: float

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError
 
@@ -10,8 +10,7 @@ _REL_FLOOR = 1e-300
 _ABS_SWITCH = 1e-280
 
 
-@dataclass(frozen=True)
-class VerificationRecord:
+class VerificationRecord(NamedTuple):
     """Both side values of one identity at one parameter point.
 
     ``passed`` reflects the identity's configured tolerance: relative

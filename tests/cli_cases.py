@@ -52,6 +52,7 @@ NON_FINITE = [
     # math.erfc(nan) is nan, which this route used to print
     ("eval erfc --x nan", 2, ERROR, "domain error: erfc needs a finite argument x, got x=nan"),
     ("eval mehler_kernel_series --X nan --Y 0 --u 0.5", 2, ERROR, "domain error: Mehler kernel"),
+    ("eval pcf_d --nu nan --z 1", 2, ERROR, "domain error: order nan outside supported range"),
 ]
 
 # each ended in a traceback or printed nan: an overflowing series is a ConvergenceError,
@@ -137,6 +138,9 @@ PAST_THE_OLD_LIMITS = [
     ("verify EQ11 --nu 1 --a 1e20 --b 10", 0, LAST, PASS1),
     ("verify EQ12 --nu 1 --a 1e20 --b 10", 0, LAST, PASS1),
     ("verify EQ10 --nu 1 --x 2000 --y 1999.9", 0, LAST, PASS1),
+    # (x - y)**2 overflowed in the integral's decay rate, a traceback; both
+    # sides are 0.0, as D_{-1}(1e155) underflows
+    ("verify EQ10 --nu 1 --x 1e155 --y 0.5", 0, LAST, PASS1),
 ]
 
 # it read 25 skips from a = 1.9e7 (a factor past z = 1700) and 30 failures
@@ -162,7 +166,34 @@ FORMER_WALLS = [
     ("verify EQ11 --nu 1 --a 1e6 --b 10 --tol 1e-11", 0, LAST, PASS1),
 ]
 
+# an identity's default grid, and each grid spec form; the name is case-insensitive
+GRID_SPECS = [
+    ("verify EQ13A", 0, LAST, "# summary: pass=9 fail=0 skip=0"),
+    ("verify eq13a --alpha 1 --phi 1", 0, LAST, PASS1),
+    ("verify EQ13A --alpha 0.5:2:4 --phi 1", 0, LAST, "# summary: pass=4 fail=0 skip=0"),
+    ("verify EQ13A --alpha log:0.5:2:3 --phi 1", 0, LAST, "# summary: pass=3 fail=0 skip=0"),
+]
+
+# an option given twice is a usage error, as a trailing parameter given twice is:
+# the last value used to win
+REPEATED_OPTIONS = [
+    ("eval hyperbolic_lhs_13a --alpha 1 --phi 1 --tol 1e-3 --tol 1e-10", 2, ERROR,
+     "pcfprod eval: error: --tol given more than once"),
+    ("verify EQ13A --alpha 1 --phi 1 --tol 1e-8 --tol 1e-9", 2, ERROR,
+     "pcfprod verify: error: --tol given more than once"),
+    ("verify EQ13A --alpha 1 --phi 1 --format csv --format json", 2, ERROR,
+     "pcfprod verify: error: --format given more than once"),
+    ("explore-equal-args --nu 1 --nu 2", 2, ERROR,
+     "pcfprod explore-equal-args: error: --nu given more than once"),
+    ("explore-equal-args --x 2 --x 3", 2, ERROR,
+     "pcfprod explore-equal-args: error: --x given more than once"),
+    ("explore-equal-args --tol 1e-6 --tol 1e-8", 2, ERROR,
+     "pcfprod explore-equal-args: error: --tol given more than once"),
+]
+
 MORE = [
+    # a positive non-integer order is outside pcf_d's domain
+    ("eval pcf_d --nu 0.5 --z 1", 2, ERROR, "domain error: positive non-integer order 0.5"),
     # argparse: a usage error exits 2, also a grid option no identity takes
     ("eval nope", 2, ERROR, "pcfprod eval: error: unknown target 'nope'; known targets: "),
     ("verify all --foo 1", 2, ERROR, "pcfprod verify: error: all takes parameters ("),
@@ -218,7 +249,8 @@ MORE = [
 
 CASES = [*NON_FINITE, *EXTREME_INPUT, *HERMITE_DEGREE_CAP, *HERMITE_DEGREE_NOT_INTEGER,
          *BESIDE_AN_EIGENVALUE, *SKIPPED, *EQ14_EXTREMES, *LAPLACE_RIGHT_SIDE_PAST_A_DOUBLE,
-         *PAST_THE_OLD_LIMITS, *LAPLACE_TO_A_1E30, *FORMER_WALLS, *MORE]
+         *PAST_THE_OLD_LIMITS, *LAPLACE_TO_A_1E30, *FORMER_WALLS, *GRID_SPECS, *REPEATED_OPTIONS,
+         *MORE]
 
 
 def row_id(row) -> str:

@@ -1,6 +1,8 @@
 """The package's public names, which load from their submodules on first access."""
 
 import importlib
+import math
+import re
 
 import pytest
 
@@ -43,3 +45,50 @@ def test_dir_lists_every_name_and_unknown_names_raise():
     assert pcfprod.__version__ == "0.1.0"
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         pcfprod.no_such_name  # noqa: B018
+
+
+# each result and query record: its fields in order with a valid value each, its
+# defaults, and for a query one field out of its domain with the DomainError it gives
+RECORDS = [
+    ("QuadratureResult", {"value": 1.5, "error_estimate": 1e-12, "evaluations": 40}, {}, None),
+    ("SeriesResult", {"value": 1.5, "terms_used": 3, "tail_bound": 1e-12}, {}, None),
+    ("VerificationRecord", {"identity_id": "EQ10", "params": {"nu": 1.0}, "lhs": 1.5,
+                            "rhs": 1.5, "abs_err": 0.0, "rel_err": 0.0, "passed": True,
+                            "evaluations": 40, "skipped": False, "note": ""},
+     {"skipped": False, "note": ""}, None),
+    ("HyperbolicQuery", {"alpha": 1.0, "a": 1.0, "phi": 1.0},
+     {"alpha": 1.0, "a": 1.0, "phi": 1.0}, ("phi", 800.0, "phi must lie in (0, 700], got 800.0")),
+    ("ProductQuery", {"nu": 1.0, "x": 2.0, "y": 1.0}, {},
+     ("nu", -1.0, "order nu must be positive, got -1.0")),
+    ("LaplaceParams", {"nu": 1.0, "a": 2.5, "b": 2.0}, {},
+     ("a", math.inf, "a and b must be finite, got a=inf, b=2.0")),
+    ("MehlerPoint", {"X": 1.0, "Y": 0.5, "u": 0.3}, {},
+     ("u", 1.0, "Mehler kernel requires |u| < 1, got u=1.0")),
+    ("SumRuleQuery", {"nu": 1.0, "x": 2.0, "y": 1.0}, {},
+     ("y", 3.0, "sum rule requires x > y, got x=2.0, y=3.0")),
+    ("GreenQuery", {"lam": 0.5, "x": 1.0, "xprime": 0.0}, {},
+     ("lam", math.nan, "Green function needs finite lambda, x, x', got lambda=nan, x=1.0, "
+                       "x'=0.0")),
+]
+
+
+@pytest.mark.parametrize("name, values, defaults, bad", RECORDS, ids=[r[0] for r in RECORDS])
+def test_record_is_an_immutable_named_tuple(name, values, defaults, bad):
+    cls = getattr(pcfprod, name)
+    assert cls._fields == tuple(values)
+    assert cls._field_defaults == defaults
+    assert not cls.__doc__.startswith(f"{name}(")  # its own docstring, not the generated one
+    record = cls(**values)
+    assert record == cls(*values.values()) == tuple(values.values())
+    assert repr(record) == f"{name}({', '.join(f'{k}={v!r}' for k, v in values.items())})"
+    first = cls._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, first, values[first])
+    with pytest.raises(AttributeError):
+        record.other = 0
+    if bad is not None:
+        field, value, message = bad
+        for build in (lambda: cls(**{**values, field: value}),
+                      lambda: record._replace(**{field: value})):
+            with pytest.raises(pcfprod.DomainError, match=re.escape(message)):
+                build()
