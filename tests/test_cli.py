@@ -65,24 +65,28 @@ def run_python(code):
                                                       ("pcfprod.green", False),
                                                       ("pcfprod.mehler", True)])
 def test_import_leaves_module_unloaded(run_cli, prefix, loaded_by_series):
-    # only the ODE oracle needs scipy.integrate, which takes about half a
-    # second to import, and only a Hermite series needs numpy, which takes
+    # scipy.integrate, which takes about half a second to import, is only a
+    # test dependency, and only a Hermite series needs numpy, which takes
     # more than the rest of a launch: neither `import pcfprod.cli` nor a
-    # scalar `eval` may pay for them; a series loads numpy on its first call.
-    # The command line is parsed without click, records are NamedTuples
+    # scalar or ODE `eval` may pay for them; a series loads numpy on its first
+    # call. The command line is parsed without click, records are NamedTuples
     # (numpy, not pcfprod, imports inspect), and a library module loads
-    # with the first route that uses it
+    # with the first route that uses it: the ODE eval loads pcfprod.green only
     scalar = ["eval", "pcf_d", "--nu", "-1", "--z", "0"]
+    ode = ["eval", "green_ode", "--lam", "0", "--x", "1", "--xprime", "0"]
     series = ["eval", "series_for_I", "--nu", "1", "--X", "2", "--Y", "1"]
+    loaded_by_ode = prefix == "pcfprod.green"
     probe = (f"print(any((m + '.').startswith({prefix + '.'!r}) for m in sys.modules), "
              f"file=sys.stderr)")
     out = run_python("\n".join(["import sys", "from pcfprod.cli import main", probe,
                                 f"main({scalar!r}, standalone_mode=False)", probe,
+                                f"main({ode!r}, standalone_mode=False)", probe,
                                 f"main({series!r}, standalone_mode=False)", probe]))
     assert out.returncode == 0, out.stderr
-    assert out.stderr == f"False\nFalse\n{loaded_by_series}\n"
-    scalar_line, series_line = out.stdout.splitlines()[:2]
+    assert out.stderr == f"False\nFalse\n{loaded_by_ode}\n{loaded_by_ode or loaded_by_series}\n"
+    scalar_line, ode_line, series_line = out.stdout.splitlines()[:3]
     assert scalar_line == run_cli(scalar).stdout.splitlines()[0]
+    assert ode_line == run_cli(ode).stdout.splitlines()[0]
     assert series_line == run_cli(series).stdout.splitlines()[0]
 
 
