@@ -21,11 +21,14 @@ between {x >= y > 0} and {a >= b > 0}.
 
 The integral's exponential tail rate is a - b = (x-y)^2/2, which
 vanishes as x -> y; that costs evaluations, not accuracy, for the
-integrand's exponent holds no terms that cancel.  The paper states the
-representation for x > y and says it diverges at x = y, but there the
-tail is only algebraic (~ t^{-3/2}) and integrable: at x = y, and at
-a = b for the plus form, the quadrature walks that algebraic tail
-(decay rate 0) like any other point of the domain.
+integrand's exponent holds no terms that cancel.  Nor does it send the
+quadrature's walk out into the tail: each walk is centred at
+min(1/decay, body), body where the integrand's mass sits (see
+:func:`_body`), so x = y centres at max(1, x y/4), not at the clamp 1e4.
+The paper states the representation for x > y and says it diverges at
+x = y, but there the tail is only algebraic (~ t^{-3/2}) and integrable:
+at x = y, and at a = b for the plus form, the quadrature walks that
+algebraic tail (decay rate 0) like any other point of the domain.
 """
 
 from __future__ import annotations
@@ -144,6 +147,15 @@ def _laplace_integrand(nu: float, decay: float, b: float, sign: int, shift: floa
     return f
 
 
+def _body(decay: float, b: float) -> float:
+    """Where the mass of a plus-form integrand with decay rate ``decay`` and
+    exponent term -(b/4)/(t + 1/2 + r) sits: max(1, t_peak), with
+    t_peak = b/(2 + 2 sqrt(1 + 2 decay b)) the peak in log t of the mass per
+    unit log t at large t, t^{-1/2} e^{-decay t - b/(8t)}, and 1 the body of
+    the factor (t/(1+t))^{nu/2-1} near the origin."""
+    return max(1.0, b / (2.0 + 2.0 * math.sqrt(1.0 + 2.0 * decay * b)))
+
+
 def laplace_I(p: LaplaceParams, sign: int, tol: float = 1e-10) -> QuadratureResult:
     """The Laplace-form integral with e^{sign * b * sqrt(t(t+1))}.
 
@@ -160,7 +172,9 @@ def laplace_I(p: LaplaceParams, sign: int, tol: float = 1e-10) -> QuadratureResu
         raise DomainError(f"sign=-1 requires a + b > 0, got a={p.a}, b={p.b}")
     decay = p.a - sign * p.b
     shift = 0.5 * p.b if sign == 1 else 0.0
-    return integrate_semi_infinite(_laplace_integrand(p.nu, decay, p.b, sign, shift), decay, tol)
+    # the minus form's exponent -decay t - b t/(t + r) has no peak of its own: body 1
+    return integrate_semi_infinite(_laplace_integrand(p.nu, decay, p.b, sign, shift), decay, tol,
+                                   _body(decay, p.b) if sign == 1 else 1.0)
 
 
 def product_via_integral(q: ProductQuery, tol: float = 1e-10) -> QuadratureResult:
@@ -174,4 +188,6 @@ def product_via_integral(q: ProductQuery, tol: float = 1e-10) -> QuadratureResul
     gap = q.x - q.y
     decay = 0.5 * (gap * gap)  # ** raises where it overflows
     shift = -0.5 * decay - math.log(2.0 * gamma(q.nu))
-    return integrate_semi_infinite(_laplace_integrand(q.nu, decay, q.x * q.y, 1, shift), decay, tol)
+    b = q.x * q.y
+    return integrate_semi_infinite(_laplace_integrand(q.nu, decay, b, 1, shift), decay, tol,
+                                   _body(decay, b))

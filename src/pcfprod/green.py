@@ -11,10 +11,12 @@ Three independent evaluations of the Green function:
 * :func:`green_closed` -- the Titchmarsh product form
   (1/(2 sqrt(pi))) Gamma((1-lambda)/2) D_{(lambda-1)/2}(x sqrt2) D_{(lambda-1)/2}(-x' sqrt2)
   for x > x';
-* :func:`green_ode_oracle` -- direct numerical construction from two
-  shooting solutions joined through their Wronskian, integrated by the
-  in-module Taylor-series shooter :func:`solve_ivp` (plain Python
-  floats; no ODE library is needed).
+* :func:`green_ode_oracle` -- direct numerical construction from the
+  solutions that decay at -inf and at +inf, joined through their
+  Wronskian; the potential being even, the second is the mirror image of
+  the first, so one shoot by the in-module Taylor-series shooter
+  :func:`solve_ivp` (plain Python floats; no ODE library is needed) gives
+  both.
 
 All three take a :class:`GreenQuery`, which rejects a non-finite lambda,
 x or x' with :class:`DomainError`.
@@ -23,7 +25,7 @@ Sign convention: applying L term-by-term to the spectral sum produces
 -delta(x - x'), not +delta.  The Wronskian construction therefore
 carries an explicit minus sign (G = -u(x<) v(x>)/W with
 W = u v' - u' v), which is what matches the other two routes
-numerically.
+numerically; with v(t) = u(-t) it reads G = u(x<) u(-x>)/(2 u(0) u'(0)).
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ _ORACLE_RANGE = 6.0
 _ORACLE_RTOL = 1e-11  # local relative error allowed per step of solve_ivp
 
 # Taylor shooter: fixed order, step-size safety factor, the most radians
-# of oscillation one step may span, and a cap on the steps of one shoot
-# (a whole oracle call takes 16-20 at lambda < 1 and at most 64 for lambda < 64)
+# of oscillation one step may span, and a cap on the steps of one solve_ivp
+# call (a whole oracle call takes 8-17 at lambda < 1 and at most 44 for lambda < 64)
 _TAYLOR_ORDER = 36
 _STEP_SAFETY = 0.7
 _MAX_PHASE = 2.5
@@ -197,11 +199,16 @@ def green_closed(q: GreenQuery) -> float:
 
 
 def green_ode_oracle(q: GreenQuery) -> float:
-    """Wronskian construction from two shooting solutions.
+    """Wronskian construction from one mirrored shooting solution.
 
-    Integrates the left-decaying solution from -L and the right-decaying
-    solution from +L, L = max(8, 7 + sqrt(lambda)), with WKB-normalized
-    starting slopes y'/y = +-sqrt(L^2 - lambda).  Any admixture of the wrong
+    Integrates the left-decaying solution u from -L, L = max(8, 7 +
+    sqrt(lambda)), with the WKB-normalized starting slope u'/u =
+    sqrt(L^2 - lambda).  As t^2 is even, the right-decaying solution is
+    v(t) = u(-t), so one shoot through the sorted distinct stops
+    {x<, -x>, 0} gives u(x<), v(x>) = u(-x>) and, at t = 0, the Wronskian
+    W = u v' - u' v = -2 u(0) u'(0), a product that cannot cancel, so
+    G = u(x<) u(-x>)/(2 u(0) u'(0)).  The shoot covers L + max(x<, -x>, 0),
+    where shooting from both ends covered 2L.  Any admixture of the wrong
     solution in the starting data decays by ~ e^{-2 int sqrt(x^2-lambda)} on
     the way in: below 1e-12 by |x| = 6 at L = 8, and below e^{-49} past the
     turning point sqrt(lambda) at L = 7 + sqrt(lambda).  The construction is
@@ -209,9 +216,11 @@ def green_ode_oracle(q: GreenQuery) -> float:
     lambda < 64, the range it is checked on; a larger lambda raises
     :class:`DomainError`.  Against 30-digit mpmath over 100 seeded points
     with lambda in (-10, 1) or (1, 64) and |x|, |x'| <= 6 the worst relative
-    error is 8.0e-14, and at x = 1, x' = 0 it is at most 2.4e-15 at
-    lambda = 20.5, 40.5, 60.5, 63.5.  Next to a zero of G (lambda > 1) the
-    error grows like that of any double-precision route, about eps times
+    error is 6.9e-14, and at x = 1, x' = 0 it is at most 3.6e-15 at
+    lambda = 20.5, 40.5, 60.5, 63.5.  Beside an eigenvalue, where u(0) or
+    u'(0) is small, it stays within 6.7e-14 at lambda 0.1 and 0.15 from 3,
+    5, ..., 11.  Next to a zero of G (lambda > 1) the error grows like
+    that of any double-precision route, about eps times
     the condition number sum |v d(log G)/dv| over v = lambda, x, x'; the
     seeded points keep that number below 500.
     """
@@ -228,13 +237,10 @@ def green_ode_oracle(q: GreenQuery) -> float:
     lam = q.lam
     L = max(_SHOOT_FROM, 7.0 + math.sqrt(max(lam, 0.0)))
     xlo, xhi = min(q.x, q.xprime), max(q.x, q.xprime)
-
-    slope = math.sqrt(L * L - lam)
-    u, up = solve_ivp(lam, -L, xlo, 1.0, slope)  # decays toward -inf
-    v_hi, vp_hi = solve_ivp(lam, L, xhi, 1.0, -slope)  # decays toward +inf
-    if xhi > xlo:
-        v, vp = solve_ivp(lam, xhi, xlo, v_hi, vp_hi)
-    else:
-        v, vp = v_hi, vp_hi
-    wronskian = u * vp - up * v
-    return -u * v_hi / wronskian
+    t, y, yp = -L, 1.0, math.sqrt(L * L - lam)  # decays toward -inf
+    u = {}
+    for stop in sorted({xlo, -xhi, 0.0}):
+        y, yp = u[stop] = solve_ivp(lam, t, stop, y, yp)
+        t = stop
+    u0, up0 = u[0.0]
+    return u[xlo][0] * u[-xhi][0] / (2.0 * u0 * up0)

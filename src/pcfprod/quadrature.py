@@ -304,25 +304,32 @@ def _refine(f: Callable[[float], float], sides: tuple, levels: int, what: str,
 
 
 def integrate_semi_infinite(f: Callable[[float], float], decay_rate: float,
-                            tol: float = 1e-10) -> QuadratureResult:
+                            tol: float = 1e-10, body: float = math.inf) -> QuadratureResult:
     """Integrate ``f`` over (0, inf).
 
-    The substitution t = c*exp(s - exp(-s)) with c = 1/decay_rate, kept in
-    [1e-150, 1e4], turns both the origin singularity and the exponential
-    tail into double-exponentially decaying contributions of the trapezoid
-    sum in s; ``decay_rate`` 0 selects the algebraic tail (like t^{-3/2}), which
-    converges more slowly but remains integrable.  The step is halved until
-    two levels agree to ``tol`` relative or, where ``decay_rate`` > 0, the
-    quadratic convergence puts the next change below it.  A prefactor
-    belongs in ``f``, best in its exponent: nothing scales the result.
+    The substitution t = c*exp(s - exp(-s)) turns both the origin singularity
+    and the exponential tail into double-exponentially decaying contributions
+    of the trapezoid sum in s; ``decay_rate`` 0 selects the algebraic tail (like
+    t^{-3/2}), which converges more slowly but remains integrable.  The walk is
+    centred at c = min(1/decay_rate, body), kept in [1e-150, 1e4].  ``body``
+    is the t up to which the caller knows the integrand's mass to sit; the
+    default inf leaves c = 1/decay_rate, which lies out in the tail where
+    the decay rate is small (the clamp 1e4 at decay rate 0).  The step is
+    halved until two levels agree to ``tol`` relative or, where
+    ``decay_rate`` > 0, the quadratic convergence puts the next change below
+    it.  A prefactor belongs in ``f``, best in its exponent: nothing scales
+    the result.
     """
     _check_tol(tol)
     if not decay_rate >= 0.0:
         raise DomainError(f"decay rate must be >= 0, got {decay_rate}")
+    if not body > 0.0:
+        raise DomainError(f"body must be > 0, got {body}")
     # up to decay_rate 1e150 c puts the nodes where the mass is; past it (inf where x - y
     # passes 1.3e154) the library's integrands are 0 at every node, the walk reaches
-    # 1e-109 c, and c = 1e-150 keeps those nodes normal
-    c = 1.0 / min(max(decay_rate, 1e-4), 1e150)
+    # 1e-109 c, and c = 1e-150 keeps those nodes normal; 1/decay_rate is at most 1e4,
+    # so no body moves c past that clamp
+    c = max(min(1.0 / max(decay_rate, 1e-4), body), 1e-150)
     return _refine(f, ((_EXP_SINH_RIGHT, 0.0, c), (_EXP_SINH_LEFT, 0.0, c)),
                    _SEMI_INFINITE_LEVELS, "semi-infinite quadrature", tol, decay_rate > 0.0)
 

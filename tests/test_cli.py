@@ -569,9 +569,9 @@ class TestExploreEqualArgs:
         assert "finding:" in r.stdout
 
     def test_unconverged_integral_is_reported_as_the_product(self, run_cli, monkeypatch):
-        # with three levels the quadrature raises; its partial must carry the
+        # with two levels the quadrature raises; its partial must carry the
         # product's prefactor, not be the bare Laplace integral
-        monkeypatch.setattr(quadrature, "_SEMI_INFINITE_LEVELS", 3)
+        monkeypatch.setattr(quadrature, "_SEMI_INFINITE_LEVELS", 2)
         r = run_cli(["explore-equal-args", "--nu", "1", "--x", "2",
                                  "--tol", "1e-10"])
         assert r.exit_code == 0
@@ -592,7 +592,8 @@ class TestExploreEqualArgs:
             ] + extra
             assert "finding: the integral converges" in r.stdout
         # a quadrature made to stop early: its best estimate, and a line that says so
-        monkeypatch.setattr(quadrature, "_SEMI_INFINITE_LEVELS", 3)
+        # (x = y converges within three levels, so two)
+        monkeypatch.setattr(quadrature, "_SEMI_INFINITE_LEVELS", 2)
         with pytest.raises(ConvergenceError) as info:
             product_via_integral(ProductQuery(1.0, 2.0, 2.0), 1e-14)
         partial = info.value.partial

@@ -44,6 +44,21 @@ NEAR_LIMIT = (20.5, 40.5, 60.5, 63.5)
 NEAR_LIMIT_XS = ((1.0, 0.0), (4.0, -2.5), (6.0, -6.0))
 
 
+def _beside(eigenvalue, d):
+    """eigenvalue + d, moved outward by the ulps the oracle's guard needs
+    (5 - 0.1 rounds to within 0.1 of 5)."""
+    lam = eigenvalue + d
+    while green._eigen_distance(lam) < 0.1:
+        lam = math.nextafter(lam, math.copysign(math.inf, d))
+    return lam
+
+
+# lambda 0.1 and 0.15 from 3, 5, ..., 11, where u(0) (odd n) or u'(0) (even n)
+# of the shot solution is small, and the x, x' each is checked at
+BESIDE_EIGENVALUES = [_beside(2 * n + 1, d) for n in range(1, 6) for d in (-0.15, -0.1, 0.1, 0.15)]
+BESIDE_EIGENVALUES_XS = ((1.0, 0.0), (2.0, 0.3), (0.0, -3.0))
+
+
 def _closed_mp(lam, x, xp):
     """Titchmarsh closed form at mpmath's working precision, x >= x'."""
     nu = (lam - 1) / 2
@@ -196,11 +211,19 @@ class TestShooter:
             ref = green_closed_mp(lam, x, xp)
             assert abs((ode - ref) / ref) < 1e-10, (lam, x, xp)
 
+    @pytest.mark.parametrize("lam", BESIDE_EIGENVALUES)
+    def test_beside_an_eigenvalue(self, lam):
+        # W = -2 u(0) u'(0) is a product, so a small factor costs it no digits
+        for x, xp in BESIDE_EIGENVALUES_XS:
+            ode = green_ode_oracle(GreenQuery(lam, x, xp))
+            ref = green_closed_mp(lam, x, xp)
+            assert abs((ode - ref) / ref) < 1e-10, (lam, x, xp)
+
     def test_error_over_a_seeded_sweep(self):
         # the README's bound: 3.0e-13 relative at worst; the worst here is
-        # 8.0e-14 at Taylor order 36 (8.2e-14 at order 24).  In units of eps
-        # times the condition number the lambda > 1 half errs by 0.19 on
-        # average (0.23 at order 24); without the phase cap order 36 reads 0.36
+        # 6.9e-14 with one mirrored shoot (8.0e-14 shooting from both ends).
+        # In units of eps times the condition number the lambda > 1 half errs
+        # by 0.18 on average (0.19 from both ends, 0.23 at Taylor order 24)
         sweep = oracle_sweep()
         errors = [abs(green_ode_oracle(GreenQuery(lam, x, xp)) / ref - 1.0)
                   for lam, x, xp, ref, _ in sweep]
@@ -212,9 +235,12 @@ class TestShooter:
 
     def test_step_count(self, monkeypatch):
         # the shooter's cost, counted without a clock: no shoot at the tested
-        # points takes more than 35 steps (53 at Taylor order 24)
-        monkeypatch.setattr(green, "_MAX_STEPS", 40)
-        points = BATTERY + ORACLE_EDGES + [(lam, x, xp) for lam in NEAR_LIMIT for x, xp in NEAR_LIMIT_XS]
+        # points takes more than 28 steps (35 shooting from both ends, 53 at
+        # Taylor order 24)
+        monkeypatch.setattr(green, "_MAX_STEPS", 28)
+        points = (BATTERY + ORACLE_EDGES
+                  + [(lam, x, xp) for lam in NEAR_LIMIT for x, xp in NEAR_LIMIT_XS]
+                  + [(lam, x, xp) for lam in BESIDE_EIGENVALUES for x, xp in BESIDE_EIGENVALUES_XS])
         for lam, x, xp in points:
             green_ode_oracle(GreenQuery(lam, x, xp))
 
@@ -222,8 +248,15 @@ class TestShooter:
         q = GreenQuery(-1.3, 2.2, -0.7)
         assert green_ode_oracle(q) == green_ode_oracle(q)
 
-    @pytest.mark.parametrize("x,xp,shoots", [(1.0, 0.0, 3), (0.0, 1.0, 3), (0.4, 0.4, 2)])
-    def test_shoots_per_call(self, monkeypatch, x, xp, shoots):
+    # (x, x', the stops of the one shoot)
+    SHOOTS = [(1.0, 0.0, [-1.0, 0.0]), (0.0, 1.0, [-1.0, 0.0]), (0.4, 0.4, [-0.4, 0.0, 0.4]),
+              (2.0, -3.0, [-3.0, -2.0, 0.0]), (1.5, -1.5, [-1.5, 0.0]), (0.0, 0.0, [0.0]),
+              (-0.5, -2.0, [-2.0, 0.0, 0.5])]
+
+    @pytest.mark.parametrize("x,xp,stops", SHOOTS, ids=[f"{x}-{xp}" for x, xp, _ in SHOOTS])
+    def test_shoots_per_call(self, monkeypatch, x, xp, stops):
+        # one shoot from -L, in one solve_ivp call per distinct stop of
+        # {x<, -x>, 0}, each from where the last one ended
         calls = []
         inner = green.solve_ivp
 
@@ -233,17 +266,18 @@ class TestShooter:
 
         monkeypatch.setattr(green, "solve_ivp", counting)
         green_ode_oracle(GreenQuery(0.0, x, xp))
-        assert len(calls) == shoots
+        assert [t1 for _, _, t1, _, _ in calls] == stops
+        assert [t0 for _, t0, _, _, _ in calls] == [-8.0] + stops[:-1]
 
     def test_step_cap_is_a_convergence_error(self, monkeypatch):
         monkeypatch.setattr(green, "_MAX_STEPS", 3)
         with pytest.raises(ConvergenceError) as exc:
             green_ode_oracle(GreenQuery(0.0, 1.0, 0.0))
         msg = str(exc.value)
-        assert "from t=-8.0 to t=0.0" in msg
+        assert "from t=-8.0 to t=-1.0" in msg
         assert "after 3 steps" in msg and "step cap" in msg
         reached = float(msg.split("stopped at t=")[1].split()[0])
-        assert -8.0 < reached < 0.0
+        assert -8.0 < reached < -1.0
 
     def test_non_finite_state_is_a_convergence_error(self):
         with pytest.raises(ConvergenceError, match=r"from t=0\.0 to t=1\.0 stopped at t=\S+ "
