@@ -47,23 +47,33 @@ value, ``tail_bound`` and an error's partial and numbers, never u, the
 term count or the stopping test.
 
 The recurrence is run blocked rather than term by term (the classical
-splitting of a linear recurrence, Kogge & Stone 1973).  The ``count``
-indices are cut into about sqrt(count) blocks.  Inside every block two
-fundamental solutions, started from the unit vectors (h_{s-1}, h_s) =
-(1, 0) and (0, 1) at the block start s, are advanced together: one
-numpy step per offset covers all blocks, at X and at Y.  A short loop
-over Python floats then chains the true block starts through each
-block's end values, and h_n = h_{s-1}*P_n + h_s*Q_n fills the block.
-Forward recurrence is stable here because h_n is the dominant solution
-where it grows and an oscillatory one beyond its turning point
-(Gautschi, SIAM Review 1967).
+splitting of a linear recurrence, Kogge & Stone 1973).  Inside every
+block two fundamental solutions, started from the unit vectors
+(h_{s-1}, h_s) = (1, 0) and (0, 1) at the block start s, are advanced
+together: one numpy step per offset covers all blocks, at X and at Y.
+A short loop over Python floats then chains the true block starts
+through each block's end values, and h_n = h_{s-1}*P_n + h_s*Q_n fills
+the block.  Up to 2048 products the blocks are 16 wide.  As h_n then
+depends only on the blocks up to its own, a shorter array is a prefix
+of a longer one at the same (X, Y), bit for bit, and no value depends
+on how many products an earlier call asked for.  Past 2048 the blocks
+are ceil(sqrt(count)) wide, as blocks of 16 there take 1.6 times as
+long at 20,000 products and 4 times at the cap, where the chain runs
+once a block.  Forward recurrence is stable here because h_n is the
+dominant solution where it grows and an oscillatory one beyond its
+turning point (Gautschi, SIAM Review 1967).
 
 Built once per process: the ladder and the tails' panel geometry (under
 30 kB), and rows of the step coefficients, rebuilt to the longest grid
-used so far (at most 2 x 725 x 724 doubles, 8.4 MB, for a capped pass).  A
-call pays one exp over the 408 panel nodes, the ladder choice in scalar
-math, one multiply for every x*sqrt(2/(n+1)), three in-place numpy
-steps per offset and the weighted sum.
+used so far (at most 2 x 725 x 724 doubles, 8.4 MB, for a capped pass).
+The product arrays of up to 2048 terms at the last 4 pairs (X, Y) are
+kept, read-only (at most 64 kB), because a verify grid walks its other
+axes (u, nu, lambda) at each pair: a call no longer than a kept array
+gets a slice of it, and a longer one computes and keeps its own.  Four
+pairs are few enough that one ``verify all`` sweep reuses nothing of the
+one before it.  A call pays one exp over the 408 panel nodes, the ladder
+choice in scalar math, one multiply for every x*sqrt(2/(n+1)), three
+in-place numpy steps per offset and the weighted sum.
 """
 
 from __future__ import annotations
@@ -71,6 +81,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import struct
+import threading
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ConvergenceError, DomainError
@@ -85,7 +97,14 @@ _MAX_PRODUCTS = 524_288  # 2^19
 _LOG_CRAMER_SQ = 2.0 * math.log(1.086435)  # |h_n(X) h_n(Y)| <= e^this e^{(X^2+Y^2)/2}
 _EPS = 2.0 ** -52
 _TINY = 1e-300
-_STEPS = None  # the step coefficients of scaled_hermite_products
+_STEPS = None  # the step coefficients of _blocked_products
+# up to _FIXED_UP_TO products the blocks are _FIXED_WIDTH wide, and the arrays
+# of the last _MEMO_PAIRS pairs (X, Y) are kept, at most 64 kB
+_FIXED_WIDTH = 16
+_FIXED_UP_TO = 2048
+_MEMO_PAIRS = 4
+_MEMO: dict[bytes, np.ndarray] = {}
+_MEMO_LOCK = threading.Lock()
 # the scalar recurrence scales its pair down once it passes 2^_RESCALE
 _RESCALE = 600
 
@@ -161,23 +180,51 @@ def scaled_hermite(n: int, x: float) -> float:
         return math.copysign(math.inf, frac)
 
 
-def _chain(last: list[list[float]], nxt: list[list[float]]) -> list[tuple[float, ...]]:
-    """True (h_{s-1}(X), h_s(X), h_{s-1}(Y), h_s(Y)) at every block start s, from
+def _chain(last: list[list[float]], nxt: list[list[float]]) -> list[float]:
+    """True (h_{s-1}(X), h_s(X), h_{s-1}(Y), h_s(Y)) at every block start s, one
+    flat list (a flat list converts to an array twice as fast as tuples), from
     (h_{-1}, h_0) = (0, 1) and the rows P(X), Q(X), P(Y), Q(Y), over blocks, at
     each block's last offset (``last``) and at the next block's start (``nxt``)."""
     ax, bx, ay, by = 0.0, 1.0, 0.0, 1.0
-    starts = [(ax, bx, ay, by)]
+    starts = [ax, bx, ay, by]
     for px, qx, py, qy, px2, qx2, py2, qy2 in zip(*last, *nxt):
         ax, bx = ax * px + bx * qx, ax * px2 + bx * qx2
         ay, by = ay * py + by * qy, ay * py2 + by * qy2
-        starts.append((ax, bx, ay, by))
+        starts += ax, bx, ay, by
     return starts
 
 
 def scaled_hermite_products(X: float, Y: float, count: int) -> np.ndarray:
-    """Array of h_n(X)*h_n(Y) for n = 0 .. count-1."""
+    """Read-only array of h_n(X)*h_n(Y) for n = 0 .. count-1.
+
+    Up to ``_FIXED_UP_TO`` products the array is a prefix of any longer one
+    at the same (X, Y), bit for bit, and is served from the arrays of the
+    last ``_MEMO_PAIRS`` pairs (keyed on the bits of X and Y, so -0.0 is not
+    0.0) where one is long enough; past it every call computes afresh.
+    """
+    if count > _FIXED_UP_TO:
+        return _blocked_products(X, Y, count, math.isqrt(count - 1) + 1)[:count]
+    key = struct.pack("dd", X, Y)
+    with _MEMO_LOCK:
+        kept = _MEMO.pop(key, None)
+        if kept is not None:
+            _MEMO[key] = kept  # now the most recent
+    if kept is None or len(kept) < count:
+        # within the first block only the offsets asked for are stepped: the
+        # same values, as no offset depends on a later one
+        kept = _blocked_products(X, Y, count, min(count, _FIXED_WIDTH))
+        with _MEMO_LOCK:
+            _MEMO.pop(key, None)
+            _MEMO[key] = kept
+            if len(_MEMO) > _MEMO_PAIRS:
+                del _MEMO[next(iter(_MEMO))]
+    return kept[:count]
+
+
+def _blocked_products(X: float, Y: float, count: int, size: int) -> np.ndarray:
+    """Read-only h_n(X)*h_n(Y) for n = 0 .. blocks*size - 1, in blocks of
+    ``size``: at least the ``count`` first."""
     import numpy as np
-    size = math.isqrt(count - 1) + 1  # ceil(sqrt(count))
     blocks = -(-count // size)
     # rows a = sqrt(2/(n+1)) and b = sqrt(n/(n+1)), kept between calls and
     # rebuilt when a call needs a longer grid
@@ -202,11 +249,13 @@ def scaled_hermite_products(X: float, Y: float, count: int) -> np.ndarray:
 
     # true (h_{s-1}, h_s) of every block, then h at offsets 0 .. size-1, in place
     body = sol[1:size + 1]
-    body *= np.array(_chain(*sol[size:, :, :-1].tolist())).T
+    body *= np.array(_chain(*sol[size:, :, :-1].tolist())).reshape(blocks, 4).T
     hx, qx, hy, qy = body.transpose(1, 0, 2)
     products = np.empty((blocks, size))
     np.multiply(np.add(hx, qx, hx), np.add(hy, qy, hy), products.T)
-    return products.reshape(-1)[:count]
+    products = products.reshape(-1)
+    products.flags.writeable = False
+    return products
 
 
 def _tails(X: float, Y: float, shift: float) -> list[float]:

@@ -180,5 +180,7 @@ def sum_rule_term_decay_exponent(q: SumRuleQuery) -> float:
     t = np.abs(prods / (n + q.nu))
     edges = np.unique(np.geomspace(n_lo, n_hi - 1, bins + 1).astype(int))  # no empty bin
     peaks = [t[a:b].max() for a, b in zip(edges[:-1], edges[1:])]
-    slope = np.polyfit(np.log(np.sqrt(edges[:-1] * edges[1:])), np.log(peaks), 1)[0]
-    return -float(slope)
+    # the least-squares slope through the points (log of each bin's centre, log of its peak)
+    x, y = np.log(np.sqrt(edges[:-1] * edges[1:])), np.log(peaks)
+    x -= x.mean()
+    return -float(x @ y / (x @ x))

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 import cli_cases
 import pcfprod
 from pcfprod import (ConvergenceError, DomainError, HyperbolicQuery, LaplaceParams,
-                     ProductQuery, SeriesResult, SumRuleQuery, laplace_I, lhs_14,
+                     ProductQuery, SeriesResult, SumRuleQuery, hermsum, laplace_I, lhs_14,
                      product_via_integral, quadrature, sum_rule_lhs)
-from pcfprod.cli import EVAL_TARGETS, IDENTITIES, _evaluate_identity
+from pcfprod.cli import EVAL_TARGETS, IDENTITIES, _evaluate_identity, _record_json
 
 
 def first_value(output):
@@ -223,12 +223,13 @@ class TestEval:
 
     def test_convergence_error_prints_its_partial(self, run_cli):
         # the Mehler series' rounding alone exceeds tol*(1+|value|) here, where
-        # the kernel is 5.4e-32: the best sum is shown, then why it missed
+        # the kernel is 5.4e-32: the best sum is shown, then why it missed.
+        # The sum is rounding noise, so its value follows the block layout
         r = run_cli(["eval", "mehler_kernel_series", "--X", "6", "--Y", "-6", "--u", "0.5",
                      "--tol", "1e-9"])
         assert r.exit_code == 3
         value, terms, bound = r.stdout.splitlines()
-        assert float(value) == pytest.approx(1.65e-6, rel=1e-2)
+        assert float(value) == pytest.approx(3.30e-6, rel=1e-2)
         assert terms == "# terms_used = 83"
         assert float(bound.split(" = ")[1]) >= abs(float(value))
         assert r.stderr.startswith("convergence error: Mehler series at X=6.0")
@@ -338,6 +339,33 @@ class TestVerify:
         cli_cases.LAPLACE_TO_A_1E30, ids=lambda row: row[0].split()[-1])
     test_former_walls_pass = table_test(cli_cases.FORMER_WALLS)
     test_grid_specs_expand = table_test(cli_cases.GRID_SPECS)
+
+    def test_a_grid_point_is_its_own_point(self, run_cli, monkeypatch):
+        # the Hermite product arrays kept between calls change no record: each
+        # series record of `verify all` is its point's record run alone with
+        # nothing kept, and a second sweep computes as many arrays as the
+        # first (25 for 73 series calls), so it reuses nothing of the first
+        computed = []
+        inner = hermsum._blocked_products
+        monkeypatch.setattr(hermsum, "_blocked_products",
+                            lambda *args: computed.append(args) or inner(*args))
+        hermsum._MEMO.clear()
+        sweeps = []
+        for _ in range(2):
+            start = len(computed)
+            r = run_cli(["verify", "all", "--format", "json"])
+            assert r.exit_code == 0
+            sweeps.append((len(computed) - start, r.stdout))
+        assert sweeps[0] == sweeps[1]
+        assert sweeps[0][0] == 25
+        series = [rec for rec in strict_json(r.stdout)["records"]
+                  if rec["identity_id"] in ("EQ3", "EQ15", "EQ8_EQ9")]
+        assert len(series) == 45 + 12 + 16
+        for rec in series:
+            identity = IDENTITIES[rec["identity_id"]]
+            hermsum._MEMO.clear()
+            alone = identity["run"](rec["params"], identity["tol"])
+            assert _record_json(alone) == rec
 
     def test_laplace_integral_past_a_double(self, run_cli):
         # the integral, about e^{750}, overflows its integrand's exponential: verify
@@ -610,10 +638,12 @@ class TestExploreEqualArgs:
 
 def known_escape(target, args, outcome):
     """Whether ``outcome``, an exception of route ``target`` at ``args``, is the
-    one known escape from the error contract: below nu of about 0.065,
-    (t/(1+t))^{nu/2-1} overflows a double at the integrands' subnormal nodes
-    (ROADMAP item 3; bench/test_bench.py pins it as an OverflowError).  It
-    keeps tests of its own below, which fail once it is mended."""
+    one known escape from the error contract: below nu of about 0.061 (with
+    x - y <= 3, y <= 6), and a little higher where a is huge (nu = 0.08 at
+    a = 1e30 escapes too, 0.09 does not), (t/(1+t))^{nu/2-1} overflows a
+    double at the integrands' subnormal nodes (ROADMAP item 6;
+    bench/test_bench.py pins it as an OverflowError).  It keeps tests of its
+    own below, which fail once it is mended."""
     return (isinstance(outcome, OverflowError) and 0.0 < args[0] < 0.07
             and target in ("product_integral", "laplace_I", "EQ10", "EQ11", "EQ12"))
 

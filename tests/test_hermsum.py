@@ -138,6 +138,84 @@ def test_small_counts_are_exact():
     assert p[0] == 1.0 and p[1] == pytest.approx(2.0 * 1.3 * 0.4, rel=1e-15)
 
 
+W, BOUND = hermsum._FIXED_WIDTH, hermsum._FIXED_UP_TO
+PREFIX_COUNTS = [1, W - 1, W, W + 1, 2 * W, BOUND]
+
+
+def fresh_products(X, Y, count):
+    """scaled_hermite_products with no array kept from an earlier call."""
+    hermsum._MEMO.clear()
+    return scaled_hermite_products(X, Y, count)
+
+
+def count_computed(monkeypatch):
+    """Record the ``count`` of every product array computed, not served kept."""
+    counts = []
+    inner = hermsum._blocked_products
+
+    def counting(X, Y, count, size):
+        counts.append(count)
+        return inner(X, Y, count, size)
+
+    monkeypatch.setattr(hermsum, "_blocked_products", counting)
+    hermsum._MEMO.clear()
+    return counts
+
+
+@pytest.mark.parametrize("X,Y", [(0.0, 1.3), (-0.0, 1.3), (0.7, -0.0), (5.0, -4.9),
+                                 (-6.5, 0.2), (1e-3, 8.0)])
+def test_products_are_prefix_stable(X, Y):
+    # up to the bound a shorter array is a prefix of a longer one, bit for bit,
+    # whether it is computed afresh or sliced from the array of a longer call
+    for i, n in enumerate(PREFIX_COUNTS):
+        longer = fresh_products(X, Y, n)
+        for m in PREFIX_COUNTS[:i + 1]:
+            want = fresh_products(X, Y, m).tobytes()
+            assert longer[:m].tobytes() == want, (n, m)
+            scaled_hermite_products(X, Y, n)
+            assert scaled_hermite_products(X, Y, m).tobytes() == want, (n, m)
+
+
+def test_kept_arrays_are_keyed_on_the_bits():
+    # h_1(-0.0) h_1(1.3) is -0.0: an array kept for X = -0.0 must not serve 0.0
+    negative = fresh_products(-0.0, 1.3, BOUND)
+    positive = scaled_hermite_products(0.0, 1.3, 2)
+    assert math.copysign(1.0, negative[1]) == -1.0
+    assert math.copysign(1.0, positive[1]) == 1.0
+
+
+@pytest.mark.parametrize("count", [1, W + 1, BOUND, BOUND + 1, 20000])
+def test_returned_arrays_are_read_only(count):
+    # a caller writing into a kept array would change every later call's terms
+    hermsum._MEMO.clear()
+    for _ in range(2):  # computed, then kept where count is at most the bound
+        products = scaled_hermite_products(0.3, -0.8, count)
+        with pytest.raises(ValueError, match="read-only"):
+            products[-1] = 2.0
+
+
+def test_only_the_last_four_pairs_are_kept(monkeypatch):
+    computed = count_computed(monkeypatch)
+    pairs = [(0.5 * k, -1.0) for k in range(5)]
+    for X, Y in pairs[:4]:
+        scaled_hermite_products(X, Y, 100)
+    for X, Y in pairs[:4]:
+        scaled_hermite_products(X, Y, 60)  # served, and now the most recent
+    assert computed == [100] * 4
+    scaled_hermite_products(*pairs[1], 100)
+    scaled_hermite_products(*pairs[4], 100)  # evicts pairs[0], the least recent
+    scaled_hermite_products(*pairs[1], 200)  # longer: computed and kept instead
+    scaled_hermite_products(*pairs[1], 200)
+    scaled_hermite_products(*pairs[0], 100)
+    assert computed == [100] * 4 + [100, 200, 100]
+    # past the bound nothing is kept
+    scaled_hermite_products(0.3, 0.1, BOUND + 1)
+    scaled_hermite_products(0.3, 0.1, BOUND + 1)
+    scaled_hermite_products(0.3, 0.1, 5)
+    assert computed[7:] == [BOUND + 1] * 2 + [5]
+    assert len(hermsum._MEMO) == 4
+
+
 def count_products(monkeypatch):
     """Record the ``count`` of every scaled_hermite_products call."""
     counts = []
@@ -278,11 +356,14 @@ def run_route(name, args):
 
 class TestPinnedSeries:
     """Value and term count bit for bit, and the bound within 4 ulps, of the
-    kernel that rebuilt its coefficients on every call; counts 1 and 2,
-    169 = 13^2, 484 = 22^2 and 485 = 22^2 + 1 check the block layout's
-    edges, (4, -3, 12.5) fails on its rounding term and X = Y takes one
-    capped pass.  The Mehler series' pinned bounds include its rounding
-    allowance, which changes neither its value nor its term count."""
+    kernel that rebuilt its coefficients on every call, save that blocks
+    of 16 up to 2048 products moved (1.43, -1.05, 3.42) by 8 ulps and
+    (-2, 1.5, 0.9) by 1 (both as far from mpmath as before).  Counts 1 and
+    2 take one short block, 169, 484 and 485 blocks of 16, and 4510 and
+    up blocks of ceil(sqrt(count)); (4, -3, 12.5) fails on its rounding
+    term and X = Y takes one capped pass.  The Mehler series' pinned bounds
+    include its rounding allowance, which changes neither its value nor
+    its term count."""
 
     # (route, arguments, raised, value.hex(), terms_used, tail_bound.hex())
     PINS = [
@@ -291,7 +372,7 @@ class TestPinnedSeries:
         ("bilinear", (0.5, 0.1, 1e-06, 1e-05), False,
          "0x1.e847eb6b56ee1p+19", 2, "0x1.212ed0b6ca48bp+0"),
         ("bilinear", (1.43, -1.05, 3.42, 1e-07), False,
-         "0x1.7ba66898c4301p-8", 169, "0x1.068d31ef93245p-35"),
+         "0x1.7ba66898c42f9p-8", 169, "0x1.068d31ef93245p-35"),
         ("bilinear", (1.02, -0.47, 3.75, 1e-08), False,
          "0x1.9f99f1a23f9aep-6", 485, "0x1.cf47368324421p-36"),
         ("bilinear", (1.0, 0.2, 2.0, 1e-09), False,
@@ -331,7 +412,7 @@ class TestPinnedSeries:
         ("mehler_kernel_series", ((1.0, 0.5, 0.5), 1e-12), False,
          "0x1.48b5e3c3e817ap+0", 42, "0x1.ea08425b9165ap-41"),
         ("mehler_kernel_series", ((-2.0, 1.5, 0.9), 1e-10), False,
-         "-0x1.3c7422e7f9260p-40", 264, "0x1.aca246489283ep-34"),
+         "-0x1.3c7422e7f9261p-40", 264, "0x1.aca246489283ep-34"),
     ]
 
     @pytest.mark.parametrize("name,args,raised,value,terms,bound", PINS)
@@ -406,17 +487,23 @@ class TestOverflowIsAnError:
 
 
 def test_threads_share_the_growing_rows(monkeypatch):
-    # calls in several threads regrow the kept rows under one another; each
-    # keeps the rows it read, so every array equals a serial run's
+    # calls in several threads regrow the kept rows, and keep, serve and
+    # evict the arrays of six pairs, under one another; each keeps the rows
+    # it read, so every array equals a serial run's, bit for bit
     counts = [9, 100, 37, 4097, 640, 2, 20000, 1500]
-    want = {c: scaled_hermite_products(0.7, -1.1, c) for c in counts}
+    pairs = [(0.7, -1.1), (0.0, 1.3), (-0.0, 1.3), (5.0, -4.9), (0.2, 0.2), (-2.0, 1.5)]
+    # keyed by position: (0.0, 1.3) == (-0.0, 1.3) as a dict key
+    want = {(i, c): fresh_products(*p, c).tobytes() for i, p in enumerate(pairs) for c in counts}
     monkeypatch.setattr(hermsum, "_STEPS", None)
+    hermsum._MEMO.clear()
     bad = []
 
     def work(shift):
         for c in counts[shift:] + counts[:shift]:
-            if not np.array_equal(scaled_hermite_products(0.7, -1.1, c), want[c]):
-                bad.append(c)
+            for k in range(len(pairs)):
+                i = (shift + k) % len(pairs)
+                if scaled_hermite_products(*pairs[i], c).tobytes() != want[i, c]:
+                    bad.append((pairs[i], c))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
