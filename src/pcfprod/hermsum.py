@@ -201,7 +201,10 @@ def scaled_hermite_products(X: float, Y: float, count: int) -> np.ndarray:
     at the same (X, Y), bit for bit, and is served from the arrays of the
     last ``_MEMO_PAIRS`` pairs (keyed on the bits of X and Y, so -0.0 is not
     0.0) where one is long enough; past it every call computes afresh.
+    A ``count`` that is not an integer >= 1 raises :class:`DomainError`.
     """
+    if not (hasattr(count, "__index__") and count >= 1):
+        raise DomainError(f"product count must be an integer >= 1, got {count!r}")
     if count > _FIXED_UP_TO:
         return _blocked_products(X, Y, count, math.isqrt(count - 1) + 1)[:count]
     key = struct.pack("dd", X, Y)

@@ -33,18 +33,23 @@ first node that rounds onto its origin, whose true contribution is
 below double resolution, and each side ends on its own.  A term is dead
 below 1e-20 of the partial sum of the current level's own new nodes
 (never of the carried total, which would stop a walk before it reaches
-a peak far from the center).  Past level 0 a walk stops at its first
-dead term beyond its reach, the largest k*h of a live term on a coarser
-level, at any k*h.  It also stops after more than ``_CONSEC_DEAD``
-consecutive dead terms, but not before k*h = ``_MIN_TRUNC_T``: that is
-the one rule of a side that has seen no live term yet, and an integrand
-that is exactly 0 near the center (an underflow guard, a compact
-support) must not end its walk there.  Skipping a dead term cannot
-change the sum (it is below half an ulp of a partial sum above
-1e-300); stopping at it can drop a later live term, a feature that
-first shows at a finer level between dead nodes of a coarser one past
-the reach, which the consecutive rule might still have come upon.
-That changed no value on the measured workloads.
+a peak far from the center).  On every level, level 0 included, a side
+stops at its first dead term beyond its reach, the largest k*h of a
+live term it has met so far, on any level, the current one included,
+even below k*h = ``_MIN_TRUNC_T``.  A side that has met no live term
+yet stops only after more than ``_CONSEC_DEAD`` consecutive dead terms,
+and not before k*h = ``_MIN_TRUNC_T``: an integrand that is exactly 0
+near the center (an underflow guard, a compact support) must not end
+its walk there.  Skipping a dead term cannot change the sum (it is
+below half an ulp of a partial sum above 1e-300), but stopping at it
+gives up whatever lies past it on the side's walk: a second mass region
+beyond a dead node is not integrated, whether on the same level or at a
+finer one between dead nodes of a coarser one.  The rule trusts that
+the mass sits where the decay rate puts the nodes; against a level 0
+that ran 11 dead nodes past its live ones, it changed no value or error
+estimate on 5,895 walks (the benchmark's ``quad_points`` seeds 11-15
+and frozen points) and took 16% fewer exp-sinh and 3% fewer tanh-sinh
+evaluations.
 
 The node tables hold everything at a node that depends only on k*h, so
 a walk only places the node, evaluates the integrand and weights it,
@@ -95,9 +100,10 @@ _TERM_CUTOFF = 1e-20
 # the floor of the dead-term test, _TERM_CUTOFF * _TINY, precomputed
 _DEAD_FLOOR = _TERM_CUTOFF * _TINY
 _CONSEC_DEAD = 10
-# the consecutive-dead rule is only trusted beyond this distance in the
-# transformed variable; integrands that are exactly zero near the start
-# of the node walk (underflow guards, compact support) must not stop it
+# the consecutive-dead rule, that of a side with no live term yet, is only
+# trusted beyond this distance in the transformed variable; integrands that
+# are exactly zero near the start of the node walk (underflow guards, compact
+# support) must not stop it
 _MIN_TRUNC_T = 3.0
 _MAX_STEPS_PER_SIDE = 2_000_000
 _CHUNK = 16
@@ -232,8 +238,8 @@ def _refine(f: Callable[[float], float], sides: tuple, levels: int, what: str,
     center = v * w
     calls = 1
     cut, neg_cut, floor, tiny = _TERM_CUTOFF, -_TERM_CUTOFF, _DEAD_FLOOR, _TINY
-    # per side, the largest k*h of a live term on any level so far; while it
-    # is 0 (none yet) only the consecutive rule stops the walk
+    # per side, the largest k*h of a live term on any level so far, this one
+    # included; while it is 0 (none yet) only the consecutive rule stops the walk
     reach = [0.0] * len(sides)
     h = table.step
     total = 0.0
@@ -244,9 +250,9 @@ def _refine(f: Callable[[float], float], sides: tuple, levels: int, what: str,
         # level 0 takes every k; later levels only the odd k, new at this h
         new = center if level == 0 else 0.0
         for i, (table, origin, scale) in enumerate(sides):
-            far = reach[i] or math.inf
+            far = reach[i]
             # a side sums its own terms, which rounds them less than the level's sum
-            part, dead, live = 0.0, 0, 0.0
+            part, dead = 0.0, 0
             for t, a, w in table.rows(level):
                 x = origin + scale * a
                 if x == origin:
@@ -266,16 +272,16 @@ def _refine(f: Callable[[float], float], sides: tuple, levels: int, what: str,
                     lim = floor
                 if term <= lim and -lim <= term:
                     dead += 1
-                    if t > far or dead > _CONSEC_DEAD and t >= _MIN_TRUNC_T:
+                    if 0.0 < far < t or dead > _CONSEC_DEAD and t >= _MIN_TRUNC_T:
                         break
                 else:
                     if v != v:
                         raise ConvergenceError(f"integrand returned NaN at x={x!r}")
                     dead = 0
-                    live = t
+                    if t > far:
+                        far = t
             new += part
-            if live > reach[i]:
-                reach[i] = live
+            reach[i] = far
         total += new
         value = total * h * unit
         if level:

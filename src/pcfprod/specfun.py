@@ -14,7 +14,7 @@ other side is an integral check it against an engine it does not share:
   Appl. Math. 121, 2000) and Gil, Segura & Temme (ACM TOMS 32, 2006);
   below z = 3, where the fraction converges slowly, one Taylor step of
   Weber's equation carries D inward from z = 3.  D and D_{-nu-1}/D at
-  z = 3 are kept for the last order used, so points of one order in
+  z = 3 are kept for the last 8 orders used, so points of one order in
   0 < z < 3 pay for the continued fraction once.  The loops count in
   floats and test the peak and the tail each in its own phase, so a step
   is float arithmetic only.  From |z| = 15 on, where the sums would take
@@ -224,11 +224,11 @@ def _wronskian_frexp(nu: float, z: float, zz: float, lift: float) -> tuple[float
     return *_exp_frexp(_SQRT_2PI / (q / z + rho * p), lift + 0.25 * zz, 0), rho
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=8)
 def _anchor(nu: float) -> tuple[float, float]:
-    """D_{-nu}(_Z1) and D_{-nu-1}(_Z1)/D_{-nu}(_Z1).  Only the last order is
-    kept: a grid with nu outermost reuses it, and a larger memo would only
-    serve repeated passes over the same orders."""
+    """D_{-nu}(_Z1) and D_{-nu-1}(_Z1)/D_{-nu}(_Z1) for the last 8 orders: a
+    grid with nu outermost reuses one, and a fixed order interleaved with
+    fresh ones (EQ14's 1/2 between the orders of other checks) stays kept."""
     frac, n, rho = _wronskian_frexp(nu, _Z1, _Z1 * _Z1, 0.0)
     return math.ldexp(frac, n), rho
 

@@ -303,11 +303,11 @@ class TestEval:
             assert evaluations.startswith("# evaluations = ")
 
     def test_hyperbolic_left_sides_take_tol_as_given(self, run_cli):
-        # --tol reaches the quadrature as given: 1e-3 takes 48 evaluations
-        # where 1e-10, the default, takes 85; outside the engines' range
+        # --tol reaches the quadrature as given: 1e-3 takes 45 evaluations
+        # where 1e-10, the default, takes 82; outside the engines' range
         # [1e-14, 1e-2] it is a DomainError
         args = ["eval", "hyperbolic_lhs_13a", "--alpha", "1", "--phi", "1"]
-        for tol, count in (("1e-3", 48), ("1e-10", 85)):
+        for tol, count in (("1e-3", 45), ("1e-10", 82)):
             r = run_cli([*args, "--tol", tol])
             assert r.exit_code == 0, r.stderr
             assert r.stdout.splitlines()[2] == f"# evaluations = {count}"
@@ -531,6 +531,18 @@ class TestVerify:
         r = run_cli(["verify", identity, "--tol", "1e-13", "--format", "json"])
         records = strict_json(r.stdout)["records"]
         assert r.exit_code == 0 and len(records) == 9
+        assert all(rec["status"] == "pass" for rec in records)
+        assert sum(rec["evaluations"] for rec in records) <= most
+
+    @pytest.mark.parametrize("identity,most", [("EQ10", 891), ("EQ11", 891), ("EQ12", 876)])
+    def test_exp_sinh_grid_evaluations(self, run_cli, identity, most):
+        # a cost counter: with every level's walk ending at its first dead node
+        # past the live ones, level 0 included, the default grids take 891, 891
+        # and 876 evaluations, where a level-0 walk that ran 11 dead nodes past
+        # them took 1,051, 1,051 and 1,036
+        r = run_cli(["verify", identity, "--format", "json"])
+        records = strict_json(r.stdout)["records"]
+        assert r.exit_code == 0 and len(records) == 12
         assert all(rec["status"] == "pass" for rec in records)
         assert sum(rec["evaluations"] for rec in records) <= most
 

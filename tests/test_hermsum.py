@@ -132,6 +132,13 @@ def test_edge_counts_end_at_the_requested_index(X, Y, count):
     assert np.all(np.abs(checked - want) <= 1e-13 * scale)
 
 
+@pytest.mark.parametrize("count", [0, -3, 2.0, 2.5, float("nan"), "2"])
+def test_product_count_outside_its_domain(count):
+    # a count below 1 or not an integer, not a ZeroDivisionError or TypeError
+    with pytest.raises(DomainError, match="product count must be an integer >= 1"):
+        scaled_hermite_products(1.3, 0.4, count)
+
+
 def test_small_counts_are_exact():
     assert scaled_hermite_products(1.3, 0.4, 1).tolist() == [1.0]
     p = scaled_hermite_products(1.3, 0.4, 2)

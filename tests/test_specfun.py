@@ -168,15 +168,22 @@ class TestPcfD:
         assert pcf_d(order, z).hex() == bits
 
     def test_anchor_memo_changes_no_bit(self):
-        # the Taylor route reads D and D_{-nu-1}/D at z = 3 from a memo of one order
-        assert specfun._anchor.cache_info().maxsize == 1
+        # the Taylor route reads D and D_{-nu-1}/D at z = 3 from a memo of 8 orders
+        assert specfun._anchor.cache_info().maxsize == 8
         for order, z, bits in FROZEN_BITS:
             if 0.0 < z < 3.0:
-                pcf_d(-7.25, 1.0)
+                specfun._anchor.cache_clear()
                 assert pcf_d(order, z).hex() == bits
-                hits = specfun._anchor.cache_info().hits
                 assert pcf_d(order, z).hex() == bits
-                assert specfun._anchor.cache_info().hits == hits + 1
+                assert specfun._anchor.cache_info()[:2] == (1, 1)  # (hits, misses)
+
+    def test_anchor_memo_keeps_an_interleaved_order(self):
+        # a fixed order between fresh ones (EQ14's 1/2 among other checks' orders)
+        # is computed once; a memo of the last order alone computed all 5
+        specfun._anchor.cache_clear()
+        for nu in (0.5, 1.3, 0.5, 2.7, 0.5):
+            pcf_d(-nu, 1.0)
+        assert specfun._anchor.cache_info().misses == 3
 
     def test_order_zero(self):
         assert pcf_d(0.0, 2.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
