@@ -1,6 +1,6 @@
 """Command-line front door.
 
-Three commands:
+Two commands:
 
 * ``pcfprod eval TARGET --name value ...`` evaluates one quantity at one
   point and prints the value plus convergence metadata.
@@ -8,8 +8,6 @@ Three commands:
   identity over a parameter grid, emitting one verification record per
   point as CSV or JSON plus a pass/fail/skip summary.  Exit status is 0
   iff no record failed.
-* ``pcfprod explore-equal-args`` compares the integral representation
-  with the direct product at x = y, the boundary the paper excludes.
 
 Grid specs are ``lo:hi:count`` (inclusive, linear), ``log:lo:hi:count``
 (log-spaced), or a single number.  Output is deterministic: identical
@@ -24,23 +22,21 @@ range [1e-14, 1e-2]; a record whose quadrature tolerance was clamped
 says so in its note.  CSV output writes the notes of skipped, failed
 and noted records to stderr; JSON output writes a number that is nan
 or infinite, such as the sides of a skipped record, as null.  ``eval``
-passes ``--tol`` to its route as given; ``explore-equal-args`` reports a
-tolerance it clamped as ``# tol_effective``, and a quadrature that
-missed it.
+passes ``--tol`` to its route as given.
 
 The command line is parsed with :mod:`argparse`; a usage error prints the
 command's usage line and the message on stderr and exits with status 2.
 A parameter that the target or identity does not take, and a parameter
-or option given twice, are usage errors.  A ``DomainError`` from ``eval`` or
-``explore-equal-args`` prints ``domain error: ...`` on stderr and exits 2,
-and a ``ConvergenceError`` exits 3, after its partial result, where it has
-one, is printed on stdout.  A
-launch imports only what its command runs: ``glasser``, ``green`` and
-``mehler`` are imported by the first route that reads them, so
-``eval pcf_d`` loads neither those modules nor numpy.  Results and queries
-are ``typing.NamedTuple`` records and the help text is dedented here, so a
-scalar or quadrature ``eval`` imports no module for either; ``inspect``
-arrives only with numpy, on a series' first call.
+or option given twice, are usage errors.  A ``DomainError`` from ``eval``
+prints ``domain error: ...`` on stderr and exits 2, and a
+``ConvergenceError`` exits 3, after its partial result, where it has one,
+is printed on stdout.  A launch imports only what its command runs:
+``glasser``, ``green`` and ``mehler`` are imported by the first route
+that reads them, so ``eval pcf_d`` loads neither those modules nor
+numpy.  Results and queries are ``typing.NamedTuple`` records and the
+help text is dedented here, so a scalar or quadrature ``eval`` imports
+no module for either; ``inspect`` arrives only with numpy, on a series'
+first call.
 """
 
 from __future__ import annotations
@@ -88,19 +84,12 @@ class UsageError(Exception):
 # eval
 # --------------------------------------------------------------------------
 
-def _erfc(x: float) -> float:
-    if not math.isfinite(x):
-        raise DomainError(f"erfc needs a finite argument x, got x={x}")
-    return math.erfc(x)
-
-
 # target -> (parameter names, route called with their values and the tolerance).
 # A route looks its function up on the module at call time, so a patched
 # module attribute sees every call.
 EVAL_TARGETS = {
     "pcf_d": (("nu", "z"), lambda nu, z, tol: specfun.pcf_d(nu, z)),
     "gamma": (("nu",), lambda nu, tol: specfun.gamma(nu)),
-    "erfc": (("x",), lambda x, tol: _erfc(x)),
     "bessel_k_quarter": (("z",), lambda z, tol: specfun.bessel_k_quarter(z)),
     "hermite": (("n", "x"), lambda n, x, tol: specfun.hermite(n, x)),
     "product_integral": (("nu", "x", "y"), lambda nu, x, y, tol:
@@ -455,56 +444,6 @@ def verify_cmd(args: argparse.Namespace, gridargs: list[str]) -> int:
     return 0 if n_fail == 0 else 1
 
 
-def explore_cmd(args: argparse.Namespace, extra: list[str]) -> int:
-    """Probe the integral representation at x = y, the boundary the paper excludes.
-
-    The paper states the representation for x > y only and asserts
-    divergence at x = y; the integrand tail there is ~ t^{-3/2}, however,
-    which is integrable, and the library's domain is x >= y > 0.  This
-    command evaluates the integral at x = y as every route does and
-    reports how it compares with the direct product, then the
-    quadrature's '# error_estimate' and '# evaluations'.
-    A tolerance it clamps to the quadrature's range is given as
-    '# tol_effective'; where the quadrature misses it, the best estimate
-    is compared and a '#' line says so.
-    """
-    if extra:
-        raise UsageError(f"unrecognized arguments: {' '.join(extra)}")
-    nu, x, tol = (_float_option(name, getattr(args, name)) for name in ("nu", "x", "tol"))
-    used = quadrature.clamp_tol(tol)[0]
-    missed = False
-    try:
-        q = glasser.ProductQuery(nu, x, x)
-        ref = glasser.product_reference(q)
-        got = glasser.product_via_integral(q, used)
-    except DomainError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return _EXIT_DOMAIN
-    except ConvergenceError as exc:
-        if exc.partial is None:
-            print(f"convergence error: {exc}", file=sys.stderr)
-            return _EXIT_CONVERGENCE
-        got, missed = exc.partial, True
-    rel = abs(got.value - ref) / abs(ref)
-    print(f"integral value at x = y = {x}: {got.value!r}")
-    print(f"direct product:              {ref!r}")
-    print(f"relative discrepancy:        {rel:.3e}")
-    print(
-        "finding: the integral converges at x = y and matches the product; "
-        "no divergence is observed at the boundary."
-        if rel <= 1e-4 else
-        "finding: the integral and the product disagree at x = y."
-    )
-    print(f"# error_estimate = {got.error_estimate!r}")
-    print(f"# evaluations = {got.evaluations!r}")
-    if used != tol:
-        print(f"# tol_effective = {used!r}")
-    if missed:
-        print(f"# quadrature did not reach tol {used!r} (last refinement change "
-              f"{got.error_estimate:.3e}); its best estimate is shown")
-    return 0
-
-
 # --------------------------------------------------------------------------
 # argparse wiring
 # --------------------------------------------------------------------------
@@ -554,10 +493,6 @@ def _parser() -> argparse.ArgumentParser:
     sub.add_argument("--tol", action=_Once, help="Override the identity's default tolerance.")
     sub.add_argument("--format", default="csv", metavar="{csv,json}", action=_Once,
                      help="(default: %(default)s)")
-    sub = command("explore-equal-args", explore_cmd, None)
-    for name, default in (("nu", "1.0"), ("x", "2.0"), ("tol", "1e-06")):
-        sub.add_argument(f"--{name}", default=default, action=_Once,
-                         help="(default: %(default)s)")
     return top
 
 

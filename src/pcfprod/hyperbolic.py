@@ -184,6 +184,11 @@ def erfc_identity_13b(q: HyperbolicQuery, tol: float = 1e-10) -> VerificationRec
 
 
 def k_identity_14(q: HyperbolicQuery, tol: float = 1e-9) -> VerificationRecord:
+    """14, its right side sqrt(2 pi) D_{-1/2}(2 sqrt(a) ch)
+    D_{-1/2}(2 sqrt(a) sh): the K_{1/4} form with its prefactors
+    cancelled, the two D values taken from the exact squares 4a ch^2 and
+    4a sh^2.  A double for every valid query, 0.0 only where it
+    underflows.  The default tol is 1e-9, not the 1e-10 of 13a and 13b."""
     ch, sh = math.cosh(0.5 * q.phi), math.sinh(0.5 * q.phi)
     root, four_a = 2.0 * math.sqrt(q.a), 4.0 * q.a
     # the squared arguments are passed exactly, not as squares of rounded ones

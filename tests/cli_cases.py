@@ -49,8 +49,6 @@ NON_FINITE = [
     ("eval hyperbolic_lhs_13a --alpha 1 --phi 800", 2, ERROR, "domain error: phi must lie in"),
     ("eval hyperbolic_lhs_14 --a 1 --phi 800", 2, ERROR, "domain error: phi must lie in"),
     ("eval hyperbolic_lhs_13a --alpha 1e-200 --phi 1", 2, ERROR, "domain error: alpha must be"),
-    # math.erfc(nan) is nan, which this route used to print
-    ("eval erfc --x nan", 2, ERROR, "domain error: erfc needs a finite argument x, got x=nan"),
     ("eval mehler_kernel_series --X nan --Y 0 --u 0.5", 2, ERROR, "domain error: Mehler kernel"),
     ("eval pcf_d --nu nan --z 1", 2, ERROR, "domain error: order nan outside supported range"),
 ]
@@ -183,12 +181,6 @@ REPEATED_OPTIONS = [
      "pcfprod verify: error: --tol given more than once"),
     ("verify EQ13A --alpha 1 --phi 1 --format csv --format json", 2, ERROR,
      "pcfprod verify: error: --format given more than once"),
-    ("explore-equal-args --nu 1 --nu 2", 2, ERROR,
-     "pcfprod explore-equal-args: error: --nu given more than once"),
-    ("explore-equal-args --x 2 --x 3", 2, ERROR,
-     "pcfprod explore-equal-args: error: --x given more than once"),
-    ("explore-equal-args --tol 1e-6 --tol 1e-8", 2, ERROR,
-     "pcfprod explore-equal-args: error: --tol given more than once"),
 ]
 
 MORE = [
@@ -197,6 +189,11 @@ MORE = [
     # argparse: a usage error exits 2, also a grid option no identity takes
     ("eval nope", 2, ERROR, "pcfprod eval: error: unknown target 'nope'; known targets: "),
     ("verify all --foo 1", 2, ERROR, "pcfprod verify: error: all takes parameters ("),
+    # x = y is a point of verify EQ10 and eval product_integral, with no command
+    # of its own; no route calls math.erfc (EQ13 uses erfcx), so it is no eval target
+    ("explore-equal-args", 2, ERROR,
+     "pcfprod: error: argument COMMAND: invalid choice: 'explore-equal-args'"),
+    ("eval erfc --x 1", 2, ERROR, "pcfprod eval: error: unknown target 'erfc'"),
     # scipy is only a test dependency: the ODE oracle runs without it
     ("eval green_ode --lam 0 --x 1 --xprime 0", 0, FINITE, None),
     # H_400(0) overflows a double: signed inf, not nan
@@ -218,7 +215,7 @@ MORE = [
     ("verify EQ10 --nu 1 --x 41 --y 40", 0, LAST, PASS1),
     ("verify EQ10 --nu 0.9985 --x 26.145 --y 26.0815 --tol 1e-12", 0, LAST, PASS1),
     ("eval laplace_I --nu 672 --a 1.04 --b 0.0387 --sign 1", 0, FINITE, None),
-    ("explore-equal-args --tol 1e-12", 0, ABSENT, "# quadrature did not reach"),
+    ("eval product_integral --nu 1 --x 2 --y 2 --tol 1e-12", 0, FINITE, None),
     # D_{-1}(54) = 4.6e-319 is subnormal: the product keeps it as fraction and exponent
     ("verify EQ10 --nu 1 --x 54 --y 50", 0, LAST, PASS1),
     ("eval product_reference --nu 1 --x 2000 --y 1999.9", 0, FINITE, None),
@@ -239,12 +236,17 @@ MORE = [
     ("eval series_for_I --nu 1 --X 2 --Y 1 --tol 1e-12", 0, ABSENT, "tol_effective"),
     # e^{-x^2/2} is applied to h_n's binary exponent: a value, not 0 * inf = nan
     ("eval eigenfunction --n 2985 --x 40", 0, FINITE, None),
-    # explore-equal-args exits 2 on a DomainError, also past the exact split
-    ("explore-equal-args --x 0", 2, ERROR, "domain error: representation requires x >= y > 0"),
-    ("explore-equal-args --nu -1", 2, ERROR, "domain error: order nu must be positive, got -1.0"),
-    ("explore-equal-args --x nan", 2, ERROR, "domain error: x and y must be finite, got x=nan"),
-    ("explore-equal-args --tol nan", 2, ERROR, "domain error: tol must lie in [1e-14, 1e-2]"),
-    ("explore-equal-args --x 3000", 2, ERROR, "domain error: 1.0 D_{-1.0}(3000.0) D_{-1.0}("),
+    # the integral's domain checks at x = y, also past the product's exact split
+    ("eval product_integral --nu 1 --x 0 --y 0", 2, ERROR,
+     "domain error: representation requires x >= y > 0"),
+    ("eval product_integral --nu -1 --x 2 --y 2", 2, ERROR,
+     "domain error: order nu must be positive, got -1.0"),
+    ("eval product_integral --nu 1 --x nan --y 2", 2, ERROR,
+     "domain error: x and y must be finite, got x=nan"),
+    ("eval product_integral --nu 1 --x 2 --y 2 --tol nan", 2, ERROR,
+     "domain error: tol must lie in [1e-14, 1e-2]"),
+    ("eval product_reference --nu 1 --x 3000 --y 3000", 2, ERROR,
+     "domain error: 1.0 D_{-1.0}(3000.0) D_{-1.0}("),
 ]
 
 CASES = [*NON_FINITE, *EXTREME_INPUT, *HERMITE_DEGREE_CAP, *HERMITE_DEGREE_NOT_INTEGER,
@@ -254,8 +256,10 @@ CASES = [*NON_FINITE, *EXTREME_INPUT, *HERMITE_DEGREE_CAP, *HERMITE_DEGREE_NOT_I
 
 
 def row_id(row) -> str:
-    """The row's argv past the command word, as 'EQ10-nu=1-x=2-y=2'."""
-    return row[0].partition(" ")[2].replace(" --", "-").replace(" ", "=")
+    """The row's argv past the command word, as 'EQ10-nu=1-x=2-y=2', or the
+    command word where nothing follows it."""
+    words = row[0].partition(" ")[2] or row[0]
+    return words.replace(" --", "-").replace(" ", "=")
 
 
 def _finite_nonzero(line: str) -> bool:
