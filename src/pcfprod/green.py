@@ -155,7 +155,7 @@ def eigenfunction(n: int, x: float) -> float:
     underflows, never nan.  The degree is capped at 2^19: a larger n raises
     :class:`DomainError`."""
     frac, expo = scaled_hermite_frexp(n, x)
-    return _times_exp(math.pi ** -0.25 * frac, -0.5 * x * x, expo, "eigenfunction({}, {})", n, x)
+    return _times_exp(math.pi ** -0.25 * frac, -0.5 * x * x, expo)
 
 
 def green_spectral(q: GreenQuery, tol: float = 5e-7) -> SeriesResult:

@@ -111,9 +111,9 @@ def mehler_kernel_series(p: MehlerPoint, tol: float = 1e-12) -> SeriesResult:
     [1e-12, 1e-6], and over 1,200 with |X|, |Y| <= 6 and 0.95 < |u| < 0.9999
     (685 returned, 515 raised): no returned value was farther from the
     kernel K than tol*(1+|K|) or than ``tail_bound`` + 64 eps (1+|K|), and
-    4 of 3,546 returned at |X|, |Y| <= 12 exceeded ``tail_bound`` alone.  The
-    allowance is conservative: where it raises at tol 1e-12 on a grid with
-    |X|, |Y| <= 3, the error is at most 0.05 of the bound (ROADMAP item 6).
+    4 of 3,546 returned at |X|, |Y| <= 12 exceeded ``tail_bound`` alone.  The allowance is
+    conservative: where it raises at tol 1e-12 on a grid with |X|, |Y| <= 3, the error is at
+    most 0.05 of the bound (ROADMAP, "Error estimates that bound the error from both sides").
     """
     if not tol > 0.0:
         raise DomainError(f"Mehler series needs tol > 0, got {tol}")

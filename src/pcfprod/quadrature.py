@@ -324,7 +324,8 @@ def integrate_semi_infinite(f: Callable[[float], float], decay_rate: float,
     halved until two levels agree to ``tol`` relative or, where
     ``decay_rate`` > 0, the quadratic convergence puts the next change below
     it.  A prefactor belongs in ``f``, best in its exponent: nothing scales
-    the result.
+    the result.  The walk ends at t = c e^690: a tail t^-p heavier than about t^-1.053
+    loses the (c e^690)^{1-p}/(p-1) past it, unseen by the error estimate.
     """
     _check_tol(tol)
     if not decay_rate >= 0.0:

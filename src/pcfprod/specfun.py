@@ -204,16 +204,14 @@ def _exp_frexp(x: float, expo: float, power: int) -> tuple[float, int]:
     return frac, e + n + power
 
 
-def _times_exp(x: float, expo: float, power: int, name: str, *args: object) -> float:
-    """x e^expo 2^power, rounded once by ldexp: 0.0 below e^-746 < 2^-1075, also for a
-    negative x, and a :class:`DomainError` naming ``name.format(*args)``, formatted
-    on that path alone, where it overflows a double."""
+def _times_exp(x: float, expo: float, power: int) -> float:
+    """x e^expo 2^power for expo <= 0 (-inf included, never nan), rounded once by ldexp:
+    0.0 below e^-746 < 2^-1075, also for a negative x.  It cannot overflow: its callers'
+    products are bounded by Cramer's inequality, D_n(z) for n <= 20 by 1.09 sqrt(20!)
+    < 1.7e9 and an oscillator eigenfunction by 1.09 pi^{-1/4}."""
     if (math.frexp(x)[1] + power) * _LN2 + expo < -746.0:
         return 0.0
-    try:
-        return math.ldexp(*_exp_frexp(x, expo, power))
-    except OverflowError:
-        raise DomainError(name.format(*args) + " overflows a double") from None
+    return math.ldexp(*_exp_frexp(x, expo, power))
 
 
 def _wronskian_frexp(nu: float, z: float, zz: float, lift: float) -> tuple[float, int, float]:
@@ -386,4 +384,4 @@ def pcf_d(nu_order: float, z: float) -> float:
     # D_n(z) = sqrt(n!) e^{-z^2/4} h_n(z/sqrt 2), e^{-z^2/4} applied to h_n's mantissa
     # and binary exponent: it underflows only where D_n does
     frac, expo = scaled_hermite_frexp(n, z / math.sqrt(2.0))
-    return _times_exp(math.sqrt(math.factorial(n)) * frac, -0.25 * z * z, expo, "D_{}({})", n, z)
+    return _times_exp(math.sqrt(math.factorial(n)) * frac, -0.25 * z * z, expo)

@@ -170,6 +170,11 @@ GRID_SPECS = [
     ("verify eq13a --alpha 1 --phi 1", 0, LAST, PASS1),
     ("verify EQ13A --alpha 0.5:2:4 --phi 1", 0, LAST, "# summary: pass=4 fail=0 skip=0"),
     ("verify EQ13A --alpha log:0.5:2:3 --phi 1", 0, LAST, "# summary: pass=3 fail=0 skip=0"),
+    # a count below 1 is malformed; a count of 1 is the low end alone: at phi 800 its
+    # one record is skipped, and the one stderr line names its point
+    ("verify EQ13A --alpha 1:2:0 --phi 1", 2, ERROR,
+     "pcfprod verify: error: malformed range spec for --alpha: '1:2:0'"),
+    ("verify EQ13A --alpha 0.5:2:1 --phi 800", 0, ERROR, "# EQ13A alpha=0.5 phi=800.0: phi must"),
 ]
 
 # an option given twice is a usage error, as a trailing parameter given twice is:

@@ -1,5 +1,6 @@
 """Command-line interface: evaluation, verification sweeps, determinism."""
 
+import importlib
 import json
 import math
 import os
@@ -18,6 +19,7 @@ from pcfprod import (ConvergenceError, DomainError, HyperbolicQuery, LaplacePara
                      ProductQuery, SeriesResult, SumRuleQuery, hermsum, laplace_I, lhs_14,
                      product_via_integral, quadrature, sum_rule_lhs)
 from pcfprod.cli import EVAL_TARGETS, IDENTITIES, _evaluate_identity, _record_json
+from pcfprod.report import make_record
 
 
 def first_value(output):
@@ -144,6 +146,10 @@ USAGE_ERRORS = [
                                          "(want lo:hi:count or log:lo:hi:count)"),
     ("verify EQ13A --alpha log:-1:2:3", "log spacing needs positive bounds in "
                                         "--alpha='log:-1:2:3'"),
+    ("verify EQ13A --alpha log:0:2:3", "log spacing needs positive bounds in "
+                                       "--alpha='log:0:2:3'"),
+    ("verify EQ13A --alpha log:1:0:3", "log spacing needs positive bounds in "
+                                       "--alpha='log:1:0:3'"),
     ("verify EQ13A --beta 1", "EQ13A takes parameters ('alpha', 'phi'), not ['beta']"),
     ("verify all --foo 1", "all takes parameters ('X', 'Y', 'u', 'nu', 'x', 'y', 'a', 'b', "
                            "'alpha', 'phi', 'lam', 'xprime'), not ['foo']"),
@@ -309,7 +315,68 @@ class TestEval:
             assert r.stderr.startswith("domain error: tol must lie in [1e-14, 1e-2]")
 
 
+# each identity's default grid and tolerance: `verify all` runs these 136 points, and
+# the benchmark's verify_all workload and the README's figures are measured on them
+DEFAULT_GRIDS = {
+    "EQ3": ({"X": [-2.0, 0.0, 1.5], "Y": [-1.0, 0.5, 2.0], "u": [-0.8, -0.3, 0.0, 0.3, 0.8]},
+            1e-9),
+    "EQ10": ({"nu": [0.5, 1.0, 2.5], "x": [1.5, 2.5], "y": [0.5, 1.0]}, 1e-8),
+    "EQ11": ({"nu": [0.5, 1.0, 2.0], "a": [1.5, 3.0], "b": [0.5, 1.0]}, 1e-8),
+    "EQ12": ({"nu": [0.5, 1.0, 2.0], "a": [1.5, 3.0], "b": [0.5, 1.0]}, 1e-8),
+    "EQ13A": ({"alpha": [0.5, 1.0, 2.0], "phi": [0.5, 1.0, 2.0]}, 1e-8),
+    "EQ13B": ({"alpha": [0.5, 1.0, 2.0], "phi": [0.5, 1.0, 2.0]}, 1e-8),
+    "EQ14": ({"a": [0.5, 1.0, 2.0], "phi": [0.5, 1.0, 2.0]}, 1e-7),
+    "EQ15": ({"nu": [0.5, 1.0, 2.0], "x": [2.0, 3.0], "y": [0.5, 1.0]}, 5e-7),
+    "EQ8_EQ9": ({"lam": [-3.0, -1.0, 0.0, 0.5], "x": [1.0, 1.5], "xprime": [0.0, 0.5]}, 1e-6),
+}
+
+
 class TestVerify:
+    def test_default_grids(self):
+        assert {identity: (spec["grid"], spec["tol"]) for identity, spec in IDENTITIES.items()} \
+            == DEFAULT_GRIDS
+
+    @pytest.mark.parametrize("lhs,rhs,tol,mode,passed", [
+        (0.75, 1.0, 0.25, "relative", True), (0.75 - 2.0**-10, 1.0, 0.25, "relative", False),
+        (0.25, 0.0, 0.25, "relative", True), (0.25 + 2.0**-10, 0.0, 0.25, "relative", False),
+        (0.0, math.nextafter(1e-280, 0.0), 0.25, "relative", True),
+        (0.0, 1e-280, 0.25, "relative", False),
+        (0.0, 1.0, 0.5, "mixed", True), (0.0, 1.0 + 2.0**-10, 0.5, "mixed", False),
+    ])
+    def test_record_rules_at_their_bounds(self, lhs, rhs, tol, mode, passed):
+        # rel_err <= tol; abs_err <= tol where |rhs| < 1e-280; and EQ3's mixed
+        # abs_err <= tol (1 + max|side|): each holds at its bound and fails past it
+        assert make_record("EQ3", {}, lhs, rhs, tol, 1, mode=mode).passed is passed
+
+    @pytest.mark.parametrize("identity,module,route,route_tol", [
+        ("EQ3", "mehler", "mehler_kernel_series", 1e-6 * 0.1),
+        ("EQ10", "glasser", "product_via_integral", 1e-6 * 0.1),
+        ("EQ11", "glasser", "laplace_I", 1e-6 * 0.1),
+        ("EQ12", "glasser", "laplace_I", 1e-6 * 0.1),
+        ("EQ13A", "hyperbolic", "lhs_13a", 1e-10),
+        ("EQ13B", "hyperbolic", "lhs_13b", 1e-10),
+        ("EQ14", "hyperbolic", "lhs_14", 1e-10),
+        ("EQ15", "mehler", "sum_rule_lhs", 1e-6 * 0.5),
+        ("EQ8_EQ9", "green", "green_spectral", 1e-6 * 0.5),
+    ])
+    def test_route_tolerance(self, run_cli, monkeypatch, identity, module, route, route_tol):
+        # at --tol 1e-6 the left side's route runs at a share of it, so that its own
+        # error leaves room for the other side's, or at min(tol, 1e-10)
+        module = importlib.import_module(f"pcfprod.{module}")
+        inner, tols = getattr(module, route), []
+        monkeypatch.setattr(module, route, lambda *args: tols.append(args[-1]) or inner(*args))
+        point = [arg for name, values in DEFAULT_GRIDS[identity][0].items()
+                 for arg in (f"--{name}", str(values[-1]))]
+        assert run_cli(["verify", identity, "--tol", "1e-6", *point]).exit_code == 0
+        assert tols == [route_tol]
+
+    @pytest.mark.parametrize("spec,points", [("0.5:2:4", [0.5, 1.0, 1.5, 2.0]),
+                                             ("log:0.5:2:3", [0.5, 1.0, 2.0])])
+    def test_grid_spec_points(self, run_cli, spec, points):
+        # at phi 800 every record is skipped, so the grid costs nothing
+        r = run_cli(["verify", "EQ13A", "--alpha", spec, "--phi", "800", "--format", "json"])
+        assert [rec["params"]["alpha"] for rec in strict_json(r.stdout)["records"]] == points
+
     def test_single_point_sum_rule(self, run_cli):
         r = run_cli(["verify", "EQ15", "--nu", "1", "--x", "2", "--y", "1"])
         assert r.exit_code == 0

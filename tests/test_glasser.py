@@ -226,8 +226,9 @@ class TestLaplaceForms:
             laplace_I(LaplaceParams(1.0, 2.0, 2.5), 1)   # needs a >= b
         with pytest.raises(DomainError):
             laplace_I(LaplaceParams(1.0, 2.0, 0.0), 1)   # needs b > 0
-        with pytest.raises(DomainError):
-            laplace_I(LaplaceParams(1.0, 1.0, -2.0), -1)  # needs a + b > 0
+        for b in (-2.0, -1.0):  # needs a + b > 0; at a + b = 0 the decay rate is 0
+            with pytest.raises(DomainError, match=r"sign=-1 requires a \+ b > 0"):
+                laplace_I(LaplaceParams(1.0, 1.0, b), -1)
         with pytest.raises(DomainError):
             laplace_I(LaplaceParams(1.0, 2.0, 1.0), 2)
 
@@ -398,6 +399,12 @@ class TestEdgesOfTheIntegral:
             assert abs(r.value - exact) <= tol * abs(exact)
             assert abs(r.value - exact) <= (r.error_estimate
                                             + TestIntegralAgainstMpmath.ALLOWANCE * abs(exact))
+
+    def test_plus_form_walk_centred_on_its_mass(self):
+        # a - b = 0.05 at b = 505: the mass sits out near t = 1/(a - b) = 20, where
+        # the walk is centred, at min(1/decay, body); centred at 1, as the minus
+        # form's walk is, it took 93 evaluations
+        assert laplace_I(LaplaceParams(1.0, 505.0, 504.95), 1, 1e-9).evaluations <= 50
 
     def test_equal_args_walk_stays_short(self, monkeypatch):
         # x = y at tol 1e-10 once walked 614k nodes, and 2,926 evaluations with

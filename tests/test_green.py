@@ -286,12 +286,15 @@ class TestShooter:
 
     def test_step_rule_when_coefficients_vanish_in_pairs(self):
         # at t = 0 with lambda = 0 and y = 0 only c_1, c_5, c_9, ... are
-        # nonzero, so c_34 = c_35 = c_36 = 0 although the dropped terms are not
-        with mp.workdps(30):
-            ref = mp.odefun(lambda t, s: [s[1], t * t * s[0]], 0, [mp.mpf(0), mp.mpf(1)])(3)
-        y, yp = green.solve_ivp(0.0, 0.0, 3.0, 0.0, 1.0)
-        assert y == pytest.approx(float(ref[0]), rel=1e-12)
-        assert yp == pytest.approx(float(ref[1]), rel=1e-12)
+        # nonzero, so c_34 = c_35 = c_36 = 0 although the dropped terms are not;
+        # with y' = 0 only c_0, c_4, ..., so c_33 = c_34 = c_35 = 0
+        for y0, yp0 in ((0.0, 1.0), (1.0, 0.0)):
+            with mp.workdps(30):
+                ref = mp.odefun(lambda t, s: [s[1], t * t * s[0]], 0,
+                                [mp.mpf(y0), mp.mpf(yp0)])(3)
+            y, yp = green.solve_ivp(0.0, 0.0, 3.0, y0, yp0)
+            assert y == pytest.approx(float(ref[0]), rel=1e-12)
+            assert yp == pytest.approx(float(ref[1]), rel=1e-12)
 
 
 class TestStructure:
@@ -384,5 +387,6 @@ class TestGuards:
     def test_closed_form_domain(self):
         with pytest.raises(DomainError):
             green_closed(GreenQuery(0.0, 0.0, 1.0))  # needs x > x'
-        with pytest.raises(DomainError):
-            green_closed(GreenQuery(1.5, 1.0, 0.0))  # needs lambda < 1
+        for lam in (1.5, 1.0):  # needs lambda < 1
+            with pytest.raises(DomainError, match="closed form requires lambda < 1"):
+                green_closed(GreenQuery(lam, 1.0, 0.0))

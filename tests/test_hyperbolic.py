@@ -311,7 +311,8 @@ class TestLeftSidesAgainstMpmath:
         # log-uniform.  References below 1e-290 are skipped: the integrand is
         # subnormal there.  tol stops at 1e-12: below 1e-13 the rounding of an
         # exponent near 700, about 700 eps, exceeds tol where the change between
-        # two levels, which share it, cannot see it (ROADMAP item 6)
+        # two levels, which share it, cannot see it (ROADMAP, "Error estimates that
+        # bound the error from both sides")
         rng = random.Random(seed)
 
         def log_uniform(lo, hi):

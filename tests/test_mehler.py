@@ -72,6 +72,17 @@ class TestKernelClosed:
                 got = mehler_kernel_closed(MehlerPoint(X, Y, u))
                 assert abs(got - ref) <= 1e-12 * ref, (X, Y, u)
 
+    def test_scaling_changes_no_bit(self):
+        # m and d are scaled by a power of two: where no square overflows, the kernel
+        # is exp of the unscaled 2u[m^2/(1+u) - d^2/(1-u)] to the bit
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            X, Y = (float(v) for v in rng.uniform(-3.0, 3.0, 2))
+            u = float(rng.uniform(-0.9, 0.9))
+            m, d = 0.5 * X + 0.5 * Y, 0.5 * X - 0.5 * Y
+            direct = math.exp(2.0 * u * (m * m / (1.0 + u) - d * d / (1.0 - u)))
+            assert mehler_kernel_closed(MehlerPoint(X, Y, u)) == direct, (X, Y, u)
+
     @pytest.mark.parametrize("u", [1.0, -1.0, 1.5])
     def test_unit_disc_enforced(self, u):
         with pytest.raises(DomainError):
@@ -167,15 +178,19 @@ class TestKernelSeries:
 
     @pytest.mark.parametrize("X,Y,u,tol", [
         (6.0, -6.0, 0.5, 1e-9),
-        (-11.11919796974277, -5.745092501383281, -0.6006125753766942, 1e-12)])
+        (-11.11919796974277, -5.745092501383281, -0.6006125753766942, 1e-12),
+        (6.0, -6.0, 0.5, 4.83e-5)])
     def test_rounding_past_tol_raises_with_partial(self, X, Y, u, tol):
-        # these returned 1.65e-6 and -91697.67, with bounds of 9.1e-10 and
-        # 7.8e-13, for kernels of 5.4e-32 and 3.0e-91
+        # the first two returned 1.65e-6 and -91697.67, with bounds of 9.1e-10 and
+        # 7.8e-13, for kernels of 5.4e-32 and 3.0e-91; in the third the rounding,
+        # 4.850e-5, is 0.4% past tol (1 + |value|)
         with pytest.raises(ConvergenceError, match="rounding") as info:
             mehler_kernel_series(MehlerPoint(X, Y, u), tol)
         partial = info.value.partial
         assert abs(partial.value - float(kernel_oracle(X, Y, u))) <= partial.tail_bound
         assert partial.tail_bound > tol * (1.0 + abs(partial.value))
+        assert f"against tol*(1+|value|) {tol * (1.0 + abs(partial.value)):.3e}" \
+            in str(info.value)
 
     def test_overflow_raises_library_errors(self):
         p = MehlerPoint(30.0, 30.0, 0.9)
@@ -242,7 +257,7 @@ class TestSeriesForI:
         assert scaled_hermite_products(1.3, -0.2, 1)[0] == 1.0
 
     def test_requires_positive_order(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="series_for_I requires nu > 0, got 0.0"):
             series_for_I(0.0, 1.0, 0.5)
 
 

@@ -1,6 +1,7 @@
 """The package's public names, which load from their submodules on first access."""
 
 import importlib
+import inspect
 import math
 import re
 
@@ -30,6 +31,21 @@ PAIRS = [(module, name) for module, names in EXPORTED.items() for name in names]
 @pytest.mark.parametrize("module, name", PAIRS, ids=[name for _, name in PAIRS])
 def test_name_is_its_modules_object(module, name):
     assert getattr(pcfprod, name) is getattr(importlib.import_module(f"pcfprod.{module}"), name)
+
+
+# the tolerance each public route takes where its caller gives none
+DEFAULT_TOLS = {
+    "integrate_semi_infinite": 1e-10, "integrate_finite": 1e-10, "laplace_I": 1e-10,
+    "product_via_integral": 1e-10, "lhs_13a": 1e-10, "lhs_13b": 1e-10, "lhs_14": 1e-10,
+    "erfc_identity_13a": 1e-10, "erfc_identity_13b": 1e-10, "k_identity_14": 1e-9,
+    "mehler_kernel_series": 1e-12, "series_for_I": 1e-8, "sum_rule_lhs": 5e-7,
+    "green_spectral": 5e-7,
+}
+
+
+def test_default_tolerances():
+    assert {name: inspect.signature(getattr(pcfprod, name)).parameters["tol"].default
+            for name in DEFAULT_TOLS} == DEFAULT_TOLS
 
 
 def test_star_import_gives_every_name():

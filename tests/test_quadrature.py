@@ -59,6 +59,16 @@ class TestSemiInfinite:
                                     0.0, 1e-8)
         assert r.value == pytest.approx(2.0, rel=1e-7)
 
+    def test_table_end_bounds_a_heavy_tail(self):
+        # the right walk ends at s = 690, t = c e^690 with c = 1e4 at decay rate 0: a
+        # tail t^-p loses (c e^690)^(1-p)/(p-1) past it, below rounding from p = 1.053 on
+        r = integrate_semi_infinite(lambda t: (1.0 + t)**-1.05, 0.0, 1e-10)
+        assert r.value == pytest.approx(20.0, rel=1e-10)
+        p = 1.02
+        r = integrate_semi_infinite(lambda t: (1.0 + t)**-p, 0.0, 1e-10)
+        lost = (1e4 * math.exp(690.0))**(1.0 - p) / (p - 1.0)
+        assert 1.0 / (p - 1.0) - r.value == pytest.approx(lost, rel=0.02)
+
     def test_body_centres_the_walk(self):
         # the same tail with its mass near t = 1: centred there, not at the
         # clamp 1/decay = 1e4, the walk takes 753 evaluations, not 2,893
@@ -191,6 +201,12 @@ class TestValidation:
             integrate_semi_infinite(lambda t: float("nan"), 1.0, 1e-8)
         with pytest.raises(ConvergenceError):
             integrate_finite(lambda x: float("nan"), 0.0, 1.0, 1e-8)
+
+    def test_nan_past_the_center_propagates(self):
+        # the center is finite: the NaN is met on a side's walk
+        with pytest.raises(ConvergenceError,
+                           match=r"^integrand returned NaN at x=0\.9756839820363734$"):
+            integrate_finite(lambda x: math.nan if x > 0.7 else 1.0, 0.0, 1.0, 1e-10)
 
     def test_nonconvergence_carries_partial(self):
         # a step discontinuity defeats the endpoint-clustered rule at

@@ -304,11 +304,22 @@ class TestPcfD:
             ref = mp.pcfd(-nu, z)
         assert abs(pcf_d(-nu, z) - ref) <= 16 * EPS * z * z / 2 * ref, (nu, z)
 
+    @pytest.mark.parametrize("nu,z", [(19.7, 5.5e15), (7.3, 1e43), (2.5, 1e150)])
+    def test_subnormal_power_at_a_non_integer_order(self, nu, z):
+        # as a double z^-nu is subnormal (below 2^-1030 and 2^-1042) or 0.0 (1e-375):
+        # the Poincare route takes it as m^-nu 2^(-r/d) 2^-k, for z = m 2^e and
+        # e nu = k + r/d, so the scaled e^{z^2/4} D_{-nu}(z) costs no digits.  An
+        # integer order has r = 0
+        frac, n = specfun._pcf_d_negative_order_frexp(nu, z, z * z, 0.25 * z * z)
+        with mp.workdps(50):
+            ref = scaled_far_factor(nu, mp.mpf(z))
+        assert abs(mp.ldexp(frac, n) - ref) <= 2 * EPS * ref, (nu, z)
+
     def test_far_limit(self):
         # e^expo is split exactly from -2^21 ln 2 to (2^21 - 2^11) ln 2; below it is
         # 0.0, above it or at a nan an OverflowError.  D itself is within its bound
         # at z = +-2410, 0.0 past z = 2411.3 and a DomainError below -2410.2
-        lo, hi = specfun._EXPO_MIN, specfun._EXPO_MAX
+        lo, hi = -2.0**21 * math.log(2.0), (2.0**21 - 2.0**11) * math.log(2.0)
         with mp.workdps(40):
             for expo in (lo, math.nextafter(lo, 0.0), -1e6, 1e6, hi):
                 frac, n = specfun._exp_frexp(0.75, expo, 3)
@@ -360,6 +371,10 @@ class TestPcfD:
             pcf_d(-20.5, 1.0)
         with pytest.raises(DomainError):
             pcf_d(math.nan, 1.0)
+        # an order within 1e-12 of a nonnegative integer is that integer
+        assert pcf_d(2.0 + 0.999e-12, 1.0) == pcf_d(2.0, 1.0)
+        with pytest.raises(DomainError, match="positive non-integer order"):
+            pcf_d(2.0 + 1.001e-12, 1.0)
 
 
 # every closed-form right side that ends in a product of two D values, by its caller
