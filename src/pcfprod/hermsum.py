@@ -71,9 +71,13 @@ kept, read-only (at most 64 kB), because a verify grid walks its other
 axes (u, nu, lambda) at each pair: a call no longer than a kept array
 gets a slice of it, and a longer one computes and keeps its own.  Four
 pairs are few enough that one ``verify all`` sweep reuses nothing of the
-one before it.  A call pays one exp over the 408 panel nodes, the ladder
-choice in scalar math, one multiply for every x*sqrt(2/(n+1)), three
-in-place numpy steps per offset and the weighted sum.
+one before it.  The ladder and the kept arrays are ``functools`` caches,
+:func:`_rules` and :func:`_memo` (whose ``cache_info()`` shows the pairs
+kept).  The rows are one module global, rebuilt only for a longer grid: a
+rule no ``functools`` cache gives without keeping every length.  A call
+pays one exp over the 408 panel nodes, the ladder choice in scalar math,
+one multiply for every x*sqrt(2/(n+1)), three in-place numpy steps per
+offset and the weighted sum.
 """
 
 from __future__ import annotations
@@ -82,7 +86,6 @@ import functools
 import itertools
 import math
 import struct
-import threading
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ConvergenceError, DomainError
@@ -103,8 +106,6 @@ _STEPS = None  # the step coefficients of _blocked_products
 _FIXED_WIDTH = 16
 _FIXED_UP_TO = 2048
 _MEMO_PAIRS = 4
-_MEMO: dict[bytes, np.ndarray] = {}
-_MEMO_LOCK = threading.Lock()
 # the scalar recurrence scales its pair down once it passes 2^_RESCALE
 _RESCALE = 600
 
@@ -207,21 +208,20 @@ def scaled_hermite_products(X: float, Y: float, count: int) -> np.ndarray:
         raise DomainError(f"product count must be an integer >= 1, got {count!r}")
     if count > _FIXED_UP_TO:
         return _blocked_products(X, Y, count, math.isqrt(count - 1) + 1)[:count]
-    key = struct.pack("dd", X, Y)
-    with _MEMO_LOCK:
-        kept = _MEMO.pop(key, None)
-        if kept is not None:
-            _MEMO[key] = kept  # now the most recent
+    box = _memo(struct.pack("dd", X, Y))  # now the most recent pair
+    kept = box[0]  # read once: another thread may store a shorter array
     if kept is None or len(kept) < count:
         # within the first block only the offsets asked for are stepped: the
         # same values, as no offset depends on a later one
-        kept = _blocked_products(X, Y, count, min(count, _FIXED_WIDTH))
-        with _MEMO_LOCK:
-            _MEMO.pop(key, None)
-            _MEMO[key] = kept
-            if len(_MEMO) > _MEMO_PAIRS:
-                del _MEMO[next(iter(_MEMO))]
+        kept = box[0] = _blocked_products(X, Y, count, min(count, _FIXED_WIDTH))
     return kept[:count]
+
+
+@functools.lru_cache(maxsize=_MEMO_PAIRS)
+def _memo(key: bytes) -> list:
+    """The one-slot box of the product array kept for the pair (X, Y) whose
+    bits ``key`` packs, empty ([None]) until the pair's first call fills it."""
+    return [None]
 
 
 def _blocked_products(X: float, Y: float, count: int, size: int) -> np.ndarray:

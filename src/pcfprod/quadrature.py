@@ -54,12 +54,14 @@ evaluations.
 The node tables hold everything at a node that depends only on k*h, so
 a walk only places the node, evaluates the integrand and weights it,
 all in the refinement loop itself: a node costs no Python call but the
-integrand.  Each table is filled once per process and grows lazily, a
-chunk of rows at a time, as far as some walk has gone and never to the
-representable range (the right exp-sinh side would run to s = 690).  A
-row takes about 160 bytes and is kept for the life of the process, and
-nothing bounds the growth: a walk over 100,000 nodes leaves about 16 MB
-of table behind.
+integrand.  A level is built lazily, a chunk of ``_CHUNK`` rows at a
+time, as far as some walk has gone and never to the representable range
+(the right exp-sinh side would run to s = 690).  The chunks are one
+``functools.cache``, :func:`_chunk`, keyed on ints, and
+``_chunk.cache_info()`` shows how many the process keeps.  A row takes
+about 160 bytes and is kept for the life of the process, and nothing
+bounds the cache: a walk over 100,000 nodes leaves about 16 MB of table
+behind.
 
 The step is halved, within 13 levels (semi-infinite) or 12 (finite), until
 d_k, the change between two levels and the error estimate, is below
@@ -80,9 +82,9 @@ and an error's numbers are in the integral's units.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
-from itertools import chain
+from itertools import chain, count
 from typing import Callable, NamedTuple
 
 from .errors import ConvergenceError, DomainError
@@ -144,53 +146,47 @@ class _NodeTable:
     Level L holds the nodes k*h with h = step/2^L, for k = 1, 2, 3, ...
     at level 0 and the odd k after; ``center`` is the row at k*h = 0.
     ``row`` maps k*h to its row, or to None past the representable
-    range, which ends the level.  Rows are built in chunks of
-    ``_CHUNK``, only when a walk reaches the end of what is built, and
-    kept for the rest of the process: a level grows about as far as the
-    longest walk over it, never to the representable range.  Growth only
-    appends, under ``_GROW_LOCK``, rows that depend on nothing but k*h,
-    so a walk stays valid while a nested integral (an integrand that
-    integrates) or another thread grows the same table.
+    range, which ends the level.  ``key`` is the table's index in
+    ``_TABLES``, by which :func:`_chunk` finds it.
     """
 
-    def __init__(self, step: float, row: Callable[[float], tuple | None]):
+    def __init__(self, key: int, step: float, row: Callable[[float], tuple | None]):
+        self.key = key
         self.step = step
         self.center = row(0.0)
-        self._row = row
-        self._levels: list[list[tuple]] = []
+        self.row = row
 
     def rows(self, level: int):
-        """Iterator over the rows of ``level``, grown as it is consumed."""
-        if len(self._levels) <= level:
-            with _GROW_LOCK:
-                while len(self._levels) <= level:
-                    self._levels.append([])
-        return chain.from_iterable(self._chunks(self._levels[level], level))
+        """Iterator over the rows of ``level``, built as it is consumed."""
+        return chain.from_iterable(self._chunks(level))
 
-    def _chunks(self, chunks: list, level: int):
-        i = 0
-        while i < len(chunks) or self._grow(chunks, i, level):
-            yield chunks[i]
-            i += 1
+    def _chunks(self, level: int):
+        """The chunks of ``level`` up to the first short one, which ends it."""
+        for i in count():
+            chunk = _chunk(self.key, level, i)
+            yield chunk
+            if len(chunk) < _CHUNK:
+                return
 
-    def _grow(self, chunks: list, i: int, level: int) -> bool:
-        """Make chunk ``i`` of a level; False once the level has ended."""
-        with _GROW_LOCK:
-            if i < len(chunks):  # another thread made it meanwhile
-                return True
-            if chunks and len(chunks[-1]) < _CHUNK:
-                return False
-            h = self.step * 0.5**level
-            dk = 1 if level == 0 else 2
-            first = 1 + i * _CHUNK * dk
-            chunk = []
-            for k in range(first, min(first + _CHUNK * dk, _MAX_STEPS_PER_SIDE), dk):
-                row = self._row(k * h)
-                if row is None:
-                    break
-                chunk.append(row)
-            chunks.append(tuple(chunk))
-            return True
+
+@functools.cache
+def _chunk(key: int, level: int, i: int) -> tuple:
+    """Chunk ``i`` of ``level`` of ``_TABLES[key]``: its rows ``i*_CHUNK`` on, at
+    most ``_CHUNK`` of them, fewer where the level ends.  A chunk is built once
+    per process, when a walk first reaches it, and depends on nothing but its
+    key, so a walk stays valid while a nested integral (an integrand that
+    integrates) or another thread builds chunks of the same level."""
+    table = _TABLES[key]
+    h = table.step * 0.5**level
+    dk = 1 if level == 0 else 2
+    first = 1 + i * _CHUNK * dk
+    chunk = []
+    for k in range(first, min(first + _CHUNK * dk, _MAX_STEPS_PER_SIDE), dk):
+        row = table.row(k * h)
+        if row is None:
+            break
+        chunk.append(row)
+    return tuple(chunk)
 
 
 def _exp_sinh_row(sgn: float) -> Callable[[float], tuple | None]:
@@ -218,10 +214,10 @@ def _tanh_sinh_row(k_h: float) -> tuple | None:
     return (k_h, 2.0 / (1.0 + math.exp(2.0 * u)), _PIOV2 * math.cosh(k_h) * (sech * sech))
 
 
-_GROW_LOCK = threading.Lock()
-_EXP_SINH_RIGHT = _NodeTable(0.5, _exp_sinh_row(1.0))
-_EXP_SINH_LEFT = _NodeTable(0.5, _exp_sinh_row(-1.0))
-_TANH_SINH = _NodeTable(1.0, _tanh_sinh_row)
+_EXP_SINH_RIGHT = _NodeTable(0, 0.5, _exp_sinh_row(1.0))
+_EXP_SINH_LEFT = _NodeTable(1, 0.5, _exp_sinh_row(-1.0))
+_TANH_SINH = _NodeTable(2, 1.0, _tanh_sinh_row)
+_TABLES = (_EXP_SINH_RIGHT, _EXP_SINH_LEFT, _TANH_SINH)
 
 
 def _refine(f: Callable[[float], float], sides: tuple, levels: int, what: str,

@@ -16,10 +16,11 @@ other side is an integral check it against an engine it does not share:
   Weber's equation carries D inward from z = 3.  D and D_{-nu-1}/D at
   z = 3 are kept for the last 8 orders used, so points of one order in
   0 < z < 3 pay for the continued fraction once.  The loops count in
-  floats and test the peak and the tail each in its own phase, so a step
-  is float arithmetic only.  From |z| = 15 on, where the sums would take
-  about z^2 terms, D is its Poincare expansion (DLMF 12.9.1; for z < 0
-  with 12.2.15 and 12.9.2), as in both papers: at most 49 terms.
+  floats, so a step is float arithmetic only; the Taylor step tests the
+  peak and then the tail, each in its own phase, and the sums only the
+  tail.  From |z| = 15 on, where the sums would take about z^2 terms, D
+  is its Poincare expansion (DLMF 12.9.1; for z < 0 with 12.2.15 and
+  12.9.2), as in both papers: at most 49 terms.
 * nonnegative integer order n: D_n(z) = 2^{-n/2} e^{-z^2/4} H_n(z/sqrt 2)
   = sqrt(n!) e^{-z^2/4} h_n(z/sqrt 2), the exponential applied to the
   binary exponent of h_n so that nothing underflows before D_n does.
@@ -126,23 +127,9 @@ def _sums(nu: float, w: float, w2: float) -> tuple[float, float]:
     t1 = 2.0 ** (0.5 * (nu - 1.0)) * math.gamma(0.5 * (nu + 1.0)) * w
     t2 = 0.5 * nu_t0 * w2
     s = s1 = 0.0
-    # k1 = k + 1 and p = (k+1)(k+2), the divisor of t1's step
-    k, k1, p = 1.0, 2.0, 6.0
-    # the climb: a step may still grow the terms; once (nu+k) w^2 < (k+1)(k+2)
-    # it stays so, and past that peak the terms only fall
-    while True:
-        s += t1 + t2
-        s1 += k * t1 + k1 * t2
-        nuk = nu + k
-        k2 = k1 + 1.0
-        k3 = k2 + 1.0
-        t1 *= nuk * w2 / p
-        t2 *= (nuk + 1.0) * w2 / (k2 * k3)
-        k, k1, p = k2, k3, k3 * (k3 + 1.0)
-        if (nu + k) * w2 < p:
-            break
-    # the tail: stop once the new terms are negligible against each sum,
-    # tested on its own
+    k, k1 = 1.0, 2.0  # k1 = k + 1
+    # stop once the new terms are negligible against each sum, tested on its
+    # own; while the terms still climb to their peak they are not
     while True:
         u = t1 + t2
         v = k * t1 + k1 * t2
@@ -236,7 +223,9 @@ def _taylor_inward(nu: float, z: float) -> float:
     y'' = (t^2/4 + nu - 1/2) y from _Z1 inward, the direction in which D
     grows.  The terms e_k = c_k h^k, h = z - _Z1, follow from
     (k+2)(k+1) c_{k+2} = a c_k + b c_{k-1} + c_{k-2}/4 with
-    a = _Z1^2/4 + nu - 1/2 and b = _Z1/2."""
+    a = _Z1^2/4 + nu - 1/2 and b = _Z1/2.  The climb to the peak and the
+    tail run as two loops: one loop with the tail's test alone, as in
+    :func:`_sums`, gives the same bits but took 3-4% longer."""
     d1, rho = _anchor(nu)
     h = z - _Z1
     ah2 = (0.25 * _Z1 * _Z1 + nu - 0.5) * h * h

@@ -404,7 +404,7 @@ class TestVerify:
         inner = hermsum._blocked_products
         monkeypatch.setattr(hermsum, "_blocked_products",
                             lambda *args: computed.append(args) or inner(*args))
-        hermsum._MEMO.clear()
+        hermsum._memo.cache_clear()
         sweeps = []
         for _ in range(2):
             start = len(computed)
@@ -418,7 +418,7 @@ class TestVerify:
         assert len(series) == 45 + 12 + 16
         for rec in series:
             identity = IDENTITIES[rec["identity_id"]]
-            hermsum._MEMO.clear()
+            hermsum._memo.cache_clear()
             alone = identity["run"](rec["params"], identity["tol"])
             assert _record_json(alone) == rec
 

@@ -406,17 +406,14 @@ class TestEdgesOfTheIntegral:
         # form's walk is, it took 93 evaluations
         assert laplace_I(LaplaceParams(1.0, 505.0, 504.95), 1, 1e-9).evaluations <= 50
 
-    def test_equal_args_walk_stays_short(self, monkeypatch):
+    def test_equal_args_walk_stays_short(self):
         # x = y at tol 1e-10 once walked 614k nodes, and 2,926 evaluations with
         # the walk centred at 1/decay = 1e4; centred at the peak b/4 it takes
         # 758 (772 while level 0 ran 11 dead nodes past its live ones).  The
-        # node tables keep every row a walk builds, so they show how far it went
-        tables = (quadrature._EXP_SINH_RIGHT, quadrature._EXP_SINH_LEFT)
-        for table in tables:
-            monkeypatch.setattr(table, "_levels", [])
+        # node tables keep every chunk of rows a walk builds, so they show how far it went
+        quadrature._chunk.cache_clear()
         q = ProductQuery(1.0, 2.0, 2.0)
         r = product_via_integral(q, 1e-10)
-        rows = sum(len(chunk) for table in tables for level in table._levels for chunk in level)
-        assert rows < 10_000
+        assert quadrature._chunk.cache_info().currsize * quadrature._CHUNK < 10_000
         assert r.evaluations <= 800
         assert r.value == pytest.approx(float(_mp_product(1.0, 2.0, -2.0)), rel=1e-10)

@@ -151,7 +151,7 @@ PREFIX_COUNTS = [1, W - 1, W, W + 1, 2 * W, BOUND]
 
 def fresh_products(X, Y, count):
     """scaled_hermite_products with no array kept from an earlier call."""
-    hermsum._MEMO.clear()
+    hermsum._memo.cache_clear()
     return scaled_hermite_products(X, Y, count)
 
 
@@ -165,7 +165,7 @@ def count_computed(monkeypatch):
         return inner(X, Y, count, size)
 
     monkeypatch.setattr(hermsum, "_blocked_products", counting)
-    hermsum._MEMO.clear()
+    hermsum._memo.cache_clear()
     return counts
 
 
@@ -194,7 +194,7 @@ def test_kept_arrays_are_keyed_on_the_bits():
 @pytest.mark.parametrize("count", [1, W + 1, BOUND, BOUND + 1, 20000])
 def test_returned_arrays_are_read_only(count):
     # a caller writing into a kept array would change every later call's terms
-    hermsum._MEMO.clear()
+    hermsum._memo.cache_clear()
     for _ in range(2):  # computed, then kept where count is at most the bound
         products = scaled_hermite_products(0.3, -0.8, count)
         with pytest.raises(ValueError, match="read-only"):
@@ -220,7 +220,7 @@ def test_only_the_last_four_pairs_are_kept(monkeypatch):
     scaled_hermite_products(0.3, 0.1, BOUND + 1)
     scaled_hermite_products(0.3, 0.1, 5)
     assert computed[7:] == [BOUND + 1] * 2 + [5]
-    assert len(hermsum._MEMO) == 4
+    assert hermsum._memo.cache_info().currsize == 4
 
 
 def count_products(monkeypatch):
@@ -502,7 +502,7 @@ def test_threads_share_the_growing_rows(monkeypatch):
     # keyed by position: (0.0, 1.3) == (-0.0, 1.3) as a dict key
     want = {(i, c): fresh_products(*p, c).tobytes() for i, p in enumerate(pairs) for c in counts}
     monkeypatch.setattr(hermsum, "_STEPS", None)
-    hermsum._MEMO.clear()
+    hermsum._memo.cache_clear()
     bad = []
 
     def work(shift):

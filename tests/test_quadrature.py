@@ -1,5 +1,6 @@
 """Quadrature engines: closed-form integrals, frame invariance, determinism."""
 
+import functools
 import math
 import re
 import sys
@@ -33,6 +34,31 @@ def _set_levels(monkeypatch, levels):
     """Stop both engines after ``levels`` refinement levels."""
     monkeypatch.setattr(quadrature, "_SEMI_INFINITE_LEVELS", levels)
     monkeypatch.setattr(quadrature, "_FINITE_LEVELS", levels)
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The node-table chunks built from here on, as {(key, level, i): rows}:
+    a fresh chunk cache that records what it builds, the process's own
+    cache restored after."""
+    chunks = {}
+    make = quadrature._chunk.__wrapped__
+
+    def chunk(key, level, i):
+        chunks[key, level, i] = rows = make(key, level, i)
+        return rows
+
+    monkeypatch.setattr(quadrature, "_chunk", functools.cache(chunk))
+    return chunks
+
+
+def _level_rows(built, table):
+    """The rows ``built`` holds of ``table``, per level, in walk order."""
+    levels = {}
+    for (key, level, _), rows in sorted(built.items()):
+        if key == table.key:
+            levels.setdefault(level, []).extend(rows)
+    return [levels.get(level, []) for level in range(max(levels, default=-1) + 1)]
 
 
 class TestSemiInfinite:
@@ -316,17 +342,17 @@ class TestReach:
     consecutive-dead rule."""
 
     @staticmethod
-    def _last_right_nodes(seen):
+    def _last_right_nodes(built, seen):
         # decay rate 1: every right exp-sinh node t is the row's u itself
         rows = {row[1]: (level, row[0])
-                for level, chunks in enumerate(quadrature._EXP_SINH_RIGHT._levels)
-                for chunk in chunks for row in chunk}
+                for level, level_rows in enumerate(_level_rows(built, quadrature._EXP_SINH_RIGHT))
+                for row in level_rows}
         last = {}
         for level, kh in (rows[t] for t in seen if t in rows):
             last[level] = max(last.get(level, 0.0), kh)
         return last
 
-    def test_live_term_past_the_reach_is_followed(self):
+    def test_live_term_past_the_reach_is_followed(self, built):
         # e^{-t} cut off at t = 45: level 0 is live to s = 3.5 (t = 32.1) and
         # ends at its first dead node, s = 4.0 (t = 53.6; it ran on to 9.0
         # while level 0 had no reach); the level-1 node s = 3.75 (t = 41.5) is
@@ -340,10 +366,10 @@ class TestReach:
 
         r = integrate_semi_infinite(f, 1.0, 1e-12)
         assert r.value == pytest.approx(1.0, rel=1e-12)
-        last = self._last_right_nodes(seen)
+        last = self._last_right_nodes(built, seen)
         assert (last[0], last[1], last[2]) == (4.0, 4.25, 3.875)
 
-    def test_walk_without_live_term_keeps_the_consecutive_rule(self, monkeypatch):
+    def test_walk_without_live_term_keeps_the_consecutive_rule(self, built, monkeypatch):
         # every level-0 node is 0; the box holds the level-1 node s = 3.75
         # (t = 41.5), which only the consecutive rule reaches: stopping at the
         # first dead node past s = 3 would return 0.0 with estimate 0.  Once
@@ -362,9 +388,9 @@ class TestReach:
         r = exc.value.partial
         assert (r.value.hex(), r.error_estimate.hex(), r.evaluations) == (
             "0x1.541377d0a7454p+1", "0x1.541377d0a7454p+1", 119)
-        assert self._last_right_nodes(seen)[1] == 4.25
+        assert self._last_right_nodes(built, seen)[1] == 4.25
 
-    def test_first_dead_term_past_the_reach_ends_the_walk_below_min_trunc_t(self):
+    def test_first_dead_term_past_the_reach_ends_the_walk_below_min_trunc_t(self, built):
         # e^{-t^2}: level 0 is live to s = 2 (t = 6.4) and ends at its first
         # dead node, s = 2.5 (it ran 11 dead nodes on, to s = 7.5, in 116
         # evaluations while level 0 had no reach).  Each later level stops at
@@ -381,7 +407,7 @@ class TestReach:
         r = integrate_semi_infinite(f, 1.0, 1e-12)
         assert r.value == pytest.approx(0.5 * SQRT_PI, rel=1e-15)
         assert r.evaluations == 101
-        last = self._last_right_nodes(seen)
+        last = self._last_right_nodes(built, seen)
         assert (last[0], last[1], last[2], last[3]) == (2.5, 2.25, 2.125, 2.0625)
         assert all(last[level] < quadrature._MIN_TRUNC_T for level in last)
 
@@ -565,6 +591,19 @@ class TestErrorEstimateBoundsTrueError:
         exact = float(self._hyperbolic_exact(lhs_13a, q.alpha, q.phi))
         assert abs(lhs_13a(q, 1e-10).value - exact) <= 1e-10 * exact
 
+    def test_rise_is_read_at_level_3(self):
+        # a dip 0.37 deep and 0.062 wide: levels 1 and 2 change by 1.56e-2 and
+        # 3.86e-2 relative, a rise, so level 3 (2.26e-3, order 1.87) must not
+        # stop on its prediction of 1.3e-4.  A walk that read rises from level 4
+        # on stopped there after 57 evaluations, with an estimate of 1.27e-4
+        # against a true error of 9.2e-4
+        A, c, w = -0.3708403993878493, 0.3572379759726317, 0.06220527675176622
+        r = integrate_finite(lambda x: 1.0 + A * math.exp(-((x - c) / w) ** 2),
+                             0.0, 1.0, 0.0017315134905111277)
+        exact = 1.0 + A * w * 0.5 * SQRT_PI * (math.erf((1.0 - c) / w) + math.erf(c / w))
+        assert r.evaluations == 110
+        assert abs(r.value - exact) <= r.error_estimate
+
     @pytest.mark.parametrize("tol,evaluations", [(1e-6, 1471), (1e-10, 2893)])
     def test_algebraic_tail_never_stops_early(self, tol, evaluations, monkeypatch):
         # decay rate 0 converges algebraically: even a rule that would stop every
@@ -730,35 +769,26 @@ class TestNodeTables:
     """The per-level node tables grow only as far as the walks go, and
     growth by nested or concurrent walks leaves every row in place."""
 
-    TABLES = (quadrature._EXP_SINH_RIGHT, quadrature._EXP_SINH_LEFT, quadrature._TANH_SINH)
+    TABLES = quadrature._TABLES
 
-    @staticmethod
-    def _level_rows(table):
-        return [[row for chunk in chunks for row in chunk] for chunks in table._levels]
-
-    @pytest.fixture
-    def empty_tables(self, monkeypatch):
-        for table in self.TABLES:
-            monkeypatch.setattr(table, "_levels", [])
-
-    def test_rows_bounded_by_nodes_walked(self, empty_tables):
+    def test_rows_bounded_by_nodes_walked(self, built):
         right, left = self.TABLES[:2]
         r = integrate_semi_infinite(lambda t: (1.0 + t)**-1.5, 0.0, 1e-10)
-        levels = self._level_rows(right)
-        rows = sum(map(len, levels + self._level_rows(left)))
+        levels = _level_rows(built, right)
+        rows = sum(map(len, levels + _level_rows(built, left)))
         # every built row but the last chunk of each level and side was walked
         assert rows <= r.evaluations + 2 * len(levels) * quadrature._CHUNK
         assert rows <= 2 * r.evaluations
         # the right side could run to s = 690: far more rows than were built
-        for level, built in enumerate(levels):
+        for level, level_rows in enumerate(levels):
             h = right.step * 0.5**level
-            assert len(built) < 0.25 * 690.0 / (h if level == 0 else 2.0 * h)
+            assert len(level_rows) < 0.25 * 690.0 / (h if level == 0 else 2.0 * h)
         # the same call again builds nothing
         again = integrate_semi_infinite(lambda t: (1.0 + t)**-1.5, 0.0, 1e-10)
         assert again == r
-        assert sum(map(len, self._level_rows(right) + self._level_rows(left))) == rows
+        assert sum(map(len, _level_rows(built, right) + _level_rows(built, left))) == rows
 
-    def test_nested_integrals_share_a_growing_table(self, empty_tables):
+    def test_nested_integrals_share_a_growing_table(self, built):
         # the inner integral grows the table the outer walk is reading;
         # int_0^inf e^{-t} int_0^inf e^{-s(1+t)} ds dt = e E_1(1)
         def outer(t):
@@ -772,7 +802,7 @@ class TestNodeTables:
             exact = float(mpmath.e * mpmath.e1(1))
         assert cold.value == pytest.approx(exact, rel=1e-10)
 
-    def test_concurrent_growth(self, empty_tables):
+    def test_concurrent_growth(self, built):
         # threads that grow the same levels at once must neither lose nor
         # repeat a chunk: row i of a level sits at k*h, k = 1 + i*dk
         def runs():
@@ -796,6 +826,6 @@ class TestNodeTables:
         assert not any(th.is_alive() for th in threads)
         assert results == [runs()] * len(threads)
         for table in self.TABLES:
-            for level, rows in enumerate(self._level_rows(table)):
+            for level, rows in enumerate(_level_rows(built, table)):
                 h, dk = table.step * 0.5**level, 1 if level == 0 else 2
                 assert [row[0] for row in rows] == [(1 + i * dk) * h for i in range(len(rows))]
