@@ -16,13 +16,14 @@ identity's validity domain is emitted as a skipped record whose note is
 the library's ``DomainError`` message; a route that raises
 ``ConvergenceError`` gives a failed record with the error message as
 its note and the route's partial result as its lhs.
-EQ10, EQ11 and EQ12 run their quadrature at a tenth of the tolerance,
-EQ13A, EQ13B and EQ14 at min(tol, 1e-10), clamped to the engines'
-range [1e-14, 1e-2]; a record whose quadrature tolerance was clamped
-says so in its note.  CSV output writes the notes of skipped, failed
-and noted records to stderr; JSON output writes a number that is nan
-or infinite, such as the sides of a skipped record, as null.  ``eval``
-passes ``--tol`` to its route as given.
+``verify --tol`` must be finite and > 0; any other value is a usage
+error.  EQ10, EQ11 and EQ12 run their quadrature at a tenth of the
+tolerance, EQ13A, EQ13B and EQ14 at min(tol, 1e-10), clamped to the
+engines' range [1e-14, 1e-2]; a record whose quadrature tolerance was
+clamped says so in its note.  CSV output writes the notes of skipped,
+failed and noted records to stderr; JSON output writes a number that is
+nan or infinite, such as the sides of a skipped record, as null.
+``eval`` passes ``--tol`` to its route as given.
 
 The command line is parsed with :mod:`argparse`; a usage error prints the
 command's usage line and the message on stderr and exits with status 2.
@@ -400,6 +401,8 @@ def verify_cmd(args: argparse.Namespace, gridargs: list[str]) -> int:
     '# ID name=value ...: note' line.
     """
     tol = None if args.tol is None else _float_option("tol", args.tol)
+    if tol is not None and not 0.0 < tol < math.inf:
+        raise UsageError(f"Invalid value for '--tol': {args.tol!r} is not a finite number > 0.")
     fmt = args.format
     if fmt not in ("csv", "json"):
         raise UsageError(f"Invalid value for '--format': {fmt!r} is not one of 'csv', 'json'.")

@@ -97,6 +97,8 @@ def xy_from_params(p: LaplaceParams) -> ProductQuery:
             f"a < |b| makes the D arguments complex (a={p.a}, b={p.b}); out of scope"
         )
     disc = math.sqrt((p.a - p.b) * (p.a + p.b))
+    if disc == math.inf:
+        raise DomainError(f"a^2 - b^2 overflows a double (a={p.a}, b={p.b})")
     x = math.sqrt(p.a + disc)
     # a - disc suffers cancellation when b << a; b^2/(a+disc) is exact algebra
     y = p.b / math.sqrt(p.a + disc)

@@ -101,7 +101,6 @@ SKIPPED = [
     ("verify EQ8_EQ9 --lam 1.5 --x 1 --xprime 0", 0, LAST, SKIP1),
     # non-finite input is outside every domain
     ("verify EQ15 --nu 1 --x inf --y 0", 0, LAST, SKIP1),
-    ("verify EQ15 --nu 1 --x 2 --y 1 --tol nan", 0, LAST, SKIP1),
     ("verify EQ8_EQ9 --lam 0 --x inf --xprime 0", 0, LAST, SKIP1),
     # a Laplace integral past a double overflows its integrand
     ("verify EQ11 --nu 1 --a 1500 --b 1499", 0, LAST, SKIP1),
@@ -177,6 +176,16 @@ GRID_SPECS = [
     ("verify EQ13A --alpha 0.5:2:1 --phi 800", 0, ERROR, "# EQ13A alpha=0.5 phi=800.0: phi must"),
 ]
 
+# verify's tolerance must be finite and > 0, checked before any record runs: a nan
+# tol skipped every point, inf passed every one, and 0 or -1 skipped them
+VERIFY_TOL = [
+    ("verify EQ15 --nu 1 --x 2 --y 1 --tol nan", 2, ERROR,
+     "pcfprod verify: error: Invalid value for '--tol': 'nan' is not a finite number > 0."),
+    ("verify all --tol inf", 2, ERROR, "pcfprod verify: error: Invalid value for '--tol': 'inf'"),
+    ("verify all --tol 0", 2, ERROR, "pcfprod verify: error: Invalid value for '--tol': '0' is"),
+    ("verify all --tol -1", 2, ERROR, "pcfprod verify: error: Invalid value for '--tol': '-1'"),
+]
+
 # an option given twice is a usage error, as a trailing parameter given twice is:
 # the last value used to win
 REPEATED_OPTIONS = [
@@ -214,6 +223,8 @@ MORE = [
     # JSON output is strict RFC 8259 JSON: a skipped record's numbers are null
     ("verify EQ10 --nu 1 --x 1 --y 2 --format json", 0, ABSENT, "NaN"),
     ("verify EQ10 --nu 1 --x 1 --y 2 --format json", 0, ABSENT, "Infinity"),
+    # every default grid passes at 1e-12
+    ("verify all --tol 1e-12", 0, LAST, "# summary: pass=136 fail=0 skip=0"),
     # a tolerance below the quadrature range is clamped, not skipped
     ("verify EQ13A --alpha 1 --phi 1 --tol 1e-16", 1, LAST, "# summary: pass=0 fail=1 skip=0"),
     # no cancelling terms in the integrand's exponent: large y, a large order, x = y
@@ -256,8 +267,8 @@ MORE = [
 
 CASES = [*NON_FINITE, *EXTREME_INPUT, *HERMITE_DEGREE_CAP, *HERMITE_DEGREE_NOT_INTEGER,
          *BESIDE_AN_EIGENVALUE, *SKIPPED, *EQ14_EXTREMES, *LAPLACE_RIGHT_SIDE_PAST_A_DOUBLE,
-         *PAST_THE_OLD_LIMITS, *LAPLACE_TO_A_1E30, *FORMER_WALLS, *GRID_SPECS, *REPEATED_OPTIONS,
-         *MORE]
+         *PAST_THE_OLD_LIMITS, *LAPLACE_TO_A_1E30, *FORMER_WALLS, *GRID_SPECS, *VERIFY_TOL,
+         *REPEATED_OPTIONS, *MORE]
 
 
 def row_id(row) -> str:

@@ -25,9 +25,9 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "pcfprod"
 # (module, line number, the line stripped, why no test runs it); a line that moves
 # is reported until its number here follows it
 UNRUN = [
-    ("cli.py", 512, "sys.exit(code)",
+    ("cli.py", 515, "sys.exit(code)",
      "the console script's exit; tests call main(standalone_mode=False) in process"),
-    ("cli.py", 517, "main()",
+    ("cli.py", 520, "main()",
      "python -m pcfprod.cli; `python tests/cli_cases.py python -m pcfprod.cli` runs it"),
     ("hermsum.py", 94, "import numpy as np", "under TYPE_CHECKING: for type checkers only"),
 ]

@@ -394,6 +394,7 @@ class TestVerify:
         cli_cases.LAPLACE_TO_A_1E30, ids=lambda row: row[0].split()[-1])
     test_former_walls_pass = table_test(cli_cases.FORMER_WALLS)
     test_grid_specs_expand = table_test(cli_cases.GRID_SPECS)
+    test_tol_must_be_finite_and_positive = table_test(cli_cases.VERIFY_TOL)
 
     def test_a_grid_point_is_its_own_point(self, run_cli, monkeypatch):
         # the Hermite product arrays kept between calls change no record: each

@@ -1,7 +1,6 @@
 """Product representation, Laplace forms, and the (x, y) <-> (a, b) maps."""
 
 import math
-import random
 import re
 
 import mpmath
@@ -10,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mpmath_refs
 from pcfprod import quadrature
 from pcfprod import (
     ConvergenceError,
@@ -95,6 +95,13 @@ class TestParameterMaps:
         with pytest.raises(DomainError):
             LaplaceParams(-1.0, 2.0, 1.0)
 
+    @pytest.mark.parametrize("a,b", [(1e200, 1.0), (1.7e308, 1e308)])
+    def test_overflowing_discriminant_names_a_and_b(self, a, b):
+        # (a - b)(a + b) past a double made x = inf and y = 0.0, and the
+        # message named those rather than the a and b given
+        with pytest.raises(DomainError, match=re.escape(f"overflows a double (a={a}, b={b})")):
+            xy_from_params(LaplaceParams(1.0, a, b))
+
 
 class TestProductReference:
     def test_frozen_values(self):
@@ -164,7 +171,7 @@ class TestProductViaIntegral:
     def test_equal_arguments(self, nu, x):
         # the paper's excluded boundary x = y: a t^{-3/2} tail, walked with decay rate 0
         r = product_via_integral(ProductQuery(nu, x, x), 1e-10)
-        exact = float(_mp_product(nu, x, -x))
+        exact = float(mpmath_refs.product(nu, x, -x))
         assert abs(r.value - exact) <= 1e-10 * abs(exact)
 
     @pytest.mark.parametrize("x,y", [(1e155, 0.5), (1e300, 1e-300)])
@@ -243,25 +250,8 @@ class TestLaplaceForms:
         # the integral's mass sits near t = 1/a: with the scale clamped at decay
         # rate 1e4, a = 1e17 raised a ConvergenceError after 49,304 evaluations
         r = laplace_I(LaplaceParams(1.0, a, 10.0), 1, 1e-10)
-        exact = _mp_laplace(1.0, a, 10.0, 1, dps=50)  # pcfd is off by 8% at 30 digits
+        exact = mpmath_refs.laplace(1.0, a, 10.0, 1, dps=50)  # pcfd is off by 8% at 30 digits
         assert abs(r.value - exact) <= 1e-10 * exact and r.evaluations < 200, (r, exact)
-
-
-def _mp_product(nu, x, y, dps=30):
-    """D_{-nu}(x) D_{-nu}(y) by ``dps``-digit mpmath, at the doubles given."""
-    with mpmath.workdps(dps):
-        return mpmath.pcfd(-nu, x) * mpmath.pcfd(-nu, y)
-
-
-def _mp_laplace(nu, a, b, sign, dps=30):
-    """The Laplace form at the doubles a and b, as 2 e^{a/2} Gamma(nu) D D, by
-    ``dps``-digit mpmath."""
-    with mpmath.workdps(dps):
-        a, b = mpmath.mpf(a), mpmath.mpf(b)
-        root = mpmath.sqrt((a - b) * (a + b))
-        x, y = mpmath.sqrt(a + root), b / mpmath.sqrt(a + root)
-        return (2 * mpmath.exp(a / 2) * mpmath.gamma(nu)
-                * mpmath.pcfd(-nu, x) * mpmath.pcfd(-nu, -sign * y))
 
 
 class TestIntegralAgainstMpmath:
@@ -275,19 +265,10 @@ class TestIntegralAgainstMpmath:
     ln(2 Gamma(20)) = 40 for the product and b/2 = 27 for the plus form:
     rounded to half an ulp of a number below 64, it alone moves the value
     by up to 16 eps (15.5 was seen, at nu = 19.4); Gamma and the nodes add
-    a few more."""
+    a few more.  The points and their references are those of
+    ``mpmath_refs``, seeds 101-103."""
 
-    POINTS = 300
     ALLOWANCE = 32 * 2.0**-52
-
-    @staticmethod
-    def _points(seed):
-        rng = random.Random(seed)
-        for _ in range(TestIntegralAgainstMpmath.POINTS):
-            nu = 0.1 * 200.0 ** rng.random()
-            y = rng.uniform(0.05, 6.0)
-            gap = 0.0 if rng.random() < 0.2 else 1e-3 * 3000.0 ** rng.random()
-            yield nu, y + gap, y, 10.0 ** rng.uniform(-14.0, -8.0)
 
     @staticmethod
     def _check(r, exact, tol):
@@ -297,17 +278,16 @@ class TestIntegralAgainstMpmath:
         assert err <= r.error_estimate + TestIntegralAgainstMpmath.ALLOWANCE * abs(exact)
 
     def test_product(self):
-        for nu, x, y, tol in self._points(101):
+        for (nu, x, y, tol), exact in mpmath_refs.points("glasser_product"):
             q = ProductQuery(nu, x, y)
             r = product_via_integral(q, tol)
-            self._check(r, _mp_product(nu, x, -y), tol)
+            self._check(r, exact, tol)
 
     @pytest.mark.parametrize("sign,seed", [(1, 102), (-1, 103)])
     def test_laplace(self, sign, seed):
         # x = y is a = b: the plus form's decay rate 0, the minus form's b = a
-        for nu, x, y, tol in self._points(seed):
-            p = params_from_xy(ProductQuery(nu, x, y))
-            self._check(laplace_I(p, sign, tol), _mp_laplace(nu, p.a, p.b, sign), tol)
+        for (nu, a, b, tol), exact in mpmath_refs.points(f"glasser_laplace_{seed}"):
+            self._check(laplace_I(LaplaceParams(nu, a, b), sign, tol), exact, tol)
 
 
 class TestNearTheDiagonal:
@@ -321,29 +301,18 @@ class TestNearTheDiagonal:
     form, at a = b where x = y.  Every value lies within tol and within its
     estimate plus the rounding allowance of :class:`TestIntegralAgainstMpmath`,
     which the exponent's constant ln(2 Gamma(nu)) needs: over 600 points
-    each the largest excess was 20.9 eps, at nu = 18.75."""
-
-    POINTS = 100
-
-    @staticmethod
-    def _points(seed):
-        rng = random.Random(seed)
-        for _ in range(TestNearTheDiagonal.POINTS):
-            nu = 0.1 * 200.0 ** rng.random()
-            y = rng.uniform(0.05, 6.0)
-            gap = 0.0 if rng.random() < 0.2 else 0.05 * 1e-4 ** rng.random()
-            yield nu, y + gap, y, 10.0 ** rng.uniform(-12.0, -8.0)
+    each the largest excess was 20.9 eps, at nu = 18.75.  The points and
+    their references are those of ``mpmath_refs``, seeds 111 and 112."""
 
     def test_product(self):
-        for nu, x, y, tol in self._points(111):
+        for (nu, x, y, tol), exact in mpmath_refs.points("near_diagonal_product"):
             r = product_via_integral(ProductQuery(nu, x, y), tol)
-            TestIntegralAgainstMpmath._check(r, _mp_product(nu, x, -y, dps=40), tol)
+            TestIntegralAgainstMpmath._check(r, exact, tol)
 
     def test_laplace_plus(self):
-        for nu, x, y, tol in self._points(112):
-            p = params_from_xy(ProductQuery(nu, x, y))
-            r = laplace_I(p, 1, tol)
-            TestIntegralAgainstMpmath._check(r, _mp_laplace(nu, p.a, p.b, 1, dps=40), tol)
+        for (nu, a, b, tol), exact in mpmath_refs.points("near_diagonal_laplace_plus"):
+            r = laplace_I(LaplaceParams(nu, a, b), 1, tol)
+            TestIntegralAgainstMpmath._check(r, exact, tol)
 
     @pytest.mark.parametrize("gap", [0.0, 0.01, 0.1, 1.0, 3.0])
     def test_small_order_returns_a_value(self, gap):
@@ -375,27 +344,22 @@ class TestEdgesOfTheIntegral:
         r = product_via_integral(q, 0.1 * tol)
         ref = product_reference(q)
         assert abs(r.value - ref) <= tol * abs(ref)
-        exact = float(_mp_product(nu, x, -y))
+        exact = float(mpmath_refs.product(nu, x, -y))
         assert abs(r.value - exact) <= 0.1 * tol * abs(exact)
 
     def test_large_order_laplace(self):
         # (t/(1+t))^{335} (1+t)^{-3/2} where t^{335} overflowed
         p = LaplaceParams(672.0, 1.04, 0.0387)
         r = laplace_I(p, 1)
-        exact = float(_mp_laplace(672.0, 1.04, 0.0387, 1))
+        exact = float(mpmath_refs.laplace(672.0, 1.04, 0.0387, 1))
         assert math.isfinite(r.value)
         assert abs(r.value - exact) <= 1e-13 * abs(exact)
 
     def test_minus_form_at_large_b(self):
         # -a t - b sqrt(t(t+1)) as -decay t - b t/(t + sqrt(t(t+1))): written as
         # -b/2 - decay t + b/4/(t + 1/2 + ...), it lost up to ulp(b/2) near t = 0
-        rng = random.Random(104)
-        for _ in range(40):
-            nu, y = 0.1 * 200.0 ** rng.random(), rng.uniform(10.0, 37.0)
-            p = params_from_xy(ProductQuery(nu, y + 1e-3 * 3000.0 ** rng.random(), y))
-            tol = 10.0 ** rng.uniform(-14.0, -8.0)
-            r = laplace_I(p, -1, tol)
-            exact = float(_mp_laplace(nu, p.a, p.b, -1))
+        for (nu, a, b, tol), exact in mpmath_refs.points("laplace_minus_large_b"):
+            r = laplace_I(LaplaceParams(nu, a, b), -1, tol)
             assert abs(r.value - exact) <= tol * abs(exact)
             assert abs(r.value - exact) <= (r.error_estimate
                                             + TestIntegralAgainstMpmath.ALLOWANCE * abs(exact))
@@ -416,4 +380,4 @@ class TestEdgesOfTheIntegral:
         r = product_via_integral(q, 1e-10)
         assert quadrature._chunk.cache_info().currsize * quadrature._CHUNK < 10_000
         assert r.evaluations <= 800
-        assert r.value == pytest.approx(float(_mp_product(1.0, 2.0, -2.0)), rel=1e-10)
+        assert r.value == pytest.approx(float(mpmath_refs.product(1.0, 2.0, -2.0)), rel=1e-10)

@@ -1,15 +1,14 @@
 """Oscillator Green function: spectral sum, closed form, ODE construction."""
 
 import math
-import random
 import re
 import statistics
 import sys
 
 import mpmath as mp
-import numpy as np
 import pytest
 
+import mpmath_refs
 from pcfprod import (
     ConvergenceError,
     DomainError,
@@ -59,59 +58,6 @@ BESIDE_EIGENVALUES = [_beside(2 * n + 1, d) for n in range(1, 6) for d in (-0.15
 BESIDE_EIGENVALUES_XS = ((1.0, 0.0), (2.0, 0.3), (0.0, -3.0))
 
 
-def _closed_mp(lam, x, xp):
-    """Titchmarsh closed form at mpmath's working precision, x >= x'."""
-    nu = (lam - 1) / 2
-    rt2 = mp.sqrt(2)
-    return (mp.gamma((1 - lam) / 2) / (2 * mp.sqrt(mp.pi))
-            * mp.pcfd(nu, x * rt2) * mp.pcfd(nu, -xp * rt2))
-
-
-def green_closed_mp(lam, x, xp, dps=30):
-    """Titchmarsh closed form at ``dps`` digits, x >= x'."""
-    with mp.workdps(dps):
-        return _closed_mp(mp.mpf(lam), mp.mpf(x), mp.mpf(xp))
-
-
-def green_and_condition_mp(lam, x, xp):
-    """G at 30 digits, x >= x', and its condition number: the sum over
-    v = lambda, x, x' of |v d(log G)/dv|.  Rounding the inputs alone moves
-    G by about eps times it, whatever computes G."""
-    with mp.workdps(30):
-        lam, x, xp = mp.mpf(lam), mp.mpf(x), mp.mpf(xp)
-        g = _closed_mp(lam, x, xp)
-        nu = (lam - 1) / 2
-        # z d(log D_nu(z))/dz = z^2/2 - z D_{nu+1}(z)/D_nu(z), at z = x sqrt2 and -x' sqrt2
-        kappa = sum(abs(z * z / 2 - z * mp.pcfd(nu + 1, z) / mp.pcfd(nu, z))
-                    for z in (x * mp.sqrt(2), -xp * mp.sqrt(2)))
-        h = mp.mpf(1e-10)
-        kappa += abs(lam * (_closed_mp(lam + h, x, xp) - _closed_mp(lam - h, x, xp)) / (2 * h * g))
-        return float(g), float(kappa)
-
-
-def oracle_sweep():
-    """Seeded points of the oracle's domain, each with its 30-digit G and
-    condition number: 50 with -10 < lambda < 1 and 50 with 1 < lambda < 64,
-    lambda at least 0.1 from an eigenvalue, |x|, |x'| <= 6 and x >= x'.  A
-    point whose condition number exceeds 500 is drawn again: it lies next to
-    a zero of G (lambda > 1), where no double-precision route is accurate to
-    3e-13 relative."""
-    rng = random.Random(2015)
-    points = []
-    for lo, hi in ((-10.0, 1.0), (1.0, 64.0)):
-        kept = 0
-        while kept < 50:
-            lam = rng.uniform(lo, hi)
-            x, xp = sorted((rng.uniform(-6.0, 6.0), rng.uniform(-6.0, 6.0)), reverse=True)
-            if green._eigen_distance(lam) < 0.1:
-                continue
-            ref, kappa = green_and_condition_mp(lam, x, xp)
-            if kappa <= 500.0:
-                points.append((lam, x, xp, ref, kappa))
-                kept += 1
-    return points
-
-
 class TestEigenfunction:
     def test_ground_state_at_origin(self):
         assert eigenfunction(0, 0.0) == pytest.approx(math.pi**-0.25, rel=1e-14)
@@ -142,15 +88,14 @@ class TestEigenfunction:
         with pytest.raises(DomainError):
             eigenfunction(-1, 0.0)
 
-    @pytest.mark.parametrize("n", [100, 1000, 2985, 10000])
+    @pytest.mark.parametrize("n", mpmath_refs.EIGENFUNCTION_DEGREES)
     def test_large_degree_matches_mpmath(self, n):
         # e^{-x^2/2} is applied to h_n's binary exponent: y_2985(40) is
         # -0.0122842067, where e^{-800} underflows and h_2985(40) overflows
-        for x in [*(float(x) for x in np.linspace(-45.0, 45.0, 37)), 40.0]:
-            with mp.workdps(40):
-                exact = (mp.pi ** -0.25 * mp.exp(-mp.mpf(x) ** 2 / 2) * mp.hermite(n, x)
-                         / mp.sqrt(mp.mpf(2) ** n * mp.factorial(n)))
-            err = abs(eigenfunction(n, x) - float(exact))
+        for (m, x), exact in mpmath_refs.points("eigenfunction"):
+            if m != n:
+                continue
+            err = abs(eigenfunction(n, x) - exact)
             assert err <= 8 * 2.0**-52 * (1.0 + abs(x)), (n, x, err)
         assert eigenfunction(2985, 40.0) == pytest.approx(-0.0122842067022129, rel=1e-13)
 
@@ -184,7 +129,7 @@ class TestShooter:
     @pytest.mark.parametrize("lam,x,xp", BATTERY + ORACLE_EDGES)
     def test_against_30_digit_closed_form(self, lam, x, xp):
         ode = green_ode_oracle(GreenQuery(lam, x, xp))
-        ref = green_closed_mp(lam, x, xp)
+        ref = mpmath_refs.green_closed(lam, x, xp)
         assert abs((ode - ref) / ref) < 1e-10
 
     @pytest.mark.parametrize("lam,t0,t1,y,yp", [
@@ -208,7 +153,7 @@ class TestShooter:
         # from L = 8 the error at x = 1, x' = 0 was 8e-7 at lambda = 40.5 and 4e-2 at 60.5
         for x, xp in NEAR_LIMIT_XS:
             ode = green_ode_oracle(GreenQuery(lam, x, xp))
-            ref = green_closed_mp(lam, x, xp)
+            ref = mpmath_refs.green_closed(lam, x, xp)
             assert abs((ode - ref) / ref) < 1e-10, (lam, x, xp)
 
     @pytest.mark.parametrize("lam", BESIDE_EIGENVALUES)
@@ -216,7 +161,7 @@ class TestShooter:
         # W = -2 u(0) u'(0) is a product, so a small factor costs it no digits
         for x, xp in BESIDE_EIGENVALUES_XS:
             ode = green_ode_oracle(GreenQuery(lam, x, xp))
-            ref = green_closed_mp(lam, x, xp)
+            ref = mpmath_refs.green_closed(lam, x, xp)
             assert abs((ode - ref) / ref) < 1e-10, (lam, x, xp)
 
     def test_error_over_a_seeded_sweep(self):
@@ -224,7 +169,7 @@ class TestShooter:
         # 6.9e-14 with one mirrored shoot (8.0e-14 shooting from both ends).
         # In units of eps times the condition number the lambda > 1 half errs
         # by 0.18 on average (0.19 from both ends, 0.23 at Taylor order 24)
-        sweep = oracle_sweep()
+        sweep = [(*p, ref, kappa) for p, (ref, kappa) in mpmath_refs.points("green_oracle")]
         errors = [abs(green_ode_oracle(GreenQuery(lam, x, xp)) / ref - 1.0)
                   for lam, x, xp, ref, _ in sweep]
         worst = max(zip(errors, sweep))
@@ -344,7 +289,7 @@ class TestGuards:
         assert calls == [partial.terms_used]
         assert partial.terms_used <= 2 ** 19
         # the partial sum is in Green-function units, within its bound
-        assert abs(partial.value - float(green_closed_mp(0.0, 1.0, 1.0))) <= partial.tail_bound
+        assert abs(partial.value - float(mpmath_refs.green_closed(0.0, 1.0, 1.0))) <= partial.tail_bound
 
     @pytest.mark.parametrize("lam,x,xprime", [(math.nan, 1.0, 0.0), (0.0, math.inf, 0.0),
                                               (0.0, 1.0, math.nan)])
@@ -361,16 +306,10 @@ class TestGuards:
     def test_spectral_sum_beside_an_eigenvalue(self):
         # within 1e-14 to 1e-7 of lambda = 1, 3, 5, on either side: the pole's
         # term dominates and the sum meets its tol against 40-digit mpmath
-        rng = np.random.default_rng(35)
         tol = 1e-8
-        for lam0 in (1.0, 3.0, 5.0):
-            for _ in range(20):
-                lam = lam0 + rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(-14, -7)
-                xp = rng.uniform(-2.0, 1.5)
-                x = xp + rng.uniform(0.3, 2.5)
-                got = green_spectral(GreenQuery(lam, x, xp), tol).value
-                exact = green_closed_mp(lam, x, xp, dps=40)
-                assert abs(got - exact) <= tol * abs(exact), (lam, x, xp)
+        for (lam, x, xp), exact in mpmath_refs.points("green_beside_eigenvalue"):
+            got = green_spectral(GreenQuery(lam, x, xp), tol).value
+            assert abs(got - exact) <= tol * abs(exact), (lam, x, xp)
 
     def test_ode_guards(self):
         with pytest.raises(DomainError):

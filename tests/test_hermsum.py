@@ -10,6 +10,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import mpmath_refs
 from pcfprod import hermsum
 from pcfprod.errors import ConvergenceError, DomainError
 from pcfprod.green import GreenQuery, green_spectral
@@ -17,18 +18,12 @@ from pcfprod.hermsum import SeriesResult, bilinear_hermite_sum, scaled_hermite_p
 from pcfprod.mehler import (MehlerPoint, SumRuleQuery, mehler_kernel_series, series_for_I,
                             sum_rule_lhs)
 
-POINTS = [(1.3, 0.4), (5.0, -4.9), (0.01, 3.0)]
-ORACLE_N = [3, 57, 700, 5000, 65537, 300001, 524287]
-
-
-def scaled_hermite(n, x):
-    """h_n(x) = H_n(x)/sqrt(2^n n!) at 40 digits."""
-    with mp.workdps(40):
-        return mp.hermite(n, x) / mp.sqrt(mp.mpf(2) ** n * mp.factorial(n))
+POINTS = mpmath_refs.HERMITE_PAIRS
+ORACLE_N = list(mpmath_refs.HERMITE_DEGREES)
 
 
 def oracle_products(X, Y, ns):
-    return np.array([float(scaled_hermite(n, X) * scaled_hermite(n, Y)) for n in ns])
+    return np.array([float(mpmath_refs.hermite_product(n, X, Y)) for n in ns])
 
 
 def sequential_products(X, Y, count):
@@ -69,15 +64,16 @@ def test_scalar_degree_is_capped():
         hermsum.scaled_hermite(2 ** 19 + 1, 0.3)
 
 
-@pytest.mark.parametrize("n", [100, 1000, 2985, 10000])
+@pytest.mark.parametrize("n", mpmath_refs.SCALED_HERMITE_DEGREES)
 def test_scalar_mantissa_and_exponent_match_mpmath(n):
     # past 2^600 the pair is scaled down and the exponent kept: h_2985(40) is
     # about 2^1149, and the error stays within a few eps of Cramer's scale
-    for x in np.linspace(-45.0, 45.0, 19):
-        frac, expo = hermsum.scaled_hermite_frexp(n, float(x))
+    for (m, x), exact in mpmath_refs.points("scaled_hermite", exact=True):
+        if m != n:
+            continue
+        frac, expo = hermsum.scaled_hermite_frexp(n, x)
         assert frac == 0.0 or 0.5 <= abs(frac) < 1.0
         with mp.workdps(40):
-            exact = scaled_hermite(n, float(x))
             err = abs(mp.ldexp(frac, expo) - exact) / mp.exp(mp.mpf(x) ** 2 / 2)
         assert err <= 8 * 2.0**-52 * (1.0 + abs(x)), (n, x)
 
@@ -101,7 +97,8 @@ def test_scalar_pair_is_scaled_only_past_its_limit():
 def test_products_match_mpmath(X, Y):
     prods = scaled_hermite_products(X, Y, ORACLE_N[-1] + 1)
     scale = np.max(np.abs(prods))
-    err = np.abs(prods[ORACLE_N] - oracle_products(X, Y, ORACLE_N))
+    oracle = [ref for (pair, _), ref in mpmath_refs.points("hermite_products") if pair == (X, Y)]
+    err = np.abs(prods[ORACLE_N] - oracle)
     assert np.all(err <= 1e-13 * scale)
 
 
@@ -276,38 +273,13 @@ def test_convergence_error_lists_every_candidate_weight(monkeypatch):
     assert partial.tail_bound >= tails[-1] > tol * abs(partial.value)
 
 
-def sum_rule_oracle(X, Y, s):
-    """B(X, Y, s) for X > Y through the sum rule, at 30 digits:
-    e^{(X^2+Y^2)/2} Gamma(s) D_{-s}(sqrt2 X) D_{-s}(-sqrt2 Y)."""
-    with mp.workdps(30):
-        X, Y, rt2 = mp.mpf(X), mp.mpf(Y), mp.sqrt(2)
-        return float(mp.exp((X * X + Y * Y) / 2) * mp.gamma(s)
-                     * mp.pcfd(-s, rt2 * X) * mp.pcfd(-s, -rt2 * Y))
-
-
-def sweep_points(count, seed, low=False):
-    """X - Y log-uniform in [0.05, 4], Y uniform in [-1.5, 1.5], s
-    log-uniform in [0.25, 20], tol log-uniform in [1e-10, 1e-6].  With
-    ``low``, tol is log-uniform in [1e-15, 1e-10] and every other s is
-    uniform in (-6, 0), between the poles."""
-    rng = np.random.default_rng(seed)
-    tols = [1e-15, 1e-10] if low else [1e-10, 1e-6]
-    for i in range(count):
-        d, s, tol = np.exp(rng.uniform(np.log([0.05, 0.25, tols[0]]), np.log([4.0, 20.0, tols[1]])))
-        y = rng.uniform(-1.5, 1.5)
-        if low and i % 2:
-            s = rng.uniform(-6.0, 0.0)
-        yield float(y + d), float(y), float(s), float(tol)
-
-
 # float(reference) may sit half an ulp from the 30-digit value
 ROUNDING_ALLOWANCE = 2 * np.finfo(float).eps
 
 
-def check_sweep(points, most_raised):
+def check_sweep(sweep, most_raised):
     raised = 0
-    for X, Y, s, tol in points:
-        ref = sum_rule_oracle(X, Y, s)
+    for (X, Y, s, tol), ref in mpmath_refs.points(sweep):
         try:
             r = bilinear_hermite_sum(X, Y, s, tol)
         except ConvergenceError as exc:
@@ -324,21 +296,21 @@ def check_sweep(points, most_raised):
 
 
 def test_tail_bound_holds_against_mpmath_sweep():
-    check_sweep(sweep_points(80, 2026), 4)
+    check_sweep("sum_rule", 4)
 
 
 def test_tail_bound_holds_at_low_tol_and_negative_shift():
     # 51 of the 120 raise; a larger sweep of this kind, 1,400 points at tol
     # in [1e-15, 1e-10] and 900 at s in (-6, 0), found no error above the
     # bound either
-    check_sweep(sweep_points(120, 2027, low=True), 80)
+    check_sweep("sum_rule_low_tol", 80)
 
 
 @pytest.mark.parametrize("s", [-0.5, -1.3, -2.5, -3.9995])
 def test_negative_shift_against_mpmath(s):
     # the sum rule continues analytically to s < 0 between the poles
     for X, Y, tol in ((1.0, 0.2, 1e-8), (0.9, -0.6, 1e-10), (2.0, 1.5, 1e-9)):
-        ref = sum_rule_oracle(X, Y, s)
+        ref = float(mpmath_refs.sum_rule(X, Y, s))
         r = bilinear_hermite_sum(X, Y, s, tol)
         assert abs(r.value - ref) <= tol * abs(ref)
         assert abs(r.value - ref) <= r.tail_bound + ROUNDING_ALLOWANCE * abs(ref)
@@ -488,7 +460,7 @@ class TestOverflowIsAnError:
         # a count at the bottom of its range still returns the sum to tol
         s, tol = 1e-6, 1e-3
         r = bilinear_hermite_sum(0.5, 0.1, s, tol)
-        ref = sum_rule_oracle(0.5, 0.1, s)
+        ref = float(mpmath_refs.sum_rule(0.5, 0.1, s))
         assert r.terms_used == 1
         assert abs(r.value - ref) <= min(tol * abs(ref), r.tail_bound)
 

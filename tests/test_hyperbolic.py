@@ -7,6 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import mpmath_refs
 from pcfprod import (
     DomainError,
     HyperbolicQuery,
@@ -30,32 +31,13 @@ ALPHA_GRID = np.geomspace(0.3, 4.0, 5)
 PHI_GRID = np.geomspace(0.1, 3.0, 5)
 
 
-# mpmath values of the three closed forms, at 40 digits plus those that
-# e^{alpha^2 cosh(phi)} against the erfc and, in 13b, the bracket cancel
-def _digits(alpha, phi):
-    return 40 + int(math.log10(1.0 + alpha * alpha * math.cosh(phi)) + phi / 2.3)
+LEFT_SIDES = {"13a": lhs_13a, "13b": lhs_13b, "14": lhs_14}
 
 
-def _mp_13a(alpha, phi):
-    with mp.workdps(_digits(alpha, phi)):
-        al, ph = mp.mpf(alpha), mp.mpf(phi)
-        return float(mp.pi / 2 * mp.exp(al**2 * mp.cosh(ph))
-                     * mp.erfc(al * mp.sinh(ph / 2)) * mp.erfc(al * mp.cosh(ph / 2)))
-
-
-def _mp_13b(alpha, phi):
-    with mp.workdps(_digits(alpha, phi)):
-        al, ph = mp.mpf(alpha), mp.mpf(phi)
-        ch, sh = mp.cosh(ph / 2), mp.sinh(ph / 2)
-        return float(mp.sqrt(mp.pi) / (2 * al) * (mp.exp(al**2 * ch**2) * ch * mp.erfc(al * ch)
-                                                  - mp.exp(al**2 * sh**2) * sh * mp.erfc(al * sh)))
-
-
-def _mp_14(a, phi):
-    with mp.workdps(40):
-        a, ph = mp.mpf(a), mp.mpf(phi)
-        return float(mp.sqrt(a * mp.sinh(ph) / mp.pi) * mp.besselk(0.25, a * mp.cosh(ph / 2)**2)
-                     * mp.besselk(0.25, a * mp.sinh(ph / 2)**2))
+def closed_form(lhs, x, phi):
+    """The mpmath closed form of left side ``lhs``'s identity, as a double."""
+    form = next(form for form, fn in LEFT_SIDES.items() if fn is lhs)
+    return float(mpmath_refs.CLOSED_FORMS[form](x, phi))
 
 
 class TestErfcIdentities:
@@ -167,7 +149,7 @@ class TestKIdentity:
             for phi in (0.04, 1e-3, 1e-6, 1e-8):
                 rec = k_identity_14(HyperbolicQuery(a=a, phi=phi), 1e-9)
                 assert rec.passed, (a, phi, rec.rel_err)
-                exact = _mp_14(a, phi)
+                exact = closed_form(lhs_14, a, phi)
                 assert abs(rec.lhs - exact) <= 1e-9 * exact, (a, phi)
                 assert abs(rec.rhs - exact) <= 1e-9 * exact, (a, phi)
 
@@ -238,16 +220,14 @@ class TestLeftSides:
                   lhs_13b(HyperbolicQuery(alpha=1e100, phi=700.0))):
             assert (r.value, r.error_estimate) == (0.0, 0.0)
 
-    @pytest.mark.parametrize("lhs,exact", [(lhs_13a, "_mp_13a"), (lhs_13b, "_mp_13b"),
-                                           (lhs_14, "_mp_14")])
-    def test_left_sides_match_mpmath(self, lhs, exact):
+    @pytest.mark.parametrize("lhs", [lhs_13a, lhs_13b, lhs_14])
+    def test_left_sides_match_mpmath(self, lhs):
         # a log grid over alpha or a in [1e-3, 20] and phi in [1e-8, 20]
-        exact = globals()[exact]
         for x in np.geomspace(1e-3, 20.0, 7):
             for phi in np.geomspace(1e-8, 20.0, 8):
                 q = HyperbolicQuery(alpha=x, a=x, phi=phi)
                 r = lhs(q, 1e-10)
-                ref = exact(x, phi)
+                ref = closed_form(lhs, x, phi)
                 assert abs(r.value - ref) <= 1e-10 * ref, (x, phi, r.value, ref)
 
     def test_finite_where_the_closed_form_overflows(self):
@@ -263,8 +243,6 @@ class TestLeftSidesAgainstMpmath:
     """The three theta quadratures within the caller's tol of 40-digit
     mpmath, at named points and over a seeded log-uniform sweep."""
 
-    EXACT = {lhs_13a: _mp_13a, lhs_13b: _mp_13b, lhs_14: _mp_14}
-
     @pytest.mark.parametrize("lhs,x,phi,tol", [
         # 2.4, 1.1, 9.2 and 2.6 tol off with the panel to an exponent of 785,
         # where the walk stopped on a prediction its levels had not earned
@@ -278,7 +256,7 @@ class TestLeftSidesAgainstMpmath:
     ], ids=lambda v: getattr(v, "__name__", v))
     def test_named_points(self, lhs, x, phi, tol):
         r = lhs(HyperbolicQuery(alpha=x, a=x, phi=phi), tol)
-        exact = self.EXACT[lhs](x, phi)
+        exact = closed_form(lhs, x, phi)
         assert abs(r.value - exact) <= tol * exact, (r, exact)
 
     @pytest.mark.parametrize("lhs,x,phi", [
@@ -299,7 +277,7 @@ class TestLeftSidesAgainstMpmath:
         r = lhs(q, 1e-10)
         exponent = x * math.cosh(phi) * (1.0 if lhs is lhs_14 else x)
         # alpha = 1e150 at phi = 700: each side is below 1e-300
-        exact = 0.0 if exponent == math.inf else self.EXACT[lhs](x, phi)
+        exact = 0.0 if exponent == math.inf else closed_form(lhs, x, phi)
         if exact < 1e-290:
             assert abs(r.value - exact) <= 1e-300, (r, exact)
         else:
@@ -312,19 +290,13 @@ class TestLeftSidesAgainstMpmath:
         # subnormal there.  tol stops at 1e-12: below 1e-13 the rounding of an
         # exponent near 700, about 700 eps, exceeds tol where the change between
         # two levels, which share it, cannot see it (ROADMAP, "Error estimates that
-        # bound the error from both sides")
-        rng = random.Random(seed)
-
-        def log_uniform(lo, hi):
-            return math.exp(rng.uniform(math.log(lo), math.log(hi)))
-
+        # bound the error from both sides").  The 1,500 points of each seed and
+        # their references are those of mpmath_refs
         checked = 0
-        for _ in range(1500):
-            lhs = rng.choice((lhs_13a, lhs_13b, lhs_14))
-            x, phi, tol = log_uniform(1e-4, 30.0), log_uniform(1e-4, 50.0), log_uniform(1e-12, 1e-6)
-            exact = self.EXACT[lhs](x, phi)
+        for (form, x, phi, tol), exact in mpmath_refs.points(f"hyperbolic_left_sides_{seed}"):
             if exact < 1e-290:
                 continue
+            lhs = LEFT_SIDES[form]
             r = lhs(HyperbolicQuery(alpha=x, a=x, phi=phi), tol)
             assert abs(r.value - exact) <= tol * exact, (lhs.__name__, x, phi, tol, r, exact)
             checked += 1
@@ -375,5 +347,5 @@ class TestQueryValidation:
         if alpha == 1e200:
             assert rec.lhs == rec.rhs == 0.0
         else:
-            ref = (_mp_13a if fn is erfc_identity_13a else _mp_13b)(alpha, 3.0)
+            ref = closed_form(lhs_13a if fn is erfc_identity_13a else lhs_13b, alpha, 3.0)
             assert abs(rec.rhs - ref) <= 1e-11 * ref, (rec.rhs, ref)

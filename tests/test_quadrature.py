@@ -11,6 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import mpmath_refs
 from pcfprod import (
     ConvergenceError,
     DomainError,
@@ -517,22 +518,9 @@ class TestErrorEstimateBoundsTrueError:
         self._assert_bound(r, exact)
         assert abs(r.value - float(exact)) <= tol * abs(float(exact))
 
-    @staticmethod
-    def _hyperbolic_exact(lhs, x, phi):
-        """The closed forms of 13a, 13b and 14 at 40 digits; each left side's
-        cut drops below e^{-785} of it."""
-        with mpmath.workdps(40):
-            x, phi = mpmath.mpf(x), mpmath.mpf(phi)
-            ch, sh = mpmath.cosh(phi / 2), mpmath.sinh(phi / 2)
-            if lhs is lhs_14:
-                return (mpmath.sqrt(x * mpmath.sinh(phi) / mpmath.pi)
-                        * mpmath.besselk(0.25, x * ch**2) * mpmath.besselk(0.25, x * sh**2))
-            if lhs is lhs_13a:
-                return (mpmath.pi / 2 * mpmath.exp(x**2 * mpmath.cosh(phi))
-                        * mpmath.erfc(x * sh) * mpmath.erfc(x * ch))
-            return mpmath.sqrt(mpmath.pi) / (2 * x) * (
-                mpmath.exp(x**2 * ch**2) * ch * mpmath.erfc(x * ch)
-                - mpmath.exp(x**2 * sh**2) * sh * mpmath.erfc(x * sh))
+    # the closed forms of 13a, 13b and 14; each left side's cut drops below e^{-785} of it
+    EXACT = {lhs_13a: mpmath_refs.closed_13a, lhs_13b: mpmath_refs.closed_13b,
+             lhs_14: mpmath_refs.closed_14}
 
     @pytest.mark.parametrize("lhs,x,phi,tol", [
         (lhs_13a, 0.5, 2.0, 1e-13), (lhs_13a, 2.0, 0.5, 1e-13), (lhs_13a, 2.0, 1.0, 1e-13),
@@ -547,14 +535,13 @@ class TestErrorEstimateBoundsTrueError:
         r = lhs(q, tol)
         assert r.evaluations < self._evaluations_without_early_stop(monkeypatch,
                                                                     lambda: lhs(q, tol))
-        exact = self._hyperbolic_exact(lhs, x, phi)
+        exact = self.EXACT[lhs](x, phi)
         self._assert_bound(r, exact)
         assert abs(r.value - float(exact)) <= tol * float(exact)
 
     @pytest.mark.parametrize("run,exact,tol", [
         (lambda tol: lhs_14(HyperbolicQuery(a=17.91942666335425, phi=0.010681753360747772), tol),
-         lambda: TestErrorEstimateBoundsTrueError._hyperbolic_exact(
-             lhs_14, 17.91942666335425, 0.010681753360747772), 4e-8),
+         lambda: mpmath_refs.closed_14(17.91942666335425, 0.010681753360747772), 4e-8),
         (lambda tol: product_via_integral(
             ProductQuery(8.1044441678548, 20.91625384302966, 20.885439553931683), tol),
          lambda: mpmath.pcfd(-8.1044441678548, 20.91625384302966)
@@ -578,7 +565,7 @@ class TestErrorEstimateBoundsTrueError:
         # mislead: without _SETTLED the walk stops there, 1.4 tol off
         a, phi, tol = 0.00011121178591706416, 0.0002964902384015909, 1.9129623550048243e-08
         q = HyperbolicQuery(a=a, phi=phi)
-        exact = float(self._hyperbolic_exact(lhs_14, a, phi))
+        exact = float(self.EXACT[lhs_14](a, phi))
         assert abs(lhs_14(q, tol).value - exact) <= tol * exact
         monkeypatch.setattr(quadrature, "_SETTLED", math.inf)
         assert abs(lhs_14(q, tol).value - exact) > tol * exact
@@ -588,7 +575,7 @@ class TestErrorEstimateBoundsTrueError:
         # near level 1 by chance, and level 4's prediction, 2.7e-12, hid an
         # error of 3.3e-10
         q = HyperbolicQuery(alpha=0.22844582165978508, phi=0.20541816521944636)
-        exact = float(self._hyperbolic_exact(lhs_13a, q.alpha, q.phi))
+        exact = float(self.EXACT[lhs_13a](q.alpha, q.phi))
         assert abs(lhs_13a(q, 1e-10).value - exact) <= 1e-10 * exact
 
     def test_rise_is_read_at_level_3(self):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mpmath_refs
 from pcfprod import (DomainError, bessel_k_quarter, cli, gamma, glasser, green, hermite, hyperbolic,
                      mehler, pcf_d, quadrature, specfun)
 
@@ -248,39 +249,30 @@ class TestPcfD:
 
     def test_matches_mpmath_sweep(self):
         # orders in [-20, -1e-9), |z| <= 53.5, dense near 0 and near 3, where
-        # the route changes; z^2/2 is D's condition number in z
-        nus = [1e-9, 1e-6, 1e-3, 0.03, 0.1, 0.5, 1.0, 1.7, 3.0, 6.5, 12.2209, 20.0]
-        zs = sorted({*np.linspace(-53.5, 53.5, 23), *np.linspace(-1.0, 1.0, 9),
-                     *np.linspace(2.5, 3.5, 9), 1e-12, -1e-12, 2.999999, 3.000001})
+        # the route changes (mpmath_refs.PCF_D_ORDERS and PCF_D_ARGUMENTS); z^2/2
+        # is D's condition number in z
         huge = mp.mpf(1e307)
         with mp.workdps(40):
-            for nu in nus:
-                for z in map(float, zs):
-                    ref = mp.pcfd(-nu, z)
-                    if ref > huge:
-                        if ref > mp.mpf(sys.float_info.max):
-                            with pytest.raises(DomainError):
-                                pcf_d(-nu, z)
-                        continue
-                    got = pcf_d(-nu, z)
-                    assert math.isfinite(got), (nu, z)
-                    if ref < mp.mpf(sys.float_info.min):  # subnormal: absolute error
-                        assert abs(got - ref) <= 2.0**-1070, (nu, z)
-                        continue
-                    err = float(abs(got - ref) / ref)
-                    assert err <= 16 * EPS * max(1.0, z * z / 2), (nu, z, err)
+            for (nu, z), ref in mpmath_refs.points("pcf_d_grid", exact=True):
+                if ref > huge:
+                    if ref > mp.mpf(sys.float_info.max):
+                        with pytest.raises(DomainError):
+                            pcf_d(-nu, z)
+                    continue
+                got = pcf_d(-nu, z)
+                assert math.isfinite(got), (nu, z)
+                if ref < mp.mpf(sys.float_info.min):  # subnormal: absolute error
+                    assert abs(got - ref) <= 2.0**-1070, (nu, z)
+                    continue
+                err = float(abs(got - ref) / ref)
+                assert err <= 16 * EPS * max(1.0, z * z / 2), (nu, z, err)
 
     def test_fraction_and_exponent_sweep(self):
         # orders log-uniform in [1e-9, 20] and z in [-80, 1000]: the fraction and
         # binary exponent that pcf_d_product multiplies, also where D is past a double
-        rng = random.Random(21)
         with mp.workdps(40):
-            for _ in range(200):
-                nu = math.exp(rng.uniform(math.log(1e-9), math.log(20.0)))
-                z = (rng.uniform(-80.0, 80.0) if rng.random() < 0.7
-                     else math.exp(rng.uniform(math.log(80.0), math.log(1e3))))
+            for (nu, z), ref in mpmath_refs.points("pcf_d_far", exact=True):
                 frac, n = specfun._pcf_d_negative_order_frexp(nu, z, z * z, 0.0)
-                ref = mp.pcfd(-nu, z)
                 err = float(abs(mp.ldexp(frac, n) - ref) / ref)
                 assert err <= 16 * EPS * max(1.0, z * z / 2), (nu, z, err)
 
@@ -412,60 +404,12 @@ def right_side(route, p):
     return value, call.arguments
 
 
-def reference(route, p, dps=40):
-    """The right side by ``dps``-digit mpmath, from the caller's own parameters."""
-    with mp.workdps(dps):
-        if route == "product_reference":
-            return mp.pcfd(-p["nu"], p["x"]) * mp.pcfd(-p["nu"], -p["y"])
-        if route in ("EQ11", "EQ12"):
-            a, b = mp.mpf(p["a"]), mp.mpf(p["b"])
-            x = mp.sqrt(a + mp.sqrt((a - b) * (a + b)))
-            y = b / x if route == "EQ12" else -b / x
-            return 2 * mp.exp(a / 2) * mp.gamma(p["nu"]) * mp.pcfd(-p["nu"], x) * mp.pcfd(-p["nu"], y)
-        if route == "EQ15":
-            return mp.gamma(p["nu"]) * mp.pcfd(-p["nu"], p["x"]) * mp.pcfd(-p["nu"], -p["y"])
-        if route == "EQ14":
-            root, half = 2 * mp.sqrt(p["a"]), mp.mpf(p["phi"]) / 2
-            return (mp.sqrt(2 * mp.pi) * mp.pcfd(-0.5, root * mp.cosh(half))
-                    * mp.pcfd(-0.5, root * mp.sinh(half)))
-        nu, rt2 = (1 - mp.mpf(p["lam"])) / 2, mp.sqrt(2)
-        return (mp.gamma(nu) / (2 * mp.sqrt(mp.pi))
-                * mp.pcfd(-nu, p["x"] * rt2) * mp.pcfd(-nu, -p["xprime"] * rt2))
-
-
 def scaled_far_factor(nu, x):
     """e^{x^2/4} D_{-nu}(x) for x >= 1e6 by the DLMF 12.9.1 sum
     x^-nu sum_s (nu)_{2s} (-1/(2 x^2))^s / s!, whose terms fall by about
     nu^2/x^2: at x = 1.4e75 mpmath's pcfd is off by a factor past e^{1e150}."""
     return x ** -nu * mp.fsum(mp.rf(nu, 2 * s) * (-1 / (2 * x * x)) ** s / mp.factorial(s)
                               for s in range(8))
-
-
-def seeded_points(route, count, seed):
-    """``count`` parameter sets of ``route`` with orders log-uniform in
-    [0.05, 20] and no argument below -80; some EQ14 and green_closed points
-    have a factor past z = 98, where the product underflows."""
-    rng = random.Random(seed)
-
-    def log_uniform(lo, hi):
-        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
-
-    points = []
-    for _ in range(count):
-        nu = log_uniform(0.05, 20.0)
-        if route in ("EQ11", "EQ12"):
-            a = log_uniform(0.5, 3000.0)
-            points.append({"nu": nu, "a": a, "b": a * rng.uniform(0.01, 0.99)})
-        elif route == "EQ15":
-            x = rng.uniform(-5.0, 60.0)
-            points.append({"nu": nu, "x": x, "y": max(x - log_uniform(0.1, 40.0), -80.0)})
-        elif route == "EQ14":
-            points.append({"a": log_uniform(0.1, 1000.0), "phi": log_uniform(1e-3, 5.0)})
-        else:
-            x = rng.uniform(-10.0, 75.0)
-            points.append({"lam": rng.uniform(-39.0, 0.99), "x": x,
-                           "xprime": min(x - log_uniform(0.1, 40.0), 56.0)})
-    return points
 
 
 def log_d_bound(nu, v, scaled=False):
@@ -494,15 +438,6 @@ def assert_rounds_to_zero(args):
         assert prefactor + exact < zero, args
 
 
-# points whose product is a double though a factor or e^{a/2} is not
-OUTSIDE_DOUBLE_RANGE = {
-    # e^{a/2} = e^{750} overflows, and D_{-11.2}(52.57) = 4.7e-320 is subnormal
-    "EQ11": [{"nu": 1.0, "a": 1500.0, "b": 10.0}, {"nu": 11.2, "a": 1385.0, "b": 134.0}],
-    # D_{-15.5}(53.74) = 3.7e-342 underflows; G = 1.1e-302
-    "green_closed": [{"lam": -30.0, "x": 38.0, "xprime": 10.0}],
-}
-
-
 class TestErfcx:
     def test_against_mpmath(self):
         # e^{x^2} erfc(x) rounds x^2 in its exponential, up to x^2 = 112.5; the
@@ -527,10 +462,8 @@ class TestPcfDProduct:
     def test_against_mpmath(self, route):
         # within pcf_d's bound, 16 eps max(1, z^2/2), for each factor; a value
         # below the normal range within one subnormal step more
-        points = seeded_points(route, 30, seed=ROUTES.index(route))
-        for p in points + OUTSIDE_DOUBLE_RANGE.get(route, []):
+        for p, ref in mpmath_refs.points(f"right_side_{route}", exact=True):
             value, args = right_side(route, p)
-            ref = reference(route, p)
             bound = 16 * EPS * sum(max(1.0, v * v / 2) for v in (args["z"], args["w"]))
             assert abs(value - ref) <= bound * abs(ref) + 2.0**-1074, (route, p, value, ref)
 
@@ -566,7 +499,7 @@ class TestPcfDProduct:
     def test_past_the_old_limits(self, route, p):
         # factors past z = 98 and below -80 were not evaluated, nor past |z| = 1700
         value, args = right_side(route, p)
-        ref = reference(route, p)
+        ref = mpmath_refs.right_side(route, p)
         bound = 16 * EPS * sum(max(1.0, v * v / 2) for v in (args["z"], args["w"]))
         assert abs(value - ref) <= bound * ref, (route, p, value, ref)
 
@@ -580,7 +513,7 @@ class TestPcfDProduct:
         p = {"nu": nu, "a": a, "b": b}
         value, args = right_side(route, p)
         assert args["scaled"]
-        ref = reference(route, p, dps=50)
+        ref = mpmath_refs.right_side(route, p, dps=50)
         assert abs(value - ref) <= 1e-15 * ref, (route, p, value, ref)
 
     @pytest.mark.parametrize("route,a", [("EQ11", 2e6), ("EQ12", 2e6), ("EQ12", 1e20)])
@@ -590,7 +523,7 @@ class TestPcfDProduct:
         # other factor of EQ12 at a = 1e20, takes 5.4 eps of
         p = {"nu": 1.0, "a": a, "b": 10.0}
         value, args = right_side(route, p)
-        ref = reference(route, p, dps=50)
+        ref = mpmath_refs.right_side(route, p, dps=50)
         assert abs(value - ref) <= 16 * EPS * ref, (route, p, value, ref)
 
     @pytest.mark.parametrize("a", [1e20, 1e150])
