@@ -9,8 +9,7 @@ h_n(x) = H_n(x)/sqrt(2^n n!), which stay in floating range for any n
 No other module runs this recurrence: :func:`scaled_hermite_frexp` gives
 one h_n(x) by a scalar loop, cheaper than a numpy call for single-index
 callers, as a mantissa and a binary exponent, so that it is finite at
-any finite x (:func:`scaled_hermite` rounds it to a double), and
-:func:`scaled_hermite_products` the products h_n(X) h_n(Y) of a whole
+any finite x, and :func:`scaled_hermite_products` the products h_n(X) h_n(Y) of a whole
 index range, for the series.  numpy is imported on the first series
 call, so a caller of the scalar loop alone never loads it.
 
@@ -93,7 +92,7 @@ from .errors import ConvergenceError, DomainError
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = ["SeriesResult", "scaled_hermite", "scaled_hermite_frexp", "scaled_hermite_products",
+__all__ = ["SeriesResult", "scaled_hermite_frexp", "scaled_hermite_products",
            "bilinear_hermite_sum"]
 
 _MAX_PRODUCTS = 524_288  # 2^19
@@ -169,16 +168,6 @@ def scaled_hermite_frexp(n: int, x: float) -> tuple[float, int]:
         prev, h = h, x * math.sqrt(2.0 / (k + 1)) * h - math.sqrt(k / (k + 1.0)) * prev
     frac, e = math.frexp(h)
     return frac, e + m
-
-
-def scaled_hermite(n: int, x: float) -> float:
-    """h_n(x) as a double: :func:`scaled_hermite_frexp` rounded once, and
-    signed infinity where it overflows."""
-    frac, expo = scaled_hermite_frexp(n, x)
-    try:
-        return math.ldexp(frac, expo)
-    except OverflowError:
-        return math.copysign(math.inf, frac)
 
 
 def _chain(last: list[list[float]], nxt: list[list[float]]) -> list[float]:

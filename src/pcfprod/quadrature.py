@@ -57,7 +57,7 @@ all in the refinement loop itself: a node costs no Python call but the
 integrand.  A level is built lazily, a chunk of ``_CHUNK`` rows at a
 time, as far as some walk has gone and never to the representable range
 (the right exp-sinh side would run to s = 690).  The chunks are one
-``functools.cache``, :func:`_chunk`, keyed on ints, and
+``functools.cache``, :func:`_chunk`, keyed on the table itself, and
 ``_chunk.cache_info()`` shows how many the process keeps.  A row takes
 about 160 bytes and is kept for the life of the process, and nothing
 bounds the cache: a walk over 100,000 nodes leaves about 16 MB of table
@@ -146,12 +146,10 @@ class _NodeTable:
     Level L holds the nodes k*h with h = step/2^L, for k = 1, 2, 3, ...
     at level 0 and the odd k after; ``center`` is the row at k*h = 0.
     ``row`` maps k*h to its row, or to None past the representable
-    range, which ends the level.  ``key`` is the table's index in
-    ``_TABLES``, by which :func:`_chunk` finds it.
+    range, which ends the level.
     """
 
-    def __init__(self, key: int, step: float, row: Callable[[float], tuple | None]):
-        self.key = key
+    def __init__(self, step: float, row: Callable[[float], tuple | None]):
         self.step = step
         self.center = row(0.0)
         self.row = row
@@ -163,20 +161,19 @@ class _NodeTable:
     def _chunks(self, level: int):
         """The chunks of ``level`` up to the first short one, which ends it."""
         for i in count():
-            chunk = _chunk(self.key, level, i)
+            chunk = _chunk(self, level, i)
             yield chunk
             if len(chunk) < _CHUNK:
                 return
 
 
 @functools.cache
-def _chunk(key: int, level: int, i: int) -> tuple:
-    """Chunk ``i`` of ``level`` of ``_TABLES[key]``: its rows ``i*_CHUNK`` on, at
+def _chunk(table: _NodeTable, level: int, i: int) -> tuple:
+    """Chunk ``i`` of ``level`` of ``table``: its rows ``i*_CHUNK`` on, at
     most ``_CHUNK`` of them, fewer where the level ends.  A chunk is built once
     per process, when a walk first reaches it, and depends on nothing but its
-    key, so a walk stays valid while a nested integral (an integrand that
+    arguments, so a walk stays valid while a nested integral (an integrand that
     integrates) or another thread builds chunks of the same level."""
-    table = _TABLES[key]
     h = table.step * 0.5**level
     dk = 1 if level == 0 else 2
     first = 1 + i * _CHUNK * dk
@@ -214,10 +211,9 @@ def _tanh_sinh_row(k_h: float) -> tuple | None:
     return (k_h, 2.0 / (1.0 + math.exp(2.0 * u)), _PIOV2 * math.cosh(k_h) * (sech * sech))
 
 
-_EXP_SINH_RIGHT = _NodeTable(0, 0.5, _exp_sinh_row(1.0))
-_EXP_SINH_LEFT = _NodeTable(1, 0.5, _exp_sinh_row(-1.0))
-_TANH_SINH = _NodeTable(2, 1.0, _tanh_sinh_row)
-_TABLES = (_EXP_SINH_RIGHT, _EXP_SINH_LEFT, _TANH_SINH)
+_EXP_SINH_RIGHT = _NodeTable(0.5, _exp_sinh_row(1.0))
+_EXP_SINH_LEFT = _NodeTable(0.5, _exp_sinh_row(-1.0))
+_TANH_SINH = _NodeTable(1.0, _tanh_sinh_row)
 
 
 def _refine(f: Callable[[float], float], sides: tuple, levels: int, what: str,

@@ -16,11 +16,11 @@ other side is an integral check it against an engine it does not share:
   Weber's equation carries D inward from z = 3.  D and D_{-nu-1}/D at
   z = 3 are kept for the last 8 orders used, so points of one order in
   0 < z < 3 pay for the continued fraction once.  The loops count in
-  floats, so a step is float arithmetic only; the Taylor step tests the
-  peak and then the tail, each in its own phase, and the sums only the
-  tail.  From |z| = 15 on, where the sums would take about z^2 terms, D
-  is its Poincare expansion (DLMF 12.9.1; for z < 0 with 12.2.15 and
-  12.9.2), as in both papers: at most 49 terms.
+  floats, so a step is float arithmetic only, and each is one loop that
+  stops once its newest terms are negligible against the sum.  From
+  |z| = 15 on, where the sums would take about z^2 terms, D is its
+  Poincare expansion (DLMF 12.9.1; for z < 0 with 12.2.15 and 12.9.2),
+  as in both papers: at most 49 terms.
 * nonnegative integer order n: D_n(z) = 2^{-n/2} e^{-z^2/4} H_n(z/sqrt 2)
   = sqrt(n!) e^{-z^2/4} h_n(z/sqrt 2), the exponential applied to the
   binary exponent of h_n so that nothing underflows before D_n does.
@@ -223,28 +223,17 @@ def _taylor_inward(nu: float, z: float) -> float:
     y'' = (t^2/4 + nu - 1/2) y from _Z1 inward, the direction in which D
     grows.  The terms e_k = c_k h^k, h = z - _Z1, follow from
     (k+2)(k+1) c_{k+2} = a c_k + b c_{k-1} + c_{k-2}/4 with
-    a = _Z1^2/4 + nu - 1/2 and b = _Z1/2.  The climb to the peak and the
-    tail run as two loops: one loop with the tail's test alone, as in
-    :func:`_sums`, gives the same bits but took 3-4% longer."""
+    a = _Z1^2/4 + nu - 1/2 and b = _Z1/2.  One loop runs until the last four
+    terms are negligible against the sum, as in :func:`_sums`."""
     d1, rho = _anchor(nu)
     h = z - _Z1
     ah2 = (0.25 * _Z1 * _Z1 + nu - 0.5) * h * h
     bh3 = 0.5 * _Z1 * h**3
     ch4 = 0.25 * h**4
-    # a step multiplies the largest of its last three terms by at most
-    # growth/((k+1)(k+2)); once that is below 1 it stays so, and the terms only fall
-    growth = ah2 + abs(bh3) + ch4
     e_2, e_1, e0, e1 = 0.0, 0.0, d1, -(0.5 * _Z1 + nu * rho) * d1 * h  # D' = -(z/2 + nu rho) D
     total = e0 + e1
     # j = k + 1 and p = (k+1)(k+2), the divisor of the next step
     j, p = 1.0, 2.0
-    while True:
-        e_2, e_1, e0, e1 = e_1, e0, e1, (ah2 * e0 + bh3 * e_1 + ch4 * e_2) / p
-        total += e1
-        j += 1.0
-        p = j * (j + 1.0)
-        if growth < p:
-            break
     while abs(e_2) + abs(e_1) + abs(e0) + abs(e1) > _SUM_EPS * total:
         e_2, e_1, e0, e1 = e_1, e0, e1, (ah2 * e0 + bh3 * e_1 + ch4 * e_2) / p
         total += e1
@@ -351,8 +340,8 @@ def pcf_d(nu_order: float, z: float) -> float:
     and -80 <= z <= 1000 the relative error stays within 16 eps max(1, z^2/2),
     z^2/2 being D's own condition number in z.  On one Xeon core (CPython
     3.11) a call costs 19-21 us for -7 <= z <= 0, 27-41 us for 3 <= z < 7,
-    17-20 us for 0 < z < 3 at the order of the previous such call and
-    32-58 us at a new one, and 3-13 us for |z| >= 15.  Where D_order(z)
+    4-15 us for 0 < z < 3 at the order of the previous such call and
+    17-34 us at a new one, and 3-13 us for |z| >= 15.  Where D_order(z)
     overflows a double (z < 0 only, e.g. D_{-20}(-53)) it raises
     :class:`DomainError`; beyond z = 2 sqrt(746) it underflows and
     is returned as 0.0.  An integer order n is evaluated in log scale, so

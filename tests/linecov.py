@@ -29,7 +29,7 @@ UNRUN = [
      "the console script's exit; tests call main(standalone_mode=False) in process"),
     ("cli.py", 520, "main()",
      "python -m pcfprod.cli; `python tests/cli_cases.py python -m pcfprod.cli` runs it"),
-    ("hermsum.py", 94, "import numpy as np", "under TYPE_CHECKING: for type checkers only"),
+    ("hermsum.py", 93, "import numpy as np", "under TYPE_CHECKING: for type checkers only"),
 ]
 
 _left: dict = {}  # code object -> its lines not run yet; empty for code outside SRC

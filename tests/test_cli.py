@@ -1,6 +1,7 @@
 """Command-line interface: evaluation, verification sweeps, determinism."""
 
 import importlib
+import inspect
 import json
 import math
 import os
@@ -124,6 +125,9 @@ def test_help(run_cli, command):
     assert r.exit_code == 0
     assert r.stdout.startswith(f"usage: {' '.join(['pcfprod', *command])} ")
     assert r.stderr == ""
+    if command == ["verify"]:
+        # the docstring's body, its common indentation removed
+        assert "\n\nDefault grids are used for parameters without an explicit\n--name" in r.stdout
 
 
 # each usage error's whole message, after argparse's usage line and "pcfprod <command>: error: "
@@ -250,6 +254,35 @@ class TestEval:
         assert r.exit_code == 0
         assert r.stdout.splitlines() == ["1.5", "# terms_used = 3", "# tail_bound = 1e-12"]
 
+    @pytest.mark.parametrize("target", sorted(EVAL_TARGETS))
+    def test_names_are_the_routes_parameters(self, target, monkeypatch):
+        # the name tuple is the route's parameters, in order, before tol, and each
+        # value reaches the library under its own name: a swapped pair (a and b
+        # of laplace_I) would pass one value as the other without any error
+        names, route = EVAL_TARGETS[target]
+        assert tuple(inspect.signature(route).parameters) == (*names, "tol")
+        called = {}
+
+        def recorder(function):
+            def record(*args, **kwargs):
+                bound = inspect.signature(function).bind(*args, **kwargs).arguments
+                for name, value in bound.items():
+                    called.update(value._asdict() if hasattr(value, "_asdict") else {name: value})
+                raise StopIteration
+            return record
+
+        for module in ("specfun", "glasser", "green", "hyperbolic", "mehler"):
+            library = importlib.import_module(f"pcfprod.{module}")
+            for name in library.__all__:
+                if inspect.isfunction(getattr(library, name)):
+                    monkeypatch.setattr(library, name, recorder(getattr(library, name)))
+        values = [len(names) - i - 0.25 for i in range(len(names))]  # 2.75, 1.75, 0.75: x > y
+        with pytest.raises(StopIteration):
+            route(*values, 1e-9)
+        aliases = {"nu": "nu_order"} if target == "pcf_d" else {}
+        assert {name: called[aliases.get(name, name)] for name in names} == dict(zip(names, values))
+        assert called.get("tol", 1e-9) == 1e-9
+
     def test_overflow_is_domain_error(self, run_cli):
         # D_{-1}(-40) = 1.3e174 is finite; D_{-20}(-53) and Gamma(200) overflow a
         # double, a DomainError and not an OverflowError traceback
@@ -371,11 +404,14 @@ class TestVerify:
         assert tols == [route_tol]
 
     @pytest.mark.parametrize("spec,points", [("0.5:2:4", [0.5, 1.0, 1.5, 2.0]),
-                                             ("log:0.5:2:3", [0.5, 1.0, 2.0])])
+                                             ("log:0.5:2:3", [0.5, 1.0, 2.0]),
+                                             ("log:0.25:1:3", [0.25, 0.5, 1.0])])
     def test_grid_spec_points(self, run_cli, spec, points):
         # at phi 800 every record is skipped, so the grid costs nothing
         r = run_cli(["verify", "EQ13A", "--alpha", spec, "--phi", "800", "--format", "json"])
-        assert [rec["params"]["alpha"] for rec in strict_json(r.stdout)["records"]] == points
+        records = strict_json(r.stdout)["records"]
+        assert [rec["params"]["alpha"] for rec in records] == points
+        assert [rec["evaluations"] for rec in records] == [0] * len(points)
 
     def test_single_point_sum_rule(self, run_cli):
         r = run_cli(["verify", "EQ15", "--nu", "1", "--x", "2", "--y", "1"])
@@ -570,6 +606,8 @@ class TestVerify:
         assert r.exit_code == 0
         doc = json.loads(r.stdout)
         assert doc["summary"] == {"pass": 2, "fail": 0, "skip": 0}
+        # indented by two spaces, one key to a line
+        assert r.stdout.startswith('{\n  "summary": {\n    "pass": 2,\n')
         assert len(doc["records"]) == 2
         assert all(rec["status"] == "pass" for rec in doc["records"])
 

@@ -86,6 +86,8 @@ class TestParameterMaps:
             params_from_xy(ProductQuery(1.0, 1.0, 2.0))
         with pytest.raises(DomainError):
             params_from_xy(ProductQuery(1.0, 1.0, -0.5))
+        with pytest.raises(DomainError, match=r"map requires x >= y > 0, got x=1.0, y=0.0"):
+            params_from_xy(ProductQuery(1.0, 1.0, 0.0))
         with pytest.raises(DomainError):
             xy_from_params(LaplaceParams(1.0, 1.0, -1.0))
         with pytest.raises(DomainError):
@@ -94,6 +96,8 @@ class TestParameterMaps:
             ProductQuery(0.0, 2.0, 1.0)
         with pytest.raises(DomainError):
             LaplaceParams(-1.0, 2.0, 1.0)
+        with pytest.raises(DomainError, match="order nu must be positive, got 0.0"):
+            LaplaceParams(0.0, 2.0, 1.0)
 
     @pytest.mark.parametrize("a,b", [(1e200, 1.0), (1.7e308, 1e308)])
     def test_overflowing_discriminant_names_a_and_b(self, a, b):
@@ -369,6 +373,12 @@ class TestEdgesOfTheIntegral:
         # the walk is centred, at min(1/decay, body); centred at 1, as the minus
         # form's walk is, it took 93 evaluations
         assert laplace_I(LaplaceParams(1.0, 505.0, 504.95), 1, 1e-9).evaluations <= 50
+
+    def test_minus_form_walk_centred_at_one(self):
+        # decay a + b = 0.5 puts 1/decay at 2, past the minus form's body of 1,
+        # where its walk is centred; the bits are pinned
+        r = laplace_I(LaplaceParams(8.5, 0.3, 0.2), -1, 1e-11)
+        assert r == (0.06000279690321589, 5.551115123125783e-17, 61)
 
     def test_equal_args_walk_stays_short(self):
         # x = y at tol 1e-10 once walked 614k nodes, and 2,926 evaluations with

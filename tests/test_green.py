@@ -189,6 +189,20 @@ class TestShooter:
         for lam, x, xp in points:
             green_ode_oracle(GreenQuery(lam, x, xp))
 
+    # the oracle's bits at three points: a change to the shooter's order, step
+    # rule or Horner sum, or to the oracle's starting point or data, moves them by
+    # a few ulps, inside every accuracy bound above; re-pin only with a change
+    # that means to move them
+    PINNED = [((0.10117506511623908, -1.6321047956231394, -2.9446886268357537),
+               0.012943319032118027),
+              ((-3.321236698897116, -2.3561868207200813, -3.983373634877064),
+               0.00035941131025474677),
+              ((40.5, 1.0, 0.0), 0.1861592300353727)]
+
+    @pytest.mark.parametrize("args,value", PINNED, ids=[str(a[0]) for a, _ in PINNED])
+    def test_pinned_bits(self, args, value):
+        assert green_ode_oracle(GreenQuery(*args)) == value
+
     def test_deterministic(self):
         q = GreenQuery(-1.3, 2.2, -0.7)
         assert green_ode_oracle(q) == green_ode_oracle(q)
@@ -223,6 +237,11 @@ class TestShooter:
         assert "after 3 steps" in msg and "step cap" in msg
         reached = float(msg.split("stopped at t=")[1].split()[0])
         assert -8.0 < reached < -1.0
+
+    def test_step_cap_at_its_value(self):
+        # 1000 steps of at most 2.5 radians each cover 2.5 of the 5 units at lambda 1e6
+        with pytest.raises(ConvergenceError, match=r"at t=2\.\d+ after 1000 steps: step cap"):
+            green.solve_ivp(1e6, 0.0, 5.0, 1.0, 0.0)
 
     def test_non_finite_state_is_a_convergence_error(self):
         with pytest.raises(ConvergenceError, match=r"from t=0\.0 to t=1\.0 stopped at t=\S+ "
@@ -298,6 +317,14 @@ class TestGuards:
         with pytest.raises(DomainError, match="needs finite lambda, x, x'"):
             GreenQuery(lam, x, xprime)
 
+    def test_spectral_sum_runs_at_half_the_tolerance(self, monkeypatch):
+        tols = []
+        inner = green.bilinear_hermite_sum
+        monkeypatch.setattr(green, "bilinear_hermite_sum",
+                            lambda *args, **kwargs: tols.append(args[3]) or inner(*args, **kwargs))
+        green_spectral(GreenQuery(0.0, 1.0, 0.0), 1e-6)
+        assert tols == [5e-7]
+
     @pytest.mark.parametrize("lam", [1.0, 3.0, 5.0, 11.0])
     def test_spectral_sum_at_an_eigenvalue_is_a_pole(self, lam):
         with pytest.raises(DomainError, match="pole"):
@@ -316,6 +343,17 @@ class TestGuards:
             green_ode_oracle(GreenQuery(1.05, 1.0, 0.0))  # too close to lambda_0
         with pytest.raises(DomainError):
             green_ode_oracle(GreenQuery(0.0, 7.0, 0.0))   # outside shooting range
+
+    def test_ode_guard_edges(self):
+        # the range ends at |x| = 6, and the pole guard 0.1 from each eigenvalue
+        green_ode_oracle(GreenQuery(0.0, 6.0, -6.0))
+        with pytest.raises(DomainError, match=r"oracle supports \|x\|, \|x'\| <= 6\.0$"):
+            green_ode_oracle(GreenQuery(0.0, 6.05, 0.0))
+        for lam in (0.905, 1.095, 2.905, 3.095, 62.905):
+            with pytest.raises(DomainError, match=f"lambda={lam} within 0.1 of an eigenvalue"):
+                green_ode_oracle(GreenQuery(lam, 1.0, 0.0))
+        for lam in (0.895, 1.105, 2.895, 3.105, 62.895):
+            assert math.isfinite(green_ode_oracle(GreenQuery(lam, 1.0, 0.0)))
 
     @pytest.mark.parametrize("lam", [64.0, 700.0, 1e300])
     def test_ode_needs_lambda_below_shooting_point_squared(self, lam):

@@ -57,11 +57,16 @@ def test_invalid_input_is_a_domain_error(X, Y, shift, tol):
         bilinear_hermite_sum(X, Y, shift, tol)
 
 
+def scaled_hermite(n, x):
+    """h_n(x) as a double, rounded once from its mantissa and binary exponent."""
+    return math.ldexp(*hermsum.scaled_hermite_frexp(n, x))
+
+
 def test_scalar_degree_is_capped():
     # the scalar loop stops at the series' own cap of 2^19 products
-    assert math.isfinite(hermsum.scaled_hermite(2 ** 19, 0.3))
+    assert math.isfinite(scaled_hermite(2 ** 19, 0.3))
     with pytest.raises(DomainError, match=r"at most 2\^19 = 524288, got 524289"):
-        hermsum.scaled_hermite(2 ** 19 + 1, 0.3)
+        scaled_hermite(2 ** 19 + 1, 0.3)
 
 
 @pytest.mark.parametrize("n", mpmath_refs.SCALED_HERMITE_DEGREES)
@@ -80,17 +85,16 @@ def test_scalar_mantissa_and_exponent_match_mpmath(n):
 
 def test_scalar_pair_is_scaled_only_past_its_limit():
     # below 2^600 the pair is never scaled: the value is the plain recurrence's
-    # bit for bit; past it the double rounds to signed infinity, never nan
+    # bit for bit; past it the mantissa is never nan
     for n, x in [(700, 1.3), (3000, 20.0), (57, -4.9)]:
         prev, h = 0.0, 1.0
         for k in range(n):
             prev, h = h, x * math.sqrt(2.0 / (k + 1)) * h - math.sqrt(k / (k + 1.0)) * prev
-        assert hermsum.scaled_hermite(n, x) == h
-    assert hermsum.scaled_hermite(2985, 40.0) == -math.inf
+        assert scaled_hermite(n, x) == h
     for x in (1e200, -1.7e308, 2.0**500):
         for n in (0, 1, 2, 3, 1000):
             frac, expo = hermsum.scaled_hermite_frexp(n, x)
-            assert not math.isnan(frac) and not math.isnan(hermsum.scaled_hermite(n, x))
+            assert not math.isnan(frac)
 
 
 @pytest.mark.parametrize("X,Y", POINTS)
@@ -108,7 +112,7 @@ def test_scalar_helper_matches_products_and_mpmath(X, Y):
     ns = [0, 1, 2, 57, 700]
     prods = scaled_hermite_products(X, Y, ns[-1] + 1)
     scale = np.max(np.abs(prods))
-    got = np.array([hermsum.scaled_hermite(n, X) * hermsum.scaled_hermite(n, Y) for n in ns])
+    got = np.array([scaled_hermite(n, X) * scaled_hermite(n, Y) for n in ns])
     assert np.all(np.abs(got - prods[ns]) <= 16 * np.finfo(float).eps * scale)
     assert np.all(np.abs(got - oracle_products(X, Y, ns)) <= 1e-13 * scale)
 
@@ -142,7 +146,7 @@ def test_small_counts_are_exact():
     assert p[0] == 1.0 and p[1] == pytest.approx(2.0 * 1.3 * 0.4, rel=1e-15)
 
 
-W, BOUND = hermsum._FIXED_WIDTH, hermsum._FIXED_UP_TO
+W, BOUND = 16, 2048  # the block width and the longest kept array, as documented
 PREFIX_COUNTS = [1, W - 1, W, W + 1, 2 * W, BOUND]
 
 
@@ -220,6 +224,17 @@ def test_only_the_last_four_pairs_are_kept(monkeypatch):
     assert hermsum._memo.cache_info().currsize == 4
 
 
+def test_blocks_past_the_bound_are_ceil_sqrt_wide(monkeypatch):
+    # 46 wide up to 46^2 = 2116 products, then 47
+    sizes = []
+    inner = hermsum._blocked_products
+    monkeypatch.setattr(hermsum, "_blocked_products",
+                        lambda X, Y, count, size: sizes.append(size) or inner(X, Y, count, size))
+    for count in (BOUND + 1, 2116, 2117):
+        scaled_hermite_products(0.3, 0.1, count)
+    assert sizes == [46, 46, 47]
+
+
 def count_products(monkeypatch):
     """Record the ``count`` of every scaled_hermite_products call."""
     counts = []
@@ -267,6 +282,9 @@ def test_convergence_error_lists_every_candidate_weight(monkeypatch):
         [0.5 * 2.0 ** (-0.5 * k) for k in range(len(listed))], rel=1e-3)
     tails = [float(t) for _, t in listed]
     assert all(a > b > tol for a, b in zip(tails, tails[1:]))
+    # the list ends at the weight whose tail the bound holds
+    used = float(re.search(r"= tail (\S+) \+", str(info.value)).group(1))
+    assert tails[-1] == pytest.approx(used, rel=1e-2)
     partial = info.value.partial
     assert counts == [partial.terms_used]
     assert 2 ** 18 < partial.terms_used <= 2 ** 19
@@ -392,6 +410,12 @@ class TestPinnedSeries:
          "0x1.48b5e3c3e817ap+0", 42, "0x1.ea08425b9165ap-41"),
         ("mehler_kernel_series", ((-2.0, 1.5, 0.9), 1e-10), False,
          "-0x1.3c7422e7f9261p-40", 264, "0x1.aca246489283ep-34"),
+        # two seeded points whose weight u sits next to a candidate's edge: the
+        # lower bound on |B|, or the tail's share of the target, moves it
+        ("series_for_I", (0.483416365952863, 2.698525370492535, 0.4888745875568867, 1e-08),
+         False, "0x1.4139a7c1c2964p+0", 251, "0x1.7866f2fc2bbfcp-32"),
+        ("sum_rule_lhs", ((1.6442528693365628, 2.8990511802060337, 0.874556059536683), 2.5e-07),
+         False, "0x1.77bd5660e39d8p-5", 409, "0x1.3717f1fbbbb65p-31"),
     ]
 
     @pytest.mark.parametrize("name,args,raised,value,terms,bound", PINS)
@@ -412,6 +436,7 @@ class TestOverflowIsAnError:
         ("series_for_I", (1.2, 47.0, -1e139, 1e-9)),
         ("sum_rule_lhs", ((39.0, 1e81, 17.0), 1e-9)),
         ("series_for_I", (1.0, 1e200, 0.0, 1e-9)),  # (X - Y)**2 overflows
+        ("series_for_I", (1.0, 1e200, -1e200, 1e-9)),  # so it does where X + Y is 0
     ])
     def test_overflow_raises_convergence_error(self, name, args):
         with warnings.catch_warnings():
@@ -442,6 +467,18 @@ class TestOverflowIsAnError:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="shift .* is past 1.53e\\+12"):
                 ROUTES[name](args)
+
+    def test_dropped_bound_past_a_double_is_inf(self):
+        # at X = Y = 26.72 the tails overflow and one term is kept, whose dropped
+        # bound, about e^713, is past a double: inf, not an OverflowError
+        with pytest.raises(ConvergenceError, match=r"at 1 terms .* dropped inf \+"):
+            bilinear_hermite_sum(26.72, 26.72, 1.0, 1e-9)
+
+    def test_largest_shift_is_not_past_the_panels(self):
+        # the bound itself is summed, and its sum is 0.0
+        largest = hermsum._rules()[1]
+        with pytest.raises(ConvergenceError, match="with a sum of 0.0"):
+            bilinear_hermite_sum(1.0, 0.5, largest, 1e-9)
 
     @pytest.mark.parametrize("lam,x", [
         (-1e6, 15.0),  # G about e^{-15000}: 0.0 in a double

@@ -23,7 +23,8 @@ from pcfprod import (
     series_for_I,
     sum_rule_lhs,
 )
-from pcfprod.hermsum import bilinear_hermite_sum, scaled_hermite_products
+from pcfprod import mehler
+from pcfprod.hermsum import SeriesResult, bilinear_hermite_sum, scaled_hermite_products
 from pcfprod.mehler import sum_rule_term_decay_exponent
 
 PROD_1_2_1 = 0.4197646649478962796
@@ -90,6 +91,13 @@ class TestKernelClosed:
 
 
 class TestKernelSeries:
+    def test_tail_past_a_double_is_inf(self):
+        # capped at 2^19 terms with u = 0.99999, the tail bound is about e^715:
+        # inf, then a ConvergenceError, not an OverflowError from exp
+        with pytest.raises(ConvergenceError, match="524288 terms") as info:
+            mehler_kernel_series(MehlerPoint(26.72, 26.72, 0.99999), 1e-12)
+        assert info.value.partial.tail_bound == math.inf
+
     def test_u_zero_single_term(self):
         r = mehler_kernel_series(MehlerPoint(2.0, -1.0, 0.0))
         assert r.value == 1.0
@@ -260,6 +268,14 @@ class TestSeriesForI:
         with pytest.raises(DomainError, match="series_for_I requires nu > 0, got 0.0"):
             series_for_I(0.0, 1.0, 0.5)
 
+    def test_sum_runs_at_half_the_tolerance(self, monkeypatch):
+        # the factor 2 doubles the bare sum's error, so it aims at tol/2
+        calls = []
+        monkeypatch.setattr(mehler, "bilinear_hermite_sum", lambda *args, **kwargs:
+                            calls.append((args, kwargs)) or SeriesResult(1.0, 1, 0.0))
+        series_for_I(0.75, 2.0, 0.5, 1e-8)
+        assert calls == [((2.0, 0.5, 1.5, 5e-9), {"factor": 2.0})]
+
 
 class TestSumRule:
     def test_frozen_point(self):
@@ -289,6 +305,12 @@ class TestSumRule:
     def test_term_decay_exponent(self, nu, x, y):
         p = sum_rule_term_decay_exponent(SumRuleQuery(nu, x, y))
         assert 1.3 <= p <= 1.7
+
+    def test_term_decay_fit_is_pinned(self):
+        # the fit's window, n in [100, 20000] in 20 bins, decides the estimate:
+        # one more bin, or either end one term on, moves it by 5e-6 or more
+        p = sum_rule_term_decay_exponent(SumRuleQuery(1.0, 2.0, 1.0))
+        assert p == pytest.approx(1.43924526141084, rel=1e-12)
 
     def test_convergence_error_quotes_its_partial(self):
         # x - y = 0.01 misses tol within 2^19 terms; the message's numbers

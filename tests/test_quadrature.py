@@ -39,14 +39,14 @@ def _set_levels(monkeypatch, levels):
 
 @pytest.fixture
 def built(monkeypatch):
-    """The node-table chunks built from here on, as {(key, level, i): rows}:
+    """The node-table chunks built from here on, as {(table, level, i): rows}:
     a fresh chunk cache that records what it builds, the process's own
     cache restored after."""
     chunks = {}
     make = quadrature._chunk.__wrapped__
 
-    def chunk(key, level, i):
-        chunks[key, level, i] = rows = make(key, level, i)
+    def chunk(table, level, i):
+        chunks[table, level, i] = rows = make(table, level, i)
         return rows
 
     monkeypatch.setattr(quadrature, "_chunk", functools.cache(chunk))
@@ -56,8 +56,8 @@ def built(monkeypatch):
 def _level_rows(built, table):
     """The rows ``built`` holds of ``table``, per level, in walk order."""
     levels = {}
-    for (key, level, _), rows in sorted(built.items()):
-        if key == table.key:
+    for (owner, level, _), rows in sorted(built.items(), key=lambda item: item[0][1:]):
+        if owner is table:
             levels.setdefault(level, []).extend(rows)
     return [levels.get(level, []) for level in range(max(levels, default=-1) + 1)]
 
@@ -172,6 +172,12 @@ class TestConvergenceBehavior:
 
     def _errors(self, run, exact):
         return [abs(run(tol) - exact) for tol in self.TOLS]
+
+    def test_no_early_stop_at_decay_rate_zero(self):
+        # the algebraic-tail walk stops only where two levels agree; on
+        # 1/(1+t^2) a predicted next change would stop it after 1,530
+        r = integrate_semi_infinite(lambda t: 1.0 / (1.0 + t * t), 0.0, 1e-8)
+        assert r == (1.5707963267948966, 2.220446049250313e-16, 2999)
 
     def test_tightening_tol_never_hurts(self):
         batteries = [
@@ -299,6 +305,18 @@ class TestNestedRefinement:
         repeated = {x for x, n in Counter(seen).items() if n > 1}
         assert all(min(x - lo, hi - x) <= 32 * ulp for x in repeated)
 
+    @pytest.mark.parametrize("engine,first_h,changes", [
+        (lambda f: integrate_semi_infinite(f, 1.0, 1e-12), 0.5, 12),
+        (lambda f: integrate_finite(f, 0.0, 1.0, 1e-12), 1.0, 11),
+    ], ids=["semi_infinite", "finite"])
+    def test_level_caps(self, engine, first_h, changes):
+        # at most 13 levels (semi-infinite) and 12 (finite): a step they never
+        # resolve lists a change at each level after the first
+        with pytest.raises(ConvergenceError) as exc:
+            engine(lambda t: 1.0 if t < 0.3 else 0.0)
+        levels = re.findall(r"h=(\S+) ", str(exc.value).split("levels: ")[1])
+        assert [float(h) for h in levels] == [first_h / 2**k for k in range(1, changes + 1)]
+
     @pytest.mark.parametrize("engine,first_h", [
         (lambda tol: integrate_semi_infinite(
             lambda t: math.exp(-t) * math.cos(40.0 * t), 1.0, tol),
@@ -341,6 +359,12 @@ class TestReach:
     any level, the current one included; a live term past the reach
     extends it, and a side with no live term yet keeps the
     consecutive-dead rule."""
+
+    def test_terms_below_tiny_are_judged_against_the_floor(self):
+        # a partial sum below 1e-300 judges its terms against 1e-20 * 1e-300, so
+        # 1e-305 e^{-t} has live terms and its walks end on the reach rule
+        r = integrate_semi_infinite(lambda t: 1e-305 * math.exp(-t), 1.0, 1e-10)
+        assert r == (1.0000000000000005e-305, 4.9349774829e-313, 33)
 
     @staticmethod
     def _last_right_nodes(built, seen):
@@ -731,6 +755,16 @@ class TestPinnedRoutes:
         "lhs_13a": lambda tol: lhs_13a(HyperbolicQuery(alpha=1.5, phi=0.7), tol),
         "lhs_13b": lambda tol: lhs_13b(HyperbolicQuery(alpha=0.3, phi=2.0), tol),
         "lhs_14": lambda tol: lhs_14(HyperbolicQuery(a=0.5, phi=0.05), tol),
+        # seeded theta walks that the early stop's bounds decide: a change to
+        # _MIN_ORDER, _MAX_ORDER, _SETTLED or the order test moves their bits
+        "lhs_14_slow_fall": lambda tol: lhs_14(
+            HyperbolicQuery(a=1.1421903672281193, phi=1.439134873496479), tol),
+        "lhs_14_min_order": lambda tol: lhs_14(
+            HyperbolicQuery(a=1.2371448500511772, phi=0.3689261640813915), tol),
+        "lhs_13b_max_order": lambda tol: lhs_13b(
+            HyperbolicQuery(alpha=1.448101812836023, phi=0.7967607128582873), tol),
+        "lhs_13b_settled": lambda tol: lhs_13b(
+            HyperbolicQuery(alpha=1.2697574279246089, phi=1.1297281330573574), tol),
     }
     # (route, tol, value.hex(), error_estimate.hex(), evaluations at most)
     PANEL = [
@@ -742,6 +776,10 @@ class TestPinnedRoutes:
         ("lhs_13a", 1e-12, "0x1.27393eeef7488p-2", "0x1.850f449dfb411p-51", 82),
         ("lhs_13b", 1e-10, "0x1.dcff8e2627e90p-2", "0x1.0000000000000p-53", 135),
         ("lhs_14", 1e-12, "0x1.5d6e0aefedbc6p+0", "0x1.10d5b954c038dp-43", 93),
+        ("lhs_14_slow_fall", 1e-11, "0x1.4c19e51b6d0dbp-4", "0x1.0000000000000p-55", 173),
+        ("lhs_14_min_order", 1e-10, "0x1.b66a158229a9ap-2", "0x1.4d912c17c8a27p-49", 93),
+        ("lhs_13b_max_order", 1e-10, "0x1.017a21957538ap-4", "0x1.0000000000000p-56", 134),
+        ("lhs_13b_settled", 1e-10, "0x1.be25db26b6742p-5", "0x0.0p+0", 134),
     ]
 
     @pytest.mark.parametrize("route,tol,value,error,evaluations", PANEL,
@@ -756,7 +794,7 @@ class TestNodeTables:
     """The per-level node tables grow only as far as the walks go, and
     growth by nested or concurrent walks leaves every row in place."""
 
-    TABLES = quadrature._TABLES
+    TABLES = quadrature._EXP_SINH_RIGHT, quadrature._EXP_SINH_LEFT, quadrature._TANH_SINH
 
     def test_rows_bounded_by_nodes_walked(self, built):
         right, left = self.TABLES[:2]
